@@ -5,9 +5,10 @@
 
    The workload is HYDRA-C period selection (Algorithm 1 + 2 over the
    Eq. 6-8 WCRT analysis) on Table-3 tasksets with a boosted security
-   count, run once per carry-in policy through the reference path
-   (~fast:false) and once through the optimized path (~fast:true,
-   doc/PERFORMANCE.md), on fresh systems each time. Results must be
+   count, run once per carry-in policy through the reference
+   implementation (Hydra_oracle.Naive_selection, test/oracle) and once
+   through the production Period_selection.select
+   (doc/PERFORMANCE.md), on fresh systems each time. Results must be
    bit-identical; the wall-clock ratio is the reported speedup.
 
      {
@@ -79,7 +80,8 @@ let select_one ~policy ~fast ?obs (g : Taskgen.Generator.generated) =
   let sys =
     Hydra.Analysis.make_system ts ~assignment:g.Taskgen.Generator.rt_assignment
   in
-  Hydra.Period_selection.select ~policy ~fast ?obs sys ts.Task.sec
+  if fast then Hydra.Period_selection.select ~policy ?obs sys ts.Task.sec
+  else Hydra_oracle.Naive_selection.select ~policy sys ts.Task.sec
 
 let timed_mode ~policy ~fast ?obs gens =
   let t0 = Hydra_obs.now_ns () in

@@ -42,14 +42,15 @@
    the parallel comparison run (schema "hydra_c.metrics/1", the same
    format as the CLI's --metrics-out; doc/OBSERVABILITY.md) — and
    BENCH_analysis.json (schema "hydra_c.bench_analysis/1";
-   knobs BENCH_ANALYSIS_TASKSETS / _CORES / _SEED) — the naive-vs-fast
-   comparison of the WCRT analysis fast path at both carry-in policies,
+   knobs BENCH_ANALYSIS_TASKSETS / _CORES / _SEED) — the comparison of
+   the WCRT analysis against its test-only reference implementation
+   (test/oracle) at both carry-in policies,
    with a results_match bit and the cache/pruning counters; see
    bench/analysis_record.ml and doc/PERFORMANCE.md.
    bench/analysis_bench.exe emits just that file (the CI gate).
    BENCH_sim.json (schema "hydra_c.bench_sim/1"; knobs BENCH_SIM_...)
-   is the simulator-side counterpart -- the naive-vs-fast engine comparison
-   over the rover, validation and campaign workloads with per-workload
+   is the simulator-side counterpart -- the engine vs the reference
+   stepper over the rover, validation and campaign workloads with per-workload
    results_match bits; see bench/sim_record.ml and doc/SIMULATOR.md.
    bench/sim_bench.exe emits just that file (the CI gate). *)
 
@@ -205,6 +206,9 @@ let test_rta_uniproc =
                { Rtsched.Rta_uniproc.hp_wcet = 1120; hp_period = 5000 } ]
            ~wcet:5342 ~limit:10000 ()))
 
+(* One Eq. 6-8 WCRT query through the production path, cached RT
+   workloads included: the system is built once, so after the first
+   run every window hits the workload cache. *)
 let test_wcrt_semi_partitioned =
   Test.make ~name:"micro_wcrt_semi_partitioned"
     (Staged.stage
@@ -412,7 +416,7 @@ let emit_sweep_json () =
      else "UNSTABLE across jobs")
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: BENCH_analysis.json — naive vs fast analysis paths
+(* Part 4: BENCH_analysis.json — reference vs production analysis
    (bench/analysis_record.ml, doc/PERFORMANCE.md). *)
 
 let emit_analysis_json () =
@@ -423,7 +427,7 @@ let emit_analysis_json () =
   Format.printf "wrote BENCH_analysis.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: BENCH_sim.json — naive vs fast simulation engines
+(* Part 5: BENCH_sim.json — reference stepper vs skip-ahead engine
    (bench/sim_record.ml, doc/SIMULATOR.md). *)
 
 let emit_sim_json () =

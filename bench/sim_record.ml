@@ -3,9 +3,10 @@
    bench/main.exe (full harness) and bench/sim_bench.exe (the CI
    gate). Companion of Analysis_record on the simulation side.
 
-   Three workloads, each run through the naive stepper (~fast:false,
-   --naive-sim) and the skip-ahead engine (~fast:true, the default;
-   doc/SIMULATOR.md, which also explains the expected speedups):
+   Three workloads, each run through the naive stepper
+   (Hydra_oracle.Naive_sim, test/oracle) and the skip-ahead
+   Sim.Engine.run (doc/SIMULATOR.md, which also explains the expected
+   speedups):
 
    - "fig5_rover": the extended rover case study (all four Table-1
      monitor classes, n = 6, M = 2) under the HYDRA-C semi-partitioned
@@ -132,12 +133,18 @@ let synthetic_instances ~n ~n_cores ~group_of ~seed =
   in
   go [] 0 0
 
+(* The skip-ahead engine ([fast]) or the reference stepper. *)
+let simulate ~fast ?hooks ?collect_trace ~n_cores ~horizon tasks =
+  if fast then Sim.Engine.run ?hooks ?collect_trace ~n_cores ~horizon tasks
+  else
+    Hydra_oracle.Naive_sim.run ?hooks ?collect_trace ~n_cores ~horizon tasks
+
 let timed_runs ~fast ~horizon instances =
   let t0 = Hydra_obs.now_ns () in
   let stats =
     List.map
       (fun { in_tasks; in_n_cores } ->
-        Sim.Engine.run ~fast ~n_cores:in_n_cores ~horizon in_tasks)
+        simulate ~fast ~n_cores:in_n_cores ~horizon in_tasks)
       instances
   in
   (Hydra_obs.now_ns () - t0, stats)
@@ -148,7 +155,7 @@ let events_agree ~horizon { in_tasks; in_n_cores } =
   let capture fast =
     let log = Sim.Event_log.create ~n_cores:in_n_cores in
     let stats =
-      Sim.Engine.run ~fast ~hooks:(Sim.Event_log.hooks log)
+      simulate ~fast ~hooks:(Sim.Event_log.hooks log)
         ~collect_trace:true ~n_cores:in_n_cores ~horizon in_tasks
     in
     (stats, Sim.Event_log.events log)

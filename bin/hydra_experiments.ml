@@ -207,30 +207,6 @@ let policy_arg =
            ~doc:"Carry-in handling: top-delta (polynomial bound) or \
                  exhaustive (literal Eq. 8).")
 
-let fast_arg =
-  let naive =
-    Arg.(value & flag
-         & info [ "naive-analysis" ]
-             ~doc:"Use the reference (unoptimized) WCRT analysis and period \
-                   search instead of the bit-identical fast path. Results \
-                   are the same either way (doc/PERFORMANCE.md); this flag \
-                   exists for cross-checking and for timing the naive \
-                   path.")
-  in
-  Term.(const not $ naive)
-
-let sim_fast_arg =
-  let naive =
-    Arg.(value & flag
-         & info [ "naive-sim" ]
-             ~doc:"Simulate with the reference stepper engine instead of the \
-                   event-driven skip-ahead engine. Schedules, counters and \
-                   detection latencies are bit-identical either way \
-                   (doc/SIMULATOR.md); this flag exists for cross-checking \
-                   and for timing the naive engine (bench/sim_bench.exe).")
-  in
-  Term.(const not $ naive)
-
 let run_tables () = Experiments.Tables.render_all std ()
 
 let deploy_arg =
@@ -255,7 +231,7 @@ let export dat_dir f =
       let path = f ~dir in
       Format.printf "[export] wrote %s@." path
 
-let run_fig5 jobs sim_fast seed trials horizon deployment dat_dir metrics
+let run_fig5 jobs seed trials horizon deployment dat_dir metrics
     trace_out metrics_out profile stream stream_period =
   (* The schedule log only exists when a trace file was requested; it
      records trial 0's HYDRA-C run on the rover's cores. *)
@@ -273,12 +249,12 @@ let run_fig5 jobs sim_fast seed trials horizon deployment dat_dir metrics
   let report =
     timed ~ctx ~jobs "fig5" (fun () ->
         Experiments.Fig5.run ~seed ~trials ~horizon ~deployment ~jobs ?obs
-          ?sched_log ~sim_fast ())
+          ?sched_log ())
   in
   Experiments.Fig5.render std report;
   export dat_dir (fun ~dir -> Experiments.Dat_export.fig5 ~dir report)
 
-let sweeps ~ctx ~fast jobs policy seed per_group cores =
+let sweeps ~ctx jobs policy seed per_group cores =
   let obs = ctx.oc_obs in
   List.map
     (fun m ->
@@ -286,26 +262,26 @@ let sweeps ~ctx ~fast jobs policy seed per_group cores =
       timed ~ctx ~jobs
         (Printf.sprintf "sweep M=%d" m)
         (fun () ->
-          Experiments.Sweep.run ~policy ~fast ?obs ~n_cores:m ~per_group ~seed
+          Experiments.Sweep.run ~policy ?obs ~n_cores:m ~per_group ~seed
             ~jobs ()))
     cores
 
-let run_fig6 jobs policy fast seed per_group cores dat_dir metrics trace_out
+let run_fig6 jobs policy seed per_group cores dat_dir metrics trace_out
     metrics_out profile stream stream_period =
   with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
   @@ fun ctx ->
-  sweeps ~ctx ~fast jobs policy seed per_group cores
+  sweeps ~ctx jobs policy seed per_group cores
   |> List.iter (fun sweep ->
          let fig = Experiments.Fig6.of_sweep sweep in
          Experiments.Fig6.render std fig;
          export dat_dir (fun ~dir -> Experiments.Dat_export.fig6 ~dir fig));
   export dat_dir (fun ~dir -> Experiments.Dat_export.gnuplot_script ~dir ~cores)
 
-let run_fig7 which jobs policy fast seed per_group cores dat_dir metrics
+let run_fig7 which jobs policy seed per_group cores dat_dir metrics
     trace_out metrics_out profile stream stream_period =
   with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
   @@ fun ctx ->
-  sweeps ~ctx ~fast jobs policy seed per_group cores
+  sweeps ~ctx jobs policy seed per_group cores
   |> List.iter (fun sweep ->
          let fig = Experiments.Fig7.of_sweep sweep in
          (match which with
@@ -402,7 +378,7 @@ let run_report jobs seed trials per_group cores out metrics trace_out
       Experiments.Report.write ~jobs ?obs scale ~path:out);
   Format.printf "wrote %s@." out
 
-let run_validate jobs policy sim_fast seed tasksets cores metrics trace_out
+let run_validate jobs policy seed tasksets cores metrics trace_out
     metrics_out profile stream stream_period =
   with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
   @@ fun ctx ->
@@ -414,13 +390,13 @@ let run_validate jobs policy sim_fast seed tasksets cores metrics trace_out
         timed ~ctx ~jobs
           (Printf.sprintf "validate M=%d" n_cores)
           (fun () ->
-            Experiments.Validation.run ~policy ?obs ~sim_fast ~n_cores
+            Experiments.Validation.run ~policy ?obs ~n_cores
               ~tasksets ~seed ~jobs ())
       in
       Experiments.Validation.render std result)
     cores
 
-let run_all jobs policy fast sim_fast seed trials horizon per_group cores
+let run_all jobs policy seed trials horizon per_group cores
     dat_dir metrics trace_out metrics_out profile stream stream_period =
   with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
   @@ fun ctx ->
@@ -431,14 +407,14 @@ let run_all jobs policy fast sim_fast seed trials horizon per_group cores
     let report =
       timed ~ctx ~jobs "fig5" (fun () ->
           Experiments.Fig5.run ~seed ~trials ~horizon ~deployment ~jobs ?obs
-            ~sim_fast ())
+            ())
     in
     Experiments.Fig5.render std report;
     export dat_dir (fun ~dir -> Experiments.Dat_export.fig5 ~dir report)
   in
   fig5_under Experiments.Fig5.Tmax;
   fig5_under Experiments.Fig5.Adapted;
-  sweeps ~ctx ~fast jobs policy seed per_group cores
+  sweeps ~ctx jobs policy seed per_group cores
   |> List.iter (fun sweep ->
          let fig6 = Experiments.Fig6.of_sweep sweep in
          Experiments.Fig6.render std fig6;
@@ -463,7 +439,7 @@ let run_all jobs policy fast sim_fast seed trials horizon per_group cores
    [hydra-experiments --jobs 4 --metrics --trace-out t.json] exercises
    and exports every metric family while keeping stdout identical to a
    plain [hydra-experiments --jobs 1] run. *)
-let run_smoke jobs fast sim_fast metrics trace_out metrics_out profile stream
+let run_smoke jobs metrics trace_out metrics_out profile stream
     stream_period =
   with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
   @@ fun ctx ->
@@ -471,13 +447,13 @@ let run_smoke jobs fast sim_fast metrics trace_out metrics_out profile stream
   Format.printf "[smoke] fixed-scale smoke workload (M=2, seed 42)@.";
   let sweep =
     timed ~ctx ~jobs "smoke sweep" (fun () ->
-        Experiments.Sweep.run ~fast ?obs ~n_cores:2 ~per_group:8 ~seed:42
+        Experiments.Sweep.run ?obs ~n_cores:2 ~per_group:8 ~seed:42
           ~jobs ())
   in
   Experiments.Fig7.render_a std (Experiments.Fig7.of_sweep sweep);
   let result =
     timed ~ctx ~jobs "smoke validate" (fun () ->
-        Experiments.Validation.run ?obs ~sim_fast ~n_cores:2 ~tasksets:10
+        Experiments.Validation.run ?obs ~n_cores:2 ~tasksets:10
           ~seed:42 ~jobs ())
   in
   Experiments.Validation.render std result
@@ -488,25 +464,25 @@ let cmd_tables =
 
 let cmd_fig5 =
   Cmd.v (Cmd.info "fig5" ~doc:"Rover detection-latency experiment (Fig. 5).")
-    Term.(const run_fig5 $ jobs_arg $ sim_fast_arg $ seed_arg $ trials_arg
+    Term.(const run_fig5 $ jobs_arg $ seed_arg $ trials_arg
           $ horizon_arg $ deploy_arg $ dat_dir_arg $ metrics_arg
           $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
 
 let cmd_fig6 =
   Cmd.v (Cmd.info "fig6" ~doc:"Period-distance sweep (Fig. 6).")
-    Term.(const run_fig6 $ jobs_arg $ policy_arg $ fast_arg $ seed_arg
+    Term.(const run_fig6 $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
           $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
 
 let cmd_fig7a =
   Cmd.v (Cmd.info "fig7a" ~doc:"Acceptance-ratio sweep (Fig. 7a).")
-    Term.(const (run_fig7 `A) $ jobs_arg $ policy_arg $ fast_arg $ seed_arg
+    Term.(const (run_fig7 `A) $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
           $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
 
 let cmd_fig7b =
   Cmd.v (Cmd.info "fig7b" ~doc:"Period-difference sweep (Fig. 7b).")
-    Term.(const (run_fig7 `B) $ jobs_arg $ policy_arg $ fast_arg $ seed_arg
+    Term.(const (run_fig7 `B) $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
           $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
 
@@ -542,7 +518,7 @@ let cmd_validate =
     (Cmd.info "validate"
        ~doc:"Cross-validate the HYDRA-C analysis against the discrete-event \
              simulator (soundness + tightness).")
-    Term.(const run_validate $ jobs_arg $ policy_arg $ sim_fast_arg $ seed_arg
+    Term.(const run_validate $ jobs_arg $ policy_arg $ seed_arg
           $ tasksets_arg $ cores_arg $ metrics_arg $ trace_out_arg
           $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
 
@@ -557,10 +533,10 @@ let cmd_ablation =
 
 let cmd_all =
   Cmd.v (Cmd.info "all" ~doc:"Everything: tables, figures, ablations.")
-    Term.(const run_all $ jobs_arg $ policy_arg $ fast_arg $ sim_fast_arg
-          $ seed_arg $ trials_arg $ horizon_arg $ per_group_arg $ cores_arg
-          $ dat_dir_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
+    Term.(const run_all $ jobs_arg $ policy_arg $ seed_arg $ trials_arg
+          $ horizon_arg $ per_group_arg $ cores_arg $ dat_dir_arg
+          $ metrics_arg $ trace_out_arg $ metrics_out_arg $ profile_arg
+          $ stream_arg $ stream_period_arg)
 
 (* --------------------------------------------------------------- *)
 (* obs-report: offline consumer of the snapshot artifacts.
@@ -763,7 +739,7 @@ let cmd_serve =
           $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
 
 let smoke_term =
-  Term.(const run_smoke $ jobs_arg $ fast_arg $ sim_fast_arg $ metrics_arg
+  Term.(const run_smoke $ jobs_arg $ metrics_arg
           $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
 
 let () =

@@ -37,7 +37,7 @@ type trial_outcome = {
   stats : Sim.Engine.stats;
 }
 
-let run_one ?overheads ?obs ?sched_log ?sim_fast ~scheme ~ts ~rt_assignment
+let run_one ?overheads ?obs ?sched_log ~scheme ~ts ~rt_assignment
     ~policy ~periods ~sec_cores ~horizon ~attack_tripwire ~attack_kmod
     ~target_image ~rogue_name () =
   let built =
@@ -107,7 +107,7 @@ let run_one ?overheads ?obs ?sched_log ?sim_fast ~scheme ~ts ~rt_assignment
     | Some log -> Sim.Event_log.hooks ~base:hooks log
   in
   let stats =
-    Sim.Engine.run ?obs ?fast:sim_fast ~hooks ?overheads
+    Sim.Engine.run ?obs ~hooks ?overheads
       ~n_cores:ts.Task.n_cores ~horizon built.Sim.Scenario.tasks
   in
   Security.Detection.record_detection obs
@@ -173,7 +173,7 @@ let summarize ~label ~periods ~horizon:_ outcomes ~rt_ids ~sec_ids =
     sec_deadline_misses = misses sec_ids }
 
 let run ?(seed = 42) ?(trials = 35) ?(horizon = 45000) ?(deployment = Tmax)
-    ?overheads ?jobs ?obs ?sched_log ?sim_fast () =
+    ?overheads ?jobs ?obs ?sched_log () =
   Hydra_obs.span obs "fig5.run" @@ fun () ->
   let ts = Security.Rover.taskset () in
   let rt_assignment = Security.Rover.rt_assignment () in
@@ -223,7 +223,7 @@ let run ?(seed = 42) ?(trials = 35) ?(horizon = 45000) ?(deployment = Tmax)
       Printf.sprintf "rk_hook_%04x" (Rng.int stream 0xFFFF)
     in
     let common ?sched_log ~scheme ~policy ~periods ~sec_cores () =
-      run_one ?overheads ?obs ?sched_log ?sim_fast ~scheme ~ts ~rt_assignment
+      run_one ?overheads ?obs ?sched_log ~scheme ~ts ~rt_assignment
         ~policy ~periods ~sec_cores ~horizon ~attack_tripwire ~attack_kmod
         ~target_image ~rogue_name ()
     in

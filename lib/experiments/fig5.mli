@@ -58,7 +58,7 @@ type report = {
 val run :
   ?seed:int -> ?trials:int -> ?horizon:int -> ?deployment:deployment ->
   ?overheads:Sim.Engine.overheads -> ?jobs:int -> ?obs:Hydra_obs.t ->
-  ?sched_log:Sim.Event_log.t -> ?sim_fast:bool -> unit -> report
+  ?sched_log:Sim.Event_log.t -> unit -> report
 (** Defaults: seed 42, 35 trials (as the paper), horizon 45000 ticks
     (the paper's 45 s observation window), deployment {!Tmax}, zero
     overheads (the paper's assumption; non-zero values feed the X4
@@ -73,9 +73,6 @@ val run :
     doc/OBSERVABILITY.md). [sched_log] records the complete per-job
     schedule of {e trial 0's HYDRA-C run} (a single deterministic
     writer regardless of [jobs]) for Chrome-trace export — the CLI's
-    [--trace-out] backend. [sim_fast] (default [true]) selects the
-    skip-ahead simulation engine; [false] (the CLI's [--naive-sim])
-    runs the reference engine instead — bit-identical results either
-    way (doc/SIMULATOR.md). *)
+    [--trace-out] backend. *)
 
 val render : Format.formatter -> report -> unit

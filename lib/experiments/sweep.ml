@@ -27,13 +27,13 @@ let metric_suffix scheme =
   String.map (function '-' -> '_' | c -> Char.lowercase_ascii c)
     (Scheme.name scheme)
 
-let evaluate_one ?policy ?fast ?obs schemes (g : Generator.generated) ~group =
+let evaluate_one ?policy ?obs schemes (g : Generator.generated) ~group =
   let ts = g.Generator.taskset in
   let outcomes =
     List.map
       (fun scheme ->
         let outcome =
-          Scheme.evaluate ?policy ?fast ?obs scheme ts
+          Scheme.evaluate ?policy ?obs scheme ts
             ~rt_assignment:g.Generator.rt_assignment
         in
         (match outcome.Scheme.periods with
@@ -47,7 +47,7 @@ let evaluate_one ?policy ?fast ?obs schemes (g : Generator.generated) ~group =
   { group; norm_util = Task.normalized_utilization ts;
     bounds = bounds_of ts; outcomes }
 
-let run ?policy ?fast ?config ?(schemes = Scheme.all) ?jobs ?obs ~n_cores
+let run ?policy ?config ?(schemes = Scheme.all) ?jobs ?obs ~n_cores
     ~per_group ~seed () =
   Hydra_obs.span obs "sweep.run" @@ fun () ->
   let config =
@@ -72,7 +72,7 @@ let run ?policy ?fast ?config ?(schemes = Scheme.all) ?jobs ?obs ~n_cores
             None
         | Some g ->
             Hydra_obs.incr obs "sweep.tasksets.generated";
-            Some (evaluate_one ?policy ?fast ?obs schemes g ~group))
+            Some (evaluate_one ?policy ?obs schemes g ~group))
       n
   in
   { n_cores; per_group;

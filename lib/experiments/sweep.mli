@@ -18,13 +18,11 @@ type t = {
 }
 
 val run :
-  ?policy:Hydra.Analysis.carry_in_policy -> ?fast:bool ->
+  ?policy:Hydra.Analysis.carry_in_policy ->
   ?config:Taskgen.Generator.config -> ?schemes:Hydra.Scheme.t list ->
   ?jobs:int -> ?obs:Hydra_obs.t -> n_cores:int -> per_group:int ->
   seed:int -> unit -> t
-(** Runs the sweep. [fast] (default [true]) selects the bit-identical
-    optimized analysis path for HYDRA-C ({!Hydra.Scheme.evaluate},
-    doc/PERFORMANCE.md); each worker builds its own
+(** Runs the sweep. Each worker builds its own
     {!Hydra.Analysis.system} per taskset, so the per-system workload
     cache is never shared across domains. [config] defaults to
     [Taskgen.Generator.default_config ~n_cores]; [schemes] defaults to

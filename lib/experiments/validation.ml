@@ -17,7 +17,7 @@ type result = {
   checks : int;
 }
 
-let validate_one ?policy ?obs ?sim_fast ~horizon (g : Generator.generated) =
+let validate_one ?policy ?obs ~horizon (g : Generator.generated) =
   let ts = g.Generator.taskset in
   let sys =
     Hydra.Analysis.make_system ts ~assignment:g.Generator.rt_assignment
@@ -33,7 +33,7 @@ let validate_one ?policy ?obs ?sim_fast ~horizon (g : Generator.generated) =
           ~policy:Sim.Policy.Semi_partitioned ~sec_periods:periods ()
       in
       let stats =
-        Sim.Engine.run ?obs ?fast:sim_fast ~n_cores:ts.Task.n_cores ~horizon
+        Sim.Engine.run ?obs ~n_cores:ts.Task.n_cores ~horizon
           built.Sim.Scenario.tasks
       in
       let checks =
@@ -51,7 +51,7 @@ let validate_one ?policy ?obs ?sim_fast ~horizon (g : Generator.generated) =
       in
       Some (checks, rt_misses)
 
-let run ?policy ?config ?(horizon = 100_000) ?jobs ?obs ?sim_fast ~n_cores
+let run ?policy ?config ?(horizon = 100_000) ?jobs ?obs ~n_cores
     ~tasksets ~seed () =
   Hydra_obs.span obs "validation.run" @@ fun () ->
   let config =
@@ -68,7 +68,7 @@ let run ?policy ?config ?(horizon = 100_000) ?jobs ?obs ?sim_fast ~n_cores
         let group = i mod config.Generator.util_groups in
         match Generator.generate config streams.(i) ~group with
         | None -> None
-        | Some g -> validate_one ?policy ?obs ?sim_fast ~horizon g)
+        | Some g -> validate_one ?policy ?obs ~horizon g)
       tasksets
   in
   (* Fold in ascending index order — the same accumulation the

@@ -34,8 +34,8 @@ type result = {
 
 val run :
   ?policy:Hydra.Analysis.carry_in_policy -> ?config:Taskgen.Generator.config ->
-  ?horizon:int -> ?jobs:int -> ?obs:Hydra_obs.t -> ?sim_fast:bool ->
-  n_cores:int -> tasksets:int -> seed:int -> unit -> result
+  ?horizon:int -> ?jobs:int -> ?obs:Hydra_obs.t -> n_cores:int ->
+  tasksets:int -> seed:int -> unit -> result
 (** Generates [tasksets] tasksets spread over the utilization groups
     and validates each schedulable one over [horizon] ticks (default
     100000). [jobs] (default {!Parallel.Pool.default_jobs}[ ()])
@@ -44,9 +44,6 @@ val run :
     a [validation.run] span and each taskset in a [validation.item]
     span, forwards to the analysis and simulator underneath, and
     samples every observed/bound ratio into the
-    [validation.tightness_permil] histogram (doc/OBSERVABILITY.md).
-    [sim_fast] (default [true]) selects the skip-ahead simulation
-    engine; [false] (the CLI's [--naive-sim]) runs the reference
-    engine — bit-identical results either way (doc/SIMULATOR.md). *)
+    [validation.tightness_permil] histogram (doc/OBSERVABILITY.md). *)
 
 val render : Format.formatter -> result -> unit

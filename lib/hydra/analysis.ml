@@ -112,10 +112,9 @@ let rt_interference sys ~job_wcet x =
     (fun acc core -> acc + Workload.rt_core_interference ~job_wcet core x)
     0 sys.rt_cores
 
-(* Fast-path variant of [rt_interference]: memoized raw per-core
-   workloads, clamp applied per call. Bit-identical to the naive term
-   because interference = clamp(rt_core_workload core x) on both
-   paths. *)
+(* Cached [rt_interference]: memoized raw per-core workloads, clamp
+   applied per call. Bit-identical to the uncached term because
+   interference = clamp(rt_core_workload core x) either way. *)
 let rt_interference_cached obs sys ~job_wcet x =
   let c = sys.cache in
   let wl =
@@ -165,10 +164,9 @@ let top_k_sum k l =
 
 (* Eq. 6 with the Guan-style carry-in bound: every hp security task
    contributes its non-carry-in interference, and the M-1 largest
-   carry-in increments are added on top. [rt_at] abstracts over the
-   naive vs cached RT term so both paths share one definition. *)
-let omega_top_delta_with ~rt_at ~n_cores ~hp ~job_wcet x =
-  let rt = rt_at ~job_wcet x in
+   carry-in increments are added on top. *)
+let omega_top_delta obs sys ~hp ~job_wcet x =
+  let rt = rt_interference_cached obs sys ~job_wcet x in
   let nc_total, deltas =
     List.fold_left
       (fun (nc_acc, deltas) h ->
@@ -177,12 +175,7 @@ let omega_top_delta_with ~rt_at ~n_cores ~hp ~job_wcet x =
         (nc_acc + nc, max 0 (ci - nc) :: deltas))
       (0, []) hp
   in
-  rt + nc_total + top_k_sum (n_cores - 1) deltas
-
-let omega_top_delta sys ~hp ~job_wcet x =
-  omega_top_delta_with
-    ~rt_at:(fun ~job_wcet x -> rt_interference sys ~job_wcet x)
-    ~n_cores:sys.n_cores ~hp ~job_wcet x
+  rt + nc_total + top_k_sum (sys.n_cores - 1) deltas
 
 (* Eq. 6 for one fixed carry-in set (tasks are compared by id). *)
 let omega_fixed_sets sys ~hp ~carry_in_ids ~job_wcet x =
@@ -244,20 +237,10 @@ let carry_in_subsets items ~max_size =
   in
   if max_size <= 0 then [ [] ] else List.map snd (go items)
 
-let response_time_top_delta ?obs sys ~hp ~wcet ~limit =
-  Hydra_obs.observe obs "analysis.carry_in.set_size"
-    (min (sys.n_cores - 1) (List.length hp));
-  let iters = ref 0 in
-  let r =
-    fixpoint ~iters ~n_cores:sys.n_cores ~wcet ~limit
-      (omega_top_delta sys ~hp ~job_wcet:wcet)
-  in
-  record_fixpoint obs iters r;
-  r
-
 (* Literal Eq. 8: the WCRT is the maximum over carry-in subsets of the
    per-subset fixed points; the task is unschedulable as soon as one
-   subset's iteration exceeds the limit. *)
+   subset's iteration exceeds the limit. Uncached; reached only as the
+   fallback of the branch-and-bound path below. *)
 let response_time_exhaustive ?obs sys ~hp ~wcet ~limit =
   let subsets =
     carry_in_subsets
@@ -293,18 +276,17 @@ let response_time_fixed_subset ?obs sys ~hp ~carry_in_ids ~wcet ~limit =
   r
 
 (* ------------------------------------------------------------------ *)
-(* Fast path (doc/PERFORMANCE.md). Bit-identical results to the naive
-   functions above; only the amount of work differs. *)
+(* Cached RT workloads and warm-started fixed points
+   (doc/PERFORMANCE.md): bit-identical to the reference analysis in
+   test/oracle/naive_analysis.ml; only the amount of work differs. *)
 
-let response_time_top_delta_fast ?(warm = 0) ?obs sys ~hp ~wcet ~limit =
+let response_time_top_delta ?(warm = 0) ?obs sys ~hp ~wcet ~limit =
   Hydra_obs.observe obs "analysis.carry_in.set_size"
     (min (sys.n_cores - 1) (List.length hp));
   let iters = ref 0 in
   let r =
     fixpoint ~start:warm ~iters ~n_cores:sys.n_cores ~wcet ~limit
-      (omega_top_delta_with
-         ~rt_at:(fun ~job_wcet x -> rt_interference_cached obs sys ~job_wcet x)
-         ~n_cores:sys.n_cores ~hp ~job_wcet:wcet)
+      (omega_top_delta obs sys ~hp ~job_wcet:wcet)
   in
   record_fixpoint obs iters r;
   r
@@ -316,7 +298,7 @@ let response_time_top_delta_fast ?(warm = 0) ?obs sys ~hp ~wcet ~limit =
    - Drop criterion: a hp task h whose carry-in workload never exceeds
      its non-carry-in workload (delta_h(x) <= 0 for all x, which holds
      exactly when C_h = 1 or R_h <= C_h) cannot increase any subset's
-     fixed point, so it is removed from carry-in candidacy; the naive
+     fixed point, so it is removed from carry-in candidacy; the literal
      enumeration visits subsets containing h but each is dominated by
      the same subset without h, leaving the maximum unchanged.
 
@@ -325,7 +307,7 @@ let response_time_top_delta_fast ?(warm = 0) ?obs sys ~hp ~wcet ~limit =
      max(nc, ci) per task, summed over the M-1 largest). Hence if the
      top-delta fixed point converges to r_top, every subset converges
      and the Eq. 8 maximum is <= r_top; if top-delta diverges we fall
-     back to the naive enumeration to reproduce its verdict exactly.
+     back to the literal enumeration to reproduce its verdict exactly.
 
    - Prefixed-point skip: for a subset S and the current best b >= wcet,
      if omega_S(b)/M + wcet <= b then the iterates from wcet never
@@ -339,10 +321,10 @@ let response_time_top_delta_fast ?(warm = 0) ?obs sys ~hp ~wcet ~limit =
      in doc/PERFORMANCE.md). It only seeds the running maximum, never
      an individual subset's iteration. *)
 let response_time_exhaustive_fast ?(warm = 0) ?obs sys ~hp ~wcet ~limit =
-  match response_time_top_delta_fast ~warm ?obs sys ~hp ~wcet ~limit with
+  match response_time_top_delta ~warm ?obs sys ~hp ~wcet ~limit with
   | None ->
       (* Top-delta diverged: no convergence certificate for the
-         subsets, so reproduce the naive verdict literally. *)
+         subsets, so reproduce the literal Eq. 8 verdict. *)
       response_time_exhaustive ?obs sys ~hp ~wcet ~limit
   | Some r_top ->
       let hp_arr = Array.of_list hp in
@@ -408,9 +390,11 @@ let response_time_exhaustive_fast ?(warm = 0) ?obs sys ~hp ~wcet ~limit =
               match r with
               | Some r -> if r > !best then best := r
               | None ->
-                  (* Contradicts the convergence certificate; cannot
-                     happen for a monotone omega, but keep the naive
-                     verdict authoritative if it ever does. *)
+                  (* Unreachable: omega_mask mask <= omega_top_delta
+                     pointwise (|mask| <= M-1), so from wcet <= r_top
+                     every iterate stays <= r_top <= limit and the
+                     subset's fixed point converges at or below
+                     r_top. *)
                   assert false
             end
           end
@@ -426,12 +410,8 @@ let response_time_exhaustive_fast ?(warm = 0) ?obs sys ~hp ~wcet ~limit =
         Some !best
       end
 
-let response_time ?(policy = Top_delta) ?(fast = false) ?(warm = 0) ?obs sys
-    ~hp ~wcet ~limit =
-  match (policy, fast) with
-  | Top_delta, false -> response_time_top_delta ?obs sys ~hp ~wcet ~limit
-  | Exhaustive, false -> response_time_exhaustive ?obs sys ~hp ~wcet ~limit
-  | Top_delta, true ->
-      response_time_top_delta_fast ~warm ?obs sys ~hp ~wcet ~limit
-  | Exhaustive, true ->
-      response_time_exhaustive_fast ~warm ?obs sys ~hp ~wcet ~limit
+let response_time ?(policy = Top_delta) ?(warm = 0) ?obs sys ~hp ~wcet
+    ~limit =
+  match policy with
+  | Top_delta -> response_time_top_delta ~warm ?obs sys ~hp ~wcet ~limit
+  | Exhaustive -> response_time_exhaustive_fast ~warm ?obs sys ~hp ~wcet ~limit

@@ -24,12 +24,13 @@
     carry-in choice, hence is a safe upper bound on the Eq. 8 value
     (property-tested in [test/test_analysis.ml]).
 
-    Both policies also have a {b fast path} ([~fast:true]) that is
-    bit-identical to the reference implementation but avoids redundant
-    work: a per-system RT-workload cache, branch-and-bound carry-in
-    enumeration for [Exhaustive], and warm-started fixed points — the
-    design and soundness arguments live in doc/PERFORMANCE.md, the
-    equivalence gate in [test/test_analysis.ml]. *)
+    Both policies avoid redundant work: a per-system RT-workload
+    cache, branch-and-bound carry-in enumeration for [Exhaustive], and
+    warm-started fixed points. Results are bit-identical to the seed
+    reference implementation, which lives on as a test-only oracle
+    ([test/oracle/naive_analysis.ml]) — the design and soundness
+    arguments are in doc/PERFORMANCE.md, the equivalence gate in
+    [test/test_analysis.ml]. *)
 
 type time = Rtsched.Task.time
 
@@ -120,31 +121,33 @@ val refresh_rt_cores :
     {!make_system}. *)
 
 val rt_interference : system -> job_wcet:time -> time -> time
-(** Total RT interference term of Eq. 6 for a window of length [x]
-    (reference path; the fast path computes the same value through the
-    cache). *)
+(** Total RT interference term of Eq. 6 for a window of length [x],
+    computed without the workload cache. It is the RT term of
+    {!response_time_fixed_subset} and of the literal Eq. 8 enumeration
+    that [Exhaustive] falls back to when the top-delta bound diverges;
+    {!response_time} otherwise computes the same value through the
+    cache. *)
 
 val response_time :
-  ?policy:carry_in_policy -> ?fast:bool -> ?warm:time ->
-  ?obs:Hydra_obs.t -> system -> hp:hp_sec list ->
-  wcet:time -> limit:time -> time option
+  ?policy:carry_in_policy -> ?warm:time -> ?obs:Hydra_obs.t -> system ->
+  hp:hp_sec list -> wcet:time -> limit:time -> time option
 (** [response_time sys ~hp ~wcet ~limit] is the WCRT of a security job
     of WCET [wcet] below the given higher-priority security tasks, or
     [None] if the fixed point exceeds [limit] (Sec. 4.4 stops at
     [T_s^max] since the task is then trivially unschedulable).
 
-    [fast] (default [false]) selects the optimized implementation:
-    cached RT workloads, and for [Exhaustive] a branch-and-bound
-    enumeration (delta-negative tasks dropped from carry-in candidacy,
-    dominated subsets skipped against the top-delta upper bound, id
-    bitmasks instead of list membership). The returned value — and the
-    [None] verdict — are {b bit-identical} to the reference path for
-    both policies (equivalence-gated in [test/test_analysis.ml];
-    design in doc/PERFORMANCE.md). Only the Hydra_obs work counters
-    differ, since less work is done.
+    RT workloads are cached per system, and [Exhaustive] runs a
+    branch-and-bound enumeration (delta-negative tasks dropped from
+    carry-in candidacy, dominated subsets skipped against the
+    top-delta upper bound, id bitmasks instead of list membership).
+    The returned value — and the [None] verdict — are
+    {b bit-identical} to the reference analysis in
+    [test/oracle/naive_analysis.ml] for both policies
+    (equivalence-gated in [test/test_analysis.ml]; design in
+    doc/PERFORMANCE.md).
 
-    [warm] (fast path only, default [0]) is a {b caller-guaranteed
-    lower bound} on the true response time — e.g. the response under a
+    [warm] (default [0]) is a {b caller-guaranteed lower bound} on
+    the true response time — e.g. the response under a
     previously analyzed, larger, period vector (interference is
     monotone in hp periods). The fixed point starts there instead of
     at [wcet]; passing a value above the true response is unsound.
@@ -152,8 +155,8 @@ val response_time :
     [obs] records the Eq. 7/8 instrumentation:
     [analysis.fixpoint.iterations] plus converged/diverged tallies,
     [analysis.carry_in.subsets] (Exhaustive: subsets enumerated),
-    the [analysis.carry_in.set_size] distribution, and on the fast
-    path [analysis.cache.{hit,miss}] and
+    the [analysis.carry_in.set_size] distribution,
+    [analysis.cache.{hit,miss}] and
     [analysis.prune.{carry_in_dropped,subsets_skipped}]
     (doc/OBSERVABILITY.md). *)
 
@@ -162,8 +165,8 @@ val response_time_fixed_subset :
   carry_in_ids:int list -> wcet:time -> limit:time -> time option
 (** Eq. 7 under one {b fixed} carry-in set (tasks named by [sec_id]):
     one term of the Eq. 8 maximum. Exposed so tests can check that
-    [Top_delta] upper-bounds every admissible subset and that
-    [Exhaustive] equals the subset maximum. *)
+    [Top_delta] upper-bounds every admissible subset, and so the test
+    oracle can state [Exhaustive] literally as the subset maximum. *)
 
 val carry_in_subsets : 'a list -> max_size:int -> 'a list list
 (** All sublists of size [<= max_size] (order-preserving); exposed for

@@ -12,71 +12,6 @@ type result =
   | Schedulable of assignment list
   | Unschedulable
 
-let hp_list (sorted : Task.sec_task array) periods resps j =
-  List.init j (fun i ->
-      { Analysis.hp_task = sorted.(i); hp_period = periods.(i);
-        hp_resp = resps.(i) })
-
-(* Response time of the task at position [j] given the current period
-   vector; [None] when it exceeds T_j^max. *)
-let resp_at policy obs sys sorted periods resps j =
-  let s = sorted.(j) in
-  Analysis.response_time ?policy ?obs sys
-    ~hp:(hp_list sorted periods resps j)
-    ~wcet:s.Task.sec_wcet ~limit:s.Task.sec_period_max
-
-(* Recompute response times for positions [from..n-1] into a copy of
-   [resps]; [None] as soon as some task misses its bound. *)
-let recompute_from policy obs sys sorted periods resps ~from =
-  let n = Array.length sorted in
-  let resps = Array.copy resps in
-  let rec go j =
-    if j >= n then Some resps
-    else
-      match resp_at policy obs sys sorted periods resps j with
-      | None -> None
-      | Some r ->
-          resps.(j) <- r;
-          go (j + 1)
-  in
-  go from
-
-(* Is the whole lower-priority suffix schedulable if position [index]
-   takes period [candidate]? *)
-let candidate_feasible policy obs sys sorted periods resps ~index ~candidate =
-  let periods = Array.copy periods in
-  periods.(index) <- candidate;
-  Option.is_some
-    (recompute_from policy obs sys sorted periods resps ~from:(index + 1))
-
-(* Algorithm 2: binary search for the minimum feasible period of the
-   task at [index], collecting every feasible probe and returning the
-   least one. T_s^max is feasible by the Algorithm 1 invariant. *)
-let min_feasible_period_impl policy obs sys ~sorted ~periods ~resps ~index =
-  let s = sorted.(index) in
-  let tmax = s.Task.sec_period_max in
-  let steps = ref 0 in
-  let rec search lo hi best =
-    if lo > hi then best
-    else begin
-      incr steps;
-      let c = (lo + hi) / 2 in
-      if
-        candidate_feasible policy obs sys sorted periods resps ~index
-          ~candidate:c
-      then search lo (c - 1) (min best c)
-      else search (c + 1) hi best
-    end
-  in
-  let t_star = search resps.(index) tmax tmax in
-  (* Algorithm 2 cost: total probes and the per-task distribution. *)
-  Hydra_obs.add obs "period_selection.search.steps" !steps;
-  Hydra_obs.observe obs "period_selection.search.steps_per_task" !steps;
-  t_star
-
-let min_feasible_period ?policy ?obs sys ~sorted ~periods ~resps ~index =
-  min_feasible_period_impl policy obs sys ~sorted ~periods ~resps ~index
-
 (* The Algorithm 1 lines 1-4 responses (all periods at their bounds),
    re-indexed by sec_id into a caller-provided vector. The
    admission-control server snapshots these as warm floors for its
@@ -88,54 +23,10 @@ let export_bounds bounds_out sorted resps0 =
       Array.iteri (fun j (s : Task.sec_task) -> out.(s.sec_id) <- resps0.(j))
         sorted
 
-(* Reference Algorithm 1: per-probe array copies, cold fixed points.
-   Kept verbatim as the equivalence oracle for [select_fast]. *)
-let select_naive policy obs bounds_out sys secs =
-  let sorted = Task.sort_sec_by_priority secs in
-  let n = Array.length sorted in
-  let periods = Array.map (fun s -> s.Task.sec_period_max) sorted in
-  let resps = Array.make n 0 in
-  Hydra_obs.add obs "period_selection.tasks" n;
-  (* Algorithm 1, lines 1-4: all periods at their bounds. *)
-  match recompute_from policy obs sys sorted periods resps ~from:0 with
-  | None ->
-      Hydra_obs.incr obs "period_selection.unschedulable";
-      Unschedulable
-  | Some resps0 ->
-      export_bounds bounds_out sorted resps0;
-      Array.blit resps0 0 resps 0 n;
-      (* Lines 5-9: minimize periods from highest to lowest priority,
-         refreshing the lower-priority response times after each fix. *)
-      let rec minimize index =
-        if index >= n then ()
-        else begin
-          let t_star =
-            min_feasible_period_impl policy obs sys ~sorted ~periods ~resps
-              ~index
-          in
-          periods.(index) <- t_star;
-          (match
-             recompute_from policy obs sys sorted periods resps
-               ~from:(index + 1)
-           with
-          | Some updated -> Array.blit updated 0 resps 0 n
-          | None ->
-              (* Unreachable: t_star was checked feasible (or is the
-                 invariant-feasible T_s^max). *)
-              assert false);
-          minimize (index + 1)
-        end
-      in
-      minimize 0;
-      Hydra_obs.incr obs "period_selection.schedulable";
-      let assignments =
-        List.init n (fun j ->
-            { sec = sorted.(j); period = periods.(j); resp = resps.(j) })
-      in
-      Schedulable assignments
-
-(* Fast Algorithm 1 (doc/PERFORMANCE.md): no per-probe copies, no
-   post-fix suffix refresh, warm-started fixed points.
+(* Algorithm 1 (doc/PERFORMANCE.md): no per-probe copies, no post-fix
+   suffix refresh, warm-started fixed points. Bit-identical to the
+   seed implementation kept as the test oracle
+   (test/oracle/naive_selection.ml).
 
    Invariants:
    - [periods] holds the committed vector (prefix fixed, suffix at the
@@ -149,12 +40,12 @@ let select_naive policy obs bounds_out sys secs =
      later probe of the same or deeper position.
    - [scratch] receives the suffix responses of the probe in flight;
      it is committed into [resps] only when the probe is feasible.
-     The final refresh of the naive path is subsumed: after the search
+     The seed's final suffix refresh is subsumed: after the search
      for [index] returns [t_star], [resps] already holds the suffix
      responses under [t_star] (the last committed probe), or — when no
      probe was feasible and [t_star = T_s^max] — the responses of the
      incoming vector, which already had [index] at its bound. *)
-let select_fast policy obs warm0 hints bounds_out sys secs =
+let select ?policy ?warm0 ?hints ?bounds_out ?obs sys secs =
   let sorted = Task.sort_sec_by_priority secs in
   let n = Array.length sorted in
   let periods = Array.map (fun s -> s.Task.sec_period_max) sorted in
@@ -193,7 +84,7 @@ let select_fast policy obs warm0 hints bounds_out sys secs =
             hp_resp = (if i <= index then resps.(i) else scratch.(i)) })
     in
     let warm = if index < 0 then warm_init j else resps.(j) in
-    Analysis.response_time ?policy ~fast:true ~warm ?obs sys ~hp
+    Analysis.response_time ?policy ~warm ?obs sys ~hp
       ~wcet:s.Task.sec_wcet ~limit:s.Task.sec_period_max
   in
   let probe ~index ~candidate ~from =
@@ -286,10 +177,6 @@ let select_fast policy obs warm0 hints bounds_out sys secs =
     in
     Schedulable assignments
   end
-
-let select ?policy ?(fast = true) ?warm0 ?hints ?bounds_out ?obs sys secs =
-  if fast then select_fast policy obs warm0 hints bounds_out sys secs
-  else select_naive policy obs bounds_out sys secs
 
 let vector_of field assignments ~n_sec =
   let v = Array.make n_sec 0 in

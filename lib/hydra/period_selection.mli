@@ -30,26 +30,26 @@ type result =
           at its bound (Algorithm 1, line 2) *)
 
 val select :
-  ?policy:Analysis.carry_in_policy -> ?fast:bool -> ?warm0:time array ->
+  ?policy:Analysis.carry_in_policy -> ?warm0:time array ->
   ?hints:time array -> ?bounds_out:time array -> ?obs:Hydra_obs.t ->
   Analysis.system -> Rtsched.Task.sec_task array -> result
 (** Runs Algorithm 1 on the security tasks (any order; they are sorted
     by priority internally).
 
-    [fast] (default [true]) runs the copy-free incremental search: no
-    per-probe array copies (a scratch row committed only on feasible
-    probes), warm-started fixed points (the previous feasible probe's
-    responses are valid lower bounds — feasible candidates decrease
-    and interference is monotone in hp periods), and the fast
-    {!Analysis.response_time} underneath. [~fast:false] is the
-    reference implementation; both return {b bit-identical} results
-    (equivalence-gated in [test/test_analysis.ml]; design and proof
-    sketches in doc/PERFORMANCE.md). The Algorithm 2 probe sequence is
-    the same on both paths, so the search counters agree too.
+    The search is copy-free and incremental: no per-probe array copies
+    (a scratch row committed only on feasible probes), and
+    warm-started fixed points (the previous feasible probe's responses
+    are valid lower bounds — feasible candidates decrease and
+    interference is monotone in hp periods). Results are
+    {b bit-identical} to the seed implementation kept as a test-only
+    oracle ([test/oracle/naive_selection.ml]; equivalence-gated in
+    [test/test_analysis.ml], design and proof sketches in
+    doc/PERFORMANCE.md). Without [hints] the Algorithm 2 probe
+    sequence is the seed's binary search.
 
-    [warm0] (fast path only) supplies per-task warm floors, indexed by
-    [sec_id], for the {e initial} all-bounds pass (Algorithm 1,
-    lines 1-4) — each entry must be a sound lower bound on that task's
+    [warm0] supplies per-task warm floors, indexed by [sec_id], for
+    the {e initial} all-bounds pass (Algorithm 1, lines 1-4) — each
+    entry must be a sound lower bound on that task's
     all-bounds response time, e.g. the [bounds_out] of a previous
     select on a system with no more interference (interference is
     monotone: RT or security arrivals only grow it). Results are
@@ -57,9 +57,9 @@ val select :
     are saved. The admission-control server threads these across
     reconfigurations (doc/SERVER.md).
 
-    [hints] (fast path only) supplies per-task starting points for the
-    Algorithm 2 search, indexed by [sec_id] ([0] or out-of-range:
-    no hint) — typically the periods of a previous selection on a
+    [hints] supplies per-task starting points for the Algorithm 2
+    search, indexed by [sec_id] ([0] or out-of-range: no hint) —
+    typically the periods of a previous selection on a
     nearby system. Feasibility is monotone in the candidate period, so
     the minimum feasible period is a threshold: a hint only changes
     the {e probe order} (exponential search around the hint instead of
@@ -67,28 +67,19 @@ val select :
     result, and any value is sound. Probes drop from O(log range) to
     O(log distance-moved) per task — O(1) when the solution did not
     move. Note the probe-order change means the search counters (and
-    the exact probe sequence) differ from the naive path when [hints]
-    is given.
+    the exact probe sequence) differ from the plain binary search when
+    [hints] is given.
 
     [bounds_out], when present (length [>=] max [sec_id] + 1), is
-    filled — on both paths — with the all-bounds responses of
-    Algorithm 1 lines 1-4, indexed by [sec_id]; untouched when the
-    result is [Unschedulable] (the pass did not complete). These are
-    exactly the values a later [warm0] may reuse.
+    filled with the all-bounds responses of Algorithm 1 lines 1-4,
+    indexed by [sec_id]; untouched when the result is [Unschedulable]
+    (the pass did not complete). These are exactly the values a later
+    [warm0] may reuse.
 
     [obs] counts the Algorithm 2 probes
     ([period_selection.search.steps], plus the per-task
     [period_selection.search.steps_per_task] distribution) and the
     schedulable/unschedulable outcome tallies (doc/OBSERVABILITY.md). *)
-
-val min_feasible_period :
-  ?policy:Analysis.carry_in_policy -> ?obs:Hydra_obs.t -> Analysis.system ->
-  sorted:Rtsched.Task.sec_task array -> periods:time array ->
-  resps:time array -> index:int -> time
-(** Algorithm 2 for the task at [index] of the priority-sorted array,
-    given the current period and response-time vectors (positions
-    [< index] fixed, positions [>= index] at their bounds). Exposed for
-    unit tests. *)
 
 val period_vector : assignment list -> n_sec:int -> time array
 (** Periods re-indexed by [sec_id] (length [n_sec]). *)

@@ -27,12 +27,12 @@ let tmax_periods (ts : Task.taskset) =
   Array.iter (fun s -> v.(s.Task.sec_id) <- s.Task.sec_period_max) ts.sec;
   v
 
-let evaluate ?policy ?fast ?obs scheme (ts : Task.taskset) ~rt_assignment =
+let evaluate ?policy ?obs scheme (ts : Task.taskset) ~rt_assignment =
   let n_sec = Array.length ts.sec in
   match scheme with
   | Hydra_c -> (
       let sys = Analysis.make_system ts ~assignment:rt_assignment in
-      match Period_selection.select ?policy ?fast ?obs sys ts.sec with
+      match Period_selection.select ?policy ?obs sys ts.sec with
       | Period_selection.Unschedulable -> unschedulable
       | Period_selection.Schedulable assignments ->
           { schedulable = true;

@@ -25,12 +25,11 @@ type outcome = {
 }
 
 val evaluate :
-  ?policy:Analysis.carry_in_policy -> ?fast:bool -> ?obs:Hydra_obs.t -> t ->
+  ?policy:Analysis.carry_in_policy -> ?obs:Hydra_obs.t -> t ->
   Rtsched.Task.taskset -> rt_assignment:int array -> outcome
 (** Evaluates a scheme on a taskset whose RT part is already
     partitioned ([rt_assignment] is ignored by [Global_tmax]).
-    [fast] (default [true]) selects the optimized, bit-identical
-    {!Period_selection} path for [Hydra_c]; the other schemes ignore
-    it (doc/PERFORMANCE.md).
+    [policy] is the carry-in policy of [Hydra_c]'s analysis; the other
+    schemes ignore it.
     [obs] forwards to the underlying analyses, which record their
     fixed-point and search metrics (doc/OBSERVABILITY.md). *)

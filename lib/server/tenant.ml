@@ -307,7 +307,7 @@ let materialize ?obs ?ctx ~incremental t =
       let sel_ctx = Option.map Hydra_obs.Trace_ctx.child ctx in
       let result =
         Hydra_obs.trace_span obs sel_ctx "server.select" (fun () ->
-            Period_selection.select ~fast:true ?warm0 ?hints
+            Period_selection.select ?warm0 ?hints
               ~bounds_out:bounds ?obs sys secs)
       in
       t.selects <- t.selects + 1;

@@ -20,8 +20,8 @@
       minimum search start its bucket-year scan at the last popped
       time instead of zero.
     - Ties pop in ascending slot order, matching the task-array
-      iteration order of the naive engine — part of the bit-identity
-      contract between the two engines.
+      iteration order of the reference stepper — part of the
+      bit-identity contract between the engine and its test oracle.
 
     Behaviour is a pure function of the call sequence: no hashing of
     boxed values, no randomization, no wall clock. *)

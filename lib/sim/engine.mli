@@ -17,16 +17,15 @@
     schedule events, which is what the paper measures with [perf] in
     Fig. 5b.
 
-    Two engines implement these semantics: the default {e fast}
-    skip-ahead engine (bucketed calendar of releases, bitset ready
-    set, allocation-free per-event path) and the {e naive} stepper it
-    was derived from, kept as the oracle behind [~fast:false] (CLI:
-    [--naive-sim]). The two are differential-tested to produce
-    bit-identical hook call sequences, event streams and stats; see
-    doc/SIMULATOR.md. All times are integer ticks (a tick has no
-    fixed physical duration; experiments use 1 tick = 0.1 ms), and
-    every run is a pure function of its arguments — no wall clock, no
-    global RNG, byte-identical results across repeats and [--jobs]
+    The engine skips ahead from event to event (bucketed calendar of
+    releases, bitset ready set, allocation-free per-event path). The
+    seed stepper it was derived from lives on as a test-only oracle
+    ([test/oracle/naive_sim.ml]); the two are differential-tested to
+    produce bit-identical hook call sequences, event streams and
+    stats, see doc/SIMULATOR.md. All times are integer ticks (a tick
+    has no fixed physical duration; experiments use 1 tick = 0.1 ms),
+    and every run is a pure function of its arguments — no wall clock,
+    no global RNG, byte-identical results across repeats and [--jobs]
     values. *)
 
 type time = int
@@ -112,25 +111,22 @@ type stats = {
   idle_ticks : int;  (** summed over cores *)
   decision_events : int;
       (** scheduling decision points visited (releases, completions,
-          and time 0) — identical between the fast and naive engines
-          by construction, and the unit in which benchmark throughput
+          and time 0) — identical to the reference stepper's count by
+          construction, and the unit in which benchmark throughput
           is reported (BENCH_sim.json, doc/SIMULATOR.md) *)
   trace : Trace.t option;
 }
 
 val run :
-  ?obs:Hydra_obs.t -> ?fast:bool -> ?hooks:hooks -> ?collect_trace:bool ->
+  ?obs:Hydra_obs.t -> ?hooks:hooks -> ?collect_trace:bool ->
   ?overheads:overheads -> n_cores:int -> horizon:time -> sim_task list ->
   stats
 (** Simulates the task list over [\[0, horizon)] (ticks). [overheads]
     defaults to {!no_overheads} (the paper's assumption).
 
-    [fast] (default [true]) selects the skip-ahead engine; [false]
-    runs the naive stepper oracle instead ([--naive-sim] on the CLI).
-    Both produce bit-identical results — same hook call sequence,
-    same stats — so the choice only affects wall-clock speed; the
-    differential tests and the [bench-sim] CI gate hold the two
-    engines to this contract (doc/SIMULATOR.md).
+    The differential tests and the [bench-sim] CI gate hold the run to
+    the reference stepper's results — same hook call sequence, same
+    stats (doc/SIMULATOR.md).
 
     [obs] wraps the run in a [sim.run] span and accumulates the
     schedule-event counters ([sim.context_switches],

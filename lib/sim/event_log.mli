@@ -67,7 +67,7 @@ val first_divergence :
 (** [first_divergence xs ys] is [None] when the two streams are equal,
     otherwise [Some (i, x, y)]: the first position where they differ,
     with the event each side has there ([None] = that stream ended).
-    The workhorse of the fast-vs-naive differential tests
+    The workhorse of the engine-vs-oracle differential tests
     (doc/SIMULATOR.md): compare {!events} of two runs and report the
     exact first mismatching schedule event. *)
 

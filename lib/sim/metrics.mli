@@ -29,7 +29,7 @@ val equal_stats : Engine.stats -> Engine.stats -> bool
     migrations, busy/idle ticks, decision events — all in ticks or
     counts) and, when both runs collected traces, their segment
     lists. This is the "stats stay bit-identical" half of the
-    fast-vs-naive equivalence contract (doc/SIMULATOR.md); the
+    engine-vs-oracle equivalence contract (doc/SIMULATOR.md); the
     event-stream half is {!Event_log.first_divergence}. *)
 
 val record : Hydra_obs.t option -> Engine.stats -> unit

@@ -1,13 +1,15 @@
 (* Tests for the analysis fast path (doc/PERFORMANCE.md): the
    carry-in subset combinatorics, the Top_delta-dominates-every-subset
-   soundness property, and the equivalence gate proving the optimized
-   path bit-identical to the reference implementation for both
-   carry-in policies — single queries, whole Algorithm 1 runs, and
-   full sweeps across jobs values. *)
+   soundness property, and the equivalence gate proving the production
+   path bit-identical to the reference implementation in test/oracle
+   for both carry-in policies — single queries, whole Algorithm 1
+   runs, and full sweeps across jobs values. *)
 
 module Task = Rtsched.Task
 module Analysis = Hydra.Analysis
 module Period_selection = Hydra.Period_selection
+module Naive_analysis = Hydra_oracle.Naive_analysis
+module Naive_selection = Hydra_oracle.Naive_selection
 
 let check_int = Test_util.check_int
 let check_bool = Test_util.check_bool
@@ -68,13 +70,13 @@ let test_subset_sizes_and_order () =
    consistent hp chain (periods at the bounds, responses computed
    top-down by the analysis itself, exactly as Algorithm 1 would). *)
 
-let hp_chain ?policy ?fast sys (sorted : Task.sec_task array) upto =
+let hp_chain ?policy sys (sorted : Task.sec_task array) upto =
   let rec go i acc =
     if i >= upto then Some (List.rev acc)
     else
       let s = sorted.(i) in
       match
-        Analysis.response_time ?policy ?fast sys ~hp:(List.rev acc)
+        Analysis.response_time ?policy sys ~hp:(List.rev acc)
           ~wcet:s.Task.sec_wcet ~limit:s.Task.sec_period_max
       with
       | None -> None
@@ -122,8 +124,8 @@ let prop_top_delta_bounds_every_subset =
                      | Some r -> r <= r_top
                      | None -> false (* must converge under the cert *))))
 
-(* Equivalence gate, single WCRT queries: fast = naive for both
-   policies, both the value and the None verdict. *)
+(* Equivalence gate, single WCRT queries: production = oracle for
+   both policies, both the value and the None verdict. *)
 let prop_response_time_fast_equals_naive =
   let arb = Test_util.arb_taskset ~n_cores:3 ~n_rt:4 ~n_sec:5 in
   Test_util.qtest ~count:120 "response_time fast = naive" arb (fun ts ->
@@ -138,13 +140,9 @@ let prop_response_time_fast_equals_naive =
               let wcet = target.Task.sec_wcet in
               let limit = target.Task.sec_period_max in
               let naive =
-                Analysis.response_time ~policy ~fast:false sys ~hp ~wcet
-                  ~limit
+                Naive_analysis.response_time ~policy sys ~hp ~wcet ~limit
               in
-              let fast =
-                Analysis.response_time ~policy ~fast:true sys ~hp ~wcet
-                  ~limit
-              in
+              let fast = Analysis.response_time ~policy sys ~hp ~wcet ~limit in
               naive = fast)
         [ Analysis.Top_delta; Analysis.Exhaustive ])
 
@@ -171,34 +169,62 @@ let prop_select_fast_equals_naive =
   Test_util.qtest ~count:120 "select fast = naive" arb (fun ts ->
       List.for_all
         (fun policy ->
-          let run fast =
+          let naive =
             with_taskset ts @@ fun sys _ ->
-            Period_selection.select ~policy ~fast sys ts.Task.sec
+            Naive_selection.select ~policy sys ts.Task.sec
           in
-          same_select_result (run false) (run true))
+          let fast =
+            with_taskset ts @@ fun sys _ ->
+            Period_selection.select ~policy sys ts.Task.sec
+          in
+          same_select_result naive fast)
         [ Analysis.Top_delta; Analysis.Exhaustive ])
 
 (* ------------------------------------------------------------------ *)
-(* Sweep-level equivalence across jobs values: the fast path composes
-   with the parallel pool (one system per taskset per worker, so the
-   per-system cache is never shared across domains) and the records
-   stay bit-identical to the naive path for every jobs value. *)
+(* Sweep-level equivalence across jobs values: the production path
+   composes with the parallel pool (one system per taskset per worker,
+   so the per-system cache is never shared across domains), the
+   records are bit-identical for every jobs value, and every HYDRA-C
+   record carries the oracle's periods. *)
 
 let test_sweep_fast_naive_across_jobs () =
-  let run ~fast ~jobs =
-    Experiments.Sweep.run ~policy:Hydra.Analysis.Exhaustive ~fast ~jobs
-      ~n_cores:2 ~per_group:2 ~seed:7 ()
+  let policy = Analysis.Exhaustive and n_cores = 2 and per_group = 2 in
+  let seed = 7 in
+  let run ~jobs =
+    Experiments.Sweep.run ~policy ~jobs ~n_cores ~per_group ~seed ()
   in
-  let reference = run ~fast:false ~jobs:1 in
-  List.iter
-    (fun (fast, jobs) ->
-      let sweep = run ~fast ~jobs in
-      check_bool
-        (Printf.sprintf "records fast=%b jobs=%d" fast jobs)
-        true
-        (sweep.Experiments.Sweep.records
-        = reference.Experiments.Sweep.records))
-    [ (true, 1); (true, 4); (false, 4) ]
+  let records = (run ~jobs:1).Experiments.Sweep.records in
+  check_bool "records jobs=1 = jobs=4" true
+    ((run ~jobs:4).Experiments.Sweep.records = records);
+  (* The sweep's tasksets, regenerated the way Sweep.run draws them:
+     one pre-split stream per slot, discarded draws leave no record. *)
+  let config = Taskgen.Generator.default_config ~n_cores in
+  let n = config.Taskgen.Generator.util_groups * per_group in
+  let streams = Taskgen.Rng.split_n (Taskgen.Rng.create seed) n in
+  let gens =
+    List.filter_map
+      (fun i ->
+        Taskgen.Generator.generate config streams.(i) ~group:(i / per_group))
+      (List.init n Fun.id)
+  in
+  check_int "one record per taskset" (List.length gens) (List.length records);
+  List.iter2
+    (fun (g : Taskgen.Generator.generated) record ->
+      let ts = g.taskset in
+      let sys = Analysis.make_system ts ~assignment:g.rt_assignment in
+      let expected =
+        match Naive_selection.select ~policy sys ts.Task.sec with
+        | Period_selection.Unschedulable -> None
+        | Period_selection.Schedulable a ->
+            Some
+              (Period_selection.period_vector a
+                 ~n_sec:(Array.length ts.Task.sec))
+      in
+      check_bool "HYDRA-C periods = oracle" true
+        (Experiments.Sweep.schedulable_periods record
+           ~scheme:Hydra.Scheme.Hydra_c
+        = expected))
+    gens records
 
 (* The fast path's own counters exist and are consistent: hits only
    ever follow misses on the same system, and the exhaustive pruning
@@ -210,8 +236,7 @@ let test_fast_path_counters () =
     Analysis.make_system ts ~assignment:(Security.Rover.rt_assignment ())
   in
   (match
-     Period_selection.select ~policy:Analysis.Exhaustive ~fast:true ~obs sys
-       ts.Task.sec
+     Period_selection.select ~policy:Analysis.Exhaustive ~obs sys ts.Task.sec
    with
   | Period_selection.Unschedulable -> Alcotest.fail "rover must schedule"
   | Period_selection.Schedulable _ -> ());
@@ -239,9 +264,7 @@ let test_cache_stats_and_bound () =
   let run capacity =
     let sys = Analysis.make_system ts ~assignment:asg in
     Analysis.set_cache_capacity sys capacity;
-    let result =
-      Period_selection.select ~fast:true sys ts.Task.sec
-    in
+    let result = Period_selection.select sys ts.Task.sec in
     (result, Analysis.cache_stats sys)
   in
   let unbounded, su = run 0 in
@@ -259,7 +282,7 @@ let test_cache_stats_and_bound () =
     (same_select_result unbounded bounded);
   (* lowering the capacity below the live entry count flushes now *)
   let sys = Analysis.make_system ts ~assignment:asg in
-  ignore (Period_selection.select ~fast:true sys ts.Task.sec);
+  ignore (Period_selection.select sys ts.Task.sec);
   let n0 = (Analysis.cache_stats sys).Analysis.cs_entries in
   check_bool "populated" true (n0 > 1);
   Analysis.set_cache_capacity sys 1;
@@ -269,7 +292,7 @@ let test_refresh_rt_cores () =
   let ts = Security.Rover.taskset () in
   let asg = Security.Rover.rt_assignment () in
   let sys = Analysis.make_system ts ~assignment:asg in
-  ignore (Period_selection.select ~fast:true sys ts.Task.sec);
+  ignore (Period_selection.select sys ts.Task.sec);
   let stats0 = Analysis.cache_stats sys in
   check_bool "populated" true (stats0.Analysis.cs_entries > 0);
   (* drop every RT task from core 0, keep the others: refreshed
@@ -288,8 +311,8 @@ let test_refresh_rt_cores () =
   in
   check_bool "refreshed = cold rebuild" true
     (same_select_result
-       (Period_selection.select ~fast:true refreshed ts.Task.sec)
-       (Period_selection.select ~fast:true cold ts.Task.sec));
+       (Period_selection.select refreshed ts.Task.sec)
+       (Period_selection.select cold ts.Task.sec));
   (* core-count changes are structural *)
   Alcotest.check_raises "core count change refused"
     (Invalid_argument
@@ -310,7 +333,7 @@ let prop_warm0_identical =
       let n_sec = Array.length ts.Task.sec in
       let run ?warm0 ?bounds_out () =
         with_taskset ts @@ fun sys _ ->
-        Period_selection.select ~fast:true ?warm0 ?bounds_out sys ts.Task.sec
+        Period_selection.select ?warm0 ?bounds_out sys ts.Task.sec
       in
       let bounds = Array.make n_sec 0 in
       let cold = run ~bounds_out:bounds () in
@@ -321,13 +344,11 @@ let prop_warm0_identical =
           let warm = run ~warm0:bounds ~bounds_out:bounds2 () in
           same_select_result cold warm
           && bounds = bounds2
-          (* naive path exports the same all-bounds vector *)
+          (* the oracle exports the same all-bounds vector *)
           &&
           let bounds3 = Array.make n_sec 0 in
           (with_taskset ts @@ fun sys _ ->
-           ignore
-             (Period_selection.select ~fast:false ~bounds_out:bounds3 sys
-                ts.Task.sec));
+           ignore (Naive_selection.select ~bounds_out:bounds3 sys ts.Task.sec));
           bounds = bounds3)
 
 (* Search hints steer the probe order of the Algorithm 2 threshold
@@ -345,7 +366,7 @@ let prop_hints_identical =
       let n_sec = Array.length ts.Task.sec in
       let run ?hints () =
         with_taskset ts @@ fun sys _ ->
-        Period_selection.select ~fast:true ?hints sys ts.Task.sec
+        Period_selection.select ?hints sys ts.Task.sec
       in
       let plain = run () in
       (* adversarial hints: deterministic pseudo-random values around

@@ -180,31 +180,60 @@ let test_validation_sound_and_tight () =
     (r.Experiments.Validation.mean_tightness > 0.0
     && r.Experiments.Validation.mean_tightness <= 1.0 +. 1e-9)
 
-(* The two simulation engines through the full experiment drivers:
-   --naive-sim must not move a single byte of output. The rendered
-   fig5 report and the validation metrics snapshot are compared
-   across engines AND across jobs in one shot — the strongest form
-   of the equivalence contract (doc/SIMULATOR.md). *)
-let test_sim_engines_identical_reports () =
-  let fig5_render sim_fast =
-    let r = Fig5.run ~trials:4 ~horizon:20000 ~sim_fast () in
-    render (fun ppf -> Fig5.render ppf r)
+(* The Fig. 5 rover scenarios, simulated by the engine and by the
+   reference stepper in test/oracle: every schedule event and stat
+   must agree (doc/SIMULATOR.md). The four deployments Fig5.run
+   simulates — HYDRA-C semi-partitioned and HYDRA fully partitioned,
+   each at the period bounds and at its adapted periods — over the
+   Fig. 5 horizon. *)
+let test_fig5_rover_engine_matches_oracle () =
+  let ts = Security.Rover.taskset () in
+  let rt_assignment = Security.Rover.rt_assignment () in
+  let n_sec = Array.length ts.Rtsched.Task.sec in
+  let sys = Hydra.Analysis.make_system ts ~assignment:rt_assignment in
+  let bounds = Array.make n_sec 0 in
+  Array.iter
+    (fun (s : Rtsched.Task.sec_task) -> bounds.(s.sec_id) <- s.sec_period_max)
+    ts.Rtsched.Task.sec;
+  let adapted =
+    match Hydra.Period_selection.select sys ts.Rtsched.Task.sec with
+    | Hydra.Period_selection.Schedulable a ->
+        Hydra.Period_selection.period_vector a ~n_sec
+    | Hydra.Period_selection.Unschedulable -> Alcotest.fail "rover: HYDRA-C"
   in
-  Alcotest.(check string) "fig5: naive-sim = fast" (fig5_render true)
-    (fig5_render false)
+  let hydra ~minimize =
+    match Hydra.Baseline_hydra.allocate ~minimize sys ts.Rtsched.Task.sec with
+    | Hydra.Baseline_hydra.Schedulable allocs ->
+        ( Hydra.Baseline_hydra.period_vector allocs ~n_sec,
+          Some (Hydra.Baseline_hydra.core_vector allocs ~n_sec) )
+    | Hydra.Baseline_hydra.Unschedulable -> Alcotest.fail "rover: HYDRA"
+  in
+  List.iter
+    (fun (policy, (sec_periods, sec_cores)) ->
+      let built =
+        Sim.Scenario.of_taskset ts ~rt_assignment ~policy ~sec_periods
+          ?sec_cores ()
+      in
+      Test_util.engines_agree ~n_cores:ts.Rtsched.Task.n_cores ~horizon:45000
+        built.Sim.Scenario.tasks)
+    [ (Sim.Policy.Semi_partitioned, (bounds, None));
+      (Sim.Policy.Semi_partitioned, (adapted, None));
+      (Sim.Policy.Fully_partitioned, hydra ~minimize:false);
+      (Sim.Policy.Fully_partitioned, hydra ~minimize:true) ]
 
-let test_sim_engines_identical_snapshots () =
-  let snapshot ~sim_fast ~jobs =
+(* The validation metrics snapshot is byte-identical across jobs
+   (doc/PARALLELISM.md). *)
+let test_validation_snapshot_across_jobs () =
+  let snapshot ~jobs =
     let obs = Hydra_obs.create () in
     let (_ : Experiments.Validation.result) =
-      Experiments.Validation.run ~jobs ~obs ~sim_fast ~n_cores:2 ~tasksets:8
-        ~seed:11 ~horizon:30000 ()
+      Experiments.Validation.run ~jobs ~obs ~n_cores:2 ~tasksets:8 ~seed:11
+        ~horizon:30000 ()
     in
     Hydra_obs.Snapshot.to_json obs
   in
-  Alcotest.(check string) "snapshot: fast jobs=1 = naive jobs=4"
-    (snapshot ~sim_fast:true ~jobs:1)
-    (snapshot ~sim_fast:false ~jobs:4)
+  Alcotest.(check string) "snapshot: jobs=1 = jobs=4" (snapshot ~jobs:1)
+    (snapshot ~jobs:4)
 
 let test_validation_render () =
   let r =
@@ -382,10 +411,8 @@ let () =
       ( "validation",
         [ Alcotest.test_case "sound and tight" `Quick
             test_validation_sound_and_tight;
-          Alcotest.test_case "naive-sim report identical" `Quick
-            test_sim_engines_identical_reports;
-          Alcotest.test_case "naive-sim snapshot identical" `Quick
-            test_sim_engines_identical_snapshots;
+          Alcotest.test_case "snapshot identical across jobs" `Quick
+            test_validation_snapshot_across_jobs;
           Alcotest.test_case "renders" `Quick test_validation_render ] );
       ( "report",
         [ Alcotest.test_case "generates sections" `Slow test_report_generates ]
@@ -406,4 +433,6 @@ let () =
           Alcotest.test_case "latency quantiles" `Quick
             test_fig5_latency_quantiles;
           Alcotest.test_case "schedule log covers both cores" `Quick
-            test_fig5_sched_log_covers_cores ] ) ]
+            test_fig5_sched_log_covers_cores;
+          Alcotest.test_case "rover engine = oracle" `Quick
+            test_fig5_rover_engine_matches_oracle ] ) ]

@@ -301,8 +301,8 @@ let test_warm_select_counted () =
       | _ -> Alcotest.fail "expected one response")
 
 (* ------------------------------------------------------------------ *)
-(* Differential: incremental vs cold, jobs:1 vs jobs:4, vs the naive
-   cold oracle on the final system *)
+(* Differential: incremental vs cold, jobs:1 vs jobs:4, vs the
+   reference selection (test/oracle) on the final system *)
 
 (* A deterministic random edit script, seeded per QCheck case. An LCG
    keeps the script generation independent of QCheck's shrinking. *)
@@ -411,10 +411,12 @@ let run_script ?(jobs = 1) ?(incremental = true) script =
       (wire, finals))
 
 let oracle_check (tenant, (ts, assignment)) wire =
-  (* cold naive selection on the final system must equal the last
+  (* the reference selection on the final system must equal the last
      Query response the engine gave for this tenant *)
   let sys = Analysis.make_system ts ~assignment in
-  let expected = Period_selection.select ~fast:false sys ts.Rtsched.Task.sec in
+  let expected =
+    Hydra_oracle.Naive_selection.select sys ts.Rtsched.Task.sec
+  in
   let last_for_tenant =
     List.fold_left
       (fun acc s ->

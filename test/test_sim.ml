@@ -721,36 +721,10 @@ let prop_calendar_matches_sorted_reference =
       popped = expected)
 
 (* ------------------------------------------------------------------ *)
-(* Fast engine vs. naive oracle: the differential tests behind the
-   skip-ahead engine (doc/SIMULATOR.md). Both engines must produce
-   bit-identical event streams and stats on every input. *)
+(* Engine vs. the reference stepper in test/oracle
+   (Test_util.engines_agree, doc/SIMULATOR.md). *)
 
-let capture_run ~fast ?overheads ~n_cores ~horizon tasks =
-  let log = Sim.Event_log.create ~n_cores in
-  let stats =
-    Engine.run ~fast ~hooks:(Sim.Event_log.hooks log) ~collect_trace:true
-      ?overheads ~n_cores ~horizon tasks
-  in
-  (stats, Sim.Event_log.events log)
-
-let engines_agree ?overheads ~n_cores ~horizon tasks =
-  let fast_stats, fast_events =
-    capture_run ~fast:true ?overheads ~n_cores ~horizon tasks
-  in
-  let naive_stats, naive_events =
-    capture_run ~fast:false ?overheads ~n_cores ~horizon tasks
-  in
-  (match Sim.Event_log.first_divergence fast_events naive_events with
-  | None -> ()
-  | Some (i, f, n) ->
-      let pp = function
-        | Some e -> Format.asprintf "%a" Sim.Event_log.pp_event e
-        | None -> "<end of stream>"
-      in
-      Alcotest.failf "schedule event %d diverges: fast has %s, naive has %s" i
-        (pp f) (pp n));
-  check_bool "stats bit-identical" true
-    (Sim.Metrics.equal_stats fast_stats naive_stats)
+let engines_agree = Test_util.engines_agree
 
 (* Raw scenarios: pins, offsets, overloads (forcing aborts), non-zero
    overheads — broader than what Scenario.of_taskset can build. *)
@@ -876,11 +850,11 @@ let test_differential_util_one_chain () =
 
 let test_decision_events_counted () =
   (* One task, wcet 2, period 10, horizon 100: decision points are
-     t=0 and then each completion/release boundary; both engines must
-     agree and the count must be positive. *)
+     t=0 and then each completion/release boundary; engine and oracle
+     must agree and the count must be positive. *)
   let t = task ~id:0 ~prio:0 ~wcet:2 ~period:10 () in
-  let fast = Engine.run ~fast:true ~n_cores:1 ~horizon:100 [ t ] in
-  let naive = Engine.run ~fast:false ~n_cores:1 ~horizon:100 [ t ] in
+  let fast = Engine.run ~n_cores:1 ~horizon:100 [ t ] in
+  let naive = Hydra_oracle.Naive_sim.run ~n_cores:1 ~horizon:100 [ t ] in
   check_int "equal decision counts" naive.Engine.decision_events
     fast.Engine.decision_events;
   (* 10 releases + 10 completions, release and completion never

@@ -50,6 +50,39 @@ let qtest ?(count = 100) name arb prop =
     (QCheck.Test.make ~count ~name arb prop)
 
 (* ------------------------------------------------------------------ *)
+(* Simulator vs. reference stepper (test/oracle/naive_sim.ml): the
+   differential check behind the skip-ahead engine (doc/SIMULATOR.md).
+   Both must produce bit-identical event streams and stats. *)
+
+let capture_run ~n_cores run =
+  let log = Sim.Event_log.create ~n_cores in
+  let stats = run (Sim.Event_log.hooks log) in
+  (stats, Sim.Event_log.events log)
+
+let engines_agree ?overheads ~n_cores ~horizon tasks =
+  let fast_stats, fast_events =
+    capture_run ~n_cores (fun hooks ->
+        Sim.Engine.run ~hooks ~collect_trace:true ?overheads ~n_cores ~horizon
+          tasks)
+  in
+  let naive_stats, naive_events =
+    capture_run ~n_cores (fun hooks ->
+        Hydra_oracle.Naive_sim.run ~hooks ~collect_trace:true ?overheads
+          ~n_cores ~horizon tasks)
+  in
+  (match Sim.Event_log.first_divergence fast_events naive_events with
+  | None -> ()
+  | Some (i, f, n) ->
+      let pp = function
+        | Some e -> Format.asprintf "%a" Sim.Event_log.pp_event e
+        | None -> "<end of stream>"
+      in
+      Alcotest.failf "schedule event %d diverges: engine has %s, oracle has %s"
+        i (pp f) (pp n));
+  check_bool "stats bit-identical" true
+    (Sim.Metrics.equal_stats fast_stats naive_stats)
+
+(* ------------------------------------------------------------------ *)
 (* Minimal JSON parser — enough for test_obs to validate the
    Chrome-trace export and for test_lint to validate hydra_lint's
    report, without adding a dependency. *)
