@@ -672,20 +672,19 @@ let cmd_obs_report =
 (* ------------------------------------------------------------------ *)
 (* serve: the online admission-control daemon (doc/SERVER.md) *)
 
-let run_serve socket jobs cold cache_capacity max_batch trace_sample_rate
+let run_serve socket jobs cache_capacity max_batch trace_sample_rate
     slow_request_ms flight_out metrics trace_out metrics_out profile stream
     stream_period =
   with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
     (fun ctx ->
       let config =
-        { Hydra_server.Daemon.socket_path = socket; jobs;
-          incremental = not cold; cache_capacity; max_batch;
-          trace_sample_rate; slow_request_ms; flight_path = flight_out }
+        { Hydra_server.Daemon.socket_path = socket; jobs; cache_capacity;
+          max_batch; trace_sample_rate; slow_request_ms;
+          flight_path = flight_out }
       in
       let log = Hydra_obs.Log.create () in
       Hydra_obs.Log.log log "listening"
-        [ ("socket", socket); ("jobs", string_of_int jobs);
-          ("mode", (if cold then "cold" else "warm")) ];
+        [ ("socket", socket); ("jobs", string_of_int jobs) ];
       (* a daemon always carries a registry, so obs_snapshot/obs_stream
          scrapes have something to answer even without --metrics* flags
          (the local registry is simply never written anywhere) *)
@@ -698,11 +697,6 @@ let socket_arg =
   Arg.(value & opt string "hydra_c.sock"
        & info [ "socket" ] ~docv:"PATH"
            ~doc:"Unix-domain socket to listen on (stale files are                  unlinked; the file is removed again on shutdown).")
-
-let cold_arg =
-  Arg.(value & flag
-       & info [ "cold" ]
-           ~doc:"Disable the incremental warm path: every materialization                  builds a fresh analysis system with an empty workload                  cache and no warm-start floors. Responses are bit-identical                  to the warm path — this flag exists to measure what the                  resident state buys (bench/server_bench.exe does).")
 
 let cache_capacity_arg =
   Arg.(value & opt int 0
@@ -733,10 +727,10 @@ let cmd_serve =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the admission-control daemon: tenant systems stay resident                (workload caches, warm-start state, last selection) and                reconfiguration requests (RT/security task arrive/leave,                core-count change, re-select) stream over a Unix-domain                socket speaking length-prefixed hydra_c.server/1 JSON                (doc/SERVER.md). Stop it with a 'shutdown' request. Scrape                it live with 'hydra_c obs-report --connect SOCKET'; send                SIGUSR1 for a flight-recorder dump.")
-    Term.(const run_serve $ socket_arg $ jobs_arg $ cold_arg
-          $ cache_capacity_arg $ max_batch_arg $ trace_sample_rate_arg
-          $ slow_request_ms_arg $ flight_out_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
+    Term.(const run_serve $ socket_arg $ jobs_arg $ cache_capacity_arg
+          $ max_batch_arg $ trace_sample_rate_arg $ slow_request_ms_arg
+          $ flight_out_arg $ metrics_arg $ trace_out_arg $ metrics_out_arg
+          $ profile_arg $ stream_arg $ stream_period_arg)
 
 let smoke_term =
   Term.(const run_smoke $ jobs_arg $ metrics_arg

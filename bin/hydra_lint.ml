@@ -13,7 +13,7 @@ let usage =
   \           [--jobs N] [--cache-dir DIR] [--changed-only] [--list-rules]\n\
   \           [PATH...]\n\
    Lint .ml sources for determinism and domain-safety (rules D1-D8).\n\
-   PATH defaults to: lib bin bench"
+   PATH defaults to: lib bin test/oracle test/drive"
 
 (* Lines of a shell command, or None if it failed — the --changed-only
    helpers must degrade to a full scan, never to an error. *)
@@ -94,7 +94,9 @@ let () =
     exit 0
   end;
   let paths =
-    match List.rev !paths with [] -> [ "lib"; "bin"; "bench" ] | ps -> ps
+    match List.rev !paths with
+    | [] -> [ "lib"; "bin"; "test/oracle"; "test/drive" ]
+    | ps -> ps
   in
   let allowlist =
     match !allowlist_file with

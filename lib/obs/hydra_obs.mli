@@ -436,8 +436,8 @@ end
 (** {1 Metrics snapshot}
 
     Machine-readable export of the whole registry — the [--metrics-out]
-    backend, consumed by bench and CI (schema documented in
-    doc/OBSERVABILITY.md). *)
+    backend, consumed by [obs-report], the benchmark and CI (schema
+    documented in doc/OBSERVABILITY.md). *)
 
 module Snapshot : sig
   val schema : string
@@ -448,8 +448,8 @@ module Snapshot : sig
   (** Renders a float as a JSON token, mapping non-finite values (nan,
       infinities — e.g. {!Sim.Metrics.mean_response} of a task with no
       finished job) to [null] instead of emitting bare [NaN], which is
-      not JSON. Every float serialized into a snapshot or bench record
-      goes through this. *)
+      not JSON. Every float serialized into a snapshot goes through
+      this. *)
 
   val to_json : ?include_timings:bool -> t -> string
   (** One JSON object: ["schema"], ["counters"] (name → total),

@@ -13,7 +13,6 @@
 type config = {
   socket_path : string;
   jobs : int;
-  incremental : bool;
   cache_capacity : int;
   max_batch : int;
   trace_sample_rate : float;
@@ -22,9 +21,8 @@ type config = {
 }
 
 let default_config ~socket_path =
-  { socket_path; jobs = 1; incremental = true; cache_capacity = 0;
-    max_batch = 64; trace_sample_rate = 0.0; slow_request_ms = 0;
-    flight_path = None }
+  { socket_path; jobs = 1; cache_capacity = 0; max_batch = 64;
+    trace_sample_rate = 0.0; slow_request_ms = 0; flight_path = None }
 
 (* SIGUSR1 only sets this flag; the dump itself runs on the accept
    loop at the next safe point (between batches or on an interrupted
@@ -312,7 +310,7 @@ let handle_client srv cn fd ~max_batch =
 let serve ?obs ?(config = default_config ~socket_path:"hydra_c.sock")
     ?on_ready () =
   let engine =
-    Engine.create ?obs ~jobs:config.jobs ~incremental:config.incremental
+    Engine.create ?obs ~jobs:config.jobs
       ~cache_capacity:config.cache_capacity ()
   in
   let srv =
@@ -330,22 +328,29 @@ let serve ?obs ?(config = default_config ~socket_path:"hydra_c.sock")
   in
   (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
   let sock = Unix.socket PF_UNIX SOCK_STREAM 0 in
-  let old_usr1 =
-    (* unavailable on platforms without SIGUSR1; the daemon still runs,
-       just without the on-demand dump trigger *)
-    match
-      Sys.signal Sys.sigusr1
-        (Sys.Signal_handle (fun _ -> Atomic.set dump_requested true))
-    with
-    | h -> Some h
+  (* Either signal may be unavailable on the platform; the daemon still
+     runs, just without that handler. SIGUSR1 triggers a flight dump.
+     SIGPIPE is ignored so that a client hanging up before reading its
+     reply makes the write raise EPIPE — logged by the accept loop as
+     an io_error — instead of killing the daemon. *)
+  let install signal behavior =
+    match Sys.signal signal behavior with
+    | old -> Some (signal, old)
     | exception (Invalid_argument _ | Sys_error _) -> None
   in
+  let saved =
+    [ install Sys.sigusr1
+        (Sys.Signal_handle (fun _ -> Atomic.set dump_requested true));
+      install Sys.sigpipe Sys.Signal_ignore ]
+  in
   let cleanup () =
-    (match old_usr1 with
-    | Some h -> (
-        try Sys.set_signal Sys.sigusr1 h
-        with Invalid_argument _ | Sys_error _ -> ())
-    | None -> ());
+    List.iter
+      (function
+        | Some (signal, old) -> (
+            try Sys.set_signal signal old
+            with Invalid_argument _ | Sys_error _ -> ())
+        | None -> ())
+      saved;
     (try Unix.close sock with Unix.Unix_error _ -> ());
     (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
     (* an explicit --flight-out asks for a dump even on a clean

@@ -52,7 +52,6 @@
 type config = {
   socket_path : string;
   jobs : int;  (** worker domains for tenant sharding (default 1) *)
-  incremental : bool;  (** warm path on; [false] = cold baseline *)
   cache_capacity : int;  (** per-tenant workload-cache bound; 0 = unbounded *)
   max_batch : int;  (** frames drained per batch (default 64) *)
   trace_sample_rate : float;
@@ -72,6 +71,8 @@ val serve :
   ?obs:Hydra_obs.t -> ?config:config -> ?on_ready:(unit -> unit) ->
   unit -> unit
 (** Bind the socket (unlinking any stale file), call [on_ready], and
-    accept until a [Shutdown] request arrives. Always unlinks the
-    socket, restores the SIGUSR1 handler and stops the engine on the
-    way out. *)
+    accept until a [Shutdown] request arrives. SIGPIPE is ignored while
+    serving, so a client that hangs up before reading its reply costs
+    an [io_error] log line, not the process. Always unlinks the
+    socket, restores the SIGUSR1 and SIGPIPE handlers and stops the
+    engine on the way out. *)

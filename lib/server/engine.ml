@@ -5,19 +5,16 @@ type t = {
   obs : Hydra_obs.t option;
   tenants : (string, Tenant.t) Hashtbl.t;
   pool : Pool.Static.t;
-  incremental : bool;
   cache_capacity : int;
 }
 
-let create ?obs ?(jobs = 1) ?(incremental = true) ?(cache_capacity = 0) () =
+let create ?obs ?(jobs = 1) ?(cache_capacity = 0) () =
   { obs; tenants = Hashtbl.create 16; pool = Pool.Static.create ~jobs;
-    incremental; cache_capacity }
+    cache_capacity }
 
 let shutdown t = Pool.Static.shutdown t.pool
-let jobs t = Pool.Static.jobs t.pool
 let tenant_count t = Hashtbl.length t.tenants
 let find_tenant t name = Hashtbl.find_opt t.tenants name
-let incremental t = t.incremental
 
 let op_counter (op : Protocol.op) =
   match op with
@@ -50,7 +47,7 @@ let rows assignments =
    no recorder is attached); every request rides with its optional
    trace context, and a traced request's worker-side processing is a
    ["server.apply"] child span. *)
-let run_group ~obs ~incremental ~cache_capacity ~flight ~ftid ~name state reqs =
+let run_group ~obs ~cache_capacity ~flight ~ftid ~name state reqs =
   let tenant = ref state in
   let pending = ref [] in
   (* (pos, id, ctx) of coalesced dirty ops *)
@@ -58,10 +55,10 @@ let run_group ~obs ~incremental ~cache_capacity ~flight ~ftid ~name state reqs =
   let emit pos r = out := (pos, r) :: !out in
   let materialize ctx tn =
     match flight with
-    | None -> Tenant.materialize ?obs ?ctx ~incremental tn
+    | None -> Tenant.materialize ?obs ?ctx tn
     | Some fl ->
         let t0 = Hydra_obs.now_ns () in
-        let result = Tenant.materialize ?obs ?ctx ~incremental tn in
+        let result = Tenant.materialize ?obs ?ctx tn in
         Hydra_obs.Flight.record fl ~ts:(Hydra_obs.now_ns ())
           ~kind:Hydra_obs.Flight.Select ~tenant:ftid
           ~a:(Hydra_obs.now_ns () - t0) ~b:0;
@@ -270,9 +267,8 @@ let exec_batch ?ctxs ?flight t (batch : Protocol.request list) :
                 ~kind:Hydra_obs.Flight.Shard ~tenant:ftid
                 ~a:(List.length ms) ~b:g);
           let run () =
-            run_group ~obs ~incremental:t.incremental
-              ~cache_capacity:t.cache_capacity ~flight ~ftid ~name:names.(g)
-              states.(g) ms
+            run_group ~obs ~cache_capacity:t.cache_capacity ~flight ~ftid
+              ~name:names.(g) states.(g) ms
           in
           if profile then Hydra_obs.span obs "server.shard" run else run ())
         n_groups

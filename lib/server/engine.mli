@@ -24,16 +24,14 @@
 type t
 
 val create :
-  ?obs:Hydra_obs.t -> ?jobs:int -> ?incremental:bool ->
-  ?cache_capacity:int -> unit -> t
+  ?obs:Hydra_obs.t -> ?jobs:int -> ?cache_capacity:int -> unit -> t
 (** [jobs] (default 1) sizes the persistent worker pool.
-    [incremental] (default [true]) selects the warm path (resident
-    caches, warm floors, search hints, cached clean-tenant results);
-    [false] is the stateless per-request baseline: every request
-    re-selects on a fresh system — queries included. Results are
-    bit-identical either way. [cache_capacity] bounds every tenant's
-    workload cache ({!Hydra.Analysis.set_cache_capacity};
-    0 = unbounded). *)
+    [cache_capacity] bounds every tenant's workload cache
+    ({!Hydra.Analysis.set_cache_capacity}; 0 = unbounded). Tenants
+    stay warm between batches (resident caches, warm floors, search
+    hints, cached clean-tenant results, see {!Tenant.materialize});
+    every selection is bit-identical to one on a fresh system of the
+    tenant's state at that point. *)
 
 val exec_batch :
   ?ctxs:Hydra_obs.Trace_ctx.t option array ->
@@ -59,8 +57,6 @@ val exec_batch :
 val shutdown : t -> unit
 (** Stop the worker pool. The engine must not be used afterwards. *)
 
-val jobs : t -> int
-val incremental : t -> bool
 val tenant_count : t -> int
 val find_tenant : t -> string -> Tenant.t option
 (** Test hook: the resident tenant record, if any. *)

@@ -257,30 +257,15 @@ let touch t = t.dirty <- true
 (* ------------------------------------------------------------------ *)
 (* Materialization *)
 
-let materialize ?obs ?ctx ~incremental t =
+let materialize ?obs ?ctx t =
   (match t.last with
-  | Some r when (not t.dirty) && incremental -> r
+  | Some r when not t.dirty -> r
   | _ ->
-      (* incremental: clean tenants answer from [t.last] above. Cold is
-         the stateless per-request baseline — no resident cache at all,
-         so even a clean tenant re-selects from scratch. *)
       let secs = sec_tasks t.sec in
       let n_sec = Array.length secs in
-      let sys =
-        if incremental then t.sys
-        else begin
-          (* cold baseline: fresh system, empty cache, no warm floors *)
-          let ts, asg = snapshot t in
-          let sys = Analysis.make_system ts ~assignment:asg in
-          Analysis.set_cache_capacity sys t.cache_capacity;
-          sys
-        end
-      in
       let bounds = Array.make n_sec 0 in
       let warm0 =
-        if incremental && t.warm_ok && Array.length t.warm = n_sec then
-          Some t.warm
-        else None
+        if t.warm_ok && Array.length t.warm = n_sec then Some t.warm else None
       in
       (* Previous periods as search hints: any value is sound (hints
          only steer the probe order of the exact threshold search), so
@@ -289,7 +274,7 @@ let materialize ?obs ?ctx ~incremental t =
          probes. *)
       let hints =
         match t.last with
-        | Some (Period_selection.Schedulable assignments) when incremental ->
+        | Some (Period_selection.Schedulable assignments) ->
             (* sized to the previous ids, which may exceed [n_sec]
                right after a [sec_leave] renumbering *)
             let m =
@@ -308,7 +293,7 @@ let materialize ?obs ?ctx ~incremental t =
       let result =
         Hydra_obs.trace_span obs sel_ctx "server.select" (fun () ->
             Period_selection.select ?warm0 ?hints
-              ~bounds_out:bounds ?obs sys secs)
+              ~bounds_out:bounds ?obs t.sys secs)
       in
       t.selects <- t.selects + 1;
       Hydra_obs.incr obs "server.select";
@@ -317,12 +302,12 @@ let materialize ?obs ?ctx ~incremental t =
         Hydra_obs.incr obs "server.select.warm"
       end;
       (match result with
-      | Schedulable _ when incremental ->
+      | Schedulable _ ->
           t.warm <- bounds;
           t.warm_ok <- true
-      | Schedulable _ | Unschedulable ->
-          (* unschedulable: the all-bounds pass did not complete, so
-             [bounds] is not a full vector — keep the previous floors *)
+      | Unschedulable ->
+          (* the all-bounds pass did not complete, so [bounds] is not
+             a full vector — keep the previous floors *)
           ());
       t.last <- Some result;
       t.dirty <- false;
@@ -340,4 +325,3 @@ let stats t =
     st_cache_refreshes = cs.Analysis.cs_refreshes }
 
 let selects t = t.selects
-let warm_selects t = t.warm_selects

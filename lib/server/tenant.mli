@@ -66,26 +66,24 @@ val touch : t -> unit
     ([Reselect]). *)
 
 val materialize :
-  ?obs:Hydra_obs.t -> ?ctx:Hydra_obs.Trace_ctx.t -> incremental:bool -> t ->
+  ?obs:Hydra_obs.t -> ?ctx:Hydra_obs.Trace_ctx.t -> t ->
   Hydra.Period_selection.result
-(** The tenant's current period selection. [incremental:true] serves
-    clean tenants from the cached last result and otherwise analyzes
-    on the resident system — warm workload cache, [warm0] floors when
-    every edit since kept them sound, and the previous periods as
-    Algorithm 2 search hints. [incremental:false] is the stateless
-    per-request baseline: {e every} call re-selects on a fresh system
-    with an empty cache, no floors and no hints — what a daemon
-    without resident tenants would pay per request. Both produce
-    {b bit-identical} results (QCheck-gated in [test/test_server.ml]).
-    Counts [server.select] and [server.select.warm] on [obs]. A traced
-    request's [ctx] wraps the selection in a ["server.select"] child
-    span ({!Hydra_obs.trace_span}). *)
+(** The tenant's current period selection. Clean tenants are served
+    from the cached last result; otherwise the selection runs on the
+    resident system — warm workload cache, [warm0] floors when every
+    edit since kept them sound, and the previous periods as Algorithm 2
+    search hints. The result is {b bit-identical} to
+    {!Hydra.Period_selection.select} on a fresh
+    {!Hydra.Analysis.make_system} of {!snapshot} (differential-tested
+    in [test/test_server.ml]). Counts [server.select] and
+    [server.select.warm] on [obs]. A traced request's [ctx] wraps the
+    selection in a ["server.select"] child span
+    ({!Hydra_obs.trace_span}). *)
 
 val stats : t -> Protocol.stats
 val selects : t -> int
-val warm_selects : t -> int
 
 val snapshot : t -> Rtsched.Task.taskset * int array
 (** The current taskset (RM-prioritized RT + arrival-ordered security
     tasks) and per-task core assignment — what the differential test
-    feeds to a cold oracle. *)
+    feeds to its fresh reference. *)

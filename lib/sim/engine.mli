@@ -113,7 +113,8 @@ type stats = {
       (** scheduling decision points visited (releases, completions,
           and time 0) — identical to the reference stepper's count by
           construction, and the unit in which benchmark throughput
-          is reported (BENCH_sim.json, doc/SIMULATOR.md) *)
+          is reported ([sim.events_per_s] in perfbench's [rover]
+          workload, doc/SIMULATOR.md) *)
   trace : Trace.t option;
 }
 
@@ -124,9 +125,9 @@ val run :
 (** Simulates the task list over [\[0, horizon)] (ticks). [overheads]
     defaults to {!no_overheads} (the paper's assumption).
 
-    The differential tests and the [bench-sim] CI gate hold the run to
-    the reference stepper's results — same hook call sequence, same
-    stats (doc/SIMULATOR.md).
+    The differential tests ([test/test_sim.ml]) hold the run to the
+    reference stepper's results — same hook call sequence, same stats
+    (doc/SIMULATOR.md).
 
     [obs] wraps the run in a [sim.run] span and accumulates the
     schedule-event counters ([sim.context_switches],

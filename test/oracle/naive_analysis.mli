@@ -1,6 +1,6 @@
 (** Reference HYDRA-C WCRT analysis (Eqs. 6-8): the seed
     implementation {!Hydra.Analysis.response_time} is equivalence-gated
-    against ([test/test_analysis.ml], [bench/analysis_record.ml]).
+    against ([test/test_analysis.ml]).
 
     No workload cache, no warm start, no carry-in pruning: [Top_delta]
     iterates Eq. 7 from [C_s] over the uncached

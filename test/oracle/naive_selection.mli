@@ -1,7 +1,6 @@
 (** Reference Algorithms 1 and 2: the seed period selection
     {!Hydra.Period_selection.select} is equivalence-gated against
-    ([test/test_analysis.ml], [test/test_server.ml],
-    [bench/analysis_record.ml]).
+    ([test/test_analysis.ml], [test/test_server.ml]).
 
     Per-probe array copies, a full suffix refresh after every fixed
     period, a plain binary search per task, and cold fixed points

@@ -1,6 +1,6 @@
 (** Reference simulator: the seed stepper the skip-ahead
     {!Sim.Engine.run} was derived from and is differential-tested
-    against ([test/test_sim.ml], [bench/sim_record.ml];
+    against ([test/test_sim.ml], [test/test_experiments.ml];
     doc/SIMULATOR.md).
 
     Every scheduling point re-sorts the ready list by priority and

@@ -1,7 +1,8 @@
 (* Hydra_server tests: protocol codec roundtrips, engine admission
-   semantics, per-tenant coalescing, the incremental-vs-cold /
-   jobs:1-vs-jobs:4 differential contract, and a live daemon smoke
-   test over a Unix-domain socket. *)
+   semantics, per-tenant coalescing, the warm-vs-fresh-reference /
+   jobs:1-vs-jobs:4 differential contract, the warm path's saving in
+   work counts, and live daemon tests over a Unix-domain socket
+   (including the serve-smoke fixture). *)
 
 module Protocol = Hydra_server.Protocol
 module Engine = Hydra_server.Engine
@@ -19,8 +20,8 @@ let sec name wcet period_max =
 
 let req ?(tenant = "t0") id op = { Protocol.q_id = id; q_tenant = tenant; q_op = op }
 
-let with_engine ?obs ?(jobs = 1) ?(incremental = true) ?cache_capacity f =
-  let e = Engine.create ?obs ~jobs ~incremental ?cache_capacity () in
+let with_engine ?obs ?(jobs = 1) ?cache_capacity f =
+  let e = Engine.create ?obs ~jobs ?cache_capacity () in
   Fun.protect ~finally:(fun () -> Engine.shutdown e) (fun () -> f e)
 
 let small_init =
@@ -301,8 +302,9 @@ let test_warm_select_counted () =
       | _ -> Alcotest.fail "expected one response")
 
 (* ------------------------------------------------------------------ *)
-(* Differential: incremental vs cold, jobs:1 vs jobs:4, vs the
-   reference selection (test/oracle) on the final system *)
+(* Differential: warm engine vs a fresh reference selection per
+   response, jobs:1 vs jobs:4, vs the seed selection (test/oracle) on
+   the final system *)
 
 (* A deterministic random edit script, seeded per QCheck case. An LCG
    keeps the script generation independent of QCheck's shrinking. *)
@@ -393,12 +395,52 @@ let make_script seed : script =
     :: !batches;
   List.rev !batches
 
-let run_script ?(jobs = 1) ?(incremental = true) script =
-  with_engine ~jobs ~incremental (fun e ->
+(* The reference for one tenant state: Algorithm 1 on a fresh system
+   of its snapshot — empty workload cache, no warm floors, no hints. *)
+let fresh_select ?obs tn =
+  let ts, assignment = Tenant.snapshot tn in
+  Period_selection.select ?obs
+    (Analysis.make_system ts ~assignment)
+    ts.Rtsched.Task.sec
+
+let carries_selection (r : Protocol.response) =
+  match (r.p_status, r.p_body) with
+  | Protocol.Unschedulable, _ | _, Protocol.Periods _ -> true
+  | _ -> false
+
+(* The response the engine gives [r]'s requester for [result]. *)
+let selection_response (r : Protocol.response) = function
+  | Period_selection.Schedulable rows ->
+      Protocol.ok ~id:r.p_id ~tenant:r.p_tenant
+        (Protocol.Periods
+           (List.map
+              (fun (a : Period_selection.assignment) ->
+                { Protocol.a_name = a.sec.Rtsched.Task.sec_name;
+                  a_period = a.period; a_resp = a.resp })
+              rows))
+  | Period_selection.Unschedulable ->
+      Protocol.unschedulable ~id:r.p_id ~tenant:r.p_tenant
+
+(* Every response that carries a selection must equal the fresh
+   reference on its tenant's snapshot taken right after the batch.
+   Exact because [make_script] puts at most one request per tenant in
+   a batch, so that snapshot is the state the selection ran on. *)
+let check_fresh e (r : Protocol.response) =
+  if
+    carries_selection r
+    && selection_response r
+         (fresh_select (Option.get (Engine.find_tenant e r.p_tenant)))
+       <> r
+  then QCheck.Test.fail_reportf "response %d <> fresh reference" r.p_id
+
+let run_script ?(jobs = 1) ?(reference = false) script =
+  with_engine ~jobs (fun e ->
       let wire =
         List.concat_map
           (fun batch ->
-            List.map Protocol.encode_response (Engine.exec_batch e batch))
+            let resps = Engine.exec_batch e batch in
+            if reference then List.iter (check_fresh e) resps;
+            List.map Protocol.encode_response resps)
           script
       in
       let finals =
@@ -426,38 +468,50 @@ let oracle_check (tenant, (ts, assignment)) wire =
         else acc)
       None wire
   in
-  match (expected, last_for_tenant) with
-  | _, None -> ()
-  | Period_selection.Unschedulable, Some r ->
-      check_bool "oracle unschedulable" true
-        (status r = Protocol.Unschedulable)
-  | Period_selection.Schedulable rows, Some r ->
-      check_bool "oracle schedulable" true (status r = Protocol.Ok);
-      let expected_rows =
-        List.map
-          (fun (a : Period_selection.assignment) ->
-            { Protocol.a_name = a.sec.Rtsched.Task.sec_name;
-              a_period = a.period; a_resp = a.resp })
-          rows
-      in
-      check_bool "oracle periods/WCRTs match" true
-        (expected_rows = assignments r)
+  match last_for_tenant with
+  | None -> ()
+  | Some r ->
+      check_bool "oracle selection matches" true
+        (selection_response r expected = r)
 
 let test_differential =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:30 ~name:"incremental = cold = sharded = oracle"
+    (QCheck.Test.make ~count:30 ~name:"warm = fresh reference = sharded = oracle"
        QCheck.(make Gen.(int_bound 0x3FFFFFF))
        (fun seed ->
          let script = make_script seed in
-         let wire_inc, finals = run_script ~jobs:1 ~incremental:true script in
-         let wire_cold, _ = run_script ~jobs:1 ~incremental:false script in
-         let wire_par, _ = run_script ~jobs:4 ~incremental:true script in
-         if wire_inc <> wire_cold then
-           QCheck.Test.fail_report "incremental responses <> cold responses";
-         if wire_inc <> wire_par then
+         let wire, finals = run_script ~reference:true script in
+         let wire_par, _ = run_script ~jobs:4 script in
+         if wire <> wire_par then
            QCheck.Test.fail_report "jobs:1 responses <> jobs:4 responses";
-         List.iter (fun final -> oracle_check final wire_inc) finals;
+         List.iter (fun final -> oracle_check final wire) finals;
          true))
+
+(* The warm path's saving, as deterministic work counts: the first 100
+   requests of the steady script (test/drive) in lockstep on a warm
+   engine, against the fresh reference for every response that carries
+   a selection, each into its own registry. *)
+let test_warm_path_saves_work () =
+  let warm = Hydra_obs.create () and fresh = Hydra_obs.create () in
+  with_engine ~obs:warm (fun e ->
+      List.iter
+        (fun q ->
+          List.iter
+            (fun (r : Protocol.response) ->
+              if carries_selection r then
+                ignore
+                  (fresh_select ~obs:fresh
+                     (Option.get (Engine.find_tenant e r.p_tenant))))
+            (Engine.exec_batch e [ q ]))
+        (Hydra_drive.Steady_script.prefix ~shutdown:false 100));
+  List.iter
+    (fun counter ->
+      let w = Hydra_obs.counter_total warm counter
+      and f = Hydra_obs.counter_total fresh counter in
+      check_bool
+        (Printf.sprintf "%s: warm %d < fresh %d" counter w f)
+        true (w < f))
+    [ "analysis.fixpoint.iterations"; "period_selection.search.steps" ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability plumbing: obs ops, trace contexts, flight breadcrumbs *)
@@ -731,6 +785,62 @@ let test_daemon_sigusr1_flight_dump () =
         | [] -> Alcotest.fail "empty flight dump");
         try Sys.remove flight_file with Sys_error _ -> ())
 
+(* A client that hangs up before reading its reply: A holds the
+   daemon while B sends an init and closes, so the reply to B always
+   hits a closed peer. The daemon must log it and keep serving. *)
+let test_daemon_survives_hangup () =
+  with_daemon ~name:"hangup" (fun _path connect rpc ->
+      let a = connect () in
+      let b = connect () in
+      Protocol.write_frame b (Protocol.encode_request (req 0 small_init));
+      Unix.close b;
+      Unix.close a;
+      let c = connect () in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close c with Unix.Unix_error _ -> ())
+        (fun () ->
+          check_int "the init was applied" 1
+            (the_stats (rpc c (req 1 Protocol.Stats))).Protocol.st_selects;
+          check_bool "shutdown acked" true
+            (status (rpc c (req 2 Protocol.Shutdown)) = Protocol.Ok)))
+
+(* The serve-smoke fixture, in process: the steady script's first 100
+   requests plus a Shutdown, in lockstep over a real socket. The reply
+   transcript must match the committed file byte for byte, and the
+   profiling-gated latency histogram must hold one sample per frame. *)
+let test_daemon_serve_smoke () =
+  let obs_t = Hydra_obs.create () in
+  Hydra_obs.enable_profiling obs_t;
+  let frames = Hydra_drive.Steady_script.prefix 100 in
+  let transcript = Buffer.create 40_000 in
+  with_daemon ~obs:obs_t ~name:"smoke"
+    ~tweak:(fun c -> { c with jobs = 2 })
+    (fun _path connect _rpc ->
+      let fd = connect () in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          List.iter
+            (fun q ->
+              Protocol.write_frame fd (Protocol.encode_request q);
+              match Protocol.read_frame fd with
+              | Some s -> Buffer.add_string transcript (s ^ "\n")
+              | None -> Alcotest.fail "daemon closed the connection")
+            frames));
+  Alcotest.(check string) "transcript = serve_smoke.expected"
+    (In_channel.with_open_bin "server_fixtures/serve_smoke.expected"
+       In_channel.input_all)
+    (Buffer.contents transcript);
+  match
+    List.find_opt
+      (fun (h : Hydra_obs.hist_view) -> h.hv_name = "server.latency")
+      (Hydra_obs.hists obs_t)
+  with
+  | Some h ->
+      check_int "one latency sample per frame" (List.length frames)
+        (Hydra_obs.Histogram.count h.hv_hist)
+  | None -> Alcotest.fail "no server.latency samples"
+
 let () =
   Alcotest.run "server"
     [ ( "protocol",
@@ -756,7 +866,10 @@ let () =
         [ Alcotest.test_case "burst runs one select" `Quick test_coalescing;
           Alcotest.test_case "warm selects counted" `Quick
             test_warm_select_counted ] );
-      ("differential", [ test_differential ]);
+      ( "differential",
+        [ test_differential;
+          Alcotest.test_case "warm path saves work" `Quick
+            test_warm_path_saves_work ] );
       ( "observability",
         [ Alcotest.test_case "engine rejects obs ops" `Quick
             test_engine_rejects_obs_ops;
@@ -767,5 +880,9 @@ let () =
           Alcotest.test_case "live scrape + stream" `Quick
             test_daemon_live_scrape;
           Alcotest.test_case "SIGUSR1 flight dump" `Quick
-            test_daemon_sigusr1_flight_dump ] )
+            test_daemon_sigusr1_flight_dump;
+          Alcotest.test_case "client hangup survives" `Quick
+            test_daemon_survives_hangup;
+          Alcotest.test_case "serve-smoke fixture" `Quick
+            test_daemon_serve_smoke ] )
     ]
