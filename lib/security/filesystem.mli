@@ -34,4 +34,8 @@ val total_bytes : t -> int
 
 val populate_images : t -> count:int -> bytes_per_file:int -> unit
 (** Fills the store with [count] synthetic "camera images"
-    ([img_0000.raw], ...) of deterministic pseudo-content. *)
+    ([img_0000.raw], ...) of deterministic pseudo-content. The image
+    strings of the most recent [(count, bytes_per_file)] shape are
+    built once and shared by every store that asks for it; each store
+    keeps its own map, so a write to one store never shows in
+    another. *)

@@ -1,9 +1,11 @@
-module Checker = Profile_checker.Make (struct
+module Store = struct
   type store = Filesystem.t
 
   let keys = Filesystem.list_paths
   let fingerprint store key = Hash.fnv1a64 (Filesystem.read store key)
-end)
+end
+
+module Checker = Profile_checker.Make (Store)
 
 type t = Checker.t
 

@@ -3,6 +3,10 @@
     rover's image data-store). An instantiation of {!Profile_checker}
     with FNV-1a content fingerprints. *)
 
+module Store : Profile_checker.ITEM_STORE with type store = Filesystem.t
+(** The view of the store the checker scans: the sorted paths, and the
+    FNV-1a hash of a file's content as its fingerprint. *)
+
 type t
 
 val create : Filesystem.t -> n_regions:int -> t

@@ -42,7 +42,7 @@ let default_profile () =
     m "uio_pdrv_genirq" 3700 0x7f0a0000;
     m "fixed" 3000 0x7f0b0000 ]
 
-module Checker = Profile_checker.Make (struct
+module Store = struct
   type store = table
 
   let keys t = List.map (fun m -> m.m_name) t.mods
@@ -54,7 +54,9 @@ module Checker = Profile_checker.Make (struct
         Hash.fnv1a64_list
           [ m.m_name; string_of_int m.m_size; Int64.to_string m.m_addr;
             m.m_signature ]
-end)
+end
+
+module Checker = Profile_checker.Make (Store)
 
 type t = Checker.t
 

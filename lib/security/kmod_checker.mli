@@ -33,6 +33,12 @@ val default_profile : unit -> module_info list
 (** A realistic baseline of modules a Raspbian-like kernel loads
     (names from the rover platform: GPIO, camera, WiFi, ...). *)
 
+module Store : Profile_checker.ITEM_STORE with type store = table
+(** The view of the table the checker scans: module names as keys, in
+    table order (a duplicated name appears once per entry), and the
+    hash of a module's name, size, address and signature as its
+    fingerprint. *)
+
 type t
 (** The checker: expected profile plus region split. *)
 

@@ -17,68 +17,66 @@ let pp_violation ppf = function
   | Added k -> Format.fprintf ppf "added:%s" k
   | Removed k -> Format.fprintf ppf "removed:%s" k
 
+module Keys = Map.Make (String)
+
 module Make (S : ITEM_STORE) = struct
+  (* The baseline, grouped by region: [groups.(r)] maps every baseline
+     key of region [r] to its fingerprint. A region check touches only
+     its own group, never the rest of the baseline. *)
   type t = {
     store : S.store;
     n_regions : int;
-    baseline : (string, int64) Hashtbl.t;
+    groups : int64 Keys.t array;
   }
 
   let region_of_key_raw n_regions key =
     Int64.to_int (Int64.rem (Int64.logand (Hash.fnv1a64 key) Int64.max_int)
                     (Int64.of_int n_regions))
 
-  let snapshot store n_regions baseline =
-    Hashtbl.reset baseline;
+  let rebaseline t =
+    Array.fill t.groups 0 t.n_regions Keys.empty;
     List.iter
-      (fun key -> Hashtbl.replace baseline key (S.fingerprint store key))
-      (S.keys store);
-    ignore n_regions
+      (fun key ->
+        let r = region_of_key_raw t.n_regions key in
+        t.groups.(r) <- Keys.add key (S.fingerprint t.store key) t.groups.(r))
+      (S.keys t.store)
 
   let create store ~n_regions =
     if n_regions < 1 then invalid_arg "Profile_checker.create: n_regions < 1";
-    let baseline = Hashtbl.create 64 in
-    snapshot store n_regions baseline;
-    { store; n_regions; baseline }
+    let t = { store; n_regions; groups = Array.make n_regions Keys.empty } in
+    rebaseline t;
+    t
 
   let n_regions t = t.n_regions
   let region_of_key t key = region_of_key_raw t.n_regions key
 
   let check_region t region =
+    let group = t.groups.(region) in
     let current =
       List.filter (fun k -> region_of_key t k = region) (S.keys t.store)
     in
-    let seen = Hashtbl.create 16 in
     let live_violations =
       List.filter_map
         (fun key ->
-          Hashtbl.replace seen key ();
-          match Hashtbl.find_opt t.baseline key with
+          match Keys.find_opt key group with
           | None -> Some (Added key)
           | Some fp ->
               if S.fingerprint t.store key <> fp then Some (Modified key)
               else None)
         current
     in
-    let removed =
-      (* Hash-bucket order is safe here: the concatenation below is
-         sorted before it escapes (rule D3, doc/STATIC_ANALYSIS.md). *)
-      (Hashtbl.fold
-         (fun key _ acc ->
-           if region_of_key t key = region && not (Hashtbl.mem seen key) then
-             Removed key :: acc
-           else acc)
-         t.baseline [] [@lint.allow "D3"])
-    in
+    (* What is left of the group once every live key is taken out. *)
+    let gone = List.fold_left (fun g key -> Keys.remove key g) group current in
+    let removed = Keys.fold (fun key _ acc -> Removed key :: acc) gone [] in
     List.sort compare (live_violations @ removed)
 
   let check_all t =
     List.concat_map (check_region t) (List.init t.n_regions (fun r -> r))
 
-  let rebaseline t = snapshot t.store t.n_regions t.baseline
-
   let accept t ~key =
-    if List.mem key (S.keys t.store) then
-      Hashtbl.replace t.baseline key (S.fingerprint t.store key)
-    else Hashtbl.remove t.baseline key
+    let r = region_of_key t key in
+    t.groups.(r) <-
+      (if List.mem key (S.keys t.store) then
+         Keys.add key (S.fingerprint t.store key) t.groups.(r)
+       else Keys.remove key t.groups.(r))
 end

@@ -42,7 +42,9 @@ module Make (S : ITEM_STORE) : sig
   (** Deterministic region of a key (stable across adds/removes). *)
 
   val check_region : t -> int -> violation list
-  (** Rescans one region against the baseline. *)
+  (** Rescans one region against the baseline. The baseline is kept
+      grouped by region, so the check reads only this region's part
+      of it; it still fingerprints every live item of the region. *)
 
   val check_all : t -> violation list
   (** Full pass over every region, in region order. *)

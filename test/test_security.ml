@@ -33,6 +33,31 @@ let test_hash_list_order_sensitive () =
   check_bool "order matters" true
     (Hash.fnv1a64_list [ "a"; "b" ] <> Hash.fnv1a64_list [ "b"; "a" ])
 
+let test_hash_known_answers () =
+  (* The published FNV-1a 64 test vectors: determinism and inequality
+     alone would pass a kernel that computed some other function. *)
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check int64) (Printf.sprintf "fnv1a64 %S" input) expected
+        (Hash.fnv1a64 input))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L) ]
+
+let test_hash_allocates_only_result () =
+  (* The kernel's accumulator must stay unboxed: hashing a 4 KiB image
+     may allocate the boxed result and nothing per byte. *)
+  let image = String.make 4096 'x' in
+  ignore (Sys.opaque_identity (Hash.fnv1a64 image));
+  let calls = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Hash.fnv1a64 image))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  check_bool
+    (Printf.sprintf "at most 8 minor words per call (got %.1f)" per_call)
+    true (per_call <= 8.0)
+
 (* ------------------------------------------------------------------ *)
 (* Filesystem *)
 
@@ -137,6 +162,189 @@ let test_checker_region_partition () =
       check_bool "region in range" true
         (r >= 0 && r < Integrity_checker.n_regions checker))
     (Filesystem.list_paths fs)
+
+(* ------------------------------------------------------------------ *)
+(* Region-indexed checker vs. the flat-baseline reference
+   (test/oracle/naive_checker.ml), over the very store views the
+   production checkers scan. After every operation every region's
+   report must be identical. *)
+
+module Naive_fs = Hydra_oracle.Naive_checker.Make (Integrity_checker.Store)
+module Naive_kmod = Hydra_oracle.Naive_checker.Make (Kmod_checker.Store)
+module Names = Set.Make (String)
+
+let regions_agree ~n_regions check oracle =
+  List.for_all (fun r -> check r = oracle r) (List.init n_regions Fun.id)
+
+(* Operations on the image store. [int] arguments pick a name from a
+   small pool (so adds collide and accepts may name absent files) or a
+   live file by position; [seed] makes distinct contents. *)
+type fs_op =
+  | Fs_add of int * int
+  | Fs_write of int * int
+  | Fs_append of int * int
+  | Fs_remove of int
+  | Fs_tamper of int
+  | Fs_accept of int
+  | Fs_rebaseline
+
+let fs_name i = Printf.sprintf "f%02d.raw" i
+
+let print_fs_op = function
+  | Fs_add (i, seed) -> Printf.sprintf "add %s #%d" (fs_name i) seed
+  | Fs_write (i, seed) -> Printf.sprintf "write live[%d] #%d" i seed
+  | Fs_append (i, seed) -> Printf.sprintf "append live[%d] #%d" i seed
+  | Fs_remove i -> Printf.sprintf "remove live[%d]" i
+  | Fs_tamper i -> Printf.sprintf "tamper live[%d]" i
+  | Fs_accept i -> Printf.sprintf "accept %s" (fs_name i)
+  | Fs_rebaseline -> "rebaseline"
+
+let gen_fs_op =
+  let open QCheck.Gen in
+  let name = int_range 0 11 and pick = int_range 0 63 and seed = int_range 0 99 in
+  frequency
+    [ (3, map2 (fun i s -> Fs_add (i, s)) name seed);
+      (2, map2 (fun i s -> Fs_write (i, s)) pick seed);
+      (2, map2 (fun i s -> Fs_append (i, s)) pick seed);
+      (2, map (fun i -> Fs_remove i) pick);
+      (2, map (fun i -> Fs_tamper i) pick);
+      (2, map (fun i -> Fs_accept i) name);
+      (1, return Fs_rebaseline) ]
+
+let arb_fs_script =
+  QCheck.make
+    ~print:(fun (images, n_regions, ops) ->
+      Printf.sprintf "images=%d regions=%d [%s]" images n_regions
+        (String.concat "; " (List.map print_fs_op ops)))
+    QCheck.Gen.(
+      triple (int_range 0 10) (int_range 1 6)
+        (list_size (int_range 1 40) gen_fs_op))
+
+let prop_fs_checker_matches_oracle =
+  Test_util.qtest ~count:200 "image checker = oracle"
+    arb_fs_script (fun (images, n_regions, ops) ->
+      let fs = Filesystem.create () in
+      Filesystem.populate_images fs ~count:images ~bytes_per_file:16;
+      let checker = Integrity_checker.create fs ~n_regions in
+      let oracle = Naive_fs.create fs ~n_regions in
+      let live =
+        ref (Names.of_list (List.init images (Printf.sprintf "img_%04d.raw")))
+      in
+      let nth_live i =
+        match Names.elements !live with
+        | [] -> None
+        | names -> Some (List.nth names (i mod List.length names))
+      in
+      let apply = function
+        | Fs_add (i, seed) ->
+            Filesystem.add_file fs (fs_name i) (Printf.sprintf "add#%d" seed);
+            live := Names.add (fs_name i) !live
+        | Fs_write (i, seed) ->
+            Option.iter
+              (fun p -> Filesystem.write fs p (Printf.sprintf "write#%d" seed))
+              (nth_live i)
+        | Fs_append (i, seed) ->
+            Option.iter
+              (fun p -> Filesystem.append fs p (Printf.sprintf "+%d" seed))
+              (nth_live i)
+        | Fs_remove i ->
+            Option.iter
+              (fun p ->
+                Filesystem.remove fs p;
+                live := Names.remove p !live)
+              (nth_live i)
+        | Fs_tamper i ->
+            Option.iter (Integrity_checker.tamper_file fs) (nth_live i)
+        | Fs_accept i ->
+            Integrity_checker.accept checker ~key:(fs_name i);
+            Naive_fs.accept oracle ~key:(fs_name i)
+        | Fs_rebaseline ->
+            Integrity_checker.rebaseline checker;
+            Naive_fs.rebaseline oracle
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          Filesystem.list_paths fs = Names.elements !live
+          && regions_agree ~n_regions
+               (Integrity_checker.check_region checker)
+               (Naive_fs.check_region oracle))
+        ops)
+
+(* Operations on the kernel-module table; names come from a pool that
+   overlaps the default profile, so an insert can duplicate a name. *)
+type kmod_op =
+  | Km_insert of int * int
+  | Km_hide of int
+  | Km_patch of int * int
+  | Km_accept of int
+  | Km_rebaseline
+
+let kmod_pool =
+  [| "brcmfmac"; "cfg80211"; "fixed"; "v4l2_common"; "rk_hook"; "rk_net" |]
+
+let print_kmod_op = function
+  | Km_insert (i, size) -> Printf.sprintf "insert %s/%d" kmod_pool.(i) size
+  | Km_hide i -> Printf.sprintf "hide %s" kmod_pool.(i)
+  | Km_patch (i, size) -> Printf.sprintf "patch %s/%d" kmod_pool.(i) size
+  | Km_accept i -> Printf.sprintf "accept %s" kmod_pool.(i)
+  | Km_rebaseline -> "rebaseline"
+
+let gen_kmod_op =
+  let open QCheck.Gen in
+  let name = int_range 0 (Array.length kmod_pool - 1)
+  and size = int_range 1 9 in
+  frequency
+    [ (3, map2 (fun i s -> Km_insert (i, s)) name size);
+      (2, map (fun i -> Km_hide i) name);
+      (2, map2 (fun i s -> Km_patch (i, s)) name size);
+      (2, map (fun i -> Km_accept i) name);
+      (1, return Km_rebaseline) ]
+
+let arb_kmod_script =
+  QCheck.make
+    ~print:(fun (n_regions, ops) ->
+      Printf.sprintf "regions=%d [%s]" n_regions
+        (String.concat "; " (List.map print_kmod_op ops)))
+    QCheck.Gen.(pair (int_range 1 6) (list_size (int_range 1 30) gen_kmod_op))
+
+let prop_kmod_checker_matches_oracle =
+  Test_util.qtest ~count:200 "kmod checker = oracle"
+    arb_kmod_script (fun (n_regions, ops) ->
+      let table = Kmod_checker.create_table (Kmod_checker.default_profile ()) in
+      let checker = Kmod_checker.create table ~n_regions in
+      let oracle = Naive_kmod.create table ~n_regions in
+      let present name =
+        List.exists
+          (fun m -> m.Kmod_checker.m_name = name)
+          (Kmod_checker.modules table)
+      in
+      let apply = function
+        | Km_insert (i, size) ->
+            Kmod_checker.insert_module table
+              { Kmod_checker.m_name = kmod_pool.(i); m_size = size * 1000;
+                m_addr = Int64.of_int (0x7f100000 + size);
+                m_signature = "unsigned" }
+        | Km_hide i ->
+            if present kmod_pool.(i) then
+              Kmod_checker.hide_module table kmod_pool.(i)
+        | Km_patch (i, size) ->
+            if present kmod_pool.(i) then
+              Kmod_checker.patch_module table kmod_pool.(i) ~size
+        | Km_accept i ->
+            Kmod_checker.accept checker ~key:kmod_pool.(i);
+            Naive_kmod.accept oracle ~key:kmod_pool.(i)
+        | Km_rebaseline ->
+            Kmod_checker.rebaseline checker;
+            Naive_kmod.rebaseline oracle
+      in
+      List.for_all
+        (fun op ->
+          apply op;
+          regions_agree ~n_regions
+            (Kmod_checker.check_region checker)
+            (Naive_kmod.check_region oracle))
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Kernel-module checker *)
@@ -753,6 +961,44 @@ let test_rover_stores () =
     (List.length (Kmod_checker.default_profile ()))
     (List.length (Kmod_checker.modules table))
 
+let test_rover_image_stores_isolated () =
+  (* Stores share the image bytes but not the map: mutating one store
+     must leave every other store, old or new, reading the originals. *)
+  let first = Rover.image_store () in
+  let second = Rover.image_store () in
+  let original = Filesystem.read second "img_0007.raw" in
+  let second_checker =
+    Integrity_checker.create second ~n_regions:Rover.image_regions
+  in
+  Integrity_checker.tamper_file first "img_0007.raw";
+  Filesystem.append first "img_0008.raw" "<appended>";
+  Filesystem.remove first "img_0009.raw";
+  let third = Rover.image_store () in
+  List.iter
+    (fun (label, fs) ->
+      check_int (label ^ ": image count") Rover.image_regions
+        (Filesystem.file_count fs);
+      Alcotest.(check string) (label ^ ": original bytes") original
+        (Filesystem.read fs "img_0007.raw");
+      check_int (label ^ ": total bytes") (Rover.image_regions * 4096)
+        (Filesystem.total_bytes fs))
+    [ ("second", second); ("third", third) ];
+  check_int "second store checks clean" 0
+    (List.length (Integrity_checker.check_all second_checker));
+  check_int "third store checks clean" 0
+    (List.length
+       (Integrity_checker.check_all
+          (Integrity_checker.create third ~n_regions:Rover.image_regions)));
+  (* the share is keyed on the whole shape, count and size *)
+  List.iter
+    (fun (images, bytes_per_image) ->
+      let fs = Rover.image_store ~images ~bytes_per_image () in
+      let shape = Printf.sprintf "%d x %d B" images bytes_per_image in
+      check_int (shape ^ ": count") images (Filesystem.file_count fs);
+      check_int (shape ^ ": bytes") (images * bytes_per_image)
+        (Filesystem.total_bytes fs))
+    [ (Rover.image_regions, 64); (8, 64); (8, 4096) ]
+
 let test_rover_extended_taskset () =
   let base = Rover.taskset () in
   let ext = Rover.extended_taskset () in
@@ -783,7 +1029,10 @@ let () =
         [ Alcotest.test_case "deterministic" `Quick test_hash_deterministic;
           Alcotest.test_case "discriminates" `Quick test_hash_discriminates;
           Alcotest.test_case "list order sensitive" `Quick
-            test_hash_list_order_sensitive ] );
+            test_hash_list_order_sensitive;
+          Alcotest.test_case "known answers" `Quick test_hash_known_answers;
+          Alcotest.test_case "allocates only the result" `Quick
+            test_hash_allocates_only_result ] );
       ( "filesystem",
         [ Alcotest.test_case "crud" `Quick test_fs_crud;
           Alcotest.test_case "errors on missing" `Quick
@@ -811,6 +1060,8 @@ let () =
             test_kmod_detects_patching;
           Alcotest.test_case "hide missing raises" `Quick
             test_kmod_hide_missing_raises ] );
+      ( "checker_oracle",
+        [ prop_fs_checker_matches_oracle; prop_kmod_checker_matches_oracle ] );
       ( "intrusion",
         [ Alcotest.test_case "time-ordered application" `Quick
             test_intrusion_applies_in_time_order ] );
@@ -884,4 +1135,6 @@ let () =
           Alcotest.test_case "stores" `Quick test_rover_stores;
           Alcotest.test_case "extended taskset" `Quick
             test_rover_extended_taskset;
-          Alcotest.test_case "table 1 catalog" `Quick test_catalog_table1 ] ) ]
+          Alcotest.test_case "table 1 catalog" `Quick test_catalog_table1;
+          Alcotest.test_case "image stores isolated" `Quick
+            test_rover_image_stores_isolated ] ) ]
