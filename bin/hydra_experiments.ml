@@ -16,17 +16,11 @@ let profile_arg =
 let stream_arg =
   Arg.(value & opt (some string) None
        & info [ "metrics-stream" ] ~docv:"FILE"
-           ~doc:"Append a time series of metrics deltas (JSONL, one                  hydra_c.metrics_delta/1 object per line) to FILE: one line                  per phase boundary, plus one every --stream-period-ms if                  set, plus a final line. Folding the whole stream                  reconstructs the full snapshot exactly ('hydra_c obs-report                  FILE' does). Implies collection; stdout is unaffected.")
-
-let stream_period_arg =
-  Arg.(value & opt int 0 & info [ "stream-period-ms" ] ~docv:"MS"
-         ~doc:"With --metrics-stream, also tick the stream every MS                milliseconds from a background domain (0, the default,                disables periodic ticks — phase boundaries still tick).")
+           ~doc:"Append a time series of metrics deltas (JSONL, one                  hydra_c.metrics_delta/1 object per line) to FILE: one line                  per phase boundary plus a final line. Folding the whole                  stream reconstructs the full snapshot exactly ('hydra_c                  obs-report FILE' does). Implies collection; stdout is                  unaffected.")
 
 (* The observability context of one command invocation: the registry
    (if any collection was requested) plus the open JSONL metrics
-   stream (--metrics-stream). Phase boundaries tick the stream, so a
-   stream without --stream-period-ms still gets one delta line per
-   phase. *)
+   stream (--metrics-stream), which every phase boundary ticks. *)
 type obs_ctx = {
   oc_obs : Hydra_obs.t option;
   oc_stream : Hydra_obs.Snapshot.Stream.stream option;
@@ -52,8 +46,8 @@ let slug label =
    stays clean (doc/STATIC_ANALYSIS.md). Each phase is also a real
    [phase.<slug>] span in the registry (span {e counts} are
    deterministic, so snapshots stay byte-identical; durations are only
-   exported under --trace-out / include_timings) and a tick of the
-   metrics stream, labelled with the phase. *)
+   exported under --trace-out) and a tick of the metrics stream,
+   labelled with the phase. *)
 let timed ?(ctx = no_ctx) ~jobs label f =
   let t0 = Hydra_obs.now_ns () in
   let r = Hydra_obs.span ctx.oc_obs ("phase." ^ slug label) f in
@@ -73,7 +67,7 @@ let metrics_arg =
 let trace_out_arg =
   Arg.(value & opt (some string) None
        & info [ "trace-out" ] ~docv:"FILE"
-           ~doc:"Write the spans of the run (and, for fig5, the simulated                  per-core schedule) as Chrome trace-event JSON to FILE                  (open in Perfetto or chrome://tracing). Implies                  collection; stdout is unaffected.")
+           ~doc:"Write the spans of the run (and, for fig5, the simulated                  per-core schedule; for serve, every request's span tree                  with cross-domain flow arrows) as Chrome trace-event JSON                  to FILE (open in Perfetto or chrome://tracing). Implies                  collection; stdout and --metrics-out are unaffected.")
 
 let metrics_out_arg =
   Arg.(value & opt (some string) None
@@ -89,18 +83,16 @@ let metrics_out_arg =
    [sched_log], when given (fig5 + --trace-out), contributes the
    simulated schedule as a second Perfetto process (pid 1) in the same
    trace file; --profile-runtime contributes the OCaml runtime's GC
-   rows as a third (pid 2) and flips the registry into profiling mode
+   rows as a third (pid 2) and creates the registry in profiling mode
    (pool scheduling metrics, GC histograms — nondeterministic, outside
    the snapshot contract; doc/OBSERVABILITY.md). *)
-let with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile ~stream
-    ~stream_period f =
+let with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile ~stream f =
   if
     (not metrics) && (not profile) && trace_out = None && metrics_out = None
     && stream = None
   then f no_ctx
   else begin
-    let obs = Hydra_obs.create () in
-    if profile then Hydra_obs.enable_profiling obs;
+    let obs = Hydra_obs.create ~profile () in
     let profiler =
       if not profile then None
       else
@@ -116,19 +108,8 @@ let with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile ~stream
       Option.map (fun path -> Hydra_obs.Snapshot.Stream.create obs ~path)
         stream
     in
-    let ticker =
-      match st with
-      | Some s when stream_period > 0 ->
-          Some
-            (Hydra_obs.Ticker.start ~period_ms:stream_period (fun () ->
-                 Hydra_obs.Snapshot.Stream.tick s))
-      | _ -> None
-    in
     Fun.protect
       ~finally:(fun () ->
-        (match ticker with
-        | Some tk -> Hydra_obs.Ticker.stop tk
-        | None -> ());
         (* stop the profiler before the final stream tick / snapshot so
            the last drained GC events are included *)
         (match profiler with
@@ -232,7 +213,7 @@ let export dat_dir f =
       Format.printf "[export] wrote %s@." path
 
 let run_fig5 jobs seed trials horizon deployment dat_dir metrics
-    trace_out metrics_out profile stream stream_period =
+    trace_out metrics_out profile stream =
   (* The schedule log only exists when a trace file was requested; it
      records trial 0's HYDRA-C run on the rover's cores. *)
   let sched_log =
@@ -243,7 +224,6 @@ let run_fig5 jobs seed trials horizon deployment dat_dir metrics
         Some (Sim.Event_log.create ~n_cores:ts.Rtsched.Task.n_cores)
   in
   with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile ~stream
-    ~stream_period
   @@ fun ctx ->
   let obs = ctx.oc_obs in
   let report =
@@ -267,8 +247,8 @@ let sweeps ~ctx jobs policy seed per_group cores =
     cores
 
 let run_fig6 jobs policy seed per_group cores dat_dir metrics trace_out
-    metrics_out profile stream stream_period =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
+    metrics_out profile stream =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
   @@ fun ctx ->
   sweeps ~ctx jobs policy seed per_group cores
   |> List.iter (fun sweep ->
@@ -278,8 +258,8 @@ let run_fig6 jobs policy seed per_group cores dat_dir metrics trace_out
   export dat_dir (fun ~dir -> Experiments.Dat_export.gnuplot_script ~dir ~cores)
 
 let run_fig7 which jobs policy seed per_group cores dat_dir metrics
-    trace_out metrics_out profile stream stream_period =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
+    trace_out metrics_out profile stream =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
   @@ fun ctx ->
   sweeps ~ctx jobs policy seed per_group cores
   |> List.iter (fun sweep ->
@@ -299,8 +279,8 @@ let run_fig7 which jobs policy seed per_group cores dat_dir metrics
   export dat_dir (fun ~dir -> Experiments.Dat_export.gnuplot_script ~dir ~cores)
 
 let run_ablation jobs seed per_group cores metrics trace_out metrics_out
-    profile stream stream_period =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
+    profile stream =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
   @@ fun ctx ->
   let obs = ctx.oc_obs in
   timed ~ctx ~jobs "ablation" (fun () ->
@@ -365,8 +345,8 @@ let run_analyze policy file =
             (Hydra.Sensitivity.analyze ~policy sys ts.Rtsched.Task.sec))
 
 let run_report jobs seed trials per_group cores out metrics trace_out
-    metrics_out profile stream stream_period =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
+    metrics_out profile stream =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
   @@ fun ctx ->
   let obs = ctx.oc_obs in
   let scale =
@@ -379,8 +359,8 @@ let run_report jobs seed trials per_group cores out metrics trace_out
   Format.printf "wrote %s@." out
 
 let run_validate jobs policy seed tasksets cores metrics trace_out
-    metrics_out profile stream stream_period =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
+    metrics_out profile stream =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
   @@ fun ctx ->
   let obs = ctx.oc_obs in
   List.iter
@@ -397,8 +377,8 @@ let run_validate jobs policy seed tasksets cores metrics trace_out
     cores
 
 let run_all jobs policy seed trials horizon per_group cores
-    dat_dir metrics trace_out metrics_out profile stream stream_period =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
+    dat_dir metrics trace_out metrics_out profile stream =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
   @@ fun ctx ->
   let obs = ctx.oc_obs in
   let t0 = Hydra_obs.now_ns () in
@@ -439,9 +419,8 @@ let run_all jobs policy seed trials horizon per_group cores
    [hydra-experiments --jobs 4 --metrics --trace-out t.json] exercises
    and exports every metric family while keeping stdout identical to a
    plain [hydra-experiments --jobs 1] run. *)
-let run_smoke jobs metrics trace_out metrics_out profile stream
-    stream_period =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
+let run_smoke jobs metrics trace_out metrics_out profile stream =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
   @@ fun ctx ->
   let obs = ctx.oc_obs in
   Format.printf "[smoke] fixed-scale smoke workload (M=2, seed 42)@.";
@@ -466,25 +445,25 @@ let cmd_fig5 =
   Cmd.v (Cmd.info "fig5" ~doc:"Rover detection-latency experiment (Fig. 5).")
     Term.(const run_fig5 $ jobs_arg $ seed_arg $ trials_arg
           $ horizon_arg $ deploy_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
+          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg)
 
 let cmd_fig6 =
   Cmd.v (Cmd.info "fig6" ~doc:"Period-distance sweep (Fig. 6).")
     Term.(const run_fig6 $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
+          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg)
 
 let cmd_fig7a =
   Cmd.v (Cmd.info "fig7a" ~doc:"Acceptance-ratio sweep (Fig. 7a).")
     Term.(const (run_fig7 `A) $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
+          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg)
 
 let cmd_fig7b =
   Cmd.v (Cmd.info "fig7b" ~doc:"Period-difference sweep (Fig. 7b).")
     Term.(const (run_fig7 `B) $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
+          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg)
 
 let tasksets_arg =
   Arg.(value & opt int 100 & info [ "tasksets" ] ~docv:"N"
@@ -511,7 +490,7 @@ let cmd_report =
        ~doc:"Regenerate every artifact and write a Markdown report.")
     Term.(const run_report $ jobs_arg $ seed_arg $ trials_arg $ per_group_arg
           $ cores_arg $ out_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
+          $ metrics_out_arg $ profile_arg $ stream_arg)
 
 let cmd_validate =
   Cmd.v
@@ -520,7 +499,7 @@ let cmd_validate =
              simulator (soundness + tightness).")
     Term.(const run_validate $ jobs_arg $ policy_arg $ seed_arg
           $ tasksets_arg $ cores_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
+          $ metrics_out_arg $ profile_arg $ stream_arg)
 
 let cmd_ablation =
   Cmd.v
@@ -529,14 +508,14 @@ let cmd_ablation =
              order.")
     Term.(const run_ablation $ jobs_arg $ seed_arg $ per_group_arg
           $ cores_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
+          $ metrics_out_arg $ profile_arg $ stream_arg)
 
 let cmd_all =
   Cmd.v (Cmd.info "all" ~doc:"Everything: tables, figures, ablations.")
     Term.(const run_all $ jobs_arg $ policy_arg $ seed_arg $ trials_arg
           $ horizon_arg $ per_group_arg $ cores_arg $ dat_dir_arg
           $ metrics_arg $ trace_out_arg $ metrics_out_arg $ profile_arg
-          $ stream_arg $ stream_period_arg)
+          $ stream_arg)
 
 (* --------------------------------------------------------------- *)
 (* obs-report: offline consumer of the snapshot artifacts.
@@ -672,14 +651,13 @@ let cmd_obs_report =
 (* ------------------------------------------------------------------ *)
 (* serve: the online admission-control daemon (doc/SERVER.md) *)
 
-let run_serve socket jobs cache_capacity max_batch trace_sample_rate
-    slow_request_ms flight_out metrics trace_out metrics_out profile stream
-    stream_period =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream ~stream_period
+let run_serve socket jobs cache_capacity max_batch slow_request_ms
+    flight_out metrics trace_out metrics_out profile stream =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
     (fun ctx ->
       let config =
         { Hydra_server.Daemon.socket_path = socket; jobs; cache_capacity;
-          max_batch; trace_sample_rate; slow_request_ms;
+          max_batch; trace = trace_out <> None; slow_request_ms;
           flight_path = flight_out }
       in
       let log = Hydra_obs.Log.create () in
@@ -708,11 +686,6 @@ let max_batch_arg =
        & info [ "max-batch" ] ~docv:"N"
            ~doc:"Most frames drained into one engine batch. A lockstep                  client always gets one-request batches; a pipelining                  client gets up to N concurrent updates coalesced per                  tenant.")
 
-let trace_sample_rate_arg =
-  Arg.(value & opt float 0.0
-       & info [ "trace-sample-rate" ] ~docv:"RATE"
-           ~doc:"Trace this fraction of requests end to end (0.0 = off,                  the default; 1.0 = every request; 0.01 = every 100th).                  Sampling is deterministic in the request sequence. Sampled                  requests become parent-linked span trees with cross-domain                  flow arrows in --trace-out; at rate 0, --metrics-out and                  --trace-out are byte-identical to an untraced run                  (doc/OBSERVABILITY.md).")
-
 let slow_request_ms_arg =
   Arg.(value & opt int 0
        & info [ "slow-request-ms" ] ~docv:"MS"
@@ -728,13 +701,13 @@ let cmd_serve =
     (Cmd.info "serve"
        ~doc:"Run the admission-control daemon: tenant systems stay resident                (workload caches, warm-start state, last selection) and                reconfiguration requests (RT/security task arrive/leave,                core-count change, re-select) stream over a Unix-domain                socket speaking length-prefixed hydra_c.server/1 JSON                (doc/SERVER.md). Stop it with a 'shutdown' request. Scrape                it live with 'hydra_c obs-report --connect SOCKET'; send                SIGUSR1 for a flight-recorder dump.")
     Term.(const run_serve $ socket_arg $ jobs_arg $ cache_capacity_arg
-          $ max_batch_arg $ trace_sample_rate_arg $ slow_request_ms_arg
+          $ max_batch_arg $ slow_request_ms_arg
           $ flight_out_arg $ metrics_arg $ trace_out_arg $ metrics_out_arg
-          $ profile_arg $ stream_arg $ stream_period_arg)
+          $ profile_arg $ stream_arg)
 
 let smoke_term =
   Term.(const run_smoke $ jobs_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg $ stream_period_arg)
+          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg)
 
 let () =
   let info =

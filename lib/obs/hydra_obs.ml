@@ -1,58 +1,10 @@
 external now_ns : unit -> int = "hydra_obs_monotonic_ns" [@@noalloc]
 
-(* Blocking nanosleep that releases the runtime lock (so a sleeping
-   ticker domain never stalls a stop-the-world collection of the
+(* Blocking nanosleep that releases the runtime lock (so the sleeping
+   Runtime poll domain never stalls a stop-the-world collection of the
    workers it is observing). Not [@@noalloc]: the stub enters a
    blocking section. *)
 external sleep_ns : int -> unit = "hydra_obs_sleep_ns"
-
-(* ------------------------------------------------------------------ *)
-(* Ticker: a background domain calling [f] every [period_ms].
-
-   Used for the periodic halves of the profiling layer — draining the
-   Runtime_events rings before they overflow, and appending JSONL
-   snapshot deltas for long-running commands. The callback runs on the
-   ticker's own domain, so everything it touches must be domain-safe
-   (registry recording and [Snapshot.Stream.tick] both are). [stop]
-   joins the domain: it returns only after the last tick has finished,
-   and re-raises any exception the callback escaped with.
-
-   Ticks are aligned to period boundaries: tick k fires at
-   [start + k * period], not [period] after the previous callback
-   returned, so callback time does not accumulate as drift — N ticks
-   span ~N*period regardless of how long [f] takes (boundaries the
-   callback overran are skipped, never replayed in a burst). *)
-
-module Ticker = struct
-  type ticker = { tk_stop : bool Atomic.t; tk_domain : unit Domain.t }
-
-  let start ~period_ms f =
-    if period_ms < 1 then invalid_arg "Ticker.start: period_ms < 1";
-    let tk_stop = Atomic.make false in
-    let period_ns = period_ms * 1_000_000 in
-    let t0 = now_ns () in
-    let tk_domain =
-      Domain.spawn (fun () ->
-          let next = ref (t0 + period_ns) in
-          while not (Atomic.get tk_stop) do
-            let now = now_ns () in
-            if now < !next then sleep_ns (!next - now);
-            if not (Atomic.get tk_stop) then f ();
-            (* next boundary strictly after this tick's — skips any
-               boundary the callback ran past instead of firing late;
-               the [max] guards against a marginally-early sleep return
-               double-firing the same boundary *)
-            let after = Stdlib.max (now_ns ()) !next in
-            let k = 1 + ((after - t0) / period_ns) in
-            next := t0 + (k * period_ns)
-          done)
-    in
-    { tk_stop; tk_domain }
-
-  let stop tk =
-    Atomic.set tk.tk_stop true;
-    Domain.join tk.tk_domain
-end
 
 (* ------------------------------------------------------------------ *)
 (* Request-scoped trace contexts.
@@ -62,14 +14,9 @@ end
    from one process-wide atomic counter so ids are unique across
    registries and domains. Contexts are immutable values: propagating
    one across a queue or into a pool worker is just passing it along,
-   and [child] forks a new span id under the current one.
-
-   Sampling is deterministic in the request sequence (every k-th minted
-   request for rate 1/k), not random: reruns of the same workload trace
-   the same requests, and rate 0.0 never allocates a context at all —
-   which is how the default daemon configuration keeps the PR 2/5
-   byte-identical --metrics-out contract (trace events live outside the
-   snapshot; see [chrome_trace]). *)
+   and [child] forks a new span id under the current one. A daemon
+   without --trace-out never mints one, and trace events live outside
+   the snapshot either way (see [chrome_trace]). *)
 
 module Trace_ctx = struct
   type t = { trace_id : int; span_id : int; parent_id : int }
@@ -82,22 +29,6 @@ module Trace_ctx = struct
     { trace_id = id; span_id = id; parent_id = 0 }
 
   let child ctx = { ctx with span_id = fresh_id (); parent_id = ctx.span_id }
-
-  type sampler = { s_every : int; s_count : int Atomic.t }
-
-  let sampler ~rate =
-    let every =
-      if not (rate > 0.0) then 0
-      else if rate >= 1.0 then 1
-      else int_of_float (Float.round (1.0 /. rate))
-    in
-    { s_every = every; s_count = Atomic.make 0 }
-
-  let sample s =
-    if s.s_every = 0 then None
-    else
-      let n = Atomic.fetch_and_add s.s_count 1 in
-      if n mod s.s_every = 0 then Some (root ()) else None
 end
 
 (* ------------------------------------------------------------------ *)
@@ -329,33 +260,24 @@ let hist_read h =
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
+(* One store for every event [chrome_trace] renders. [span] records
+   [Plain] events; [trace_span]/[trace_emit] record [Request] spans and
+   [flow_begin]/[flow_end] the two flow halves, all for traced requests
+   only. None of them is in the snapshot tables, so a run with tracing
+   enabled still produces a byte-identical --metrics-out (only
+   --trace-out grows). *)
+type event_kind =
+  | Plain
+  | Request of Trace_ctx.t
+  | Flow of { id : int; start : bool }  (* start = "s", else "f" *)
+
 type event = {
   ev_name : string;
   ev_domain : int;
   ev_start_ns : int;  (* relative to the registry's creation *)
-  ev_dur_ns : int;
+  ev_dur_ns : int;  (* 0 for flow halves *)
+  ev_kind : event_kind;
 }
-
-(* Request-scoped trace events live in their own list, never in the
-   snapshot tables: a run with tracing enabled still produces a
-   byte-identical --metrics-out (only --trace-out grows). *)
-type trace_event =
-  | Tr_span of {
-      tr_name : string;
-      tr_domain : int;
-      tr_start_ns : int;  (* relative to the registry's creation *)
-      tr_dur_ns : int;
-      tr_trace : int;
-      tr_span : int;
-      tr_parent : int;
-    }
-  | Tr_flow of {
-      fl_name : string;
-      fl_domain : int;
-      fl_ts_ns : int;
-      fl_id : int;
-      fl_start : bool;  (* true = flow start ("s"), false = end ("f") *)
-    }
 
 type t = {
   id : int;
@@ -366,13 +288,19 @@ type t = {
   hists : (string, hist) Hashtbl.t;
   spans : (string, dist) Hashtbl.t;
   events : event list Atomic.t;
-  traces : trace_event list Atomic.t;
-  profiling : bool Atomic.t;
+  profiling : bool;
 }
 
 let next_id = Atomic.make 0
 
-let create () =
+(* Profiling is fixed when a registry is created: metrics that are
+   inherently nondeterministic — wall-clock pool scheduling numbers,
+   GC pauses — are recorded only on a [~profile:true] registry, so a
+   plain --metrics/--metrics-out run keeps the
+   byte-identical-across---jobs snapshot contract and a
+   --profile-runtime run knowingly trades it away
+   (doc/OBSERVABILITY.md). *)
+let create ?(profile = false) () =
   { id = Atomic.fetch_and_add next_id 1;
     epoch_ns = now_ns ();
     mu = Mutex.create ();
@@ -381,22 +309,9 @@ let create () =
     hists = Hashtbl.create 16;
     spans = Hashtbl.create 16;
     events = Atomic.make [];
-    traces = Atomic.make [];
-    profiling = Atomic.make false }
+    profiling = profile }
 
-(* Profiling is an opt-in sub-capability of a registry: metrics that
-   are inherently nondeterministic — wall-clock pool scheduling
-   numbers, GC pauses — are recorded only when the registry has it
-   enabled, so a plain --metrics/--metrics-out run keeps the
-   byte-identical-across---jobs snapshot contract and a
-   --profile-runtime run knowingly trades it away
-   (doc/OBSERVABILITY.md). *)
-
-let enable_profiling t = Atomic.set t.profiling true
-
-let profiling_enabled = function
-  | None -> false
-  | Some t -> Atomic.get t.profiling
+let profiling_enabled = function None -> false | Some t -> t.profiling
 
 (* Per-domain handle caches: name resolution takes the registry mutex
    only on a domain's first use of a metric; afterwards the lookup is a
@@ -456,80 +371,60 @@ let sample obs name v =
   | Some t ->
       hist_record (resolve hist_cache t.hists t.mu ~make:make_hist t.id name) v
 
-let push_event t ev =
+let push_event t ~name ~start_ns ~dur_ns kind =
+  let ev =
+    { ev_name = name; ev_domain = (Domain.self () :> int);
+      ev_start_ns = start_ns - t.epoch_ns; ev_dur_ns = dur_ns; ev_kind = kind }
+  in
   let rec go () =
     let cur = Atomic.get t.events in
     if not (Atomic.compare_and_set t.events cur (ev :: cur)) then go ()
   in
   go ()
 
+(* Runs [f] and hands its start and duration to [finish], also when [f]
+   raises (the exception is re-raised). *)
+let timed f finish =
+  let t0 = now_ns () in
+  match f () with
+  | v ->
+      finish t0 (now_ns () - t0);
+      v
+  | exception e ->
+      finish t0 (now_ns () - t0);
+      raise e
+
 let span obs name f =
   match obs with
   | None -> f ()
   | Some t ->
       let d = resolve span_cache t.spans t.mu ~make:make_dist t.id name in
-      let t0 = now_ns () in
-      let finish () =
-        let dur = now_ns () - t0 in
-        dist_record d dur;
-        push_event t
-          { ev_name = name; ev_domain = (Domain.self () :> int);
-            ev_start_ns = t0 - t.epoch_ns; ev_dur_ns = dur }
-      in
-      (match f () with
-      | v ->
-          finish ();
-          v
-      | exception e ->
-          finish ();
-          raise e)
+      timed f (fun start_ns dur_ns ->
+          dist_record d dur_ns;
+          push_event t ~name ~start_ns ~dur_ns Plain)
 
 (* Request-scoped tracing: all no-ops unless both the registry and the
-   context are present, so unsampled requests (and the default
-   --trace-sample-rate 0.0) pay only two option tests. Unlike [span],
-   nothing here touches the span aggregates — trace events are visible
-   only through [chrome_trace]. *)
-
-let push_trace t tev =
-  let rec go () =
-    let cur = Atomic.get t.traces in
-    if not (Atomic.compare_and_set t.traces cur (tev :: cur)) then go ()
-  in
-  go ()
+   context are present, so an untraced request pays only two option
+   tests. Unlike [span], nothing here touches the span aggregates —
+   trace events are visible only through [chrome_trace]. *)
 
 let trace_emit obs ctx name ~start_ns ~dur_ns =
   match (obs, ctx) with
-  | Some t, Some (c : Trace_ctx.t) ->
-      push_trace t
-        (Tr_span
-           { tr_name = name; tr_domain = (Domain.self () :> int);
-             tr_start_ns = start_ns - t.epoch_ns; tr_dur_ns = dur_ns;
-             tr_trace = c.trace_id; tr_span = c.span_id;
-             tr_parent = c.parent_id })
+  | Some t, Some c -> push_event t ~name ~start_ns ~dur_ns (Request c)
   | _ -> ()
 
 let trace_span obs ctx name f =
   match (obs, ctx) with
-  | None, _ | _, None -> f ()
-  | Some _, Some _ ->
-      let t0 = now_ns () in
-      let finish () = trace_emit obs ctx name ~start_ns:t0 ~dur_ns:(now_ns () - t0) in
-      (match f () with
-      | v ->
-          finish ();
-          v
-      | exception e ->
-          finish ();
-          raise e)
+  | Some t, Some c ->
+      timed f (fun start_ns dur_ns ->
+          push_event t ~name ~start_ns ~dur_ns (Request c))
+  | _ -> f ()
 
 let flow_point obs ctx name ~start =
   match (obs, ctx) with
   | Some t, Some (c : Trace_ctx.t) ->
-      push_trace t
-        (Tr_flow
-           { fl_name = name; fl_domain = (Domain.self () :> int);
-             fl_ts_ns = now_ns () - t.epoch_ns; fl_id = c.trace_id;
-             fl_start = start })
+      push_event t ~name ~start_ns:(now_ns ()) ~dur_ns:0
+        (Flow { id = c.trace_id; start })
   | _ -> ()
 
 let flow_begin obs ctx name = flow_point obs ctx name ~start:true
@@ -608,25 +503,19 @@ let counter_total t name =
       | Some c -> counter_read c
       | None -> 0)
 
-let events t =
-  Atomic.get t.events
+(* Oldest first by start time; the sort is stable, so events with
+   equal timestamps keep their recording order. *)
+let sorted_events t =
+  List.rev (Atomic.get t.events)
   |> List.sort (fun a b ->
          match Int.compare a.ev_start_ns b.ev_start_ns with
-         | 0 -> (
-             match Int.compare a.ev_domain b.ev_domain with
-             | 0 -> String.compare a.ev_name b.ev_name
-             | c -> c)
+         | 0 -> Int.compare a.ev_domain b.ev_domain
          | c -> c)
 
-let trace_key = function
-  | Tr_span s -> (s.tr_start_ns, s.tr_domain, s.tr_span, 0)
-  | Tr_flow f -> (f.fl_ts_ns, f.fl_domain, f.fl_id, if f.fl_start then 1 else 2)
-
-let trace_events t =
-  Atomic.get t.traces
-  |> List.sort (fun a b -> compare (trace_key a) (trace_key b))
-
-let trace_count t = List.length (Atomic.get t.traces)
+let trace_count t =
+  List.fold_left
+    (fun n e -> match e.ev_kind with Plain -> n | Request _ | Flow _ -> n + 1)
+    0 (Atomic.get t.events)
 
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
@@ -707,70 +596,48 @@ let json_escape s =
   Buffer.contents b
 
 (* Chrome trace-event format (the JSON array flavour understood by
-   Perfetto and chrome://tracing): one "X" complete event per span with
-   microsecond timestamps, tid = the recording domain's id, plus
-   process/thread metadata events. Viewers reconstruct span nesting
-   from containment of [ts, ts+dur] intervals on the same tid.
-
-   Request-scoped trace events share the file: each sampled request's
-   spans are "X" events (category "request") carrying trace/span/parent
-   ids in their args, and each cross-domain handoff is an "s"/"f" flow
-   pair keyed by the trace id — Perfetto draws the arrow from the
+   Perfetto and chrome://tracing): process/thread metadata, then one
+   event per stored event with microsecond timestamps and tid = the
+   recording domain's id. A plain span is an "X" complete event of
+   category "span"; viewers reconstruct nesting from containment of
+   [ts, ts+dur] intervals on the same tid. A traced request's span is
+   an "X" event of category "request" carrying trace/span/parent ids
+   in its args, and each cross-domain handoff is an "s"/"f" flow pair
+   keyed by the trace id — Perfetto draws the arrow from the
    dispatching domain's row to the executing worker's. *)
 let chrome_trace ?(extra = []) t =
-  let evs = events t in
-  let trs = trace_events t in
+  let evs = sorted_events t in
+  let us ns = float_of_int ns /. 1e3 in
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   Buffer.add_string b
     "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"hydra\"}}";
-  let tids =
-    List.sort_uniq Int.compare
-      (List.map (fun e -> e.ev_domain) evs
-      @ List.map
-          (function Tr_span s -> s.tr_domain | Tr_flow f -> f.fl_domain)
-          trs)
-  in
   List.iter
     (fun tid ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"domain %d\"}}"
-           tid tid))
-    tids;
+      Printf.bprintf b
+        ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"domain %d\"}}"
+        tid tid)
+    (List.sort_uniq Int.compare (List.map (fun e -> e.ev_domain) evs));
   List.iter
     (fun e ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
-           (json_escape e.ev_name) e.ev_domain
-           (float_of_int e.ev_start_ns /. 1e3)
-           (float_of_int e.ev_dur_ns /. 1e3)))
+      let cat, ph =
+        match e.ev_kind with
+        | Plain -> ("span", "\"X\"")
+        | Request _ -> ("request", "\"X\"")
+        | Flow { start = true; _ } -> ("request", "\"s\"")
+        | Flow { start = false; _ } -> ("request", "\"f\",\"bp\":\"e\"")
+      in
+      Printf.bprintf b
+        ",{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":%s,\"pid\":0,\"tid\":%d,\"ts\":%.3f"
+        (json_escape e.ev_name) cat ph e.ev_domain (us e.ev_start_ns);
+      match e.ev_kind with
+      | Plain -> Printf.bprintf b ",\"dur\":%.3f}" (us e.ev_dur_ns)
+      | Request c ->
+          Printf.bprintf b
+            ",\"dur\":%.3f,\"args\":{\"trace\":%d,\"span\":%d,\"parent\":%d}}"
+            (us e.ev_dur_ns) c.trace_id c.span_id c.parent_id
+      | Flow { id; _ } -> Printf.bprintf b ",\"id\":%d}" id)
     evs;
-  List.iter
-    (fun tev ->
-      Buffer.add_string b
-        (match tev with
-        | Tr_span s ->
-            Printf.sprintf
-              ",{\"name\":\"%s\",\"cat\":\"request\",\"ph\":\"X\",\"pid\":0,\
-               \"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\
-               \"args\":{\"trace\":%d,\"span\":%d,\"parent\":%d}}"
-              (json_escape s.tr_name) s.tr_domain
-              (float_of_int s.tr_start_ns /. 1e3)
-              (float_of_int s.tr_dur_ns /. 1e3)
-              s.tr_trace s.tr_span s.tr_parent
-        | Tr_flow f ->
-            Printf.sprintf
-              ",{\"name\":\"%s\",\"cat\":\"request\",\"ph\":\"%s\",%s\"pid\":0,\
-               \"tid\":%d,\"ts\":%.3f,\"id\":%d}"
-              (json_escape f.fl_name)
-              (if f.fl_start then "s" else "f")
-              (if f.fl_start then "" else "\"bp\":\"e\",")
-              f.fl_domain
-              (float_of_int f.fl_ts_ns /. 1e3)
-              f.fl_id))
-    trs;
   (* Extra pre-rendered events (e.g. a simulated schedule from
      Sim.Event_log, attributed to its own pid) share the file. *)
   List.iter
@@ -815,16 +682,6 @@ module Flight = struct
     | Slow
     | Error
 
-  let kind_name = function
-    | Accept -> "accept"
-    | Decode -> "decode"
-    | Coalesce -> "coalesce"
-    | Shard -> "shard"
-    | Select -> "select"
-    | Reply -> "reply"
-    | Slow -> "slow"
-    | Error -> "error"
-
   let kind_code = function
     | Accept -> 0
     | Decode -> 1
@@ -835,16 +692,14 @@ module Flight = struct
     | Slow -> 6
     | Error -> 7
 
-  let name_of_code = function
-    | 0 -> "accept"
-    | 1 -> "decode"
-    | 2 -> "coalesce"
-    | 3 -> "shard"
-    | 4 -> "select"
-    | 5 -> "reply"
-    | 6 -> "slow"
-    | 7 -> "error"
-    | _ -> "torn"  (* a dump raced a writer over this slot *)
+  (* indexed by [kind_code] *)
+  let kind_names =
+    [| "accept"; "decode"; "coalesce"; "shard"; "select"; "reply"; "slow";
+       "error" |]
+
+  let name_of_code c =
+    if c >= 0 && c < Array.length kind_names then kind_names.(c)
+    else "torn"  (* a dump raced a writer over this slot *)
 
   let width = 5  (* ts, kind, tenant, a, b *)
 
@@ -1023,49 +878,6 @@ module Log = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Sliding-window histograms: a ring of per-epoch histograms. [record]
-   feeds the current epoch; [rotate] advances the ring, discarding the
-   oldest epoch — so [merged] always aggregates the last [epochs]
-   rotations' worth of samples and old outliers age out instead of
-   polluting a cumulative quantile forever. Single-writer by design
-   (the daemon owns one window per tenant on its own domain); cheap
-   enough to rotate per batch. *)
-
-module Window = struct
-  type t = {
-    w_epochs : Histogram.t array;
-    mutable w_cur : int;
-    mutable w_rotations : int;
-  }
-
-  let create ?(epochs = 8) () =
-    { w_epochs = Array.init (Stdlib.max 2 epochs) (fun _ -> Histogram.create ());
-      w_cur = 0;
-      w_rotations = 0 }
-
-  let epochs t = Array.length t.w_epochs
-  let rotations t = t.w_rotations
-  let record t v = Histogram.record t.w_epochs.(t.w_cur) v
-
-  let rotate t =
-    t.w_rotations <- t.w_rotations + 1;
-    t.w_cur <- (t.w_cur + 1) mod Array.length t.w_epochs;
-    (* the slot we are entering holds the oldest epoch: drop it *)
-    t.w_epochs.(t.w_cur) <- Histogram.create ()
-
-  let merged t =
-    let out = Histogram.create () in
-    Array.iter (fun h -> Histogram.merge_into ~into:out h) t.w_epochs;
-    out
-
-  let count t = Array.fold_left (fun acc h -> acc + Histogram.count h) 0 t.w_epochs
-
-  let quantile t q =
-    let m = merged t in
-    if Histogram.count m = 0 then None else Some (Histogram.quantile m q)
-end
-
-(* ------------------------------------------------------------------ *)
 (* Machine-readable metrics snapshot (--metrics-out) *)
 
 module Snapshot = struct
@@ -1074,13 +886,12 @@ module Snapshot = struct
 
   let schema = "hydra_c.metrics/1"
 
-  (* Stable schema, sorted keys, deterministic values only by default:
-     counters, distributions and histograms are pure functions of the
-     analytical work (identical for every --jobs value), while span
-     durations are wall-clock noise — those are included only with
-     [include_timings], so two snapshots of the same workload diff
-     clean across job counts. *)
-  let to_json ?(include_timings = false) t =
+  (* Stable schema, sorted keys, deterministic values only: counters,
+     distributions and histograms are pure functions of the analytical
+     work (identical for every --jobs value), and spans contribute only
+     their counts — their durations are wall-clock noise — so two
+     snapshots of the same workload diff clean across job counts. *)
+  let to_json t =
     let b = Buffer.create 4096 in
     let obj_of b render items =
       Buffer.add_char b '{';
@@ -1131,19 +942,15 @@ module Snapshot = struct
     Buffer.add_string b ",\"spans\":";
     obj_of b
       (fun b (s : span_view) ->
-        if include_timings then
-          Printf.bprintf b "\"%s\":{\"count\":%d,\"total_ns\":%d,\"max_ns\":%d}"
-            (json_escape s.sv_name) s.sv_count s.sv_total_ns s.sv_max_ns
-        else
-          Printf.bprintf b "\"%s\":{\"count\":%d}" (json_escape s.sv_name)
-            s.sv_count)
+        Printf.bprintf b "\"%s\":{\"count\":%d}" (json_escape s.sv_name)
+          s.sv_count)
       (span_stats t);
     Buffer.add_string b "}";
     Buffer.contents b
 
-  let write ?include_timings t ~path =
+  let write t ~path =
     Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (to_json ?include_timings t);
+        Out_channel.output_string oc (to_json t);
         Out_channel.output_char oc '\n')
 
   (* ---------------------------------------------------------------- *)
@@ -1155,10 +962,9 @@ module Snapshot = struct
      which keeps lines small for long-running commands and makes the
      fold over a stream reproduce the full snapshot exactly
      (Obs_report.of_string; round-trip tested in
-     test/test_obs_report.ml). Ticks may come from any domain (the
-     phase boundaries of the CLI, or a Ticker): a mutex serializes
-     them, and the registry reads they perform are the same
-     stripe-summing reads every exporter uses. *)
+     test/test_obs_report.ml). Ticks may come from any domain: a
+     mutex serializes them, and the registry reads they perform are
+     the same stripe-summing reads every exporter uses. *)
 
   (* The delta computation is its own layer so two consumers can share
      it: [Stream] appends lines to a file (--metrics-stream), and the
@@ -1336,8 +1142,8 @@ end
 (* Runtime profiling: OCaml 5 Runtime_events -> the registry + trace.
 
    [Runtime.start] turns on the runtime's per-domain event rings and
-   attaches a self cursor. A Ticker domain drains the rings every
-   [poll_ms] (so bursts of GC activity don't overflow a ring between
+   attaches a self cursor. A poll domain drains the rings every
+   [poll_ns] (so bursts of GC activity don't overflow a ring between
    phase boundaries; overflows that happen anyway surface as the
    [runtime.events.lost] counter). Each top-level GC phase folds into
    the registry — [gc.minor_pause_ns]/[gc.major_pause_ns] histograms
@@ -1364,6 +1170,7 @@ module Runtime = struct
      keep accumulating regardless); beyond it, slices are dropped and
      counted in [runtime.trace.dropped]. *)
   let max_slices = 500_000
+  let poll_ns = 10_000_000
 
   type profiler = {
     p_reg : t;
@@ -1375,7 +1182,8 @@ module Runtime = struct
     mutable p_n_slices : int;
     mutable p_instants : instant list;
     mutable p_callbacks : RE.Callbacks.t;
-    mutable p_ticker : Ticker.ticker option;
+    p_halt : bool Atomic.t;  (* tells the poll domain to exit *)
+    mutable p_poller : unit Domain.t option;
     mutable p_stopped : bool;
   }
 
@@ -1467,7 +1275,7 @@ module Runtime = struct
         if not p.p_stopped then
           ignore (RE.read_poll p.p_cursor p.p_callbacks None))
 
-  let start ?(poll_ms = 10) reg =
+  let start reg =
     match
       RE.start ();
       RE.create_cursor None
@@ -1478,18 +1286,25 @@ module Runtime = struct
           { p_reg = reg; p_obs = Some reg; p_cursor = cursor;
             p_mu = Mutex.create (); p_stacks = Hashtbl.create 8;
             p_slices = []; p_n_slices = 0; p_instants = [];
-            p_callbacks = RE.Callbacks.create (); p_ticker = None;
-            p_stopped = false }
+            p_callbacks = RE.Callbacks.create (); p_halt = Atomic.make false;
+            p_poller = None; p_stopped = false }
         in
         p.p_callbacks <- make_callbacks p;
-        p.p_ticker <- Some (Ticker.start ~period_ms:(max 1 poll_ms) (fun () -> poll p));
+        p.p_poller <-
+          Some
+            (Domain.spawn (fun () ->
+                 while not (Atomic.get p.p_halt) do
+                   sleep_ns poll_ns;
+                   poll p
+                 done));
         Some p
 
   let stop p =
-    (match p.p_ticker with
-    | Some tk ->
-        p.p_ticker <- None;
-        Ticker.stop tk
+    Atomic.set p.p_halt true;
+    (match p.p_poller with
+    | Some d ->
+        p.p_poller <- None;
+        Domain.join d
     | None -> ());
     poll p;
     Mutex.protect p.p_mu (fun () ->

@@ -30,24 +30,18 @@ type t
 (** A metrics registry plus span sink. Create one per instrumented run
     and thread it (as [Some t]) through the [?obs] parameters. *)
 
-val create : unit -> t
-
-(** {1 Profiling opt-in}
-
-    Some metrics are inherently nondeterministic — wall-clock pool
-    scheduling numbers ({!Parallel.Pool}), GC pause histograms
-    ({!Runtime}). Those are recorded only on a registry with profiling
-    enabled, so a default run keeps the byte-identical-across-[--jobs]
+val create : ?profile:bool -> unit -> t
+(** A fresh registry. Some metrics are inherently nondeterministic —
+    wall-clock pool scheduling numbers ({!Parallel.Pool}), GC pause
+    histograms ({!Runtime}), the daemon's latency histograms. Those are
+    recorded only on a registry created with [~profile:true] (default
+    [false]), so a default run keeps the byte-identical-across-[--jobs]
     snapshot contract and [--profile-runtime] knowingly trades it away
     (doc/OBSERVABILITY.md). *)
 
-val enable_profiling : t -> unit
-(** Irreversibly mark this registry as accepting nondeterministic
-    (profiling-class) metrics. *)
-
 val profiling_enabled : t option -> bool
-(** [false] on [None] and on registries without {!enable_profiling} —
-    the guard instrumentation sites check before recording a
+(** [false] on [None] and on registries created without [~profile:true]
+    — the guard instrumentation sites check before recording a
     profiling-class metric. *)
 
 (** {1 Log-bucketed histograms}
@@ -114,33 +108,6 @@ val now_ns : unit -> int
     allocation-free; the zero point is unspecified (time since boot),
     so only differences are meaningful. *)
 
-(** {1 Periodic callbacks} *)
-
-(** A background domain invoking a callback at a fixed period — the
-    clockwork behind {!Runtime.start}'s ring polling and the CLI's
-    [--stream-period-ms] JSONL ticks. The callback runs on the ticker's
-    own domain, so it must only touch domain-safe state (registry
-    recording and {!Snapshot.Stream.tick} both qualify). The sleep
-    releases the OCaml runtime lock, so an idle ticker never delays a
-    stop-the-world collection of the domains it observes. *)
-module Ticker : sig
-  type ticker
-
-  val start : period_ms:int -> (unit -> unit) -> ticker
-  (** Spawn the ticker domain; [f] runs every [period_ms] milliseconds
-      until {!stop}. Ticks are aligned to period boundaries
-      ([start + k * period]) rather than scheduled [period] after the
-      previous callback returned, so callback time never accumulates as
-      drift: N ticks span ~N×period (tested in test/test_obs.ml).
-      Boundaries the callback overruns are skipped, not replayed.
-      @raise Invalid_argument if [period_ms < 1]. *)
-
-  val stop : ticker -> unit
-  (** Stop and join the domain: returns only after any in-flight
-      callback has finished, re-raising an exception the callback
-      escaped with. *)
-end
-
 (** {1 Recording}
 
     All functions are no-ops when the first argument is [None]. Metric
@@ -176,16 +143,17 @@ val span : t option -> string -> (unit -> 'a) -> 'a
 (** {1 Request-scoped tracing}
 
     Causal tracing for the admission daemon's serving path
-    (doc/SERVER.md): the daemon mints a {!Trace_ctx.t} per sampled
-    request, and every pipeline stage that touches the request wraps
-    its work in {!trace_span} with a {!Trace_ctx.child} of the incoming
-    context. Trace events are kept apart from the metric tables — they
-    appear only in {!chrome_trace} (category ["request"], with
+    (doc/SERVER.md): under [--trace-out] the daemon mints a
+    {!Trace_ctx.t} per request, and every pipeline stage that touches
+    the request wraps its work in {!trace_span} with a
+    {!Trace_ctx.child} of the incoming context. Trace events share the
+    store of {!span}'s events but not the metric tables — they appear
+    only in {!chrome_trace} (category ["request"], with
     trace/span/parent ids in the event args, plus "s"/"f" flow pairs
     for cross-domain handoffs) and never in a {!Snapshot} — so enabling
     tracing leaves [--metrics-out] byte-identical. All recording
     functions are no-ops unless {e both} the registry and the context
-    are present: an unsampled request pays two option tests. *)
+    are present: an untraced request pays two option tests. *)
 
 module Trace_ctx : sig
   type t = { trace_id : int; span_id : int; parent_id : int }
@@ -200,18 +168,6 @@ module Trace_ctx : sig
   val child : t -> t
   (** Fork a sub-span: fresh [span_id], [parent_id] = the argument's
       [span_id], same [trace_id]. *)
-
-  type sampler
-
-  val sampler : rate:float -> sampler
-  (** Deterministic head sampler for [--trace-sample-rate]: rate 0 (or
-      less) never samples, rate ≥ 1 samples every request, and a
-      fractional rate samples every [round (1/rate)]-th request — a
-      pure function of the request sequence number, so reruns of the
-      same workload trace the same requests. *)
-
-  val sample : sampler -> t option
-  (** Count one request; [Some (root ())] iff this one is sampled. *)
 end
 
 val trace_span : t option -> Trace_ctx.t option -> string -> (unit -> 'a) -> 'a
@@ -239,7 +195,8 @@ val flow_end : t option -> Trace_ctx.t option -> string -> unit
     between the two domains' rows. *)
 
 val trace_count : t -> int
-(** Number of request-trace events (spans + flow halves) recorded. *)
+(** Number of request-trace events (request spans + flow halves)
+    recorded; {!span}'s plain events are not counted. *)
 
 (** {1 Reading}
 
@@ -267,13 +224,6 @@ type span_view = {
   sv_max_ns : int;
 }
 
-type event = {
-  ev_name : string;
-  ev_domain : int;  (** id of the domain that recorded the span *)
-  ev_start_ns : int;  (** relative to the registry's creation *)
-  ev_dur_ns : int;
-}
-
 val counters : t -> counter_view list
 val dists : t -> dist_view list
 val span_stats : t -> span_view list
@@ -286,9 +236,6 @@ val hists : t -> hist_view list
 val counter_total : t -> string -> int
 (** Total of one counter; [0] if it was never touched. *)
 
-val events : t -> event list
-(** All span events in chronological order of their start. *)
-
 (** {1 Exporters} *)
 
 val pp_summary : Format.formatter -> t -> unit
@@ -297,14 +244,15 @@ val pp_summary : Format.formatter -> t -> unit
     byte-identical to an uninstrumented run. *)
 
 val chrome_trace : ?extra:string list -> t -> string
-(** The span events as Chrome trace-event JSON
-    ([{"traceEvents": [...]}], "X" complete events, microsecond
-    timestamps, tid = recording domain) — open in
-    {{:https://ui.perfetto.dev}Perfetto} or chrome://tracing.
-    Request-scoped trace events recorded via {!trace_span} /
-    {!flow_begin} follow the span events: "X" events of category
-    ["request"] with [{"trace","span","parent"}] args, and "s"/"f"
-    flow pairs (id = trace id) that render as arrows across domain
+(** Every recorded event as Chrome trace-event JSON
+    ([{"traceEvents": [...]}], microsecond timestamps, tid = recording
+    domain, ordered by start time) — open in
+    {{:https://ui.perfetto.dev}Perfetto} or chrome://tracing. Each
+    event appears once: a {!span} as an "X" event of category ["span"]
+    without args, a {!trace_span}/{!trace_emit} as an "X" event of
+    category ["request"] with [{"trace","span","parent"}] args, and
+    {!flow_begin}/{!flow_end} as "s"/"f" halves of category
+    ["request"] (id = trace id) that render as arrows across domain
     rows. [extra] appends pre-rendered trace-event objects (one JSON
     object per string, no separators) to the event array — how the
     simulated schedule from {!Sim.Event_log} shares the file with the
@@ -323,9 +271,10 @@ val write_chrome_trace : ?extra:string list -> t -> path:string -> unit
     stores fill it), so the daemon leaves it on in its default
     configuration; {!Flight.dump} renders the surviving events as
     [hydra_c.flight/1] JSONL, triggered on crash, SIGUSR1, or a request
-    exceeding [--slow-request-ms]. Dumping concurrently with writers is
-    best-effort: a slot overwritten mid-read can tear (such events
-    render with kind ["torn"]). *)
+    exceeding [--slow-request-ms]. [Hydra_server.Engine] owns the
+    daemon's ring. Dumping concurrently with writers is best-effort: a
+    slot overwritten mid-read can tear (such events render with kind
+    ["torn"]). *)
 module Flight : sig
   type t
 
@@ -341,8 +290,6 @@ module Flight : sig
     | Reply  (** response sent; [a] = latency ns, [b] = status code *)
     | Slow  (** batch exceeded --slow-request-ms; [a] = duration ns *)
     | Error  (** connection/protocol failure *)
-
-  val kind_name : kind -> string
 
   val create : ?capacity:int -> unit -> t
   (** Ring of [capacity] events (default 4096; rounded up to a power of
@@ -404,35 +351,6 @@ module Log : sig
   val emitted : t -> int
 end
 
-(** {1 Sliding-window histograms}
-
-    A ring of per-epoch {!Histogram}s for per-tenant SLO tracking:
-    {!Window.record} feeds the current epoch, {!Window.rotate} advances
-    the ring and discards the oldest epoch, and {!Window.quantile}
-    aggregates the surviving epochs — a p99 over the recent past
-    instead of the whole process lifetime, so old outliers age out.
-    Single-writer (the daemon owns one window per tenant); not
-    domain-safe. *)
-module Window : sig
-  type t
-
-  val create : ?epochs:int -> unit -> t
-  (** Ring of [epochs] histograms (default 8, floored at 2). *)
-
-  val record : t -> int -> unit
-  val rotate : t -> unit
-  val epochs : t -> int
-  val rotations : t -> int
-  val count : t -> int
-  (** Samples currently inside the window. *)
-
-  val merged : t -> Histogram.t
-  (** Fresh merge of the surviving epochs. *)
-
-  val quantile : t -> float -> int option
-  (** [None] while the window is empty. *)
-end
-
 (** {1 Metrics snapshot}
 
     Machine-readable export of the whole registry — the [--metrics-out]
@@ -451,20 +369,19 @@ module Snapshot : sig
       not JSON. Every float serialized into a snapshot goes through
       this. *)
 
-  val to_json : ?include_timings:bool -> t -> string
+  val to_json : t -> string
   (** One JSON object: ["schema"], ["counters"] (name → total),
       ["dists"] (name → count/sum/min/max/mean), ["histograms"] (name →
       count/sum/min/max/mean, p50/p95/p99/max quantiles, and the
       occupied bucket array as [{"le","count"}] pairs), ["spans"] (name
-      → count). Keys are sorted, and every value included by default is
-      deterministic — a pure function of the analytical work — so
-      snapshots of the same workload are byte-identical for every
-      [--jobs] value (tested in test/test_obs.ml, gated in CI).
-      [include_timings] (default [false]) adds wall-clock
-      [total_ns]/[max_ns] to the span entries, which breaks that
-      diffability. *)
+      → count). Keys are sorted, and every value is deterministic — a
+      pure function of the analytical work; span durations are left to
+      {!chrome_trace} — so snapshots of the same workload are
+      byte-identical for every [--jobs] value (tested in
+      test/test_obs.ml, gated in CI) unless the registry records
+      profiling-class metrics. *)
 
-  val write : ?include_timings:bool -> t -> path:string -> unit
+  val write : t -> path:string -> unit
   (** {!to_json} plus a trailing newline to a file.
       @raise Sys_error on I/O failure. *)
 
@@ -497,8 +414,8 @@ module Snapshot : sig
   (** Time-series snapshots: the [--metrics-stream] backend. Each
       {!Stream.tick} appends one {!Delta.line} (plus newline) to the
       file. Metrics that did not move since the previous tick are
-      omitted from the line. Safe to tick from any domain (e.g. a
-      {!Ticker}); ticks are serialized internally. *)
+      omitted from the line. Safe to tick from any domain; ticks are
+      serialized internally. *)
   module Stream : sig
     val schema : string
     (** ["hydra_c.metrics_delta/1"]. *)
@@ -537,21 +454,22 @@ end
 module Runtime : sig
   type profiler
 
-  val start : ?poll_ms:int -> t -> profiler option
+  val start : t -> profiler option
   (** Enable runtime event collection and attach a self cursor; spawns
-      a {!Ticker} that drains the rings every [poll_ms] (default 10)
-      milliseconds so they don't overflow during long phases. [None]
-      when [Runtime_events] is unavailable in this runtime — callers
-      degrade to no runtime profiling. *)
+      a domain that drains the rings every 10 ms so they don't overflow
+      during long phases (its sleep releases the runtime lock, so it
+      never delays a stop-the-world collection). [None] when
+      [Runtime_events] is unavailable in this runtime — callers degrade
+      to no runtime profiling. *)
 
   val poll : profiler -> unit
   (** Drain pending events now (also happens periodically and in
       {!stop}). *)
 
   val stop : profiler -> unit
-  (** Stop the poll ticker, drain a final time, free the cursor and
-      pause runtime event collection. The profiler's collected slices
-      remain readable; further [poll]s are no-ops. *)
+  (** Stop and join the poll domain, drain a final time, free the
+      cursor and pause runtime event collection. The profiler's
+      collected slices remain readable; further [poll]s are no-ops. *)
 
   val slice_count : profiler -> int
   (** Number of trace slices collected so far (capped; overflow is

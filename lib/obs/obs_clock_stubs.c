@@ -18,11 +18,11 @@ CAMLprim value hydra_obs_monotonic_ns(value unit)
 
 /* Sleep for a given number of nanoseconds.
 
-   Used by Hydra_obs.Ticker (the profiling poll loop and the JSONL
-   snapshot-stream ticker). The runtime lock is released around the
-   nanosleep so a sleeping ticker domain never stalls a stop-the-world
-   minor collection of the worker domains — which is the whole reason
-   this is a C stub rather than a busy loop. Interrupted sleeps
+   Used by the poll loop of Hydra_obs.Runtime. The runtime lock is
+   released around the nanosleep so the sleeping poll domain never
+   stalls a stop-the-world minor collection of the worker domains —
+   which is the whole reason this is a C stub rather than a busy
+   loop. Interrupted sleeps
    (EINTR) resume until the deadline passes. */
 
 #include <caml/signals.h>

@@ -5,24 +5,24 @@
    {!Engine}, not in connection handling.
 
    Observability plumbing lives here too: trace contexts are minted
-   per request at accept and ride through the engine, every batch
-   drops breadcrumbs into the always-on flight recorder, and the
-   [obs_snapshot]/[obs_stream] protocol ops are answered from the
-   live registry without touching it. *)
+   per request at accept (when tracing is on) and ride through the
+   engine, every batch drops breadcrumbs into the engine's always-on
+   flight recorder, and the [obs_snapshot]/[obs_stream] protocol ops
+   are answered from the live registry without touching it. *)
 
 type config = {
   socket_path : string;
   jobs : int;
   cache_capacity : int;
   max_batch : int;
-  trace_sample_rate : float;
+  trace : bool;
   slow_request_ms : int;
   flight_path : string option;
 }
 
 let default_config ~socket_path =
-  { socket_path; jobs = 1; cache_capacity = 0; max_batch = 64;
-    trace_sample_rate = 0.0; slow_request_ms = 0; flight_path = None }
+  { socket_path; jobs = 1; cache_capacity = 0; max_batch = 64; trace = false;
+    slow_request_ms = 0; flight_path = None }
 
 (* SIGUSR1 only sets this flag; the dump itself runs on the accept
    loop at the next safe point (between batches or on an interrupted
@@ -33,13 +33,11 @@ let dump_requested = Atomic.make false
 type server = {
   engine : Engine.t;
   obs : Hydra_obs.t option;
-  flight : Hydra_obs.Flight.t;
-  sampler : Hydra_obs.Trace_ctx.sampler option;  (* None = tracing off *)
+  flight : Hydra_obs.Flight.t;  (* the engine's ring *)
+  trace : bool;
   log : Hydra_obs.Log.t;
   slow_ns : int;  (* 0 = slow-request detection off *)
   flight_file : string;
-  slo : (string, Hydra_obs.Window.t) Hashtbl.t;
-  mutable batches_seen : int;  (* drives SLO window rotation *)
 }
 
 (* Per-connection state: the connection counter is lazy (bumped at the
@@ -50,8 +48,6 @@ type conn = {
   mutable counted : bool;
   mutable delta : Hydra_obs.Snapshot.Delta.tracker option;
 }
-
-let slo_rotate_every = 16  (* batches per SLO window epoch *)
 
 let dump_flight srv ~reason =
   match Hydra_obs.Flight.dump_to srv.flight ~path:srv.flight_file with
@@ -141,46 +137,17 @@ let obs_stream_resp srv cn (q : Protocol.request) =
       Protocol.ok ~id:q.q_id ~tenant:q.q_tenant
         (Metrics (Hydra_obs.Snapshot.Delta.line tracker))
 
-let slo_window srv tenant =
-  match Hashtbl.find_opt srv.slo tenant with
-  | Some w -> w
-  | None ->
-      let w = Hydra_obs.Window.create () in
-      Hashtbl.add srv.slo tenant w;
-      w
-
-(* Rotate every tenant's SLO window each [slo_rotate_every] batches,
-   warning (rate-limited) about tenants whose sliding p99 exceeds the
-   slow-request threshold before their oldest epoch ages out. *)
-let slo_tick srv =
-  srv.batches_seen <- srv.batches_seen + 1;
-  if srv.batches_seen mod slo_rotate_every = 0 then
-    Hashtbl.fold (fun tenant w acc -> (tenant, w) :: acc) srv.slo []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.iter (fun (tenant, w) ->
-           (match Hydra_obs.Window.quantile w 0.99 with
-           | Some p99 when srv.slow_ns > 0 && p99 > srv.slow_ns ->
-               Hydra_obs.Log.log srv.log "tenant_slo_breach"
-                 [ ("tenant", tenant); ("p99_ns", string_of_int p99);
-                   ("threshold_ns", string_of_int srv.slow_ns);
-                   ("samples", string_of_int (Hydra_obs.Window.count w)) ]
-           | _ -> ());
-           Hydra_obs.Window.rotate w)
-
 let handle_batch srv cn payloads =
   let obs = srv.obs in
   let profile = Hydra_obs.profiling_enabled obs in
   let t0 = Hydra_obs.now_ns () in
   Hydra_obs.Flight.record srv.flight ~ts:t0 ~kind:Hydra_obs.Flight.Accept
     ~tenant:(-1) ~a:(List.length payloads) ~b:0;
-  (* trace contexts are minted here, at accept, one sampling decision
-     per request — daemon-level ops included *)
+  (* trace contexts are minted here, at accept, one per request —
+     daemon-level ops included *)
   let ctxs =
     List.map
-      (fun _ ->
-        match srv.sampler with
-        | None -> None
-        | Some s -> Hydra_obs.Trace_ctx.sample s)
+      (fun _ -> if srv.trace then Some (Hydra_obs.Trace_ctx.root ()) else None)
       payloads
   in
   let decoded =
@@ -219,8 +186,8 @@ let handle_batch srv cn payloads =
     ref
       (if engine_reqs = [] then []
        else
-         Engine.exec_batch ~ctxs:(Array.of_list engine_ctxs)
-           ~flight:srv.flight srv.engine engine_reqs)
+         Engine.exec_batch ~ctxs:(Array.of_list engine_ctxs) srv.engine
+           engine_reqs)
   in
   let next_engine_resp () =
     match !engine_resps with
@@ -256,18 +223,17 @@ let handle_batch srv cn payloads =
     ctxs responses;
   if profile then begin
     List.iter (fun _ -> Hydra_obs.sample obs "server.latency" dt) payloads;
-    (* per-tenant SLO signals: registry histograms/counters for the
-       scrape path, daemon-local sliding windows for breach warnings.
-       Both carry wall-clock, so both sit behind the profiling gate —
-       default snapshots stay byte-identical across --jobs. *)
+    (* per-tenant SLO signals for the scrape path (obs-report's
+       worst-tenants table). They carry wall-clock, so they sit behind
+       the profiling gate — default snapshots stay byte-identical
+       across --jobs. *)
     List.iter
       (fun d ->
         match d with
         | Ok (q : Protocol.request) when not (is_daemon_op q.q_op) ->
             Hydra_obs.sample obs
               ("server.tenant." ^ q.q_tenant ^ ".latency_ns")
-              dt;
-            Hydra_obs.Window.record (slo_window srv q.q_tenant) dt
+              dt
         | _ -> ())
       decoded;
     List.iter
@@ -277,8 +243,7 @@ let handle_batch srv cn payloads =
             if r.p_tenant <> "" then
               Hydra_obs.incr obs ("server.tenant." ^ r.p_tenant ^ ".errors")
         | Protocol.Ok | Protocol.Unschedulable -> ())
-      responses;
-    slo_tick srv
+      responses
   end;
   if srv.slow_ns > 0 && dt > srv.slow_ns then begin
     Hydra_obs.Flight.record srv.flight ~ts:t1 ~kind:Hydra_obs.Flight.Slow
@@ -314,12 +279,8 @@ let serve ?obs ?(config = default_config ~socket_path:"hydra_c.sock")
       ~cache_capacity:config.cache_capacity ()
   in
   let srv =
-    { engine; obs; flight = Hydra_obs.Flight.create ();
-      sampler =
-        (if config.trace_sample_rate > 0.0 then
-           Some (Hydra_obs.Trace_ctx.sampler ~rate:config.trace_sample_rate)
-         else None);
-      log = Hydra_obs.Log.create (); slo = Hashtbl.create 8; batches_seen = 0;
+    { engine; obs; flight = Engine.flight engine; trace = config.trace;
+      log = Hydra_obs.Log.create ();
       slow_ns = config.slow_request_ms * 1_000_000;
       flight_file =
         (match config.flight_path with

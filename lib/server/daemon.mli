@@ -21,41 +21,41 @@
     (doc/OBSERVABILITY.md, gated in CI). Malformed frames produce an
     [error] response with [id = -1] so pairing survives.
 
-    {b Tracing.} With [trace_sample_rate > 0] (and a registry), the
-    daemon mints one {!Hydra_obs.Trace_ctx} per sampled request at
-    accept: the whole request becomes a ["server.request"] root span
-    timed from frame arrival to reply, decoding a ["server.decode"]
-    child, and the context rides through {!Engine.exec_batch} into
-    cross-domain flow arrows and ["server.apply"]/["server.select"]
-    worker spans. At the default rate 0 nothing is recorded and
-    [--metrics-out] stays byte-identical.
+    {b Tracing.} With [trace] (and a registry), the daemon mints one
+    {!Hydra_obs.Trace_ctx} per request at accept: the whole request
+    becomes a ["server.request"] root span timed from frame arrival to
+    reply, decoding a ["server.decode"] child, and the context rides
+    through {!Engine.exec_batch} into cross-domain flow arrows and
+    ["server.apply"]/["server.select"] worker spans. Without [trace]
+    (the default) no context is minted and nothing is recorded; either
+    way [--metrics-out] stays byte-identical.
 
     {b Flight recorder.} Always on: every batch drops compact
     Accept/Decode/Reply (and engine-side Shard/Coalesce/Select)
-    events into a fixed-size lock-free ring ({!Hydra_obs.Flight}).
-    The ring is dumped as JSONL — to [flight_path], default
-    [socket_path ^ ".flight.jsonl"] — on SIGUSR1, on an uncaught
-    crash, on a batch slower than [slow_request_ms], and at shutdown
-    when [flight_path] was given explicitly. Never appears in metrics
-    snapshots.
+    events into the engine's fixed-size lock-free ring
+    ({!Engine.flight}). The ring is dumped as JSONL — to
+    [flight_path], default [socket_path ^ ".flight.jsonl"] — on
+    SIGUSR1, on an uncaught crash, on a batch slower than
+    [slow_request_ms], and at shutdown when [flight_path] was given
+    explicitly. Never appears in metrics snapshots.
 
     Request timing uses the monotonic {!Hydra_obs.now_ns} clock; the
     [server.latency] histogram, the per-tenant
     [server.tenant.<t>.latency_ns]/[.errors] SLO metrics and the
     per-shard spans record only when profiling is enabled on the
     registry, keeping snapshots byte-identical across [--jobs].
-    Operator messages (slow batches, SLO breaches, dump notices,
-    connection errors) go through the rate-limited structured
-    {!Hydra_obs.Log} — the only stderr channel hydra_lint permits
-    under [lib/server]. *)
+    Operator messages (slow batches, dump notices, connection errors)
+    go through the rate-limited structured {!Hydra_obs.Log} — the only
+    stderr channel hydra_lint permits under [lib/server]. *)
 
 type config = {
   socket_path : string;
   jobs : int;  (** worker domains for tenant sharding (default 1) *)
   cache_capacity : int;  (** per-tenant workload-cache bound; 0 = unbounded *)
   max_batch : int;  (** frames drained per batch (default 64) *)
-  trace_sample_rate : float;
-      (** fraction of requests traced (default 0.0 = off; 1.0 = all) *)
+  trace : bool;
+      (** trace every request (default [false]; [serve] sets it iff
+          [--trace-out] is given) *)
   slow_request_ms : int;
       (** batches slower than this dump the flight ring and log a
           warning; 0 (default) disables *)

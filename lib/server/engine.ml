@@ -6,13 +6,15 @@ type t = {
   tenants : (string, Tenant.t) Hashtbl.t;
   pool : Pool.Static.t;
   cache_capacity : int;
+  flight : Hydra_obs.Flight.t;
 }
 
 let create ?obs ?(jobs = 1) ?(cache_capacity = 0) () =
   { obs; tenants = Hashtbl.create 16; pool = Pool.Static.create ~jobs;
-    cache_capacity }
+    cache_capacity; flight = Hydra_obs.Flight.create () }
 
 let shutdown t = Pool.Static.shutdown t.pool
+let flight t = t.flight
 let tenant_count t = Hashtbl.length t.tenants
 let find_tenant t name = Hashtbl.find_opt t.tenants name
 
@@ -43,10 +45,10 @@ let rows assignments =
    at the next [Query]/[Remove]/[Init] barrier or at group end — and
    every pending requester receives that one final selection.
 
-   [ftid] is the group's interned flight-recorder tenant id (-1 when
-   no recorder is attached); every request rides with its optional
-   trace context, and a traced request's worker-side processing is a
-   ["server.apply"] child span. *)
+   [ftid] is the group's interned flight-recorder tenant id; every
+   request rides with its optional trace context, and a traced
+   request's worker-side processing is a ["server.apply"] child
+   span. *)
 let run_group ~obs ~cache_capacity ~flight ~ftid ~name state reqs =
   let tenant = ref state in
   let pending = ref [] in
@@ -54,15 +56,12 @@ let run_group ~obs ~cache_capacity ~flight ~ftid ~name state reqs =
   let out = ref [] in
   let emit pos r = out := (pos, r) :: !out in
   let materialize ctx tn =
-    match flight with
-    | None -> Tenant.materialize ?obs ?ctx tn
-    | Some fl ->
-        let t0 = Hydra_obs.now_ns () in
-        let result = Tenant.materialize ?obs ?ctx tn in
-        Hydra_obs.Flight.record fl ~ts:(Hydra_obs.now_ns ())
-          ~kind:Hydra_obs.Flight.Select ~tenant:ftid
-          ~a:(Hydra_obs.now_ns () - t0) ~b:0;
-        result
+    let t0 = Hydra_obs.now_ns () in
+    let result = Tenant.materialize ?obs ?ctx tn in
+    Hydra_obs.Flight.record flight ~ts:(Hydra_obs.now_ns ())
+      ~kind:Hydra_obs.Flight.Select ~tenant:ftid
+      ~a:(Hydra_obs.now_ns () - t0) ~b:0;
+    result
   in
   let flush () =
     match !pending with
@@ -79,12 +78,9 @@ let run_group ~obs ~cache_capacity ~flight ~ftid ~name state reqs =
             pending := []
         | Some tn ->
             let ps = List.rev ps in
-            (match flight with
-            | None -> ()
-            | Some fl ->
-                Hydra_obs.Flight.record fl ~ts:(Hydra_obs.now_ns ())
-                  ~kind:Hydra_obs.Flight.Coalesce ~tenant:ftid
-                  ~a:(List.length ps) ~b:0);
+            Hydra_obs.Flight.record flight ~ts:(Hydra_obs.now_ns ())
+              ~kind:Hydra_obs.Flight.Coalesce ~tenant:ftid
+              ~a:(List.length ps) ~b:0;
             (* the selection is attributed to the first traced
                requester among the coalesced ops *)
             let sel_ctx =
@@ -193,7 +189,7 @@ let run_group ~obs ~cache_capacity ~flight ~ftid ~name state reqs =
   flush ();
   (!tenant, !out)
 
-let exec_batch ?ctxs ?flight t (batch : Protocol.request list) :
+let exec_batch ?ctxs t (batch : Protocol.request list) :
     Protocol.response list =
   let reqs = Array.of_list batch in
   let n = Array.length reqs in
@@ -235,11 +231,7 @@ let exec_batch ?ctxs ?flight t (batch : Protocol.request list) :
       Array.map (fun nm -> List.rev !(Hashtbl.find index nm)) names
     in
     (* intern flight tenant ids once per batch, on the calling domain *)
-    let ftids =
-      match flight with
-      | None -> [||]
-      | Some fl -> Array.map (fun nm -> Hydra_obs.Flight.intern fl nm) names
-    in
+    let ftids = Array.map (Hydra_obs.Flight.intern t.flight) names in
     (* departure end of every traced request's cross-domain flow
        arrow, stamped on the dispatching domain; the arrival end lands
        on whichever worker claims the request's group ([on_item]) *)
@@ -259,16 +251,12 @@ let exec_batch ?ctxs ?flight t (batch : Protocol.request list) :
       Pool.Static.map ?obs ~on_item t.pool
         (fun g ->
           let ms = members.(g) in
-          let ftid = if g < Array.length ftids then ftids.(g) else -1 in
-          (match flight with
-          | None -> ()
-          | Some fl ->
-              Hydra_obs.Flight.record fl ~ts:(Hydra_obs.now_ns ())
-                ~kind:Hydra_obs.Flight.Shard ~tenant:ftid
-                ~a:(List.length ms) ~b:g);
+          Hydra_obs.Flight.record t.flight ~ts:(Hydra_obs.now_ns ())
+            ~kind:Hydra_obs.Flight.Shard ~tenant:ftids.(g)
+            ~a:(List.length ms) ~b:g;
           let run () =
-            run_group ~obs ~cache_capacity:t.cache_capacity ~flight ~ftid
-              ~name:names.(g) states.(g) ms
+            run_group ~obs ~cache_capacity:t.cache_capacity ~flight:t.flight
+              ~ftid:ftids.(g) ~name:names.(g) states.(g) ms
           in
           if profile then Hydra_obs.span obs "server.shard" run else run ())
         n_groups

@@ -34,8 +34,7 @@ val create :
     tenant's state at that point. *)
 
 val exec_batch :
-  ?ctxs:Hydra_obs.Trace_ctx.t option array ->
-  ?flight:Hydra_obs.Flight.t -> t -> Protocol.request list ->
+  ?ctxs:Hydra_obs.Trace_ctx.t option array -> t -> Protocol.request list ->
   Protocol.response list
 (** Execute one batch; the response list is in request order, one
     response per request. Never raises on bad requests — they map to
@@ -46,13 +45,19 @@ val exec_batch :
     context marks a {e traced} request, whose dispatch to a worker
     becomes a cross-domain flow arrow ([server.dispatch]) and whose
     worker-side processing a ["server.apply"] child span with a
-    nested ["server.select"] when it triggers a selection. [flight]
-    attaches a flight recorder: the engine drops [Shard], [Coalesce]
-    and [Select] events into the ring as the batch executes. Neither
-    affects responses or snapshot metrics.
+    nested ["server.select"] when it triggers a selection. The engine
+    also drops [Shard], [Coalesce] and [Select] events into its
+    {!flight} ring as the batch executes. Neither affects responses or
+    snapshot metrics.
 
     @raise Invalid_argument if [ctxs] has a different length than the
     batch. *)
+
+val flight : t -> Hydra_obs.Flight.t
+(** The engine's flight-recorder ring, created with the engine (default
+    capacity). The daemon records its own Accept/Decode/Reply/Slow/
+    Error events into the same ring and dumps it
+    ({!Hydra_obs.Flight.dump}). *)
 
 val shutdown : t -> unit
 (** Stop the worker pool. The engine must not be used afterwards. *)

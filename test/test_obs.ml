@@ -377,8 +377,7 @@ let test_pool_metrics_with_profiling () =
   (* Under profiling the counts are still exact functions of the
      workload shape: one claim per chunk, one busy/idle sample and one
      span per worker. Only the recorded durations are wall-clock. *)
-  let obs_t = Hydra_obs.create () in
-  Hydra_obs.enable_profiling obs_t;
+  let obs_t = Hydra_obs.create ~profile:true () in
   let obs = Some obs_t in
   let n = 32 and jobs = 4 in
   let (_ : int array) = Parallel.Pool.map ?obs ~jobs (fun i -> i * i) n in
@@ -410,8 +409,7 @@ let test_pool_metrics_with_profiling () =
 let test_pool_seq_path_never_profiles () =
   (* jobs = 1 is the plain sequential loop: no workers exist, so even a
      profiling registry sees no scheduling metrics. *)
-  let obs_t = Hydra_obs.create () in
-  Hydra_obs.enable_profiling obs_t;
+  let obs_t = Hydra_obs.create ~profile:true () in
   let obs = Some obs_t in
   let (_ : int array) = Parallel.Pool.map ?obs ~jobs:1 (fun i -> i) 10 in
   check_int "pool.items" 10 (Hydra_obs.counter_total obs_t "pool.items");
@@ -464,8 +462,7 @@ let test_trace_flow_arrows_paired () =
       (migration_tasks ())
   in
   check_bool "scenario migrates" true (stats.Sim.Engine.migrations > 0);
-  let obs_t = Hydra_obs.create () in
-  Hydra_obs.enable_profiling obs_t;
+  let obs_t = Hydra_obs.create ~profile:true () in
   let obs = Some obs_t in
   let (_ : unit array) =
     Parallel.Pool.map ?obs ~jobs:4
@@ -498,9 +495,8 @@ let test_trace_flow_arrows_paired () =
 (* Runtime profiler *)
 
 let test_runtime_profiler_smoke () =
-  let obs_t = Hydra_obs.create () in
-  Hydra_obs.enable_profiling obs_t;
-  match Hydra_obs.Runtime.start ~poll_ms:50 obs_t with
+  let obs_t = Hydra_obs.create ~profile:true () in
+  match Hydra_obs.Runtime.start obs_t with
   | None -> () (* Runtime_events unavailable: degrade like the CLI *)
   | Some p ->
       (* force GC activity so the rings carry phase events *)
@@ -536,40 +532,6 @@ let test_runtime_profiler_smoke () =
            evs)
 
 (* ------------------------------------------------------------------ *)
-(* Ticker period alignment *)
-
-let test_ticker_rejects_bad_period () =
-  check_bool "period 0 raises" true
-    (try
-       ignore (Hydra_obs.Ticker.start ~period_ms:0 (fun () -> ()));
-       false
-     with Invalid_argument _ -> true)
-
-let test_ticker_aligned_to_boundaries () =
-  (* Deadline-aligned ticks fire at start + k*period, so N ticks can
-     never complete in less than (N-1) periods — the regression this
-     guards against is the old drift-free-running ticker that scheduled
-     each tick [period] after the previous callback returned. Only a
-     lower bound is asserted: an upper bound would race the CI
-     scheduler. *)
-  let ticks = Atomic.make 0 in
-  let t0 = Hydra_obs.now_ns () in
-  let tk =
-    Hydra_obs.Ticker.start ~period_ms:5 (fun () ->
-        (* a callback that eats a fair fraction of the period must not
-           stretch the spacing *)
-        Unix.sleepf 0.002;
-        Atomic.incr ticks)
-  in
-  while Atomic.get ticks < 6 do
-    Domain.cpu_relax ()
-  done;
-  let elapsed = Hydra_obs.now_ns () - t0 in
-  Hydra_obs.Ticker.stop tk;
-  check_bool "6 ticks span at least 5 periods" true
-    (elapsed >= 5 * 5_000_000)
-
-(* ------------------------------------------------------------------ *)
 (* Request-scoped tracing *)
 
 let test_trace_ctx_ids () =
@@ -589,26 +551,6 @@ let test_trace_ctx_ids () =
     g.Hydra_obs.Trace_ctx.parent_id;
   check_int "grandchild keeps trace" r.Hydra_obs.Trace_ctx.trace_id
     g.Hydra_obs.Trace_ctx.trace_id
-
-let test_trace_sampler_deterministic () =
-  let count rate n =
-    let s = Hydra_obs.Trace_ctx.sampler ~rate in
-    List.length
-      (List.filter_map
-         (fun _ -> Hydra_obs.Trace_ctx.sample s)
-         (List.init n Fun.id))
-  in
-  check_int "rate 0 samples nothing" 0 (count 0.0 100);
-  check_int "negative rate samples nothing" 0 (count (-1.0) 100);
-  check_int "rate 1 samples everything" 100 (count 1.0 100);
-  check_int "rate 2 clamps to everything" 100 (count 2.0 100);
-  check_int "rate 0.25 samples every 4th" 25 (count 0.25 100);
-  (* head sampling: the very first request of a fractional-rate stream
-     is sampled, so short workloads still produce a trace *)
-  let s = Hydra_obs.Trace_ctx.sampler ~rate:0.1 in
-  check_bool "first request sampled" true
-    (Hydra_obs.Trace_ctx.sample s <> None);
-  check_bool "second not" true (Hydra_obs.Trace_ctx.sample s = None)
 
 let test_trace_span_chrome_content () =
   let obs_t = Hydra_obs.create () in
@@ -696,6 +638,59 @@ let test_tracing_never_touches_snapshots () =
     (Hydra_obs.Snapshot.to_json traced);
   check_bool "no span aggregates either" true (Hydra_obs.span_stats traced = [])
 
+let test_one_event_store () =
+  (* Plain spans, request spans and a flow pair, interleaved: the one
+     store renders each exactly once, every kind in its own shape. *)
+  let obs_t = Hydra_obs.create () in
+  let obs = Some obs_t in
+  let root : Hydra_obs.Trace_ctx.t = Hydra_obs.Trace_ctx.root () in
+  let ctx = Some root in
+  let child = Hydra_obs.Trace_ctx.child root in
+  Hydra_obs.span obs "outer" (fun () ->
+      Hydra_obs.trace_span obs ctx "server.request" (fun () ->
+          Hydra_obs.span obs "inner" (fun () ->
+              Hydra_obs.flow_begin obs ctx "server.dispatch";
+              Hydra_obs.flow_end obs ctx "server.dispatch";
+              Hydra_obs.trace_span obs (Some child) "server.select" ignore)));
+  check_int "trace_count counts request events only" 4
+    (Hydra_obs.trace_count obs_t);
+  let events =
+    member "traceEvents" (parse_json (Hydra_obs.chrome_trace obs_t))
+    |> as_list
+    |> List.filter (fun e -> as_str (member "ph" e) <> "M")
+  in
+  let has_args = function
+    | Obj kvs -> List.mem_assoc "args" kvs
+    | _ -> false
+  in
+  Alcotest.(check (list (pair string string))) "each event once"
+    [ ("inner", "X"); ("outer", "X"); ("server.dispatch", "f");
+      ("server.dispatch", "s"); ("server.request", "X");
+      ("server.select", "X") ]
+    (List.sort compare
+       (List.map
+          (fun e -> (as_str (member "name" e), as_str (member "ph" e)))
+          events));
+  List.iter
+    (fun e ->
+      let name = as_str (member "name" e) and cat = as_str (member "cat" e) in
+      match name with
+      | "outer" | "inner" ->
+          Alcotest.(check string) (name ^ " cat") "span" cat;
+          check_bool (name ^ " has no args") false (has_args e)
+      | "server.request" | "server.select" ->
+          let c = if name = "server.request" then root else child in
+          let arg k = int_of_float (as_num (member k (member "args" e))) in
+          Alcotest.(check string) (name ^ " cat") "request" cat;
+          check_int (name ^ " trace") c.trace_id (arg "trace");
+          check_int (name ^ " span") c.span_id (arg "span");
+          check_int (name ^ " parent") c.parent_id (arg "parent")
+      | _ ->
+          Alcotest.(check string) "flow cat" "request" cat;
+          check_int "flow id = trace id" root.trace_id
+            (int_of_float (as_num (member "id" e))))
+    events
+
 (* ------------------------------------------------------------------ *)
 (* Flight recorder *)
 
@@ -753,9 +748,16 @@ let test_flight_dump_deterministic () =
   Alcotest.(check string) "dump is stable" (F.dump f) (F.dump f);
   Alcotest.(check string) "dump is a function of the sequence" (F.dump f)
     (F.dump (feed ()));
-  List.iter
-    (fun l -> if l <> "" then ignore (parse_json l))
-    (String.split_on_char '\n' (F.dump f))
+  match
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (F.dump f))
+    |> List.map parse_json
+  with
+  | _header :: events ->
+      Alcotest.(check (list string)) "kind names in recording order"
+        [ "accept"; "decode"; "coalesce"; "shard"; "select"; "reply"; "slow";
+          "error" ]
+        (List.map (fun e -> as_str (member "kind" e)) events)
+  | [] -> Alcotest.fail "empty dump"
 
 let prop_flight_concurrent_writers =
   qtest ~count:20 "concurrent writers never lose or tear events"
@@ -817,38 +819,6 @@ let test_log_rate_limit () =
   check_int "suppression reported and reset" 0 (Hydra_obs.Log.suppressed log);
   Alcotest.(check string) "line carries suppressed count"
     "[hydra] event=tick suppressed=8 i=11\n" (Buffer.contents b)
-
-(* ------------------------------------------------------------------ *)
-(* Sliding windows *)
-
-let test_window_ages_out () =
-  let w = Hydra_obs.Window.create ~epochs:2 () in
-  check_int "epochs floored" 2 (Hydra_obs.Window.epochs w);
-  check_bool "empty quantile" true (Hydra_obs.Window.quantile w 0.99 = None);
-  Hydra_obs.Window.record w 1_000_000;
-  check_bool "spike dominates p99" true
-    (match Hydra_obs.Window.quantile w 0.99 with
-    | Some q -> q >= 1_000_000
-    | None -> false);
-  Hydra_obs.Window.rotate w;
-  for _ = 1 to 20 do Hydra_obs.Window.record w 10 done;
-  (* one epoch later the spike still sits inside the window *)
-  check_int "window spans both epochs" 21 (Hydra_obs.Window.count w);
-  check_bool "p99 still sees the spike" true
-    (match Hydra_obs.Window.quantile w 0.99 with
-    | Some q -> q >= 1_000_000
-    | None -> false);
-  Hydra_obs.Window.rotate w;
-  for _ = 1 to 20 do Hydra_obs.Window.record w 10 done;
-  (* two rotations: the spike's epoch has been discarded *)
-  check_int "spike aged out" 40 (Hydra_obs.Window.count w);
-  check_bool "p99 recovered" true
-    (match Hydra_obs.Window.quantile w 0.99 with
-    | Some q -> q < 1_000_000
-    | None -> false);
-  check_int "rotations counted" 2 (Hydra_obs.Window.rotations w);
-  check_int "merged matches count" 40
-    (H.count (Hydra_obs.Window.merged w))
 
 (* ------------------------------------------------------------------ *)
 (* Delta trackers (the obs_stream scrape core) *)
@@ -959,22 +929,17 @@ let () =
       ( "runtime",
         [ Alcotest.test_case "profiler smoke (GC slices + trace)" `Quick
             test_runtime_profiler_smoke ] );
-      ( "ticker",
-        [ Alcotest.test_case "rejects period < 1" `Quick
-            test_ticker_rejects_bad_period;
-          Alcotest.test_case "ticks align to period boundaries" `Quick
-            test_ticker_aligned_to_boundaries ] );
       ( "tracing",
         [ Alcotest.test_case "context ids parent-link" `Quick
             test_trace_ctx_ids;
-          Alcotest.test_case "sampler deterministic" `Quick
-            test_trace_sampler_deterministic;
           Alcotest.test_case "spans + flows in Chrome JSON" `Quick
             test_trace_span_chrome_content;
           Alcotest.test_case "no-ops without ctx or obs" `Quick
             test_trace_noops_without_ctx_or_obs;
           Alcotest.test_case "never touches snapshots" `Quick
-            test_tracing_never_touches_snapshots ] );
+            test_tracing_never_touches_snapshots;
+          Alcotest.test_case "one store, each event once" `Quick
+            test_one_event_store ] );
       ( "flight",
         [ Alcotest.test_case "ring wraparound keeps the tail" `Quick
             test_flight_wraparound;
@@ -986,9 +951,6 @@ let () =
             test_log_line_format;
           Alcotest.test_case "token bucket limits and reports" `Slow
             test_log_rate_limit ] );
-      ( "window",
-        [ Alcotest.test_case "old epochs age out" `Quick
-            test_window_ages_out ] );
       ( "delta",
         [ Alcotest.test_case "tracker folds back to the snapshot" `Quick
             test_delta_tracker_round_trip ] );

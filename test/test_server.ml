@@ -541,21 +541,20 @@ let ctx_batch =
 let test_exec_batch_with_ctxs () =
   let plain = with_engine ~jobs:2 (fun e -> Engine.exec_batch e ctx_batch) in
   let obs_t = Hydra_obs.create () in
-  let flight = Hydra_obs.Flight.create () in
   let root = Hydra_obs.Trace_ctx.root () in
   let ctxs =
     [| Some root; None; Some (Hydra_obs.Trace_ctx.root ());
        Some (Hydra_obs.Trace_ctx.child root); None |]
   in
-  let traced =
+  let traced, breadcrumbs =
     with_engine ~obs:obs_t ~jobs:2 (fun e ->
-        Engine.exec_batch ~ctxs ~flight e ctx_batch)
+        let rs = Engine.exec_batch ~ctxs e ctx_batch in
+        (rs, Hydra_obs.Flight.recorded (Engine.flight e)))
   in
   check_bool "responses identical under tracing" true (plain = traced);
   check_bool "trace spans recorded" true (Hydra_obs.trace_count obs_t > 0);
-  check_bool "flight breadcrumbs recorded" true
-    (Hydra_obs.Flight.recorded flight > 0);
-  (* each sampled request got a dispatch flow pair across the
+  check_bool "flight breadcrumbs recorded" true (breadcrumbs > 0);
+  (* each traced request got a dispatch flow pair across the
      dispatcher/worker domains *)
   let json = Test_util.parse_json (Hydra_obs.chrome_trace obs_t) in
   let events = Test_util.(member "traceEvents" json |> as_list) in
@@ -568,7 +567,7 @@ let test_exec_batch_with_ctxs () =
                with _ -> false))
          events)
   in
-  check_int "one flow start per sampled request" 3 (count "s");
+  check_int "one flow start per traced request" 3 (count "s");
   check_int "every start paired" 3 (count "f");
   (* the metrics side never sees the tracing side *)
   let obs_plain = Hydra_obs.create () in
@@ -809,8 +808,7 @@ let test_daemon_survives_hangup () =
    transcript must match the committed file byte for byte, and the
    profiling-gated latency histogram must hold one sample per frame. *)
 let test_daemon_serve_smoke () =
-  let obs_t = Hydra_obs.create () in
-  Hydra_obs.enable_profiling obs_t;
+  let obs_t = Hydra_obs.create ~profile:true () in
   let frames = Hydra_drive.Steady_script.prefix 100 in
   let transcript = Buffer.create 40_000 in
   with_daemon ~obs:obs_t ~name:"smoke"
@@ -840,6 +838,50 @@ let test_daemon_serve_smoke () =
       check_int "one latency sample per frame" (List.length frames)
         (Hydra_obs.Histogram.count h.hv_hist)
   | None -> Alcotest.fail "no server.latency samples"
+
+(* Daemon-side minting, in process: with [trace] on, every frame of a
+   lockstep stream (the shutdown included) gets a request span and
+   every engine-bound request one dispatch flow pair; with it off
+   nothing is traced. The two runs' snapshots are byte-identical. *)
+let test_daemon_tracing () =
+  let n = 20 in
+  let run trace =
+    let obs_t = Hydra_obs.create () in
+    with_daemon ~obs:obs_t
+      ~name:(if trace then "traced" else "untraced")
+      ~tweak:(fun c -> { c with jobs = 2; trace })
+      (fun _path connect rpc ->
+        let fd = connect () in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            List.iter
+              (fun q -> ignore (rpc fd q))
+              (Hydra_drive.Steady_script.prefix n)));
+    obs_t
+  in
+  let traced = run true and plain = run false in
+  let events =
+    Test_util.(
+      member "traceEvents" (parse_json (Hydra_obs.chrome_trace traced))
+      |> as_list)
+  in
+  let count name ph =
+    List.length
+      (List.filter
+         (fun e ->
+           Test_util.(as_str (member "name" e)) = name
+           && Test_util.(as_str (member "ph" e)) = ph)
+         events)
+  in
+  check_int "one request span per frame" (n + 1) (count "server.request" "X");
+  check_int "one dispatch start per engine request" n
+    (count "server.dispatch" "s");
+  check_int "every start paired" n (count "server.dispatch" "f");
+  check_int "untraced run records nothing" 0 (Hydra_obs.trace_count plain);
+  Alcotest.(check string) "snapshot unchanged by tracing"
+    (Hydra_obs.Snapshot.to_json plain)
+    (Hydra_obs.Snapshot.to_json traced)
 
 let () =
   Alcotest.run "server"
@@ -884,5 +926,7 @@ let () =
           Alcotest.test_case "client hangup survives" `Quick
             test_daemon_survives_hangup;
           Alcotest.test_case "serve-smoke fixture" `Quick
-            test_daemon_serve_smoke ] )
+            test_daemon_serve_smoke;
+          Alcotest.test_case "request tracing on and off" `Quick
+            test_daemon_tracing ] )
     ]
