@@ -2,7 +2,8 @@
    authors ran on their Raspberry-Pi rover, select security periods
    with HYDRA-C and with the HYDRA baseline, inject both attacks
    (image-store tampering and a rootkit module) and watch each scheme
-   detect them in the simulator — including an ASCII schedule excerpt.
+   detect them in the simulator — including the first execution
+   segments of the schedule.
 
    Run with: dune exec examples/rover_case_study.exe *)
 
@@ -93,17 +94,19 @@ let () =
              ~n_regions:Security.Rover.kmod_regions ~injector:km_injector
              ~check:(Security.Kmod_checker.check_region km_checker))
     in
+    let log = Sim.Event_log.create ~n_cores:2 in
     let hooks =
-      { Sim.Engine.no_hooks with
-        Sim.Engine.on_execute =
-          Some
-            (Security.Detection.combine_hooks
-               [ Security.Detection.on_execute tw_monitor;
-                 Security.Detection.on_execute km_monitor ]) }
+      Sim.Event_log.hooks log
+        ~base:
+          { Sim.Engine.no_hooks with
+            Sim.Engine.on_execute =
+              Some
+                (Security.Detection.combine_hooks
+                   [ Security.Detection.on_execute tw_monitor;
+                     Security.Detection.on_execute km_monitor ]) }
     in
     let stats =
-      Sim.Engine.run ~hooks ~collect_trace:true ~n_cores:2 ~horizon:45000
-        built.Sim.Scenario.tasks
+      Sim.Engine.run ~hooks ~n_cores:2 ~horizon:45000 built.Sim.Scenario.tasks
     in
     let report name monitor =
       match Security.Detection.detection_time monitor with
@@ -119,18 +122,14 @@ let () =
       stats.Sim.Engine.context_switches stats.Sim.Engine.migrations
       (Sim.Metrics.deadline_misses stats
          ~sim_ids:built.Sim.Scenario.rt_sim_ids);
-    (match stats.Sim.Engine.trace with
-    | Some trace ->
-        Format.printf
-          "first 15 s of the schedule (one letter per task, '.' idle):@.";
-        let early = Sim.Trace.create () in
-        List.iter
-          (fun seg ->
-            if seg.Sim.Trace.seg_start < 15000 then Sim.Trace.add early seg)
-          (Sim.Trace.segments trace);
-        Sim.Trace.pp_ascii ~width:100 Format.std_formatter early ~n_cores:2
-          ~horizon:15000
-    | None -> ())
+    Format.printf "execution segments of the first 2 s:@.";
+    List.iter
+      (fun e ->
+        match e.Sim.Event_log.e_kind with
+        | Sim.Event_log.Segment _ when e.Sim.Event_log.e_time < 2000 ->
+            Format.printf "  %a@." Sim.Event_log.pp_event e
+        | _ -> ())
+      (Sim.Event_log.events log)
   in
   run "HYDRA-C" Sim.Policy.Semi_partitioned hc_periods None;
   run "HYDRA" Sim.Policy.Fully_partitioned hy_periods (Some hy_cores);

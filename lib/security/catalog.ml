@@ -25,12 +25,12 @@ let table1 =
     { klass = Network_packet_monitoring;
       description = "Inspect traffic for known-bad or anomalous flows";
       example_tools = [ "Bro"; "Snort" ];
-      implemented_by = Some "Security.Packet_monitor" };
+      implemented_by = None };
     { klass = Hardware_event_monitoring;
       description =
         "Statistical checks over performance-monitor counters";
       example_tools = [ "perf"; "OProfile" ];
-      implemented_by = Some "Security.Hpc_monitor" };
+      implemented_by = None };
     { klass = Application_specific_checking;
       description =
         "Behavior-based detection (kernel-module profile, syscall \

@@ -1,7 +1,10 @@
 (** The paper's Table 1 — examples of security tasks a designer might
     integrate. The framework is agnostic to the mechanism; this
-    catalog records the classes and representative tools, and maps each
-    class to the module of this repository that implements it. *)
+    catalog records the classes and representative tools, and maps
+    each class the paper's rover evaluation runs to the module of this
+    repository that implements it. The packet and hardware-counter
+    classes are named by the paper but never measured, so they map to
+    [None]. *)
 
 type klass =
   | File_system_checking

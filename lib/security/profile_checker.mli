@@ -57,5 +57,5 @@ module Make (S : ITEM_STORE) : sig
       fingerprint is updated (or the entry dropped if the item no
       longer exists). Used for {e authorized} changes — e.g. the
       camera task legitimately appending images to the store it is
-      allowed to write (see {!Rover_app}). *)
+      allowed to write. *)
 end

@@ -33,10 +33,6 @@ let n_cores = 2
 
 let tripwire_sec_id = 0
 let kmod_sec_id = 1
-let packet_sec_id = 2
-let hpc_sec_id = 3
-
-let packet_regions = 16
 
 let taskset () =
   let navigation =
@@ -55,19 +51,6 @@ let taskset () =
   in
   Task.make_taskset ~n_cores ~rt:[ navigation; camera ]
     ~sec:[ tripwire; kmod ]
-
-let extended_taskset () =
-  let base = taskset () in
-  let packet =
-    Task.make_sec ~name:"packet-monitor" ~id:packet_sec_id ~prio:2 ~wcet:850
-      ~period_max:8000 ()
-  in
-  let hpc =
-    Task.make_sec ~name:"hpc-monitor" ~id:hpc_sec_id ~prio:3 ~wcet:140
-      ~period_max:6000 ()
-  in
-  Task.make_taskset ~n_cores ~rt:(Array.to_list base.Task.rt)
-    ~sec:(Array.to_list base.Task.sec @ [ packet; hpc ])
 
 (* The paper pins navigation to core0 and camera to core1 with the
    Linux taskset utility (Fig. 1); best-fit would pack both onto one

@@ -32,20 +32,6 @@ val rt_assignment : unit -> int array
 val tripwire_sec_id : int
 val kmod_sec_id : int
 
-val extended_taskset : unit -> Rtsched.Task.taskset
-(** The rover taskset plus two further monitors a designer might
-    retrofit — a packet monitor (C=850, T_max=8000, security priority
-    2) and an HPC-counter monitor (C=140, T_max=6000, priority 3) —
-    exercising the remaining Table-1 classes. Demonstrates that the
-    integration framework admits additional security tasks without
-    touching the RT side (see [examples/network_watch.ml]). *)
-
-val packet_sec_id : int
-val hpc_sec_id : int
-
-val packet_regions : int
-(** Scan regions of the packet monitor (slices of the capture ring). *)
-
 val image_store : ?images:int -> ?bytes_per_image:int -> unit -> Filesystem.t
 (** The camera image data-store (default 64 synthetic images of 4 KiB;
     the real store holds 3280x2464 stills, but only the count of

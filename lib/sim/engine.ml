@@ -59,7 +59,6 @@ type stats = {
   busy_ticks : int;
   idle_ticks : int;
   decision_events : int;
-  trace : Trace.t option;
 }
 
 (* Mutable per-task accumulator mirrored into [task_stats] at the end. *)
@@ -122,7 +121,7 @@ let fresh_accs tasks =
         total_resp = 0; next_release = t.st_offset; seq = 0 })
     tasks
 
-let mk_stats ~horizon ~tasks ~(accs : acc array) ~trace ~context_switches
+let mk_stats ~horizon ~tasks ~(accs : acc array) ~context_switches
     ~preemptions ~migrations ~busy_ticks ~idle_ticks ~decision_events =
   let per_task =
     Array.mapi
@@ -134,7 +133,7 @@ let mk_stats ~horizon ~tasks ~(accs : acc array) ~trace ~context_switches
       accs
   in
   { horizon; per_task; context_switches; preemptions; migrations; busy_ticks;
-    idle_ticks; decision_events; trace }
+    idle_ticks; decision_events }
 
 (* ------------------------------------------------------------------ *)
 (* Skip-ahead engine: same observable semantics as the seed stepper
@@ -155,11 +154,10 @@ let mk_stats ~horizon ~tasks ~(accs : acc array) ~trace ~context_switches
      plus physical [job]s with a dummy standing in for "idle"), so
      the hot path never touches an option or a hashtable.
 
-   The only per-event allocations left are one [job] record per
-   released job (demanded by the hooks API) and trace segments when
-   tracing is on — both on the non-annotated helpers; every
-   [@lint.hot] binding below is gated allocation-free by hydra_lint
-   rule D6. See doc/SIMULATOR.md.
+   The only per-event allocation left is one [job] record per
+   released job (demanded by the hooks API), on the non-annotated
+   [release_one]; every [@lint.hot] binding below is gated
+   allocation-free by hydra_lint rule D6. See doc/SIMULATOR.md.
 
    The compiler in use has no cross-function inliner (flambda off),
    so the hot path avoids abstraction that would become an indirect
@@ -178,12 +176,11 @@ let debruijn32 =
 let[@lint.hot] ctz32 b =
   debruijn32.((b land (-b) * 0x077CB531 land 0xFFFFFFFF) lsr 27)
 
-let run_unobserved ?(hooks = no_hooks) ?(collect_trace = false)
-    ?(overheads = no_overheads) ~n_cores ~horizon tasks =
+let run_unobserved ?(hooks = no_hooks) ?(overheads = no_overheads) ~n_cores
+    ~horizon tasks =
   let tasks = prepare ~overheads ~n_cores ~horizon tasks in
   let n = Array.length tasks in
   let accs = fresh_accs tasks in
-  let trace = if collect_trace then Some (Trace.create ()) else None in
 
   (* Priority ranks: rank 0 = highest priority (smallest st_prio). *)
   let order = Array.init n (fun i -> i) in
@@ -236,12 +233,9 @@ let run_unobserved ?(hooks = no_hooks) ?(collect_trace = false)
   let ready_n = ref 0 in
   let run_n = ref 0 in
 
-  (* Segments are observable only through the trace or the on_execute
-     hook; when neither is on, the hot path skips the emit calls. *)
-  let observing =
-    collect_trace
-    || (match hooks.on_execute with Some _ -> true | None -> false)
-  in
+  (* Segments are observable only through the on_execute hook; when it
+     is unset, the hot path skips the emit calls. *)
+  let observing = Option.is_some hooks.on_execute in
 
   (* Release calendar keyed by next-release time; bucket width near
      the mean inter-release gap 1 / sum(1/T_i) for O(1) operations. *)
@@ -255,23 +249,15 @@ let run_unobserved ?(hooks = no_hooks) ?(collect_trace = false)
   in
   Array.iteri (fun i t -> Calendar.add cal i ~key:t.st_offset) tasks;
 
-  (* Allocates the trace-segment record, by design: segments only
-     exist when tracing is on. [@lint.cold] marks it a sanctioned
-     allocation point so rule D8 does not charge it to the hot
-     callers (doc/STATIC_ANALYSIS.md). *)
+  (* The one place the engine calls the caller's on_execute hook, whose
+     body the linter cannot see. [@lint.cold] stops rule D8's walk here,
+     so that unknown callee is not charged to each hot caller
+     (doc/STATIC_ANALYSIS.md). *)
   let[@lint.cold] emit_segment core job start stop =
-    if stop > start then begin
-      (match trace with
-      | Some tr ->
-          Trace.add tr
-            { Trace.seg_core = core; seg_task_id = job.j_task.st_id;
-              seg_task_name = job.j_task.st_name; seg_job_seq = job.j_seq;
-              seg_start = start; seg_stop = stop }
-      | None -> ());
+    if stop > start then
       match hooks.on_execute with
       | Some f -> f job ~core ~start ~stop
       | None -> ()
-    end
   in
 
   (* Release of task [i] at its recorded next-release time; allocates
@@ -460,11 +446,11 @@ let run_unobserved ?(hooks = no_hooks) ?(collect_trace = false)
   for m = 0 to n_cores - 1 do
     if run_idx.(m) >= 0 then emit_segment m run_job.(m) seg_start.(m) horizon
   done;
-  mk_stats ~horizon ~tasks ~accs ~trace ~context_switches:!context_switches
+  mk_stats ~horizon ~tasks ~accs ~context_switches:!context_switches
     ~preemptions:!preemptions ~migrations:!migrations ~busy_ticks:!busy_ticks
     ~idle_ticks:!idle_ticks ~decision_events:!decision_events
 
-let run ?obs ?hooks ?collect_trace ?overheads ~n_cores ~horizon tasks =
+let run ?obs ?hooks ?overheads ~n_cores ~horizon tasks =
   let hooks =
     match obs with
     | None -> hooks
@@ -480,8 +466,7 @@ let run ?obs ?hooks ?collect_trace ?overheads ~n_cores ~horizon tasks =
   in
   let stats =
     Hydra_obs.span obs "sim.run" (fun () ->
-        run_unobserved ?hooks ?collect_trace ?overheads ~n_cores ~horizon
-          tasks)
+        run_unobserved ?hooks ?overheads ~n_cores ~horizon tasks)
   in
   Hydra_obs.incr obs "sim.runs";
   Hydra_obs.add obs "sim.context_switches" stats.context_switches;

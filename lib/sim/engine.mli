@@ -115,13 +115,11 @@ type stats = {
           construction, and the unit in which benchmark throughput
           is reported ([sim.events_per_s] in perfbench's [rover]
           workload, doc/SIMULATOR.md) *)
-  trace : Trace.t option;
 }
 
 val run :
-  ?obs:Hydra_obs.t -> ?hooks:hooks -> ?collect_trace:bool ->
-  ?overheads:overheads -> n_cores:int -> horizon:time -> sim_task list ->
-  stats
+  ?obs:Hydra_obs.t -> ?hooks:hooks -> ?overheads:overheads -> n_cores:int ->
+  horizon:time -> sim_task list -> stats
 (** Simulates the task list over [\[0, horizon)] (ticks). [overheads]
     defaults to {!no_overheads} (the paper's assumption).
 

@@ -36,12 +36,6 @@ let core_utilization (stats : Engine.stats) ~n_cores =
   /. float_of_int (n_cores * stats.Engine.horizon)
 
 let equal_stats (a : Engine.stats) (b : Engine.stats) =
-  let trace_eq =
-    match (a.trace, b.trace) with
-    | None, None -> true
-    | Some x, Some y -> Trace.segments x = Trace.segments y
-    | Some _, None | None, Some _ -> false
-  in
   a.horizon = b.horizon
   && a.per_task = b.per_task
   && a.context_switches = b.context_switches
@@ -50,13 +44,3 @@ let equal_stats (a : Engine.stats) (b : Engine.stats) =
   && a.busy_ticks = b.busy_ticks
   && a.idle_ticks = b.idle_ticks
   && a.decision_events = b.decision_events
-  && trace_eq
-
-let record obs (stats : Engine.stats) =
-  Hydra_obs.incr obs "sim.runs";
-  Hydra_obs.add obs "sim.context_switches" stats.context_switches;
-  Hydra_obs.add obs "sim.preemptions" stats.preemptions;
-  Hydra_obs.add obs "sim.migrations" stats.migrations;
-  Hydra_obs.add obs "sim.busy_ticks" stats.busy_ticks;
-  Hydra_obs.add obs "sim.idle_ticks" stats.idle_ticks;
-  Hydra_obs.add obs "sim.decision_events" stats.decision_events

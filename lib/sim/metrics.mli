@@ -24,18 +24,10 @@ val core_utilization : Engine.stats -> n_cores:int -> float
 (** Busy fraction across all cores. *)
 
 val equal_stats : Engine.stats -> Engine.stats -> bool
-(** Structural equality of two runs' results: per-task stats, all
+(** Structural equality of two runs' results: per-task stats and all
     schedule-event counters (context switches, preemptions,
     migrations, busy/idle ticks, decision events — all in ticks or
-    counts) and, when both runs collected traces, their segment
-    lists. This is the "stats stay bit-identical" half of the
+    counts). This is the "stats stay bit-identical" half of the
     engine-vs-oracle equivalence contract (doc/SIMULATOR.md); the
-    event-stream half is {!Event_log.first_divergence}. *)
-
-val record : Hydra_obs.t option -> Engine.stats -> unit
-(** Accumulates the schedule-event counters of one finished run into
-    [obs] ([sim.context_switches], [sim.preemptions], [sim.migrations],
-    [sim.busy_ticks], [sim.idle_ticks], [sim.decision_events],
-    [sim.runs]); no-op on [None].
-    {!Engine.run} already calls this when given [?obs] — use it for
-    stats obtained without threading [obs] into the engine. *)
+    event-stream half, segments included, is
+    {!Event_log.first_divergence}. *)

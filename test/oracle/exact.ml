@@ -1,3 +1,5 @@
+module Task = Rtsched.Task
+
 type verdict =
   | Schedulable of int list
   | Unschedulable of int

@@ -17,8 +17,8 @@ type acc = {
    next-event scan walks all tasks; doc/SIMULATOR.md documents why the
    production engine skips ahead instead and how the two are
    differential-tested. *)
-let run ?(hooks = no_hooks) ?(collect_trace = false)
-    ?(overheads = no_overheads) ~n_cores ~horizon tasks =
+let run ?(hooks = no_hooks) ?(overheads = no_overheads) ~n_cores ~horizon
+    tasks =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   let index_of_id = Hashtbl.create n in
@@ -30,7 +30,6 @@ let run ?(hooks = no_hooks) ?(collect_trace = false)
           total_resp = 0; next_release = t.st_offset; seq = 0; active = None })
       tasks
   in
-  let trace = if collect_trace then Some (Sim.Trace.create ()) else None in
   let ready = ref [] in
   let running : job option array = Array.make n_cores None in
   let seg_start = Array.make n_cores 0 in
@@ -42,18 +41,10 @@ let run ?(hooks = no_hooks) ?(collect_trace = false)
   let decision_events = ref 0 in
 
   let emit_segment core job start stop =
-    if stop > start then begin
-      (match trace with
-      | Some tr ->
-          Sim.Trace.add tr
-            { Sim.Trace.seg_core = core; seg_task_id = job.j_task.st_id;
-              seg_task_name = job.j_task.st_name; seg_job_seq = job.j_seq;
-              seg_start = start; seg_stop = stop }
-      | None -> ());
+    if stop > start then
       match hooks.on_execute with
       | Some f -> f job ~core ~start ~stop
       | None -> ()
-    end
   in
 
   let release_jobs t =
@@ -229,4 +220,4 @@ let run ?(hooks = no_hooks) ?(collect_trace = false)
   { horizon; per_task; context_switches = !context_switches;
     preemptions = !preemptions; migrations = !migrations;
     busy_ticks = !busy_ticks; idle_ticks = !idle_ticks;
-    decision_events = !decision_events; trace }
+    decision_events = !decision_events }

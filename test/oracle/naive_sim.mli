@@ -10,9 +10,8 @@
     accepts. *)
 
 val run :
-  ?hooks:Sim.Engine.hooks -> ?collect_trace:bool ->
-  ?overheads:Sim.Engine.overheads -> n_cores:int -> horizon:Sim.Engine.time ->
-  Sim.Engine.sim_task list -> Sim.Engine.stats
+  ?hooks:Sim.Engine.hooks -> ?overheads:Sim.Engine.overheads -> n_cores:int ->
+  horizon:Sim.Engine.time -> Sim.Engine.sim_task list -> Sim.Engine.stats
 (** Same contract as {!Sim.Engine.run} without [obs]: on every valid
     input the production engine must produce the identical hook call
-    sequence, trace and stats. *)
+    sequence and stats. *)

@@ -524,7 +524,7 @@ let test_mean_and_stddev () =
 (* ------------------------------------------------------------------ *)
 (* Detection-latency model *)
 
-module Dm = Hydra.Detection_model
+module Dm = Hydra_oracle.Detection_model
 
 let test_model_single_region () =
   (* n=1: region 0 starts at 0 and ends at [pass]. Attack at phase 0

@@ -146,22 +146,7 @@ let test_results_identical_with_and_without_obs () =
     (Hydra_obs.counter_total obs_t "analysis.fixpoint.iterations" > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Sim.Metrics.record *)
-
-let test_metrics_record () =
-  let t =
-    { Sim.Engine.st_id = 0; st_name = "t"; st_wcet = 2; st_period = 5;
-      st_deadline = 5; st_prio = 0; st_core = Some 0; st_offset = 0 }
-  in
-  let stats = Sim.Engine.run ~n_cores:1 ~horizon:50 [ t ] in
-  let obs_t = Hydra_obs.create () in
-  Sim.Metrics.record (Some obs_t) stats;
-  Sim.Metrics.record None stats;
-  check_int "context switches surfaced" stats.Sim.Engine.context_switches
-    (Hydra_obs.counter_total obs_t "sim.context_switches");
-  check_int "busy ticks surfaced" stats.Sim.Engine.busy_ticks
-    (Hydra_obs.counter_total obs_t "sim.busy_ticks");
-  check_int "one run" 1 (Hydra_obs.counter_total obs_t "sim.runs")
+(* Sim.Engine.run ~obs *)
 
 let test_engine_run_with_obs () =
   let t =
@@ -172,6 +157,9 @@ let test_engine_run_with_obs () =
   let stats = Sim.Engine.run ~obs:obs_t ~n_cores:1 ~horizon:50 [ t ] in
   check_int "counter matches stats" stats.Sim.Engine.context_switches
     (Hydra_obs.counter_total obs_t "sim.context_switches");
+  check_int "busy ticks surfaced" stats.Sim.Engine.busy_ticks
+    (Hydra_obs.counter_total obs_t "sim.busy_ticks");
+  check_int "one run" 1 (Hydra_obs.counter_total obs_t "sim.runs");
   match Hydra_obs.span_stats obs_t with
   | [ s ] -> Alcotest.(check string) "sim.run span" "sim.run" s.Hydra_obs.sv_name
   | l -> Alcotest.failf "expected 1 span stat, got %d" (List.length l)
@@ -900,9 +888,7 @@ let () =
           Alcotest.test_case "results identical with/without obs" `Quick
             test_results_identical_with_and_without_obs ] );
       ( "sim-metrics",
-        [ Alcotest.test_case "record surfaces engine counters" `Quick
-            test_metrics_record;
-          Alcotest.test_case "engine run with obs" `Quick
+        [ Alcotest.test_case "engine run with obs" `Quick
             test_engine_run_with_obs ] );
       ( "histograms",
         [ prop_quantile_matches_oracle;

@@ -362,7 +362,7 @@ let test_io_errors () =
 (* ------------------------------------------------------------------ *)
 (* Exact oracle vs TDA *)
 
-module Exact = Rtsched.Exact
+module Exact = Hydra_oracle.Exact
 
 (* Small divisor-friendly periods keep the hyperperiod tractable. *)
 let arb_small_core =

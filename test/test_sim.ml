@@ -1,10 +1,9 @@
 (* Tests for the discrete-event multicore scheduler simulator: exact
    schedules on crafted scenarios, accounting invariants, policy
-   semantics (partitioned / semi-partitioned / global) and the trace
-   module. *)
+   semantics (partitioned / semi-partitioned / global) and the event
+   log. *)
 
 module Engine = Sim.Engine
-module Trace = Sim.Trace
 module Policy = Sim.Policy
 module Scenario = Sim.Scenario
 module Task = Rtsched.Task
@@ -17,8 +16,22 @@ let task ?(core = None) ?(offset = 0) ~id ~prio ~wcet ~period () =
     st_period = period; st_deadline = period; st_prio = prio; st_core = core;
     st_offset = offset }
 
-let run ?hooks ?collect_trace ~n_cores ~horizon tasks =
-  Engine.run ?hooks ?collect_trace ~n_cores ~horizon tasks
+let run = Engine.run
+
+(* The execution segments of one run, read from the event log's
+   [Segment] events as (core, task id, job seq, start, stop). *)
+let segments ~n_cores ~horizon tasks =
+  let log = Sim.Event_log.create ~n_cores in
+  ignore (run ~hooks:(Sim.Event_log.hooks log) ~n_cores ~horizon tasks);
+  List.filter_map
+    (fun e ->
+      match e.Sim.Event_log.e_kind with
+      | Sim.Event_log.Segment { core; stop } ->
+          Some
+            ( core, e.Sim.Event_log.e_task_id, e.Sim.Event_log.e_job_seq,
+              e.Sim.Event_log.e_time, stop )
+      | _ -> None)
+    (Sim.Event_log.events log)
 
 let stats_of stats id = Sim.Metrics.stats_of_sim_id stats ~sim_id:id
 
@@ -267,78 +280,32 @@ let test_event_log_chrome_trace () =
 let test_trace_no_overlap_and_busy_time () =
   let hp = task ~id:0 ~prio:0 ~wcet:2 ~period:5 () in
   let mig = task ~id:1 ~prio:1 ~wcet:3 ~period:10 () in
-  let stats = run ~collect_trace:true ~n_cores:2 ~horizon:50 [ hp; mig ] in
-  match stats.Engine.trace with
-  | None -> Alcotest.fail "trace requested"
-  | Some tr ->
-      check_bool "no overlapping segments" true (Trace.no_overlap tr);
-      check_int "task 0 executed" 20 (Trace.busy_time_of_task tr ~task_id:0);
-      check_int "task 1 executed" 15 (Trace.busy_time_of_task tr ~task_id:1)
-
-let test_trace_core_utilization () =
-  let a = task ~core:(Some 0) ~id:0 ~prio:0 ~wcet:5 ~period:10 () in
-  let stats = run ~collect_trace:true ~n_cores:1 ~horizon:100 [ a ] in
-  match stats.Engine.trace with
-  | None -> Alcotest.fail "trace requested"
-  | Some tr ->
-      Alcotest.(check (float 1e-9)) "core utilization" 0.5
-        (Trace.utilization_of_core tr ~core:0 ~horizon:100)
-
-let test_trace_zero_horizon_utilization () =
-  (* horizon <= 0 must not divide by zero: an empty window is 0.0. *)
-  let tr = Trace.create () in
-  Trace.add tr
-    { Trace.seg_core = 0; seg_task_id = 0; seg_task_name = "a"; seg_job_seq = 0;
-      seg_start = 0; seg_stop = 5 };
-  Alcotest.(check (float 1e-9)) "zero horizon" 0.0
-    (Trace.utilization_of_core tr ~core:0 ~horizon:0);
-  Alcotest.(check (float 1e-9)) "negative horizon" 0.0
-    (Trace.utilization_of_core tr ~core:0 ~horizon:(-7))
-
-let test_trace_ascii_insertion_order_invariant () =
-  (* pp_ascii renders from the sorted segment view, so the picture must
-     not depend on the order segments were added. *)
-  let seg core start stop id =
-    { Trace.seg_core = core; seg_task_id = id; seg_task_name = "t";
-      seg_job_seq = 0; seg_start = start; seg_stop = stop }
+  let segs = segments ~n_cores:2 ~horizon:50 [ hp; mig ] in
+  (* No two segments of one core overlap, and no two segments of one
+     job overlap across cores. *)
+  let no_overlap same =
+    let segs = Array.of_list segs in
+    let ok = ref true in
+    Array.iteri
+      (fun x ((_, _, _, a, b) as sx) ->
+        Array.iteri
+          (fun y ((_, _, _, a', b') as sy) ->
+            if x < y && same sx sy && a < b' && a' < b then ok := false)
+          segs)
+      segs;
+    !ok
   in
-  let render tr =
-    Format.asprintf "%a"
-      (fun ppf () -> Trace.pp_ascii ~width:20 ppf tr ~n_cores:1 ~horizon:20)
-      ()
+  check_bool "no overlap on a core" true
+    (no_overlap (fun (c, _, _, _, _) (c', _, _, _, _) -> c = c'));
+  check_bool "no overlap within a job" true
+    (no_overlap (fun (_, i, j, _, _) (_, i', j', _, _) -> i = i' && j = j'));
+  let busy id =
+    List.fold_left
+      (fun acc (_, i, _, a, b) -> if i = id then acc + b - a else acc)
+      0 segs
   in
-  let fwd = Trace.create () in
-  List.iter (Trace.add fwd) [ seg 0 0 5 0; seg 0 5 10 1; seg 0 10 15 0 ];
-  let rev = Trace.create () in
-  List.iter (Trace.add rev) [ seg 0 10 15 0; seg 0 5 10 1; seg 0 0 5 0 ];
-  Alcotest.(check string) "same rendering either order" (render fwd)
-    (render rev)
-
-let test_trace_csv () =
-  let a = task ~id:0 ~prio:0 ~wcet:5 ~period:10 () in
-  let stats = run ~collect_trace:true ~n_cores:1 ~horizon:20 [ a ] in
-  match stats.Engine.trace with
-  | None -> Alcotest.fail "trace requested"
-  | Some tr ->
-      let csv = Trace.to_csv tr in
-      let lines = String.split_on_char '\n' csv |> List.filter (( <> ) "") in
-      Alcotest.(check string) "header" "core,task_id,task_name,job,start,stop"
-        (List.hd lines);
-      check_int "two segments" 3 (List.length lines)
-
-let test_trace_ascii_renders () =
-  let a = task ~id:0 ~prio:0 ~wcet:5 ~period:10 () in
-  let stats = run ~collect_trace:true ~n_cores:1 ~horizon:20 [ a ] in
-  match stats.Engine.trace with
-  | None -> Alcotest.fail "trace requested"
-  | Some tr ->
-      let out =
-        Format.asprintf "%a" (fun ppf () ->
-            Trace.pp_ascii ~width:20 ppf tr ~n_cores:1 ~horizon:20) ()
-      in
-      check_bool "mentions core0" true
-        (String.length out > 0
-        && String.sub out 0 5 = "core0")
+  check_int "task 0 executed" 20 (busy 0);
+  check_int "task 1 executed" 15 (busy 1)
 
 (* ------------------------------------------------------------------ *)
 (* Context switches and migrations *)
@@ -389,18 +356,12 @@ let test_metrics_throughput_and_utilization () =
 let test_trace_segments_of_core () =
   let a = task ~core:(Some 0) ~id:0 ~prio:0 ~wcet:2 ~period:10 () in
   let b = task ~core:(Some 1) ~id:1 ~prio:1 ~wcet:3 ~period:10 () in
-  let stats = run ~collect_trace:true ~n_cores:2 ~horizon:30 [ a; b ] in
-  match stats.Engine.trace with
-  | None -> Alcotest.fail "trace requested"
-  | Some tr ->
-      check_int "core 0 segments" 3
-        (List.length (Trace.segments_of_core tr ~core:0));
-      check_int "core 1 segments" 3
-        (List.length (Trace.segments_of_core tr ~core:1));
-      check_bool "core 1 runs only task 1" true
-        (List.for_all
-           (fun s -> s.Trace.seg_task_id = 1)
-           (Trace.segments_of_core tr ~core:1))
+  let segs = segments ~n_cores:2 ~horizon:30 [ a; b ] in
+  let of_core m = List.filter (fun (c, _, _, _, _) -> c = m) segs in
+  check_int "core 0 segments" 3 (List.length (of_core 0));
+  check_int "core 1 segments" 3 (List.length (of_core 1));
+  check_bool "core 1 runs only task 1" true
+    (List.for_all (fun (_, i, _, _, _) -> i = 1) (of_core 1))
 
 let test_policy_names () =
   Alcotest.(check (list string)) "names"
@@ -896,16 +857,7 @@ let () =
           Alcotest.test_case "event log chrome trace" `Quick
             test_event_log_chrome_trace;
           Alcotest.test_case "trace no-overlap + busy time" `Quick
-            test_trace_no_overlap_and_busy_time;
-          Alcotest.test_case "trace core utilization" `Quick
-            test_trace_core_utilization;
-          Alcotest.test_case "zero-horizon utilization" `Quick
-            test_trace_zero_horizon_utilization;
-          Alcotest.test_case "ascii insertion-order invariant" `Quick
-            test_trace_ascii_insertion_order_invariant;
-          Alcotest.test_case "csv export" `Quick test_trace_csv;
-          Alcotest.test_case "ascii rendering" `Quick test_trace_ascii_renders ]
-      );
+            test_trace_no_overlap_and_busy_time ] );
       ( "switching",
         [ Alcotest.test_case "no migration when pinned" `Quick
             test_migrations_zero_when_pinned;

@@ -62,13 +62,11 @@ let capture_run ~n_cores run =
 let engines_agree ?overheads ~n_cores ~horizon tasks =
   let fast_stats, fast_events =
     capture_run ~n_cores (fun hooks ->
-        Sim.Engine.run ~hooks ~collect_trace:true ?overheads ~n_cores ~horizon
-          tasks)
+        Sim.Engine.run ~hooks ?overheads ~n_cores ~horizon tasks)
   in
   let naive_stats, naive_events =
     capture_run ~n_cores (fun hooks ->
-        Hydra_oracle.Naive_sim.run ~hooks ~collect_trace:true ?overheads
-          ~n_cores ~horizon tasks)
+        Hydra_oracle.Naive_sim.run ~hooks ?overheads ~n_cores ~horizon tasks)
   in
   (match Sim.Event_log.first_divergence fast_events naive_events with
   | None -> ()
