@@ -651,14 +651,13 @@ let cmd_obs_report =
 (* ------------------------------------------------------------------ *)
 (* serve: the online admission-control daemon (doc/SERVER.md) *)
 
-let run_serve socket jobs cache_capacity max_batch slow_request_ms
+let run_serve socket jobs max_batch slow_request_ms
     flight_out metrics trace_out metrics_out profile stream =
   with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
     (fun ctx ->
       let config =
-        { Hydra_server.Daemon.socket_path = socket; jobs; cache_capacity;
-          max_batch; trace = trace_out <> None; slow_request_ms;
-          flight_path = flight_out }
+        { Hydra_server.Daemon.socket_path = socket; jobs; max_batch;
+          trace = trace_out <> None; slow_request_ms; flight_path = flight_out }
       in
       let log = Hydra_obs.Log.create () in
       Hydra_obs.Log.log log "listening"
@@ -675,11 +674,6 @@ let socket_arg =
   Arg.(value & opt string "hydra_c.sock"
        & info [ "socket" ] ~docv:"PATH"
            ~doc:"Unix-domain socket to listen on (stale files are                  unlinked; the file is removed again on shutdown).")
-
-let cache_capacity_arg =
-  Arg.(value & opt int 0
-       & info [ "cache-capacity" ] ~docv:"N"
-           ~doc:"Bound every tenant's per-system workload cache to N                  memoized windows (0 = unbounded). Enforcement is                  deterministic flush-on-full, so results never change —                  only recomputation (doc/SERVER.md).")
 
 let max_batch_arg =
   Arg.(value & opt int 64
@@ -700,8 +694,8 @@ let cmd_serve =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the admission-control daemon: tenant systems stay resident                (workload caches, warm-start state, last selection) and                reconfiguration requests (RT/security task arrive/leave,                core-count change, re-select) stream over a Unix-domain                socket speaking length-prefixed hydra_c.server/1 JSON                (doc/SERVER.md). Stop it with a 'shutdown' request. Scrape                it live with 'hydra_c obs-report --connect SOCKET'; send                SIGUSR1 for a flight-recorder dump.")
-    Term.(const run_serve $ socket_arg $ jobs_arg $ cache_capacity_arg
-          $ max_batch_arg $ slow_request_ms_arg
+    Term.(const run_serve $ socket_arg $ jobs_arg $ max_batch_arg
+          $ slow_request_ms_arg
           $ flight_out_arg $ metrics_arg $ trace_out_arg $ metrics_out_arg
           $ profile_arg $ stream_arg)
 

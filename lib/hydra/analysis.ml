@@ -3,35 +3,35 @@ module Workload = Rtsched.Workload
 
 type time = Task.time
 
-(* Per-system memo of the raw per-core RT workload vector at each
-   window x (doc/PERFORMANCE.md). Keyed on x only: the RT partition is
-   frozen for the lifetime of the system value, and
-   Workload.rt_core_workload depends on nothing else. The job_wcet
-   clamp of Eq. 3 is applied per query, on top of the cached vector.
-   The table is plain (not thread-safe) state: a system value must not
-   be shared across domains — the sweep builds one per taskset per
-   worker, see analysis.mli.
-
-   [c_capacity] bounds the entry count for long-lived systems (the
-   admission-control daemon, doc/SERVER.md): 0 means unbounded; a
-   positive bound triggers a deterministic flush-on-full eviction
-   (the whole table is reset before the insert that would exceed the
-   bound — no hash-order-dependent victim choice). The hit/miss/
-   eviction/refresh tallies back the {!cache_stats} accessor; the
-   [?obs] counters are recorded alongside, they are not a substitute
-   (a daemon holds one registry for many tenant systems). *)
+(* Per-system memo of the raw per-core RT workloads at each window x
+   (doc/PERFORMANCE.md §1), direct-mapped in two flat arrays: window x
+   lives in slot [x land (slots - 1)], [keys.(slot)] holds it (-1 =
+   empty; windows are >= C_s >= 1, so -1 never matches) and
+   [wl.(slot * M + m)] holds core m's raw workload. A lookup or a
+   store allocates nothing; a window landing on a slot held by another
+   overwrites it. An entry is a function of the RT partition and the
+   window only, so which windows survive never changes a result. The
+   job_wcet clamp of Eq. 3 is applied per query, on top of the cached
+   workloads. The arrays are plain (not thread-safe) state: a system
+   value must not be shared across domains — the sweep builds one per
+   taskset per worker, see analysis.mli. The hit/miss/eviction/refresh
+   tallies back {!cache_stats}; the [?obs] counters are recorded
+   alongside, they are not a substitute (a daemon holds one registry
+   for many tenant systems). *)
 type cache = {
-  rt_wl : (int, int array) Hashtbl.t;
-  mutable c_capacity : int;
+  keys : int array;  (* slots, a power of two *)
+  wl : int array;  (* slots * n_cores *)
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_evictions : int;
   mutable c_refreshes : int;
 }
 
-let fresh_cache () =
-  { rt_wl = Hashtbl.create 64; c_capacity = 0; c_hits = 0; c_misses = 0;
-    c_evictions = 0; c_refreshes = 0 }
+let fresh_cache ?(slots = 256) n_cores =
+  if slots <= 0 || slots land (slots - 1) <> 0 then
+    invalid_arg "Analysis.fresh_cache: slots must be a power of two";
+  { keys = Array.make slots (-1); wl = Array.make (slots * n_cores) 0;
+    c_hits = 0; c_misses = 0; c_evictions = 0; c_refreshes = 0 }
 
 type cache_stats = {
   cs_entries : int;
@@ -59,33 +59,25 @@ type carry_in_policy = Top_delta | Exhaustive
 let make_system (ts : Task.taskset) ~assignment =
   { n_cores = ts.n_cores;
     rt_cores = Rtsched.Partition.cores_of_assignment ts assignment;
-    cache = fresh_cache () }
+    cache = fresh_cache ts.n_cores }
 
 let cache_stats sys =
   let c = sys.cache in
-  { cs_entries = Hashtbl.length c.rt_wl;
-    cs_capacity = c.c_capacity;
+  { cs_entries =
+      Array.fold_left (fun n k -> if k >= 0 then n + 1 else n) 0 c.keys;
+    cs_capacity = Array.length c.keys;
     cs_hits = c.c_hits;
     cs_misses = c.c_misses;
     cs_evictions = c.c_evictions;
     cs_refreshes = c.c_refreshes }
 
-let set_cache_capacity sys capacity =
-  let c = sys.cache in
-  c.c_capacity <- max 0 capacity;
-  (* Re-establish the bound immediately so a capacity lowered below the
-     current size cannot linger over it until the next miss. *)
-  if c.c_capacity > 0 && Hashtbl.length c.rt_wl > c.c_capacity then begin
-    Hashtbl.reset c.rt_wl;
-    c.c_evictions <- c.c_evictions + 1
-  end
-
 (* Per-core cache invalidation (doc/SERVER.md): the new partition
    differs from the cached one only on the cores flagged in [changed],
-   so every memoized window keeps the unchanged cores' workloads and
+   so every occupied slot keeps the unchanged cores' workloads and
    recomputes just the changed columns. Bit-identity is by definition:
-   after the refresh every cached vector equals what
-   [Workload.rt_workloads new_cores x] would compute from scratch. *)
+   after the refresh every cached workload equals what
+   [Workload.rt_core_workload new_cores.(m) x] would compute from
+   scratch. *)
 let refresh_rt_cores sys new_cores ~changed =
   if Array.length new_cores <> sys.n_cores
      || Array.length changed <> sys.n_cores
@@ -94,17 +86,17 @@ let refresh_rt_cores sys new_cores ~changed =
       "Analysis.refresh_rt_cores: core count changed — build a fresh system \
        with make_system instead";
   let c = sys.cache in
-  let refreshed = ref 0 in
-  Hashtbl.iter
-    (fun x wl ->
-      for m = 0 to sys.n_cores - 1 do
-        if changed.(m) then begin
-          wl.(m) <- Workload.rt_core_workload new_cores.(m) x;
-          incr refreshed
-        end
-      done)
-    c.rt_wl;
-  c.c_refreshes <- c.c_refreshes + !refreshed;
+  Array.iteri
+    (fun slot x ->
+      if x >= 0 then
+        for m = 0 to sys.n_cores - 1 do
+          if changed.(m) then begin
+            c.wl.((slot * sys.n_cores) + m) <-
+              Workload.rt_core_workload new_cores.(m) x;
+            c.c_refreshes <- c.c_refreshes + 1
+          end
+        done)
+    c.keys;
   { sys with rt_cores = new_cores }
 
 let rt_interference sys ~job_wcet x =
@@ -117,28 +109,30 @@ let rt_interference sys ~job_wcet x =
    interference = clamp(rt_core_workload core x) either way. *)
 let rt_interference_cached obs sys ~job_wcet x =
   let c = sys.cache in
-  let wl =
-    match Hashtbl.find_opt c.rt_wl x with
-    | Some wl ->
-        Hydra_obs.incr obs "analysis.cache.hit";
-        c.c_hits <- c.c_hits + 1;
-        wl
-    | None ->
-        Hydra_obs.incr obs "analysis.cache.miss";
-        c.c_misses <- c.c_misses + 1;
-        if c.c_capacity > 0 && Hashtbl.length c.rt_wl >= c.c_capacity then begin
-          (* flush-on-full: deterministic, keeps the table <= capacity *)
-          Hashtbl.reset c.rt_wl;
-          c.c_evictions <- c.c_evictions + 1;
-          Hydra_obs.incr obs "analysis.cache.evicted"
-        end;
-        let wl = Workload.rt_workloads sys.rt_cores x in
-        Hashtbl.add c.rt_wl x wl;
-        wl
-  in
+  let n = sys.n_cores in
+  let slot = x land (Array.length c.keys - 1) in
+  let base = slot * n in
+  let wl = c.wl in
+  let k = c.keys.(slot) in
+  if k = x then begin
+    Hydra_obs.incr obs "analysis.cache.hit";
+    c.c_hits <- c.c_hits + 1
+  end
+  else begin
+    Hydra_obs.incr obs "analysis.cache.miss";
+    c.c_misses <- c.c_misses + 1;
+    if k >= 0 then begin
+      c.c_evictions <- c.c_evictions + 1;
+      Hydra_obs.incr obs "analysis.cache.evicted"
+    end;
+    c.keys.(slot) <- x;
+    for m = 0 to n - 1 do
+      wl.(base + m) <- Workload.rt_core_workload sys.rt_cores.(m) x
+    done
+  end;
   let acc = ref 0 in
-  for m = 0 to Array.length wl - 1 do
-    acc := !acc + Workload.interference ~job_wcet ~window:x wl.(m)
+  for m = 0 to n - 1 do
+    acc := !acc + Workload.interference ~job_wcet ~window:x wl.(base + m)
   done;
   !acc
 

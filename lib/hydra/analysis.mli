@@ -35,26 +35,37 @@
 type time = Rtsched.Task.time
 
 type cache
-(** Per-system memo of the raw per-core RT workload vector per window
-    (the [x -> W_m(x)] table behind [analysis.cache.{hit,miss}]).
-    Mutable but observationally pure: entries are a function of the
-    frozen RT partition and the window only. *)
+(** Per-system memo of the raw per-core RT workloads per window (the
+    [x -> W_m(x)] table behind [analysis.cache.{hit,miss,evicted}]).
+    It is direct-mapped: 256 slots (tests may pick another power of
+    two, {!fresh_cache}), window [x] in slot [x land (slots - 1)],
+    each slot holding one window and its [M] workloads in flat [int]
+    arrays, [slots * (M + 1)] words in all (10 KiB at [M = 4]). A lookup or a store allocates nothing; a window that
+    lands on a slot held by another window overwrites it (an
+    eviction). Mutable but observationally pure: every entry is a
+    function of the RT partition and the window only, so a hit
+    returns exactly what a miss computes. *)
 
-val fresh_cache : unit -> cache
-(** An empty cache — needed when building a {!system} literally rather
-    than through {!make_system}. *)
+val fresh_cache : ?slots:int -> int -> cache
+(** [fresh_cache n_cores] is an empty cache for [n_cores] cores —
+    needed when building a {!system} literally rather than through
+    {!make_system}. [slots] (default 256) exists for the collision
+    tests: the slot count changes only how often windows collide,
+    never a result.
+    @raise Invalid_argument if [slots] is not a power of two. *)
 
 type cache_stats = {
-  cs_entries : int;  (** memoized windows currently held *)
-  cs_capacity : int;  (** entry bound; [0] = unbounded *)
+  cs_entries : int;  (** occupied slots *)
+  cs_capacity : int;  (** slot count (256) *)
   cs_hits : int;
   cs_misses : int;
-  cs_evictions : int;  (** flush-on-full resets performed *)
+  cs_evictions : int;
+      (** misses that overwrote a slot held by another window *)
   cs_refreshes : int;  (** per-core columns rewritten by {!refresh_rt_cores} *)
 }
 (** Hygiene counters of one system's workload cache — the per-system
-    view behind the global [analysis.cache.{hit,miss}] registry
-    counters (a long-lived daemon holds many systems on one
+    view behind the global [analysis.cache.{hit,miss,evicted}]
+    registry counters (a long-lived daemon holds many systems on one
     registry; doc/SERVER.md). *)
 
 type system = {
@@ -90,24 +101,12 @@ val make_system :
 val cache_stats : system -> cache_stats
 (** Current hygiene counters of this system's workload cache. *)
 
-val set_cache_capacity : system -> int -> unit
-(** Bound the cache to at most [capacity] memoized windows ([<= 0]
-    restores the unbounded default). Enforcement is flush-on-full: the
-    insert that would exceed the bound resets the whole table first — a
-    deterministic policy (no hash-order victim selection), so bounded
-    and unbounded runs still compute bit-identical results, only the
-    amount of recomputation differs. Lowering the capacity below the
-    current entry count flushes immediately. A long-lived daemon sets
-    this so resident tenants cannot grow their caches without limit
-    (doc/SERVER.md; the bound is unit-tested in
-    test/test_analysis.ml). *)
-
 val refresh_rt_cores :
   system -> Rtsched.Task.rt_task list array -> changed:bool array ->
   system
 (** [refresh_rt_cores sys new_cores ~changed] is a system with the RT
     partition replaced by [new_cores], {b keeping} the workload cache:
-    for every memoized window, only the columns of cores flagged in
+    for every occupied slot, only the columns of cores flagged in
     [changed] are recomputed (counted in [cs_refreshes]); unchanged
     cores' workloads are reused as-is. The caller guarantees that
     [new_cores.(m)] equals [sys]'s core [m] wherever
@@ -156,7 +155,7 @@ val response_time :
     [analysis.fixpoint.iterations] plus converged/diverged tallies,
     [analysis.carry_in.subsets] (Exhaustive: subsets enumerated),
     the [analysis.carry_in.set_size] distribution,
-    [analysis.cache.{hit,miss}] and
+    [analysis.cache.{hit,miss,evicted}] and
     [analysis.prune.{carry_in_dropped,subsets_skipped}]
     (doc/OBSERVABILITY.md). *)
 

@@ -162,12 +162,11 @@ let get k j =
 
 let to_float = function Num f -> Some f | _ -> None
 
+(* OCaml's int range is exactly [-2^62, 2^62): 2^62 itself would wrap
+   to min_int under int_of_float. NaN fails both comparisons. *)
 let to_int = function
-  | Num f ->
-      let i = int_of_float f in
-      (* reject non-representable magnitudes rather than wrapping *)
-      if Float.is_finite f && Float.abs f <= 4.611686018427387904e18 then Some i
-      else None
+  | Num f when f >= -4.611686018427387904e18 && f < 4.611686018427387904e18 ->
+      Some (int_of_float f)
   | _ -> None
 
 let to_string = function Str s -> Some s | _ -> None

@@ -35,7 +35,7 @@ val get : string -> t -> t
 
 val to_int : t -> int option
 (** Numeric value as [int] (truncating); [None] on non-numbers and on
-    values outside [int] range. *)
+    values outside [int] range, [-2^62 <= f < 2^62]. *)
 
 val to_float : t -> float option
 val to_string : t -> string option

@@ -26,8 +26,5 @@ let rt_core_workload tasks x =
 let rt_core_interference ~job_wcet tasks x =
   interference ~job_wcet ~window:x (rt_core_workload tasks x)
 
-let rt_workloads cores x =
-  Array.map (fun core -> rt_core_workload core x) cores
-
 let request_bound ~wcet ~period x =
   if x <= 0 then 0 else (x + period - 1) / period * wcet

@@ -35,14 +35,6 @@ val rt_core_interference :
 (** Eq. 3: interference of one core's RT partition on a security job of
     WCET [job_wcet] in a window of length [x]. *)
 
-val rt_workloads : Task.rt_task list array -> time -> time array
-(** [rt_workloads cores x] is {!rt_core_workload} of every core at
-    window [x] — the raw (unclamped) per-core vector. It depends only
-    on the frozen RT partition and [x], which is what makes it safe to
-    memoize per window: the [job_wcet] clamp of Eq. 3 is applied per
-    query on top (see [Hydra.Analysis]'s RT-workload cache,
-    doc/PERFORMANCE.md). *)
-
 val request_bound : wcet:time -> period:time -> time -> time
 (** Classic request-bound function [ceil(x/T)*C] used by the
     uniprocessor time-demand analysis (Eq. 1). Returns [0] for

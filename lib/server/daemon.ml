@@ -13,7 +13,6 @@
 type config = {
   socket_path : string;
   jobs : int;
-  cache_capacity : int;
   max_batch : int;
   trace : bool;
   slow_request_ms : int;
@@ -21,8 +20,8 @@ type config = {
 }
 
 let default_config ~socket_path =
-  { socket_path; jobs = 1; cache_capacity = 0; max_batch = 64; trace = false;
-    slow_request_ms = 0; flight_path = None }
+  { socket_path; jobs = 1; max_batch = 64; trace = false; slow_request_ms = 0;
+    flight_path = None }
 
 (* SIGUSR1 only sets this flag; the dump itself runs on the accept
    loop at the next safe point (between batches or on an interrupted
@@ -274,10 +273,7 @@ let handle_client srv cn fd ~max_batch =
 
 let serve ?obs ?(config = default_config ~socket_path:"hydra_c.sock")
     ?on_ready () =
-  let engine =
-    Engine.create ?obs ~jobs:config.jobs
-      ~cache_capacity:config.cache_capacity ()
-  in
+  let engine = Engine.create ?obs ~jobs:config.jobs () in
   let srv =
     { engine; obs; flight = Engine.flight engine; trace = config.trace;
       log = Hydra_obs.Log.create ();

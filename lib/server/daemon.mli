@@ -51,7 +51,6 @@
 type config = {
   socket_path : string;
   jobs : int;  (** worker domains for tenant sharding (default 1) *)
-  cache_capacity : int;  (** per-tenant workload-cache bound; 0 = unbounded *)
   max_batch : int;  (** frames drained per batch (default 64) *)
   trace : bool;
       (** trace every request (default [false]; [serve] sets it iff

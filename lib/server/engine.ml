@@ -5,13 +5,12 @@ type t = {
   obs : Hydra_obs.t option;
   tenants : (string, Tenant.t) Hashtbl.t;
   pool : Pool.Static.t;
-  cache_capacity : int;
   flight : Hydra_obs.Flight.t;
 }
 
-let create ?obs ?(jobs = 1) ?(cache_capacity = 0) () =
+let create ?obs ?(jobs = 1) () =
   { obs; tenants = Hashtbl.create 16; pool = Pool.Static.create ~jobs;
-    cache_capacity; flight = Hydra_obs.Flight.create () }
+    flight = Hydra_obs.Flight.create () }
 
 let shutdown t = Pool.Static.shutdown t.pool
 let flight t = t.flight
@@ -49,7 +48,7 @@ let rows assignments =
    request rides with its optional trace context, and a traced
    request's worker-side processing is a ["server.apply"] child
    span. *)
-let run_group ~obs ~cache_capacity ~flight ~ftid ~name state reqs =
+let run_group ~obs ~flight ~ftid ~name state reqs =
   let tenant = ref state in
   let pending = ref [] in
   (* (pos, id, ctx) of coalesced dirty ops *)
@@ -125,7 +124,7 @@ let run_group ~obs ~cache_capacity ~flight ~ftid ~name state reqs =
             (* a replacement system: answer pending requests against
                the outgoing state first *)
             flush ();
-            match Tenant.create ~name ~cache_capacity ~cores ~rt ~sec with
+            match Tenant.create ~name ~cores ~rt ~sec with
             | Tenant.Admitted tn ->
                 tenant := Some tn;
                 pending := [ (pos, id, actx) ]
@@ -255,8 +254,8 @@ let exec_batch ?ctxs t (batch : Protocol.request list) :
             ~kind:Hydra_obs.Flight.Shard ~tenant:ftids.(g)
             ~a:(List.length ms) ~b:g;
           let run () =
-            run_group ~obs ~cache_capacity:t.cache_capacity ~flight:t.flight
-              ~ftid:ftids.(g) ~name:names.(g) states.(g) ms
+            run_group ~obs ~flight:t.flight ~ftid:ftids.(g) ~name:names.(g)
+              states.(g) ms
           in
           if profile then Hydra_obs.span obs "server.shard" run else run ())
         n_groups

@@ -23,14 +23,11 @@
 
 type t
 
-val create :
-  ?obs:Hydra_obs.t -> ?jobs:int -> ?cache_capacity:int -> unit -> t
-(** [jobs] (default 1) sizes the persistent worker pool.
-    [cache_capacity] bounds every tenant's workload cache
-    ({!Hydra.Analysis.set_cache_capacity}; 0 = unbounded). Tenants
-    stay warm between batches (resident caches, warm floors, search
-    hints, cached clean-tenant results, see {!Tenant.materialize});
-    every selection is bit-identical to one on a fresh system of the
+val create : ?obs:Hydra_obs.t -> ?jobs:int -> unit -> t
+(** [jobs] (default 1) sizes the persistent worker pool. Tenants stay
+    warm between batches (resident caches, warm floors, search hints,
+    cached clean-tenant results, see {!Tenant.materialize}); every
+    selection is bit-identical to one on a fresh system of the
     tenant's state at that point. *)
 
 val exec_batch :

@@ -13,7 +13,6 @@ type rt_resident = { spec : Protocol.rt_spec; core : int }
 
 type t = {
   name : string;
-  cache_capacity : int;
   mutable cores : int;
   mutable rt : rt_resident list;  (* arrival order; rt_id = position *)
   mutable sec : Protocol.sec_spec list;  (* arrival order; sec_id = prio = position *)
@@ -105,7 +104,7 @@ let find_dup names =
           end)
     None names
 
-let rebuild ~name ~cache_capacity ~cores ~rt_specs ~sec_specs ~selects
+let rebuild ~name ~cores ~rt_specs ~sec_specs ~selects
     ~warm_selects =
   guard (fun () ->
       (match
@@ -135,19 +134,17 @@ let rebuild ~name ~cache_capacity ~cores ~rt_specs ~sec_specs ~selects
             List.mapi (fun i spec -> { spec; core = asg.(i) }) rt_specs
           in
           let sys = Analysis.make_system ts ~assignment:asg in
-          Analysis.set_cache_capacity sys cache_capacity;
           Admitted
-            { name; cache_capacity; cores; rt = residents; sec = sec_specs;
-              sys; warm = [||]; warm_ok = false; last = None; dirty = true;
+            { name; cores; rt = residents; sec = sec_specs; sys;
+              warm = [||]; warm_ok = false; last = None; dirty = true;
               selects; warm_selects })
 
-let create ~name ~cache_capacity ~cores ~rt ~sec =
-  rebuild ~name ~cache_capacity ~cores ~rt_specs:rt ~sec_specs:sec ~selects:0
-    ~warm_selects:0
+let create ~name ~cores ~rt ~sec =
+  rebuild ~name ~cores ~rt_specs:rt ~sec_specs:sec ~selects:0 ~warm_selects:0
 
 let set_cores t cores =
   match
-    rebuild ~name:t.name ~cache_capacity:t.cache_capacity ~cores
+    rebuild ~name:t.name ~cores
       ~rt_specs:(List.map (fun r -> r.spec) t.rt)
       ~sec_specs:t.sec ~selects:t.selects ~warm_selects:t.warm_selects
   with

@@ -27,12 +27,12 @@ type 'a admission =
   | Invalid of string  (** malformed edit (bad spec, unknown name...) *)
 
 val create :
-  name:string -> cache_capacity:int -> cores:int ->
-  rt:Protocol.rt_spec list -> sec:Protocol.sec_spec list -> t admission
+  name:string -> cores:int -> rt:Protocol.rt_spec list ->
+  sec:Protocol.sec_spec list -> t admission
 (** Build a tenant from an [Init] request: rate-monotonic RT
     priorities, best-fit partitioning ([Rejected] if some RT task
-    cannot be placed), fresh analysis system with the cache bounded to
-    [cache_capacity] entries (0 = unbounded). *)
+    cannot be placed), fresh analysis system (its workload cache is
+    the fixed 256-slot memo of {!Hydra.Analysis.cache}). *)
 
 val name : t -> string
 

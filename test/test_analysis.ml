@@ -88,12 +88,24 @@ let hp_chain ?policy sys (sorted : Task.sec_task array) upto =
   in
   go 0 []
 
-let with_taskset ts f =
+(* [sys] with an empty workload cache of [slots] slots (default 256). *)
+let with_slots ?slots sys =
+  { sys with Analysis.cache = Analysis.fresh_cache ?slots sys.Analysis.n_cores }
+
+let with_taskset ?slots ts f =
   let sys =
-    Analysis.make_system ts ~assignment:(Test_util.round_robin_assignment ts)
+    with_slots ?slots
+      (Analysis.make_system ts
+         ~assignment:(Test_util.round_robin_assignment ts))
   in
   let sorted = Task.sort_sec_by_priority ts.Task.sec in
   f sys sorted
+
+(* Workload-cache sizes the differentials run at: one slot, where
+   every new window overwrites the last, and the default size. Between
+   them every lookup path is exercised: a hit, a miss into an empty
+   slot and a miss over a colliding window. *)
+let slot_counts = [ Some 1; None ]
 
 (* Top_delta upper-bounds the response under every admissible fixed
    carry-in subset (the certificate the branch-and-bound path leans
@@ -125,26 +137,32 @@ let prop_top_delta_bounds_every_subset =
                      | None -> false (* must converge under the cert *))))
 
 (* Equivalence gate, single WCRT queries: production = oracle for
-   both policies, both the value and the None verdict. *)
+   both policies and both cache sizes, both the value and the None
+   verdict. *)
 let prop_response_time_fast_equals_naive =
   let arb = Test_util.arb_taskset ~n_cores:3 ~n_rt:4 ~n_sec:5 in
   Test_util.qtest ~count:120 "response_time fast = naive" arb (fun ts ->
-      with_taskset ts @@ fun sys sorted ->
-      let n = Array.length sorted in
       List.for_all
-        (fun policy ->
-          match hp_chain ~policy sys sorted (n - 1) with
-          | None -> true
-          | Some hp ->
-              let target = sorted.(n - 1) in
-              let wcet = target.Task.sec_wcet in
-              let limit = target.Task.sec_period_max in
-              let naive =
-                Naive_analysis.response_time ~policy sys ~hp ~wcet ~limit
-              in
-              let fast = Analysis.response_time ~policy sys ~hp ~wcet ~limit in
-              naive = fast)
-        [ Analysis.Top_delta; Analysis.Exhaustive ])
+        (fun slots ->
+          with_taskset ?slots ts @@ fun sys sorted ->
+          let n = Array.length sorted in
+          List.for_all
+            (fun policy ->
+              match hp_chain ~policy sys sorted (n - 1) with
+              | None -> true
+              | Some hp ->
+                  let target = sorted.(n - 1) in
+                  let wcet = target.Task.sec_wcet in
+                  let limit = target.Task.sec_period_max in
+                  let naive =
+                    Naive_analysis.response_time ~policy sys ~hp ~wcet ~limit
+                  in
+                  let fast =
+                    Analysis.response_time ~policy sys ~hp ~wcet ~limit
+                  in
+                  naive = fast)
+            [ Analysis.Top_delta; Analysis.Exhaustive ])
+        slot_counts)
 
 let same_select_result a b =
   match (a, b) with
@@ -160,10 +178,11 @@ let same_select_result a b =
   | _ -> false
 
 (* Equivalence gate, whole Algorithm 1 runs (this also exercises the
-   warm-start floor and the commit/scratch bookkeeping). A fresh
-   system per run so the workload cache of one run cannot leak into
-   the timing of another (results would match anyway — the cache is
-   observationally pure). *)
+   warm-start floor and the commit/scratch bookkeeping), for both
+   policies and both cache sizes. A fresh system per run so the
+   workload cache of one run cannot leak into the timing of another
+   (results would match anyway — the cache is observationally
+   pure). *)
 let prop_select_fast_equals_naive =
   let arb = Test_util.arb_taskset ~n_cores:3 ~n_rt:4 ~n_sec:5 in
   Test_util.qtest ~count:120 "select fast = naive" arb (fun ts ->
@@ -173,11 +192,14 @@ let prop_select_fast_equals_naive =
             with_taskset ts @@ fun sys _ ->
             Naive_selection.select ~policy sys ts.Task.sec
           in
-          let fast =
-            with_taskset ts @@ fun sys _ ->
-            Period_selection.select ~policy sys ts.Task.sec
-          in
-          same_select_result naive fast)
+          List.for_all
+            (fun slots ->
+              let fast =
+                with_taskset ?slots ts @@ fun sys _ ->
+                Period_selection.select ~policy sys ts.Task.sec
+              in
+              same_select_result naive fast)
+            slot_counts)
         [ Analysis.Top_delta; Analysis.Exhaustive ])
 
 (* ------------------------------------------------------------------ *)
@@ -254,66 +276,96 @@ let test_fast_path_counters () =
     (total "analysis.carry_in.subsets" > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Cache hygiene: the stats accessor, the bounded-size eviction knob
-   (flush-on-full must keep results bit-identical while capping the
-   entry count), and the per-core refresh entry point. *)
+(* Cache hygiene: the stats accessor, the slot count (every size
+   computes bit-identical results; a colliding window overwrites its
+   slot, so the table never grows), and the per-core refresh entry
+   point. *)
+
+let rover_system ?slots () =
+  with_slots ?slots
+    (Analysis.make_system (Security.Rover.taskset ())
+       ~assignment:(Security.Rover.rt_assignment ()))
+
+(* Windows never exceed the largest period bound, so at the first power
+   of two above it every window of a rover selection has a slot of its
+   own. *)
+let rover_collision_free_slots =
+  let largest =
+    Array.fold_left
+      (fun acc s -> max acc s.Task.sec_period_max)
+      0 (Security.Rover.taskset ()).Task.sec
+  in
+  let rec pow2 s = if s > largest then s else pow2 (2 * s) in
+  pow2 1
 
 let test_cache_stats_and_bound () =
   let ts = Security.Rover.taskset () in
-  let asg = Security.Rover.rt_assignment () in
-  let run capacity =
-    let sys = Analysis.make_system ts ~assignment:asg in
-    Analysis.set_cache_capacity sys capacity;
+  let run ?slots () =
+    let sys = rover_system ?slots () in
     let result = Period_selection.select sys ts.Task.sec in
     (result, Analysis.cache_stats sys)
   in
-  let unbounded, su = run 0 in
-  check_bool "unbounded populates" true (su.Analysis.cs_entries > 0);
-  check_bool "misses counted" true (su.Analysis.cs_misses > 0);
-  check_bool "hits counted" true (su.Analysis.cs_hits > 0);
-  check_int "no evictions unbounded" 0 su.Analysis.cs_evictions;
-  check_int "entries = misses when unbounded" su.Analysis.cs_misses
-    su.Analysis.cs_entries;
-  let cap = max 1 (su.Analysis.cs_entries / 4) in
-  let bounded, sb = run cap in
-  check_bool "bound respected" true (sb.Analysis.cs_entries <= cap);
-  check_bool "evictions happened" true (sb.Analysis.cs_evictions > 0);
-  check_bool "bounded = unbounded results" true
-    (same_select_result unbounded bounded);
-  (* lowering the capacity below the live entry count flushes now *)
-  let sys = Analysis.make_system ts ~assignment:asg in
-  ignore (Period_selection.select sys ts.Task.sec);
-  let n0 = (Analysis.cache_stats sys).Analysis.cs_entries in
-  check_bool "populated" true (n0 > 1);
-  Analysis.set_cache_capacity sys 1;
-  check_int "immediate flush" 0 (Analysis.cache_stats sys).Analysis.cs_entries
+  let default, sd = run () in
+  check_int "default slot count" 256 sd.Analysis.cs_capacity;
+  check_bool "populates" true (sd.Analysis.cs_entries > 0);
+  check_bool "misses counted" true (sd.Analysis.cs_misses > 0);
+  check_bool "hits counted" true (sd.Analysis.cs_hits > 0);
+  List.iter
+    (fun slots ->
+      let result, s = run ~slots () in
+      let at what = Printf.sprintf "%s at %d slots" what slots in
+      check_int (at "slot count") slots s.Analysis.cs_capacity;
+      check_bool (at "entries <= slots") true
+        (s.Analysis.cs_entries <= slots);
+      check_bool (at "result = default size") true
+        (same_select_result default result);
+      if slots = 1 then
+        check_bool (at "evictions") true (s.Analysis.cs_evictions > 0))
+    [ 1; 2; 16; 256 ];
+  let result, s = run ~slots:rover_collision_free_slots () in
+  check_int "no evictions above the largest window" 0
+    s.Analysis.cs_evictions;
+  check_int "entries = misses without collisions" s.Analysis.cs_misses
+    s.Analysis.cs_entries;
+  check_bool "result = default size" true (same_select_result default result);
+  Alcotest.check_raises "slot count must be a power of two"
+    (Invalid_argument "Analysis.fresh_cache: slots must be a power of two")
+    (fun () -> ignore (Analysis.fresh_cache ~slots:3 4))
 
 let test_refresh_rt_cores () =
   let ts = Security.Rover.taskset () in
-  let asg = Security.Rover.rt_assignment () in
-  let sys = Analysis.make_system ts ~assignment:asg in
-  ignore (Period_selection.select sys ts.Task.sec);
-  let stats0 = Analysis.cache_stats sys in
-  check_bool "populated" true (stats0.Analysis.cs_entries > 0);
-  (* drop every RT task from core 0, keep the others: refreshed
-     responses must equal a cold system built on the same partition *)
-  let new_cores = Array.copy sys.Analysis.rt_cores in
-  new_cores.(0) <- [];
-  let changed = Array.make sys.Analysis.n_cores false in
-  changed.(0) <- true;
-  let refreshed = Analysis.refresh_rt_cores sys new_cores ~changed in
-  let stats1 = Analysis.cache_stats refreshed in
-  check_int "same entries" stats0.Analysis.cs_entries stats1.Analysis.cs_entries;
-  check_bool "columns rewritten" true (stats1.Analysis.cs_refreshes > 0);
-  let cold =
-    { Analysis.n_cores = sys.Analysis.n_cores; rt_cores = new_cores;
-      cache = Analysis.fresh_cache () }
-  in
-  check_bool "refreshed = cold rebuild" true
-    (same_select_result
-       (Period_selection.select refreshed ts.Task.sec)
-       (Period_selection.select cold ts.Task.sec));
+  (* at the default size; at one slot, where the refresh passes over an
+     entry that colliding windows kept overwriting; and collision-free,
+     where every window of the first selection is still cached *)
+  List.iter
+    (fun slots ->
+      let sys = rover_system ?slots () in
+      ignore (Period_selection.select sys ts.Task.sec);
+      let stats0 = Analysis.cache_stats sys in
+      check_bool "populated" true (stats0.Analysis.cs_entries > 0);
+      (* drop every RT task from core 0, keep the others: refreshed
+         responses must equal a cold system built on the same
+         partition *)
+      let new_cores = Array.copy sys.Analysis.rt_cores in
+      new_cores.(0) <- [];
+      let changed = Array.make sys.Analysis.n_cores false in
+      changed.(0) <- true;
+      let refreshed = Analysis.refresh_rt_cores sys new_cores ~changed in
+      let stats1 = Analysis.cache_stats refreshed in
+      check_int "same entries" stats0.Analysis.cs_entries
+        stats1.Analysis.cs_entries;
+      check_bool "columns rewritten" true (stats1.Analysis.cs_refreshes > 0);
+      let cold =
+        { Analysis.n_cores = sys.Analysis.n_cores; rt_cores = new_cores;
+          cache = Analysis.fresh_cache sys.Analysis.n_cores }
+      in
+      check_bool "refreshed = cold rebuild" true
+        (same_select_result
+           (Period_selection.select refreshed ts.Task.sec)
+           (Period_selection.select cold ts.Task.sec)))
+    [ None; Some 1; Some rover_collision_free_slots ];
   (* core-count changes are structural *)
+  let sys = rover_system () in
   Alcotest.check_raises "core count change refused"
     (Invalid_argument
        "Analysis.refresh_rt_cores: core count changed — build a fresh system \

@@ -19,7 +19,7 @@ let sec ?(prio = 0) ?(id = 0) wcet period_max =
 
 let empty_system n_cores =
   { Analysis.n_cores; rt_cores = Array.make n_cores [];
-    cache = Analysis.fresh_cache () }
+    cache = Analysis.fresh_cache n_cores }
 
 let rover_system () =
   let ts = Security.Rover.taskset () in
@@ -67,7 +67,7 @@ let test_analysis_rt_interference_term () =
   let rt0 = Task.make_rt ~id:0 ~prio:0 ~wcet:4 ~period:10 () in
   let sys =
     { Analysis.n_cores = 2; rt_cores = [| [ rt0 ]; [] |];
-      cache = Analysis.fresh_cache () }
+      cache = Analysis.fresh_cache 2 }
   in
   (* For a window of 10 and job wcet 2, RT interference is
      min(W_nc(10)=4, 10-2+1=9) = 4. *)

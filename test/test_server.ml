@@ -20,8 +20,8 @@ let sec name wcet period_max =
 
 let req ?(tenant = "t0") id op = { Protocol.q_id = id; q_tenant = tenant; q_op = op }
 
-let with_engine ?obs ?(jobs = 1) ?cache_capacity f =
-  let e = Engine.create ?obs ~jobs ?cache_capacity () in
+let with_engine ?obs ?(jobs = 1) f =
+  let e = Engine.create ?obs ~jobs () in
   Fun.protect ~finally:(fun () -> Engine.shutdown e) (fun () -> f e)
 
 let small_init =
@@ -106,6 +106,70 @@ let test_decode_rejects () =
   expect_fail "{\"v\":\"bogus/9\",\"id\":0,\"tenant\":\"t\",\"op\":\"query\"}";
   expect_fail "{\"v\":\"hydra_c.server/1\",\"id\":0,\"tenant\":\"t\",\"op\":\"nope\"}";
   expect_fail "{\"v\":\"hydra_c.server/1\",\"tenant\":\"t\",\"op\":\"query\"}"
+
+(* Integer members accept exactly OCaml's int range [-2^62, 2^62):
+   2^62 would wrap to min_int, and a reply would then carry an id its
+   request never had. *)
+let test_decode_int_range () =
+  let v = "\"v\":\"hydra_c.server/1\"" in
+  let query id =
+    Printf.sprintf "{%s,\"id\":%s,\"tenant\":\"t\",\"op\":\"query\"}" v id
+  in
+  let init cores =
+    Printf.sprintf
+      "{%s,\"id\":0,\"tenant\":\"t\",\"op\":\"init\",\"cores\":%s,\"rt\":[],\
+       \"sec\":[]}"
+      v cores
+  in
+  let rejects member s =
+    match Protocol.decode_request s with
+    | _ -> Alcotest.failf "%s 2^62: expected Protocol_error" member
+    | exception Protocol.Protocol_error e ->
+        Alcotest.(check string) (member ^ " 2^62")
+          (Printf.sprintf "member %S is not an integer" member) e
+  in
+  let id s = (Protocol.decode_request (query s)).Protocol.q_id in
+  rejects "id" (query "4611686018427387904");
+  rejects "id" (query "4.611686018427387904e18");
+  rejects "cores" (init "4611686018427387904");
+  check_int "2^62 - 512 decodes" (max_int - 511) (id "4611686018427387392");
+  check_int "-2^62 decodes to min_int" min_int (id "-4611686018427387904")
+
+(* Decoder fuzz: on any input, decode_request returns a request or
+   raises Protocol_error, never another exception. Inputs are
+   arbitrary byte strings, and single-byte substitutions and
+   truncations of the encoded valid requests above; substitutions draw
+   half their bytes from JSON's structural alphabet so that many
+   mutants still parse and reach the schema checks. *)
+let prop_decode_fuzz =
+  let encoded =
+    Array.of_list (List.map Protocol.encode_request roundtrip_requests)
+  in
+  let json_byte =
+    let alphabet = "{}[]:,\"\\-+.0123456789eEtrufalsn " in
+    QCheck.Gen.map (String.get alphabet)
+      (QCheck.Gen.int_bound (String.length alphabet - 1))
+  in
+  let mutant =
+    let open QCheck.Gen in
+    oneofa encoded >>= fun s ->
+    int_bound (String.length s - 1) >>= fun i ->
+    frequency
+      [ (1, return (String.sub s 0 i));
+        ( 2,
+          frequency [ (1, char); (1, json_byte) ] >|= fun c ->
+          String.mapi (fun j b -> if j = i then c else b) s ) ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency [ (1, string_size ~gen:char (0 -- 64)); (3, mutant) ])
+  in
+  Test_util.qtest ~count:2000 "decoder fuzz"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun s ->
+      match Protocol.decode_request s with
+      | _ -> true
+      | exception Protocol.Protocol_error _ -> true)
 
 let test_framing () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -298,7 +362,8 @@ let test_warm_select_counted () =
              was warm-started *)
           check_int "one warm select" 1 s.Protocol.st_warm_selects;
           check_bool "resident cache is populated" true
-            (s.Protocol.st_cache_entries > 0)
+            (s.Protocol.st_cache_entries > 0);
+          check_int "default slot count" 256 s.Protocol.st_cache_capacity
       | _ -> Alcotest.fail "expected one response")
 
 (* ------------------------------------------------------------------ *)
@@ -890,6 +955,8 @@ let () =
           Alcotest.test_case "response roundtrip" `Quick
             test_response_roundtrip;
           Alcotest.test_case "decode rejects" `Quick test_decode_rejects;
+          Alcotest.test_case "integer range" `Quick test_decode_int_range;
+          prop_decode_fuzz;
           Alcotest.test_case "framing" `Quick test_framing ] );
       ( "engine",
         [ Alcotest.test_case "init + query" `Quick test_init_and_query;
