@@ -13,21 +13,6 @@ let profile_arg =
        & info [ "profile-runtime" ]
            ~doc:"Profile the OCaml runtime and the worker pool: subscribe to                  the runtime's event rings (GC pause histograms                  gc.minor_pause_ns / gc.major_pause_ns, per-domain pause                  counters, domain lifecycle) and record per-worker pool                  scheduling metrics (busy/idle time, queue waits). Implies                  collection; adds per-domain 'ocaml runtime' rows to                  --trace-out. Profiling metrics are wall-clock and vary                  across --jobs, so a snapshot taken with this flag is                  outside the byte-identical determinism contract                  (doc/OBSERVABILITY.md). Stdout is still unaffected.")
 
-let stream_arg =
-  Arg.(value & opt (some string) None
-       & info [ "metrics-stream" ] ~docv:"FILE"
-           ~doc:"Append a time series of metrics deltas (JSONL, one                  hydra_c.metrics_delta/1 object per line) to FILE: one line                  per phase boundary plus a final line. Folding the whole                  stream reconstructs the full snapshot exactly ('hydra_c                  obs-report FILE' does). Implies collection; stdout is                  unaffected.")
-
-(* The observability context of one command invocation: the registry
-   (if any collection was requested) plus the open JSONL metrics
-   stream (--metrics-stream), which every phase boundary ticks. *)
-type obs_ctx = {
-  oc_obs : Hydra_obs.t option;
-  oc_stream : Hydra_obs.Snapshot.Stream.stream option;
-}
-
-let no_ctx = { oc_obs = None; oc_stream = None }
-
 (* "sweep M=2" -> "sweep_m_2": phase labels double as span metric
    names (phase.<slug>), which keeps to the dot-separated lowercase
    catalog convention. *)
@@ -46,17 +31,13 @@ let slug label =
    stays clean (doc/STATIC_ANALYSIS.md). Each phase is also a real
    [phase.<slug>] span in the registry (span {e counts} are
    deterministic, so snapshots stay byte-identical; durations are only
-   exported under --trace-out) and a tick of the metrics stream,
-   labelled with the phase. *)
-let timed ?(ctx = no_ctx) ~jobs label f =
+   exported under --trace-out). *)
+let timed ?obs ~jobs label f =
   let t0 = Hydra_obs.now_ns () in
-  let r = Hydra_obs.span ctx.oc_obs ("phase." ^ slug label) f in
+  let r = Hydra_obs.span obs ("phase." ^ slug label) f in
   Format.eprintf "[time] %-24s %8.2f s  (jobs=%d)@." label
     (float_of_int (Hydra_obs.now_ns () - t0) /. 1e9)
     jobs;
-  (match ctx.oc_stream with
-  | Some st -> Hydra_obs.Snapshot.Stream.tick ~label:(slug label) st
-  | None -> ());
   r
 
 let metrics_arg =
@@ -75,22 +56,20 @@ let metrics_out_arg =
            ~doc:"Write a machine-readable metrics snapshot (schema                  hydra_c.metrics/1: counters, distributions, latency                  histograms with quantiles, span counts) as JSON to FILE.                  Deterministic: byte-identical for every --jobs value.                  Implies collection; stdout is unaffected                  (doc/OBSERVABILITY.md).")
 
 (* One Hydra_obs registry per command invocation, created only when
-   --metrics, --trace-out, --metrics-out, --metrics-stream or
-   --profile-runtime asks for it: the [None] default keeps every
-   instrumented code path a no-op. The summary goes to stderr and the
-   trace/snapshot/stream to files so stdout stays byte-identical to an
-   uninstrumented run (the determinism contract, doc/PARALLELISM.md).
+   --metrics, --trace-out, --metrics-out or --profile-runtime asks
+   for it: the [None] default keeps every instrumented code path a
+   no-op. The summary goes to stderr and the trace/snapshot to files
+   so stdout stays byte-identical to an uninstrumented run (the
+   determinism contract, doc/PARALLELISM.md).
    [sched_log], when given (fig5 + --trace-out), contributes the
    simulated schedule as a second Perfetto process (pid 1) in the same
    trace file; --profile-runtime contributes the OCaml runtime's GC
    rows as a third (pid 2) and creates the registry in profiling mode
    (pool scheduling metrics, GC histograms — nondeterministic, outside
    the snapshot contract; doc/OBSERVABILITY.md). *)
-let with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile ~stream f =
-  if
-    (not metrics) && (not profile) && trace_out = None && metrics_out = None
-    && stream = None
-  then f no_ctx
+let with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile f =
+  if (not metrics) && (not profile) && trace_out = None && metrics_out = None
+  then f None
   else begin
     let obs = Hydra_obs.create ~profile () in
     let profiler =
@@ -104,23 +83,12 @@ let with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile ~stream f =
                disabled@.";
             None
     in
-    let st =
-      Option.map (fun path -> Hydra_obs.Snapshot.Stream.create obs ~path)
-        stream
-    in
     Fun.protect
       ~finally:(fun () ->
-        (* stop the profiler before the final stream tick / snapshot so
-           the last drained GC events are included *)
+        (* stop the profiler before the snapshot so the last drained GC
+           events are included *)
         (match profiler with
         | Some p -> Hydra_obs.Runtime.stop p
-        | None -> ());
-        (match st with
-        | Some s ->
-            Hydra_obs.Snapshot.Stream.tick ~label:"final" s;
-            Hydra_obs.Snapshot.Stream.close s;
-            Format.eprintf "[obs] wrote metrics stream to %s@."
-              (Option.get stream)
         | None -> ());
         if metrics then Hydra_obs.pp_summary Format.err_formatter obs;
         (match metrics_out with
@@ -142,7 +110,7 @@ let with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile ~stream f =
             Hydra_obs.write_chrome_trace ~extra obs ~path;
             Format.eprintf "[obs] wrote Chrome trace to %s@." path
         | None -> ())
-      (fun () -> f { oc_obs = Some obs; oc_stream = st })
+      (fun () -> f (Some obs))
   end
 
 let seed_arg =
@@ -213,7 +181,7 @@ let export dat_dir f =
       Format.printf "[export] wrote %s@." path
 
 let run_fig5 jobs seed trials horizon deployment dat_dir metrics
-    trace_out metrics_out profile stream =
+    trace_out metrics_out profile =
   (* The schedule log only exists when a trace file was requested; it
      records trial 0's HYDRA-C run on the rover's cores. *)
   let sched_log =
@@ -223,23 +191,21 @@ let run_fig5 jobs seed trials horizon deployment dat_dir metrics
         let ts = Security.Rover.taskset () in
         Some (Sim.Event_log.create ~n_cores:ts.Rtsched.Task.n_cores)
   in
-  with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile ~stream
-  @@ fun ctx ->
-  let obs = ctx.oc_obs in
+  with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile
+  @@ fun obs ->
   let report =
-    timed ~ctx ~jobs "fig5" (fun () ->
+    timed ?obs ~jobs "fig5" (fun () ->
         Experiments.Fig5.run ~seed ~trials ~horizon ~deployment ~jobs ?obs
           ?sched_log ())
   in
   Experiments.Fig5.render std report;
   export dat_dir (fun ~dir -> Experiments.Dat_export.fig5 ~dir report)
 
-let sweeps ~ctx jobs policy seed per_group cores =
-  let obs = ctx.oc_obs in
+let sweeps ?obs jobs policy seed per_group cores =
   List.map
     (fun m ->
       Format.printf "[sweep] M=%d: %d tasksets x 10 groups...@." m per_group;
-      timed ~ctx ~jobs
+      timed ?obs ~jobs
         (Printf.sprintf "sweep M=%d" m)
         (fun () ->
           Experiments.Sweep.run ~policy ?obs ~n_cores:m ~per_group ~seed
@@ -247,10 +213,10 @@ let sweeps ~ctx jobs policy seed per_group cores =
     cores
 
 let run_fig6 jobs policy seed per_group cores dat_dir metrics trace_out
-    metrics_out profile stream =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
-  @@ fun ctx ->
-  sweeps ~ctx jobs policy seed per_group cores
+    metrics_out profile =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile
+  @@ fun obs ->
+  sweeps ?obs jobs policy seed per_group cores
   |> List.iter (fun sweep ->
          let fig = Experiments.Fig6.of_sweep sweep in
          Experiments.Fig6.render std fig;
@@ -258,10 +224,10 @@ let run_fig6 jobs policy seed per_group cores dat_dir metrics trace_out
   export dat_dir (fun ~dir -> Experiments.Dat_export.gnuplot_script ~dir ~cores)
 
 let run_fig7 which jobs policy seed per_group cores dat_dir metrics
-    trace_out metrics_out profile stream =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
-  @@ fun ctx ->
-  sweeps ~ctx jobs policy seed per_group cores
+    trace_out metrics_out profile =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile
+  @@ fun obs ->
+  sweeps ?obs jobs policy seed per_group cores
   |> List.iter (fun sweep ->
          let fig = Experiments.Fig7.of_sweep sweep in
          (match which with
@@ -279,11 +245,10 @@ let run_fig7 which jobs policy seed per_group cores dat_dir metrics
   export dat_dir (fun ~dir -> Experiments.Dat_export.gnuplot_script ~dir ~cores)
 
 let run_ablation jobs seed per_group cores metrics trace_out metrics_out
-    profile stream =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
-  @@ fun ctx ->
-  let obs = ctx.oc_obs in
-  timed ~ctx ~jobs "ablation" (fun () ->
+    profile =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile
+  @@ fun obs ->
+  timed ?obs ~jobs "ablation" (fun () ->
       Experiments.Ablation.run_all ~jobs ?obs std ~seed ~per_group ~cores)
 
 let run_analyze policy file =
@@ -345,29 +310,27 @@ let run_analyze policy file =
             (Hydra.Sensitivity.analyze ~policy sys ts.Rtsched.Task.sec))
 
 let run_report jobs seed trials per_group cores out metrics trace_out
-    metrics_out profile stream =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
-  @@ fun ctx ->
-  let obs = ctx.oc_obs in
+    metrics_out profile =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile
+  @@ fun obs ->
   let scale =
     { Experiments.Report.sc_seed = seed; sc_trials = trials;
       sc_per_group = per_group; sc_cores = cores;
       sc_validate_tasksets = 50 }
   in
-  timed ~ctx ~jobs "report" (fun () ->
+  timed ?obs ~jobs "report" (fun () ->
       Experiments.Report.write ~jobs ?obs scale ~path:out);
   Format.printf "wrote %s@." out
 
 let run_validate jobs policy seed tasksets cores metrics trace_out
-    metrics_out profile stream =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
-  @@ fun ctx ->
-  let obs = ctx.oc_obs in
+    metrics_out profile =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile
+  @@ fun obs ->
   List.iter
     (fun n_cores ->
       Format.printf "[validate] M=%d, %d tasksets...@." n_cores tasksets;
       let result =
-        timed ~ctx ~jobs
+        timed ?obs ~jobs
           (Printf.sprintf "validate M=%d" n_cores)
           (fun () ->
             Experiments.Validation.run ~policy ?obs ~n_cores
@@ -377,15 +340,14 @@ let run_validate jobs policy seed tasksets cores metrics trace_out
     cores
 
 let run_all jobs policy seed trials horizon per_group cores
-    dat_dir metrics trace_out metrics_out profile stream =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
-  @@ fun ctx ->
-  let obs = ctx.oc_obs in
+    dat_dir metrics trace_out metrics_out profile =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile
+  @@ fun obs ->
   let t0 = Hydra_obs.now_ns () in
   run_tables ();
   let fig5_under deployment =
     let report =
-      timed ~ctx ~jobs "fig5" (fun () ->
+      timed ?obs ~jobs "fig5" (fun () ->
           Experiments.Fig5.run ~seed ~trials ~horizon ~deployment ~jobs ?obs
             ())
     in
@@ -394,7 +356,7 @@ let run_all jobs policy seed trials horizon per_group cores
   in
   fig5_under Experiments.Fig5.Tmax;
   fig5_under Experiments.Fig5.Adapted;
-  sweeps ~ctx jobs policy seed per_group cores
+  sweeps ?obs jobs policy seed per_group cores
   |> List.iter (fun sweep ->
          let fig6 = Experiments.Fig6.of_sweep sweep in
          Experiments.Fig6.render std fig6;
@@ -405,7 +367,7 @@ let run_all jobs policy seed trials horizon per_group cores
          export dat_dir (fun ~dir -> Experiments.Dat_export.fig7a ~dir fig);
          export dat_dir (fun ~dir -> Experiments.Dat_export.fig7b ~dir fig));
   export dat_dir (fun ~dir -> Experiments.Dat_export.gnuplot_script ~dir ~cores);
-  timed ~ctx ~jobs "ablation" (fun () ->
+  timed ?obs ~jobs "ablation" (fun () ->
       Experiments.Ablation.run_all ~jobs ?obs std ~seed
         ~per_group:(max 1 (per_group / 5))
         ~cores);
@@ -419,19 +381,18 @@ let run_all jobs policy seed trials horizon per_group cores
    [hydra-experiments --jobs 4 --metrics --trace-out t.json] exercises
    and exports every metric family while keeping stdout identical to a
    plain [hydra-experiments --jobs 1] run. *)
-let run_smoke jobs metrics trace_out metrics_out profile stream =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
-  @@ fun ctx ->
-  let obs = ctx.oc_obs in
+let run_smoke jobs metrics trace_out metrics_out profile =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile
+  @@ fun obs ->
   Format.printf "[smoke] fixed-scale smoke workload (M=2, seed 42)@.";
   let sweep =
-    timed ~ctx ~jobs "smoke sweep" (fun () ->
+    timed ?obs ~jobs "smoke sweep" (fun () ->
         Experiments.Sweep.run ?obs ~n_cores:2 ~per_group:8 ~seed:42
           ~jobs ())
   in
   Experiments.Fig7.render_a std (Experiments.Fig7.of_sweep sweep);
   let result =
-    timed ~ctx ~jobs "smoke validate" (fun () ->
+    timed ?obs ~jobs "smoke validate" (fun () ->
         Experiments.Validation.run ?obs ~n_cores:2 ~tasksets:10
           ~seed:42 ~jobs ())
   in
@@ -445,25 +406,25 @@ let cmd_fig5 =
   Cmd.v (Cmd.info "fig5" ~doc:"Rover detection-latency experiment (Fig. 5).")
     Term.(const run_fig5 $ jobs_arg $ seed_arg $ trials_arg
           $ horizon_arg $ deploy_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg)
+          $ trace_out_arg $ metrics_out_arg $ profile_arg)
 
 let cmd_fig6 =
   Cmd.v (Cmd.info "fig6" ~doc:"Period-distance sweep (Fig. 6).")
     Term.(const run_fig6 $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg)
+          $ trace_out_arg $ metrics_out_arg $ profile_arg)
 
 let cmd_fig7a =
   Cmd.v (Cmd.info "fig7a" ~doc:"Acceptance-ratio sweep (Fig. 7a).")
     Term.(const (run_fig7 `A) $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg)
+          $ trace_out_arg $ metrics_out_arg $ profile_arg)
 
 let cmd_fig7b =
   Cmd.v (Cmd.info "fig7b" ~doc:"Period-difference sweep (Fig. 7b).")
     Term.(const (run_fig7 `B) $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg)
+          $ trace_out_arg $ metrics_out_arg $ profile_arg)
 
 let tasksets_arg =
   Arg.(value & opt int 100 & info [ "tasksets" ] ~docv:"N"
@@ -490,7 +451,7 @@ let cmd_report =
        ~doc:"Regenerate every artifact and write a Markdown report.")
     Term.(const run_report $ jobs_arg $ seed_arg $ trials_arg $ per_group_arg
           $ cores_arg $ out_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg $ stream_arg)
+          $ metrics_out_arg $ profile_arg)
 
 let cmd_validate =
   Cmd.v
@@ -499,7 +460,7 @@ let cmd_validate =
              simulator (soundness + tightness).")
     Term.(const run_validate $ jobs_arg $ policy_arg $ seed_arg
           $ tasksets_arg $ cores_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg $ stream_arg)
+          $ metrics_out_arg $ profile_arg)
 
 let cmd_ablation =
   Cmd.v
@@ -508,21 +469,20 @@ let cmd_ablation =
              order.")
     Term.(const run_ablation $ jobs_arg $ seed_arg $ per_group_arg
           $ cores_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg $ stream_arg)
+          $ metrics_out_arg $ profile_arg)
 
 let cmd_all =
   Cmd.v (Cmd.info "all" ~doc:"Everything: tables, figures, ablations.")
     Term.(const run_all $ jobs_arg $ policy_arg $ seed_arg $ trials_arg
           $ horizon_arg $ per_group_arg $ cores_arg $ dat_dir_arg
-          $ metrics_arg $ trace_out_arg $ metrics_out_arg $ profile_arg
-          $ stream_arg)
+          $ metrics_arg $ trace_out_arg $ metrics_out_arg $ profile_arg)
 
 (* --------------------------------------------------------------- *)
 (* obs-report: offline consumer of the snapshot artifacts.
 
    Exit codes: 0 = ok, 1 = a watched metric regressed past
-   --max-regression, 2 = unreadable/malformed input (cmdliner itself
-   uses 124/125 for CLI errors). Output is deterministic (sorted keys,
+   --max-regression, 2 = unreadable/malformed input or a gate with
+   nothing to diff (cmdliner itself uses 124/125 for CLI errors). Output is deterministic (sorted keys,
    fixed columns), so CI can diff it. *)
 
 (* One obs_snapshot request against a live daemon: the scrape path of
@@ -601,6 +561,12 @@ let run_obs_report files max_regression watch all_rows connect =
           exit 1
         end
   in
+  let inputs =
+    List.length files + Option.fold ~none:0 ~some:(fun _ -> 1) connect
+  in
+  if inputs = 1 && (max_regression <> None || watch <> []) then
+    fail "--max-regression and --watch gate a diff: give two inputs \
+          (two files, or one file and --connect)";
   match (connect, files) with
   | Some socket, [] ->
       Format.printf "%a" Hydra_obs.Report.pp_summary (live socket)
@@ -619,12 +585,18 @@ let run_obs_report files max_regression watch all_rows connect =
 let report_files_arg =
   Arg.(value & pos_all string []
        & info [] ~docv:"FILE"
-           ~doc:"Metrics artifacts: a full hydra_c.metrics/1 snapshot                  (--metrics-out) or a hydra_c.metrics_delta/1 JSONL stream                  (--metrics-stream; deltas are folded). One file renders a                  summary; two render the diff (first = before, second =                  after).")
+           ~doc:"hydra_c.metrics/1 snapshots (--metrics-out). One file \
+                 renders a summary; two render the diff (first = before, \
+                 second = after).")
 
 let max_regression_arg =
   Arg.(value & opt (some float) None
        & info [ "max-regression" ] ~docv:"PCT"
-           ~doc:"With two files: exit 1 if any watched metric increased by                  more than PCT percent (a metric appearing out of nowhere                  counts as an infinite increase). Without this option the                  diff is informational only.")
+           ~doc:"With two inputs (two files, or one file and --connect): \
+                 exit 1 if any watched metric increased by more than PCT \
+                 percent (a metric appearing out of nowhere counts as an \
+                 infinite increase); with one input, exit 2. Without this \
+                 option the diff is informational only.")
 
 let watch_arg =
   Arg.(value & opt_all string []
@@ -644,41 +616,36 @@ let connect_arg =
 let cmd_obs_report =
   Cmd.v
     (Cmd.info "obs-report"
-       ~doc:"Summarize or diff metrics snapshots (--metrics-out JSON or                --metrics-stream JSONL), or scrape a live daemon with                --connect: deterministic tables, plus a threshold-gated                exit code for CI regression checks.")
+       ~doc:"Summarize or diff --metrics-out snapshots, or scrape a live \
+             daemon with --connect: deterministic tables, plus a \
+             threshold-gated exit code for CI regression checks.")
     Term.(const run_obs_report $ report_files_arg $ max_regression_arg
           $ watch_arg $ all_rows_arg $ connect_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the online admission-control daemon (doc/SERVER.md) *)
 
-let run_serve socket jobs max_batch slow_request_ms
-    flight_out metrics trace_out metrics_out profile stream =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile ~stream
-    (fun ctx ->
+let run_serve socket jobs slow_request_ms flight_out metrics trace_out
+    metrics_out profile =
+  with_obs ~metrics ~trace_out ~metrics_out ~profile
+    (fun obs ->
       let config =
-        { Hydra_server.Daemon.socket_path = socket; jobs; max_batch;
+        { Hydra_server.Daemon.socket_path = socket; jobs;
           trace = trace_out <> None; slow_request_ms; flight_path = flight_out }
       in
       let log = Hydra_obs.Log.create () in
       Hydra_obs.Log.log log "listening"
         [ ("socket", socket); ("jobs", string_of_int jobs) ];
-      (* a daemon always carries a registry, so obs_snapshot/obs_stream
-         scrapes have something to answer even without --metrics* flags
-         (the local registry is simply never written anywhere) *)
-      let obs =
-        match ctx.oc_obs with Some o -> o | None -> Hydra_obs.create ()
-      in
+      (* a daemon always carries a registry, so obs_snapshot scrapes
+         have something to answer even without --metrics* flags (the
+         local registry is simply never written anywhere) *)
+      let obs = match obs with Some o -> o | None -> Hydra_obs.create () in
       Hydra_server.Daemon.serve ~obs ~config ())
 
 let socket_arg =
   Arg.(value & opt string "hydra_c.sock"
        & info [ "socket" ] ~docv:"PATH"
            ~doc:"Unix-domain socket to listen on (stale files are                  unlinked; the file is removed again on shutdown).")
-
-let max_batch_arg =
-  Arg.(value & opt int 64
-       & info [ "max-batch" ] ~docv:"N"
-           ~doc:"Most frames drained into one engine batch. A lockstep                  client always gets one-request batches; a pipelining                  client gets up to N concurrent updates coalesced per                  tenant.")
 
 let slow_request_ms_arg =
   Arg.(value & opt int 0
@@ -694,14 +661,13 @@ let cmd_serve =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the admission-control daemon: tenant systems stay resident                (workload caches, warm-start state, last selection) and                reconfiguration requests (RT/security task arrive/leave,                core-count change, re-select) stream over a Unix-domain                socket speaking length-prefixed hydra_c.server/1 JSON                (doc/SERVER.md). Stop it with a 'shutdown' request. Scrape                it live with 'hydra_c obs-report --connect SOCKET'; send                SIGUSR1 for a flight-recorder dump.")
-    Term.(const run_serve $ socket_arg $ jobs_arg $ max_batch_arg
-          $ slow_request_ms_arg
+    Term.(const run_serve $ socket_arg $ jobs_arg $ slow_request_ms_arg
           $ flight_out_arg $ metrics_arg $ trace_out_arg $ metrics_out_arg
-          $ profile_arg $ stream_arg)
+          $ profile_arg)
 
 let smoke_term =
   Term.(const run_smoke $ jobs_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg $ stream_arg)
+          $ trace_out_arg $ metrics_out_arg $ profile_arg)
 
 let () =
   let info =

@@ -952,190 +952,6 @@ module Snapshot = struct
     Out_channel.with_open_text path (fun oc ->
         Out_channel.output_string oc (to_json t);
         Out_channel.output_char oc '\n')
-
-  (* ---------------------------------------------------------------- *)
-  (* Time-series snapshots: one hydra_c.metrics_delta/1 JSON object
-     per tick, appended as JSONL. Each line carries only what moved
-     since the previous tick — counter deltas, dist/histogram
-     count/sum/bucket deltas (minima and maxima are cumulative: they
-     are not invertible, so each line carries the current value) —
-     which keeps lines small for long-running commands and makes the
-     fold over a stream reproduce the full snapshot exactly
-     (Obs_report.of_string; round-trip tested in
-     test/test_obs_report.ml). Ticks may come from any domain: a
-     mutex serializes them, and the registry reads they perform are
-     the same stripe-summing reads every exporter uses. *)
-
-  (* The delta computation is its own layer so two consumers can share
-     it: [Stream] appends lines to a file (--metrics-stream), and the
-     daemon's [obs_stream] protocol op returns one line per request
-     from a per-client tracker (doc/SERVER.md). *)
-  module Delta = struct
-    let schema = "hydra_c.metrics_delta/1"
-
-    type tracker = {
-      dt_reg : t;
-      dt_mu : Mutex.t;
-      mutable dt_seq : int;
-      prev_counters : (string, int) Hashtbl.t;
-      prev_dists : (string, int * int) Hashtbl.t;  (* count, sum *)
-      prev_hists : (string, int * int * (int * int) list) Hashtbl.t;
-          (* count, sum, occupied buckets *)
-      prev_spans : (string, int) Hashtbl.t;
-    }
-
-    let create reg =
-      { dt_reg = reg; dt_mu = Mutex.create (); dt_seq = 0;
-        prev_counters = Hashtbl.create 32; prev_dists = Hashtbl.create 16;
-        prev_hists = Hashtbl.create 16; prev_spans = Hashtbl.create 16 }
-
-    (* [cur] and [prev] are both ascending by bucket upper bound, and
-       bucket counts never decrease, so [prev] is a sub-multiset of
-       [cur]. *)
-    let rec bucket_delta cur prev =
-      match (cur, prev) with
-      | rest, [] -> List.filter (fun (_, c) -> c <> 0) rest
-      | [], _ -> []
-      | (le_c, cc) :: tc, (le_p, cp) :: tp ->
-          if le_c = le_p then
-            let d = cc - cp in
-            if d <> 0 then (le_c, d) :: bucket_delta tc tp
-            else bucket_delta tc tp
-          else if le_c < le_p then (le_c, cc) :: bucket_delta tc prev
-          else bucket_delta cur tp
-
-    (* Emit an object section: [render] returns [true] when it wrote a
-       member (so separators stay correct with entries skipped). *)
-    let section b name render items =
-      Printf.bprintf b ",\"%s\":{" name;
-      let first = ref true in
-      List.iter
-        (fun item ->
-          let wrote = render ~sep:(not !first) item in
-          if wrote then first := false)
-        items;
-      Buffer.add_char b '}'
-
-    (* One hydra_c.metrics_delta/1 object (a single line, no trailing
-       newline) covering everything that moved since the previous
-       [line] call; advances the tracker. *)
-    let line ?label dt =
-      Mutex.protect dt.dt_mu @@ fun () ->
-      let b = Buffer.create 512 in
-      Printf.bprintf b "{\"schema\":\"%s\",\"seq\":%d" schema dt.dt_seq;
-      (match label with
-      | Some l -> Printf.bprintf b ",\"label\":\"%s\"" (json_escape l)
-      | None -> ());
-      section b "counters"
-        (fun ~sep (c : counter_view) ->
-          let prev =
-            Option.value
-              (Hashtbl.find_opt dt.prev_counters c.cv_name)
-              ~default:0
-          in
-          let d = c.cv_total - prev in
-          if d = 0 then false
-          else begin
-            Hashtbl.replace dt.prev_counters c.cv_name c.cv_total;
-            if sep then Buffer.add_char b ',';
-            Printf.bprintf b "\"%s\":%d" (json_escape c.cv_name) d;
-            true
-          end)
-        (counters dt.dt_reg);
-      section b "dists"
-        (fun ~sep (d : dist_view) ->
-          let pc, ps =
-            Option.value
-              (Hashtbl.find_opt dt.prev_dists d.dv_name)
-              ~default:(0, 0)
-          in
-          if d.dv_count = pc && d.dv_sum = ps then false
-          else begin
-            Hashtbl.replace dt.prev_dists d.dv_name (d.dv_count, d.dv_sum);
-            if sep then Buffer.add_char b ',';
-            Printf.bprintf b
-              "\"%s\":{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d}"
-              (json_escape d.dv_name) (d.dv_count - pc) (d.dv_sum - ps)
-              d.dv_min d.dv_max;
-            true
-          end)
-        (dists dt.dt_reg);
-      section b "histograms"
-        (fun ~sep (v : hist_view) ->
-          let h = v.hv_hist in
-          let count = Histogram.count h and sum = Histogram.sum h in
-          let pc, ps, pb =
-            Option.value
-              (Hashtbl.find_opt dt.prev_hists v.hv_name)
-              ~default:(0, 0, [])
-          in
-          if count = pc && sum = ps then false
-          else begin
-            let buckets = Histogram.nonzero_buckets h in
-            Hashtbl.replace dt.prev_hists v.hv_name (count, sum, buckets);
-            if sep then Buffer.add_char b ',';
-            Printf.bprintf b
-              "\"%s\":{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"buckets\":["
-              (json_escape v.hv_name) (count - pc) (sum - ps)
-              (Option.value (Histogram.min_value h) ~default:0)
-              (Option.value (Histogram.max_value h) ~default:0);
-            List.iteri
-              (fun i (le, c) ->
-                if i > 0 then Buffer.add_char b ',';
-                Printf.bprintf b "{\"le\":%d,\"count\":%d}" le c)
-              (bucket_delta buckets pb);
-            Buffer.add_string b "]}";
-            true
-          end)
-        (hists dt.dt_reg);
-      section b "spans"
-        (fun ~sep (s : span_view) ->
-          let prev =
-            Option.value (Hashtbl.find_opt dt.prev_spans s.sv_name) ~default:0
-          in
-          let d = s.sv_count - prev in
-          if d = 0 then false
-          else begin
-            Hashtbl.replace dt.prev_spans s.sv_name s.sv_count;
-            if sep then Buffer.add_char b ',';
-            Printf.bprintf b "\"%s\":{\"count\":%d}" (json_escape s.sv_name) d;
-            true
-          end)
-        (span_stats dt.dt_reg);
-      Buffer.add_char b '}';
-      dt.dt_seq <- dt.dt_seq + 1;
-      Buffer.contents b
-  end
-
-  module Stream = struct
-    let schema = Delta.schema
-
-    type stream = {
-      st_delta : Delta.tracker;
-      st_oc : Out_channel.t;
-      st_mu : Mutex.t;
-      mutable st_closed : bool;
-    }
-
-    let create reg ~path =
-      { st_delta = Delta.create reg; st_oc = Out_channel.open_text path;
-        st_mu = Mutex.create (); st_closed = false }
-
-    let tick ?label st =
-      Mutex.protect st.st_mu @@ fun () ->
-      if not st.st_closed then begin
-        Out_channel.output_string st.st_oc (Delta.line ?label st.st_delta);
-        Out_channel.output_char st.st_oc '\n';
-        Out_channel.flush st.st_oc
-      end
-
-    let close st =
-      Mutex.protect st.st_mu @@ fun () ->
-      if not st.st_closed then begin
-        st.st_closed <- true;
-        Out_channel.close st.st_oc
-      end
-  end
 end
 
 (* ------------------------------------------------------------------ *)

@@ -353,9 +353,11 @@ end
 
 (** {1 Metrics snapshot}
 
-    Machine-readable export of the whole registry — the [--metrics-out]
-    backend, consumed by [obs-report], the benchmark and CI (schema
-    documented in doc/OBSERVABILITY.md). *)
+    Machine-readable export of the whole registry and its one
+    serialized form — the [--metrics-out] backend and the daemon's
+    [obs_snapshot] reply, consumed by [obs-report], the benchmark and
+    CI (schema documented in doc/OBSERVABILITY.md). What moved between
+    two snapshots is {!Obs_report.diff} of them. *)
 
 module Snapshot : sig
   val schema : string
@@ -384,55 +386,6 @@ module Snapshot : sig
   val write : t -> path:string -> unit
   (** {!to_json} plus a trailing newline to a file.
       @raise Sys_error on I/O failure. *)
-
-  (** The incremental-snapshot core shared by {!Stream} (file-backed
-      [--metrics-stream]) and the daemon's [obs_stream] protocol op
-      (doc/SERVER.md): a tracker remembers what each consumer has
-      already seen, and {!Delta.line} renders one
-      [hydra_c.metrics_delta/1] object covering only what moved since
-      that consumer's previous line — counter deltas, dist/histogram
-      count/sum/bucket deltas, cumulative min/max. Folding a tracker's
-      lines with {!Obs_report.of_string} reproduces the registry's full
-      snapshot exactly (round-trip tested in test/test_obs_report.ml). *)
-  module Delta : sig
-    val schema : string
-    (** ["hydra_c.metrics_delta/1"]. *)
-
-    type tracker
-
-    val create : t -> tracker
-    (** A fresh consumer position: the first {!line} carries the whole
-        registry state as a delta from empty. *)
-
-    val line : ?label:string -> tracker -> string
-    (** One delta object (single line, no trailing newline) with a
-        monotonically increasing ["seq"] member and an optional
-        ["label"]; advances the tracker. Serialized internally, safe
-        from any domain. *)
-  end
-
-  (** Time-series snapshots: the [--metrics-stream] backend. Each
-      {!Stream.tick} appends one {!Delta.line} (plus newline) to the
-      file. Metrics that did not move since the previous tick are
-      omitted from the line. Safe to tick from any domain; ticks are
-      serialized internally. *)
-  module Stream : sig
-    val schema : string
-    (** ["hydra_c.metrics_delta/1"]. *)
-
-    type stream
-
-    val create : t -> path:string -> stream
-    (** Open (truncate/create) [path] for appending delta lines. *)
-
-    val tick : ?label:string -> stream -> unit
-    (** Append one delta line (with an optional ["label"] member, e.g.
-        the phase that just finished). Lines carry a ["seq"] number
-        starting at 0. No-op after {!close}. *)
-
-    val close : stream -> unit
-    (** Flush and close the file; idempotent. *)
-  end
 end
 
 (** {1 Runtime profiling}

@@ -1,14 +1,13 @@
 (** Minimal dependency-free JSON reader for the observability tooling.
 
     Parses the JSON that [Hydra_obs] itself emits — metrics snapshots
-    ([hydra_c.metrics/1]) and JSONL snapshot-delta lines
-    ([hydra_c.metrics_delta/1]) — so [obs-report] and the tests can
-    consume those artifacts without adding an external
-    dependency. It is a strict reader for machine-written JSON: numbers
-    become [float], strings support the standard escapes (a [\uXXXX]
-    escape decodes to UTF-8), and any syntax error raises {!Error} with
-    a byte offset. Accessors are total lookups returning [option]; the
-    [get_*] variants raise {!Error} with the member name instead. *)
+    ([hydra_c.metrics/1]) — so [obs-report] and the tests can consume
+    them without adding an external dependency. It is a strict reader
+    for machine-written JSON: numbers become [float], strings support
+    the standard escapes (a [\uXXXX] escape decodes to UTF-8), and any
+    syntax error raises {!Error} with a byte offset. Accessors are
+    total lookups returning [option]; the [get_*] variants raise
+    {!Error} with the member name instead. *)
 
 type t =
   | Null

@@ -17,8 +17,7 @@ type snapshot = {
   spans : (string * int) list;
 }
 
-let schema_full = "hydra_c.metrics/1"
-let schema_delta = "hydra_c.metrics_delta/1"
+let schema = "hydra_c.metrics/1"
 
 let sort_assoc l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
@@ -42,7 +41,7 @@ let hist_of_json j =
     h_min = J.get_int "min" j; h_max = J.get_int "max" j;
     h_buckets = buckets_of_json j }
 
-let of_full_json j =
+let of_json j =
   { counters =
       sort_assoc
         (List.map
@@ -57,112 +56,12 @@ let of_full_json j =
       sort_assoc
         (List.map (fun (k, v) -> (k, J.get_int "count" v)) (J.get_obj "spans" j)) }
 
-(* Delta folding: counters, bucket counts and count/sum fields add;
-   minima/maxima are cumulative in each line, so combining lines takes
-   min/max. State lives in Hashtbls keyed by metric name; the final
-   snapshot sorts, so hash order never shows (commutative folds). *)
-
-let fold_deltas lines =
-  let counters : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  let dists : (string, dist) Hashtbl.t = Hashtbl.create 16 in
-  let hists : (string, hist) Hashtbl.t = Hashtbl.create 16 in
-  let spans : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let bump tbl k n =
-    Hashtbl.replace tbl k (n + Option.value (Hashtbl.find_opt tbl k) ~default:0)
-  in
-  let merge_buckets old add =
-    (* both ascending by upper bound *)
-    let rec go a b =
-      match (a, b) with
-      | [], rest | rest, [] -> rest
-      | (le_a, ca) :: ta, (le_b, cb) :: tb ->
-          if le_a = le_b then (le_a, ca + cb) :: go ta tb
-          else if le_a < le_b then (le_a, ca) :: go ta b
-          else (le_b, cb) :: go a tb
-    in
-    go old add
-  in
-  List.iter
-    (fun line ->
-      let j = J.parse line in
-      (match J.to_string (J.get "schema" j) with
-      | Some s when s = schema_delta -> ()
-      | _ -> raise (J.Error ("expected schema " ^ schema_delta)));
-      (match J.member "counters" j with
-      | Some (J.Obj kvs) ->
-          List.iter
-            (fun (k, v) ->
-              match J.to_int v with
-              | Some i -> bump counters k i
-              | None -> raise (J.Error ("counter delta \"" ^ k ^ "\"")))
-            kvs
-      | _ -> ());
-      (match J.member "dists" j with
-      | Some (J.Obj kvs) ->
-          List.iter
-            (fun (k, v) ->
-              let d = dist_of_json v in
-              match Hashtbl.find_opt dists k with
-              | None -> Hashtbl.replace dists k d
-              | Some o ->
-                  Hashtbl.replace dists k
-                    { d_count = o.d_count + d.d_count;
-                      d_sum = o.d_sum + d.d_sum;
-                      d_min = min o.d_min d.d_min;
-                      d_max = max o.d_max d.d_max })
-            kvs
-      | _ -> ());
-      (match J.member "histograms" j with
-      | Some (J.Obj kvs) ->
-          List.iter
-            (fun (k, v) ->
-              let h = hist_of_json v in
-              match Hashtbl.find_opt hists k with
-              | None -> Hashtbl.replace hists k h
-              | Some o ->
-                  Hashtbl.replace hists k
-                    { h_count = o.h_count + h.h_count;
-                      h_sum = o.h_sum + h.h_sum;
-                      h_min = min o.h_min h.h_min;
-                      h_max = max o.h_max h.h_max;
-                      h_buckets = merge_buckets o.h_buckets h.h_buckets })
-            kvs
-      | _ -> ());
-      match J.member "spans" j with
-      | Some (J.Obj kvs) ->
-          List.iter
-            (fun (k, v) ->
-              match J.to_int (J.get "count" v) with
-              | Some i -> bump spans k i
-              | None -> raise (J.Error ("span delta \"" ^ k ^ "\"")))
-            kvs
-      | _ -> ())
-    lines;
-  let to_list tbl =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-  in
-  { counters = to_list counters; dists = to_list dists; hists = to_list hists;
-    spans = to_list spans }
-
 let of_string content =
-  match J.parse content with
-  | j -> (
-      match J.to_string (J.get "schema" j) with
-      | Some s when s = schema_full -> of_full_json j
-      | Some s when s = schema_delta -> fold_deltas [ String.trim content ]
-      | Some s -> raise (J.Error ("unknown snapshot schema \"" ^ s ^ "\""))
-      | None -> raise (J.Error "\"schema\" is not a string"))
-  | exception J.Error _ ->
-      (* not one JSON document: treat as JSONL, one delta per line *)
-      let lines =
-        String.split_on_char '\n' content
-        |> List.map String.trim
-        |> List.filter (fun l -> l <> "")
-      in
-      if lines = [] then raise (J.Error "empty snapshot file")
-      else fold_deltas lines
+  let j = J.parse content in
+  match J.to_string (J.get "schema" j) with
+  | Some s when s = schema -> of_json j
+  | Some s -> raise (J.Error ("unknown snapshot schema \"" ^ s ^ "\""))
+  | None -> raise (J.Error "\"schema\" is not a string")
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -301,7 +200,7 @@ let slo_offenders ?(k = 5) snap =
 let pp_summary ppf snap =
   let line = String.make 70 '-' in
   Format.fprintf ppf "%s@." line;
-  Format.fprintf ppf "metrics snapshot (%s)@." schema_full;
+  Format.fprintf ppf "metrics snapshot (%s)@." schema;
   Format.fprintf ppf "%s@." line;
   if snap.counters <> [] then begin
     Format.fprintf ppf "%-44s %12s@." "counter" "total";

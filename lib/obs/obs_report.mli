@@ -1,18 +1,15 @@
 (** Offline consumer of metrics snapshots: load, summarize, diff.
 
     This is the library half of the [hydra_c obs-report] CLI
-    subcommand (bin/hydra_experiments.ml): it reads the artifacts the
-    observability layer writes — a full [hydra_c.metrics/1] snapshot
-    (one JSON object, [Hydra_obs.Snapshot.write] / [--metrics-out]) or
-    a [hydra_c.metrics_delta/1] JSONL time series
-    ([Hydra_obs.Snapshot.Stream] / [--metrics-stream]) — normalizes
-    either into the same {!snapshot} value (a JSONL stream is folded
-    by summing its deltas, which round-trips to the full snapshot —
-    tested in test/test_obs_report.ml), and renders deterministic
-    summary and diff tables plus a threshold verdict for CI regression
-    gates. Everything here is pure: rendering goes to a caller-supplied
-    formatter and file access is isolated in {!load}. Schema details in
-    doc/OBSERVABILITY.md. *)
+    subcommand (bin/hydra_experiments.ml): it reads the registry's one
+    serialized form, a [hydra_c.metrics/1] snapshot (one JSON object,
+    [Hydra_obs.Snapshot.write] / [--metrics-out], or the daemon's
+    [obs_snapshot] reply), into a {!snapshot} value and renders
+    deterministic summary and diff tables plus a threshold verdict for
+    CI regression gates. What moved between two scrapes is {!diff} of
+    them. Everything here is pure: rendering goes to a caller-supplied
+    formatter and file access is isolated in {!load}. Schema details
+    in doc/OBSERVABILITY.md. *)
 
 type dist = { d_count : int; d_sum : int; d_min : int; d_max : int }
 
@@ -34,12 +31,9 @@ type snapshot = {
 (** A normalized snapshot; every association list is sorted by name. *)
 
 val of_string : string -> snapshot
-(** Parse the contents of a snapshot artifact. A single JSON object
-    with schema [hydra_c.metrics/1] loads directly; otherwise every
-    non-empty line must be a [hydra_c.metrics_delta/1] object and the
-    deltas are folded in order (counter/bucket/count/sum deltas summed,
-    cumulative minima/maxima combined). @raise Obs_json.Error on
-    malformed input or an unknown schema. *)
+(** Parse the contents of a snapshot artifact: a single JSON object
+    with schema [hydra_c.metrics/1]. @raise Obs_json.Error on
+    malformed input or any other schema. *)
 
 val load : string -> (snapshot, string) result
 (** {!of_string} of a file's contents; I/O and parse errors are

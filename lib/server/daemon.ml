@@ -7,20 +7,19 @@
    Observability plumbing lives here too: trace contexts are minted
    per request at accept (when tracing is on) and ride through the
    engine, every batch drops breadcrumbs into the engine's always-on
-   flight recorder, and the [obs_snapshot]/[obs_stream] protocol ops
-   are answered from the live registry without touching it. *)
+   flight recorder, and the [obs_snapshot] protocol op is answered
+   from the live registry without touching it. *)
 
 type config = {
   socket_path : string;
   jobs : int;
-  max_batch : int;
   trace : bool;
   slow_request_ms : int;
   flight_path : string option;
 }
 
 let default_config ~socket_path =
-  { socket_path; jobs = 1; max_batch = 64; trace = false; slow_request_ms = 0;
+  { socket_path; jobs = 1; trace = false; slow_request_ms = 0;
     flight_path = None }
 
 (* SIGUSR1 only sets this flag; the dump itself runs on the accept
@@ -39,15 +38,6 @@ type server = {
   flight_file : string;
 }
 
-(* Per-connection state: the connection counter is lazy (bumped at the
-   first engine-bound request, so scrape-only and shutdown-only
-   connections leave no registry footprint) and each connection owns
-   its own delta-tracker position for [obs_stream]. *)
-type conn = {
-  mutable counted : bool;
-  mutable delta : Hydra_obs.Snapshot.Delta.tracker option;
-}
-
 let dump_flight srv ~reason =
   match Hydra_obs.Flight.dump_to srv.flight ~path:srv.flight_file with
   | () ->
@@ -64,12 +54,14 @@ let check_dump_signal srv =
     dump_flight srv ~reason:"sigusr1"
   end
 
+let max_batch = 64
+
 (* Read the frames of one batch: block for the first, then keep
    draining frames that are already deliverable (poll with a zero
    timeout) up to [max_batch] — so a lockstep client gets one-request
    batches while a pipelining client gets its concurrent updates
    coalesced. Returns the raw payloads and whether EOF was seen. *)
-let read_batch fd ~max_batch =
+let read_batch fd =
   match Protocol.read_frame fd with
   | None -> ([], true)
   | Some first ->
@@ -94,13 +86,13 @@ let decode payload =
   | q -> Ok q
   | exception Protocol.Protocol_error m -> Error m
 
-(* Shutdown/obs ops never reach the engine: they answer from daemon
-   state, and keeping them out of [exec_batch] keeps them out of the
-   server.* workload counters — a scrape must not perturb the metrics
-   it returns. *)
+(* Shutdown and obs_snapshot never reach the engine: they answer from
+   daemon state, and keeping them out of [exec_batch] keeps them out
+   of the server.* workload counters — a scrape must not perturb the
+   metrics it returns. *)
 let is_daemon_op (op : Protocol.op) =
   match op with
-  | Protocol.Shutdown | Protocol.Obs_snapshot | Protocol.Obs_stream -> true
+  | Protocol.Shutdown | Protocol.Obs_snapshot -> true
   | _ -> false
 
 let status_code (r : Protocol.response) =
@@ -119,24 +111,10 @@ let obs_snapshot_resp srv (q : Protocol.request) =
       Protocol.ok ~id:q.q_id ~tenant:q.q_tenant
         (Metrics (Hydra_obs.Snapshot.to_json o))
 
-let obs_stream_resp srv cn (q : Protocol.request) =
-  match srv.obs with
-  | None ->
-      Protocol.error ~id:q.q_id ~tenant:q.q_tenant
-        "no metrics registry attached to this daemon"
-  | Some o ->
-      let tracker =
-        match cn.delta with
-        | Some d -> d
-        | None ->
-            let d = Hydra_obs.Snapshot.Delta.create o in
-            cn.delta <- Some d;
-            d
-      in
-      Protocol.ok ~id:q.q_id ~tenant:q.q_tenant
-        (Metrics (Hydra_obs.Snapshot.Delta.line tracker))
-
-let handle_batch srv cn payloads =
+(* [counted] is the connection's lazy connection counter: it is bumped
+   at the first engine-bound request, so scrape-only and shutdown-only
+   connections leave no registry footprint. *)
+let handle_batch srv counted payloads =
   let obs = srv.obs in
   let profile = Hydra_obs.profiling_enabled obs in
   let t0 = Hydra_obs.now_ns () in
@@ -177,8 +155,8 @@ let handle_batch srv cn payloads =
       ctxs decoded;
     (List.rev !rs, List.rev !cs)
   in
-  if engine_reqs <> [] && not cn.counted then begin
-    cn.counted <- true;
+  if engine_reqs <> [] && not !counted then begin
+    counted := true;
     Hydra_obs.incr obs "server.connections"
   end;
   let engine_resps =
@@ -206,7 +184,6 @@ let handle_batch srv cn payloads =
                 stop := true;
                 Protocol.ok ~id:q.q_id ~tenant:q.q_tenant Protocol.No_body
             | Protocol.Obs_snapshot -> obs_snapshot_resp srv q
-            | Protocol.Obs_stream -> obs_stream_resp srv cn q
             | _ -> next_engine_resp ()))
       decoded
   in
@@ -254,14 +231,15 @@ let handle_batch srv cn payloads =
   end;
   (responses, !stop)
 
-let handle_client srv cn fd ~max_batch =
+let handle_client srv fd =
+  let counted = ref false in
   let stop = ref false in
   let eof = ref false in
   while not (!eof || !stop) do
-    let payloads, saw_eof = read_batch fd ~max_batch in
+    let payloads, saw_eof = read_batch fd in
     eof := saw_eof;
     if payloads <> [] then begin
-      let responses, shutdown = handle_batch srv cn payloads in
+      let responses, shutdown = handle_batch srv counted payloads in
       List.iter
         (fun r -> Protocol.write_frame fd (Protocol.encode_response r))
         responses;
@@ -326,8 +304,7 @@ let serve ?obs ?(config = default_config ~socket_path:"hydra_c.sock")
           | exception Unix.Unix_error (Unix.EINTR, _, _) ->
               check_dump_signal srv
           | client, _ ->
-              (let cn = { counted = false; delta = None } in
-               match handle_client srv cn client ~max_batch:config.max_batch with
+              (match handle_client srv client with
                | shutdown -> stop := shutdown
                | exception Protocol.Protocol_error m ->
                    Hydra_obs.Flight.record srv.flight

@@ -5,16 +5,16 @@
     the listen backlog) — the parallelism that matters is tenant
     sharding inside {!Engine}. Per connection, frames are read in
     batches: block for one request, then drain whatever is already
-    deliverable (up to [max_batch] frames) so concurrent updates from
-    a pipelining client coalesce into one {!Engine.exec_batch} call; a
+    deliverable (up to 64 frames) so concurrent updates from a
+    pipelining client coalesce into one {!Engine.exec_batch} call; a
     lockstep client always gets one-request batches, which is what
     makes the serve-smoke fixture batching-invariant.
 
-    [Shutdown], [Obs_snapshot] and [Obs_stream] requests are handled
-    here, not in the engine. The obs ops answer from the live registry
-    and deliberately leave {e no} footprint in it: they skip the
-    engine (so [server.batches]/[server.requests]/[server.req.*] do
-    not move) and the [server.connections] counter is lazy — bumped at
+    [Shutdown] and [Obs_snapshot] requests are handled here, not in
+    the engine. [Obs_snapshot] answers from the live registry and
+    deliberately leaves {e no} footprint in it: it skips the engine
+    (so [server.batches]/[server.requests]/[server.req.*] do not
+    move) and the [server.connections] counter is lazy — bumped at
     a connection's first engine-bound request — so a scrape-only
     connection is invisible and a live [obs-report --connect] summary
     matches the shutdown [--metrics-out] snapshot exactly
@@ -51,7 +51,6 @@
 type config = {
   socket_path : string;
   jobs : int;  (** worker domains for tenant sharding (default 1) *)
-  max_batch : int;  (** frames drained per batch (default 64) *)
   trace : bool;
       (** trace every request (default [false]; [serve] sets it iff
           [--trace-out] is given) *)

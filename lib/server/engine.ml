@@ -29,7 +29,6 @@ let op_counter (op : Protocol.op) =
   | Remove -> "server.req.remove"
   | Shutdown -> "server.req.shutdown"
   | Obs_snapshot -> "server.req.obs_snapshot"
-  | Obs_stream -> "server.req.obs_stream"
 
 let rows assignments =
   List.map
@@ -171,11 +170,7 @@ let run_group ~obs ~flight ~ftid ~name state reqs =
                 flush ();
                 tenant := None;
                 emit pos (Protocol.ok ~id ~tenant:name No_body))
-        | Shutdown ->
-            emit pos
-              (Protocol.error ~id ~tenant:name
-                 "shutdown is a daemon request, not a tenant op")
-        | Obs_snapshot | Obs_stream ->
+        | Shutdown | Obs_snapshot ->
             emit pos
               (Protocol.error ~id ~tenant:name
                  (Protocol.op_name q.q_op

@@ -35,8 +35,8 @@ val exec_batch :
   Protocol.response list
 (** Execute one batch; the response list is in request order, one
     response per request. Never raises on bad requests — they map to
-    [rejected]/[error] responses ([Shutdown], [Obs_snapshot] and
-    [Obs_stream] too: they are daemon-level, see {!Daemon}).
+    [rejected]/[error] responses ([Shutdown] and [Obs_snapshot] too:
+    they are daemon-level, see {!Daemon}).
 
     [ctxs], when given, must have one slot per request: a [Some]
     context marks a {e traced} request, whose dispatch to a worker

@@ -21,7 +21,6 @@ type op =
   | Remove
   | Shutdown
   | Obs_snapshot
-  | Obs_stream
 
 type request = { q_id : int; q_tenant : string; q_op : op }
 
@@ -46,9 +45,7 @@ type status = Ok | Unschedulable | Rejected | Failed
 type body =
   | Periods of assignment list
   | Tenant_stats of stats
-  | Metrics of string
-      (* one hydra_c.metrics/1 snapshot (obs_snapshot) or one
-         hydra_c.metrics_delta/1 line (obs_stream), verbatim *)
+  | Metrics of string  (* one hydra_c.metrics/1 snapshot, verbatim *)
   | No_body
 
 type response = {
@@ -147,7 +144,6 @@ let op_name = function
   | Remove -> "remove"
   | Shutdown -> "shutdown"
   | Obs_snapshot -> "obs_snapshot"
-  | Obs_stream -> "obs_stream"
 
 let encode_request (q : request) =
   let b = Buffer.create 128 in
@@ -179,8 +175,7 @@ let encode_request (q : request) =
   | Set_cores cores ->
       Buffer.add_char b ',';
       buf_kv_int b "cores" cores
-  | Reselect | Query | Stats | Remove | Shutdown | Obs_snapshot
-  | Obs_stream -> ());
+  | Reselect | Query | Stats | Remove | Shutdown | Obs_snapshot -> ());
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -320,7 +315,6 @@ let decode_request s =
     | "remove" -> Remove
     | "shutdown" -> Shutdown
     | "obs_snapshot" -> Obs_snapshot
-    | "obs_stream" -> Obs_stream
     | op -> fail "unknown op %S" op
   in
   { q_id; q_tenant; q_op }

@@ -41,11 +41,8 @@ type op =
       (** return a [hydra_c.metrics/1] snapshot of the daemon's live
           registry (handled by {!Daemon}; ["tenant"] is ignored).
           Leaves no footprint in the registry it reads, so a scrape
-          does not perturb the metrics it returns. *)
-  | Obs_stream
-      (** return one [hydra_c.metrics_delta/1] line relative to this
-          connection's previous [Obs_stream] request (handled by
-          {!Daemon}); the first request carries the full state. *)
+          does not perturb the metrics it returns. What moved between
+          two scrapes is [Hydra_obs.Report.diff] of the two replies. *)
 
 type request = { q_id : int; q_tenant : string; q_op : op }
 
@@ -86,10 +83,8 @@ type body =
   | Periods of assignment list
   | Tenant_stats of stats
   | Metrics of string
-      (** verbatim metrics document (wire member ["metrics"], a JSON
-          string): a full [hydra_c.metrics/1] snapshot for
-          [Obs_snapshot], one [hydra_c.metrics_delta/1] line for
-          [Obs_stream] *)
+      (** verbatim [hydra_c.metrics/1] snapshot for [Obs_snapshot]
+          (wire member ["metrics"], a JSON string) *)
   | No_body
 
 type response = {

@@ -808,49 +808,6 @@ let test_log_rate_limit () =
   Alcotest.(check string) "line carries suppressed count"
     "[hydra] event=tick suppressed=8 i=11\n" (Buffer.contents b)
 
-(* ------------------------------------------------------------------ *)
-(* Delta trackers (the obs_stream scrape core) *)
-
-let test_delta_tracker_round_trip () =
-  let obs_t = Hydra_obs.create () in
-  let obs = Some obs_t in
-  Hydra_obs.incr obs "test.a";
-  Hydra_obs.sample obs "test.lat" 100;
-  let tr = Hydra_obs.Snapshot.Delta.create obs_t in
-  let l0 = Hydra_obs.Snapshot.Delta.line tr in
-  check_int "seq starts at 0" 0
-    (int_of_float (as_num (member "seq" (parse_json l0))));
-  Alcotest.(check string) "delta schema" Hydra_obs.Snapshot.Delta.schema
-    (as_str (member "schema" (parse_json l0)));
-  Hydra_obs.incr obs "test.a";
-  Hydra_obs.incr obs "test.b";
-  Hydra_obs.sample obs "test.lat" 900;
-  let l1 = Hydra_obs.Snapshot.Delta.line tr ~label:"after" in
-  check_int "seq advances" 1
-    (int_of_float (as_num (member "seq" (parse_json l1))));
-  Alcotest.(check string) "label carried" "after"
-    (as_str (member "label" (parse_json l1)));
-  (* folding the tracker's lines reproduces the full snapshot *)
-  let folded = Hydra_obs.Report.of_string (l0 ^ "\n" ^ l1 ^ "\n") in
-  let full = Hydra_obs.Report.of_string (Hydra_obs.Snapshot.to_json obs_t) in
-  check_bool "fold(deltas) = snapshot" true
-    (Hydra_obs.Report.flatten folded = Hydra_obs.Report.flatten full);
-  (* a consumer that missed nothing gets an empty delta *)
-  let l2 = Hydra_obs.Snapshot.Delta.line tr in
-  let folded' =
-    Hydra_obs.Report.of_string (l0 ^ "\n" ^ l1 ^ "\n" ^ l2 ^ "\n")
-  in
-  check_bool "idle delta changes nothing" true
-    (Hydra_obs.Report.flatten folded' = Hydra_obs.Report.flatten full);
-  (* two trackers are independent consumers of one registry *)
-  let tr2 = Hydra_obs.Snapshot.Delta.create obs_t in
-  let m0 = Hydra_obs.Snapshot.Delta.line tr2 in
-  check_int "fresh tracker restarts seq" 0
-    (int_of_float (as_num (member "seq" (parse_json m0))));
-  check_bool "first line carries full state" true
-    (Hydra_obs.Report.flatten (Hydra_obs.Report.of_string (m0 ^ "\n"))
-    = Hydra_obs.Report.flatten full)
-
 let test_snapshot_byte_identical_across_jobs () =
   (* The CI gate in miniature: the same workload instrumented at
      jobs=1 and jobs=4 must serialize to the very same bytes. *)
@@ -937,9 +894,6 @@ let () =
             test_log_line_format;
           Alcotest.test_case "token bucket limits and reports" `Slow
             test_log_rate_limit ] );
-      ( "delta",
-        [ Alcotest.test_case "tracker folds back to the snapshot" `Quick
-            test_delta_tracker_round_trip ] );
       ( "snapshot",
         [ Alcotest.test_case "json_float maps non-finite to null" `Quick
             test_json_float_non_finite;

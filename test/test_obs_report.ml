@@ -1,14 +1,10 @@
 (* Tests for Obs_report, the library half of the `hydra_c obs-report`
-   subcommand: loading both snapshot schemas, folding delta streams,
-   quantiles recomputed from serialized buckets, the diff / percent /
-   regression math, rendering, and the end-to-end round trip — a
-   Snapshot.Stream of delta ticks folds back to exactly the registry's
-   full snapshot. *)
+   subcommand: loading snapshots, quantiles recomputed from serialized
+   buckets, the diff / percent / regression math, and rendering. *)
 
 open Test_util
 module R = Hydra_obs.Report
 module H = Hydra_obs.Histogram
-module Stream = Hydra_obs.Snapshot.Stream
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -47,36 +43,24 @@ let test_load_full_snapshot () =
   | _ -> Alcotest.fail "expected exactly hist h");
   check_bool "span counts" true (s.R.spans = [ ("s", 4) ])
 
-let delta_line_1 =
-  {|{"schema":"hydra_c.metrics_delta/1","seq":0,"counters":{"a":2},"histograms":{"h":{"count":1,"sum":5,"min":5,"max":5,"buckets":[{"le":5,"count":1}]}}}|}
-
-let delta_line_2 =
-  {|{"schema":"hydra_c.metrics_delta/1","seq":1,"label":"phase two","counters":{"a":3},"histograms":{"h":{"count":2,"sum":25,"min":5,"max":15,"buckets":[{"le":10,"count":1},{"le":15,"count":1}]}},"spans":{"s":{"count":2}}}|}
-
-let test_fold_delta_stream () =
-  (* counters and bucket/count/sum deltas add; min/max are cumulative *)
-  let s = R.of_string (delta_line_1 ^ "\n" ^ delta_line_2 ^ "\n") in
-  check_bool "counter deltas summed" true (s.R.counters = [ ("a", 5) ]);
-  (match s.R.hists with
-  | [ ("h", h) ] ->
-      check_int "count" 3 h.R.h_count;
-      check_int "sum" 30 h.R.h_sum;
-      check_int "min cumulative" 5 h.R.h_min;
-      check_int "max cumulative" 15 h.R.h_max;
-      check_bool "buckets merged ascending" true
-        (h.R.h_buckets = [ (5, 1); (10, 1); (15, 1) ])
-  | _ -> Alcotest.fail "expected exactly hist h");
-  check_bool "span counts folded" true (s.R.spans = [ ("s", 2) ]);
-  (* a single delta line is also a valid one-document snapshot *)
-  let one = R.of_string delta_line_1 in
-  check_bool "single delta loads" true (one.R.counters = [ ("a", 2) ])
-
 let test_load_errors () =
   check_bool "missing file is Error" true
     (Result.is_error (R.load "/nonexistent/hydra_c_obs_report.json"));
   check_bool "unknown schema raises" true
     (try
        ignore (R.of_string {|{"schema":"bogus/9"}|});
+       false
+     with Hydra_obs.Json.Error _ -> true);
+  (* the retired delta schema is an unknown schema, and a JSONL file
+     is not one JSON document *)
+  check_bool "delta line raises" true
+    (try
+       ignore (R.of_string {|{"schema":"hydra_c.metrics_delta/1","seq":0}|});
+       false
+     with Hydra_obs.Json.Error _ -> true);
+  check_bool "two snapshots in one file raise" true
+    (try
+       ignore (R.of_string (full_a ^ "\n" ^ full_b ^ "\n"));
        false
      with Hydra_obs.Json.Error _ -> true);
   check_bool "garbage raises" true
@@ -209,58 +193,10 @@ let test_rendering_deterministic () =
   let twice = Format.asprintf "%a" (R.pp_diff ~only_changed:true) (R.diff a b) in
   Alcotest.(check string) "rendering is deterministic" out twice
 
-(* ------------------------------------------------------------------ *)
-(* Stream round trip: folding the JSONL deltas reconstructs the full
-   snapshot exactly *)
-
-let test_stream_round_trip () =
-  let obs_t = Hydra_obs.create () in
-  let obs = Some obs_t in
-  let path = Filename.temp_file "hydra_obs_stream" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  let st = Stream.create obs_t ~path in
-  Hydra_obs.incr obs "rt.count";
-  Hydra_obs.observe obs "rt.dist" 7;
-  List.iter (Hydra_obs.sample obs "rt.lat") [ 3; 14; 159 ];
-  Hydra_obs.span obs "rt.span" (fun () -> ());
-  Stream.tick ~label:"phase one" st;
-  (* second interval: concurrent recording from pool workers opens new
-     buckets; the dist minimum moves (cumulative min/max in deltas) *)
-  let (_ : unit array) =
-    Parallel.Pool.map ?obs ~jobs:3
-      (fun i -> Hydra_obs.sample obs "rt.lat" (i * 977))
-      50
-  in
-  Hydra_obs.add obs "rt.count" 4;
-  Hydra_obs.observe obs "rt.dist" (-2);
-  Hydra_obs.span obs "rt.span" (fun () -> ());
-  Stream.tick st;
-  Stream.tick st (* idle interval: nothing moved *);
-  Stream.close st;
-  Stream.close st (* idempotent *);
-  Stream.tick st (* no-op after close *);
-  let streamed =
-    match R.load path with Ok s -> s | Error m -> Alcotest.fail m
-  in
-  let full = R.of_string (Hydra_obs.Snapshot.to_json obs_t) in
-  check_bool "counters round-trip" true (streamed.R.counters = full.R.counters);
-  check_bool "dists round-trip" true (streamed.R.dists = full.R.dists);
-  check_bool "hists round-trip" true (streamed.R.hists = full.R.hists);
-  check_bool "spans round-trip" true (streamed.R.spans = full.R.spans);
-  check_bool "flattened views identical" true
-    (R.diff streamed full
-    |> List.for_all (fun c ->
-           match (c.R.before, c.R.after) with
-           | Some x, Some y -> Float.equal x y
-           | _ -> false))
-
 let () =
   Alcotest.run "obs-report"
     [ ( "loading",
         [ Alcotest.test_case "full snapshot" `Quick test_load_full_snapshot;
-          Alcotest.test_case "delta stream fold" `Quick test_fold_delta_stream;
           Alcotest.test_case "errors" `Quick test_load_errors ] );
       ( "quantiles",
         [ prop_quantile_matches_histogram;
@@ -275,7 +211,4 @@ let () =
             test_regressions_threshold_and_watch ] );
       ( "rendering",
         [ Alcotest.test_case "deterministic tables" `Quick
-            test_rendering_deterministic ] );
-      ( "stream",
-        [ Alcotest.test_case "JSONL deltas fold to full snapshot" `Quick
-            test_stream_round_trip ] ) ]
+            test_rendering_deterministic ] ) ]

@@ -57,8 +57,7 @@ let roundtrip_requests =
     req 8 Protocol.Stats;
     req 9 Protocol.Remove;
     req 10 Protocol.Shutdown;
-    req 11 Protocol.Obs_snapshot;
-    req 12 Protocol.Obs_stream ]
+    req 11 Protocol.Obs_snapshot ]
 
 let test_request_roundtrip () =
   List.iter
@@ -105,7 +104,16 @@ let test_decode_rejects () =
   expect_fail "{";
   expect_fail "{\"v\":\"bogus/9\",\"id\":0,\"tenant\":\"t\",\"op\":\"query\"}";
   expect_fail "{\"v\":\"hydra_c.server/1\",\"id\":0,\"tenant\":\"t\",\"op\":\"nope\"}";
-  expect_fail "{\"v\":\"hydra_c.server/1\",\"tenant\":\"t\",\"op\":\"query\"}"
+  expect_fail "{\"v\":\"hydra_c.server/1\",\"tenant\":\"t\",\"op\":\"query\"}";
+  (* the retired delta-stream op is an unknown op like any other *)
+  match
+    Protocol.decode_request
+      "{\"v\":\"hydra_c.server/1\",\"id\":0,\"tenant\":\"\",\"op\":\"obs_stream\"}"
+  with
+  | _ -> Alcotest.fail "obs_stream decoded"
+  | exception Protocol.Protocol_error e ->
+      Alcotest.(check string) "obs_stream is unknown"
+        "unknown op \"obs_stream\"" e
 
 (* Integer members accept exactly OCaml's int range [-2^62, 2^62):
    2^62 would wrap to min_int, and a reply would then carry an id its
@@ -588,15 +596,13 @@ let test_engine_rejects_obs_ops () =
       ignore (Engine.exec_batch e [ req 0 small_init ]);
       match
         Engine.exec_batch e
-          [ req 1 Protocol.Obs_snapshot; req 2 Protocol.Obs_stream;
-            req 3 Protocol.Query ]
+          [ req 1 Protocol.Obs_snapshot; req 2 Protocol.Query ]
       with
-      | [ r1; r2; r3 ] ->
+      | [ r1; r2 ] ->
           check_bool "snapshot refused" true (status r1 = Protocol.Failed);
-          check_bool "stream refused" true (status r2 = Protocol.Failed);
           check_bool "rest of the batch unharmed" true
-            (status r3 = Protocol.Ok)
-      | _ -> Alcotest.fail "expected three responses")
+            (status r2 = Protocol.Ok)
+      | _ -> Alcotest.fail "expected two responses")
 
 let ctx_batch =
   [ req 0 small_init; req 1 Protocol.Query;
@@ -739,9 +745,6 @@ let the_metrics r =
   | Protocol.Metrics doc -> doc
   | _ -> Alcotest.fail "expected a metrics body"
 
-let flatten_doc doc =
-  Hydra_obs.Report.flatten (Hydra_obs.Report.of_string doc)
-
 let test_daemon_live_scrape () =
   let obs_t = Hydra_obs.create () in
   let last_doc =
@@ -749,7 +752,7 @@ let test_daemon_live_scrape () =
       ~tweak:(fun c -> { c with jobs = 2 })
       (fun _path connect rpc ->
         let fd = connect () in
-        let doc2 =
+        let doc3 =
           Fun.protect
             ~finally:(fun () ->
               try Unix.close fd with Unix.Unix_error _ -> ())
@@ -770,32 +773,42 @@ let test_daemon_live_scrape () =
                  second snapshot is byte-identical *)
               let doc2 = the_metrics (rpc fd (req 4 Protocol.Obs_snapshot)) in
               Alcotest.(check string) "scrape leaves no footprint" doc1 doc2;
-              (* obs_stream: first line carries the full state, an idle
-                 follow-up changes nothing when folded *)
-              let l1 = the_metrics (rpc fd (req 5 Protocol.Obs_stream)) in
-              check_bool "first delta line = full snapshot" true
-                (flatten_doc (l1 ^ "\n") = flatten_doc doc1);
-              let l2 = the_metrics (rpc fd (req 6 Protocol.Obs_stream)) in
-              check_bool "idle delta folds to the same state" true
-                (flatten_doc (l1 ^ "\n" ^ l2 ^ "\n") = flatten_doc doc1);
-              doc2)
+              (* what moved since the last scrape is the diff of two
+                 scrapes: one query on a clean tenant moves exactly
+                 these rows, each by one *)
+              ignore (rpc fd (req 5 Protocol.Query));
+              let doc3 = the_metrics (rpc fd (req 6 Protocol.Obs_snapshot)) in
+              let moved =
+                Hydra_obs.Report.(
+                  diff (of_string doc2) (of_string doc3)
+                  |> List.filter_map (fun c ->
+                         let v = Option.value ~default:0. in
+                         let d = v c.after -. v c.before in
+                         if d = 0. then None
+                         else Some (c.key, int_of_float d)))
+              in
+              Alcotest.(check (list (pair string int)))
+                "one query's diff"
+                [ ("pool.items", 1); ("pool.maps", 1);
+                  ("server.batch.groups.count", 1); ("server.batches", 1);
+                  ("server.req.query", 1); ("server.requests", 1) ]
+                moved;
+              doc3)
         in
-        (* a later connection is an independent stream consumer: its
-           first line carries the full state again — and neither the
-           reconnect nor its scrape moves a metric *)
+        (* a later connection sees the same state byte for byte:
+           neither the reconnect nor its scrape moves a metric *)
         let fd2 = connect () in
         Fun.protect
           ~finally:(fun () -> try Unix.close fd2 with Unix.Unix_error _ -> ())
           (fun () ->
-            let r = rpc fd2 (req 7 Protocol.Obs_stream) in
-            check_bool "fresh consumer gets the full state" true
-              (flatten_doc (the_metrics r ^ "\n") = flatten_doc doc2);
+            Alcotest.(check string) "second connection's scrape" doc3
+              (the_metrics (rpc fd2 (req 7 Protocol.Obs_snapshot)));
             ignore (rpc fd2 (req 8 Protocol.Shutdown)));
-        doc2)
+        doc3)
   in
   (* the acceptance gate: a live scrape equals the shutdown snapshot —
-     nothing after the last engine request (scrapes, streams, shutdown,
-     the idle second connection) moved a metric *)
+     nothing after the last engine request (scrapes, shutdown, the idle
+     second connection) moved a metric *)
   Alcotest.(check string) "live scrape = shutdown snapshot" last_doc
     (Hydra_obs.Snapshot.to_json obs_t)
 
@@ -848,6 +861,56 @@ let test_daemon_sigusr1_flight_dump () =
               (List.mem "reply" kinds)
         | [] -> Alcotest.fail "empty flight dump");
         try Sys.remove flight_file with Sys_error _ -> ())
+
+(* The slow-request detector: with [slow_request_ms = 1], one init
+   heavy enough to take tens of milliseconds (160 tasks on 4 cores;
+   the selection dominates) trips it, and the batch's [slow] event,
+   carrying its duration in ns, reaches the default flight file before
+   the reply does. *)
+let test_daemon_slow_request_dump () =
+  let heavy_init =
+    Protocol.Init
+      { cores = 4;
+        rt =
+          List.init 120 (fun i ->
+              rt (Printf.sprintf "r%d" i) (1 + (i mod 3))
+                (100 + (20 * (i mod 25))));
+        sec =
+          List.init 40 (fun i ->
+              sec (Printf.sprintf "s%d" i) (1 + (i mod 2))
+                (2000 + (400 * (i mod 10)))) }
+  in
+  let flight_file =
+    with_daemon ~name:"slow"
+      ~tweak:(fun c -> { c with slow_request_ms = 1 })
+      (fun path connect rpc ->
+        let flight_file = path ^ ".flight.jsonl" in
+        (try Sys.remove flight_file with Sys_error _ -> ());
+        let fd = connect () in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            ignore (rpc fd (req 0 heavy_init));
+            check_bool "dumped before the reply" true
+              (Sys.file_exists flight_file);
+            ignore (rpc fd (req 1 Protocol.Shutdown)));
+        flight_file)
+  in
+  let slow =
+    match In_channel.with_open_text flight_file In_channel.input_lines with
+    | _header :: events ->
+        List.filter_map
+          (fun l ->
+            let j = Test_util.parse_json l in
+            if Test_util.(as_str (member "kind" j)) = "slow" then
+              Some (int_of_float Test_util.(as_num (member "a" j)))
+            else None)
+          events
+    | [] -> Alcotest.fail "empty flight dump"
+  in
+  (try Sys.remove flight_file with Sys_error _ -> ());
+  check_bool "a slow event of at least 1 ms" true
+    (List.exists (fun a -> a >= 1_000_000) slow)
 
 (* A client that hangs up before reading its reply: A holds the
    daemon while B sends an init and closes, so the reply to B always
@@ -986,10 +1049,11 @@ let () =
             test_exec_batch_with_ctxs ] );
       ( "daemon",
         [ Alcotest.test_case "socket smoke" `Quick test_daemon_socket;
-          Alcotest.test_case "live scrape + stream" `Quick
-            test_daemon_live_scrape;
+          Alcotest.test_case "live scrape" `Quick test_daemon_live_scrape;
           Alcotest.test_case "SIGUSR1 flight dump" `Quick
             test_daemon_sigusr1_flight_dump;
+          Alcotest.test_case "slow-request dump" `Quick
+            test_daemon_slow_request_dump;
           Alcotest.test_case "client hangup survives" `Quick
             test_daemon_survives_hangup;
           Alcotest.test_case "serve-smoke fixture" `Quick
