@@ -481,9 +481,10 @@ let cmd_all =
 (* obs-report: offline consumer of the snapshot artifacts.
 
    Exit codes: 0 = ok, 1 = a watched metric regressed past
-   --max-regression, 2 = unreadable/malformed input or a gate with
-   nothing to diff (cmdliner itself uses 124/125 for CLI errors). Output is deterministic (sorted keys,
-   fixed columns), so CI can diff it. *)
+   --max-regression, 2 = unreadable/malformed input, a gate with
+   nothing to diff, or --watch without --max-regression (cmdliner
+   itself uses 124/125 for CLI errors). Output is deterministic
+   (sorted keys, fixed columns), so CI can diff it. *)
 
 (* One obs_snapshot request against a live daemon: the scrape path of
    'obs-report --connect'. Scrapes leave no footprint in the daemon's
@@ -567,6 +568,8 @@ let run_obs_report files max_regression watch all_rows connect =
   if inputs = 1 && (max_regression <> None || watch <> []) then
     fail "--max-regression and --watch gate a diff: give two inputs \
           (two files, or one file and --connect)";
+  if watch <> [] && max_regression = None then
+    fail "--watch narrows the --max-regression gate: give --max-regression";
   match (connect, files) with
   | Some socket, [] ->
       Format.printf "%a" Hydra_obs.Report.pp_summary (live socket)
@@ -601,7 +604,10 @@ let max_regression_arg =
 let watch_arg =
   Arg.(value & opt_all string []
        & info [ "watch" ] ~docv:"PREFIX"
-           ~doc:"Restrict the --max-regression gate to metrics whose                  flattened key starts with PREFIX (repeatable; default: all                  metrics). E.g. --watch analysis. --watch sim.events.")
+           ~doc:"Restrict the --max-regression gate to metrics whose \
+                 flattened key starts with PREFIX (repeatable; default: \
+                 all metrics). E.g. --watch analysis. --watch sim.events. \
+                 Requires --max-regression: without it, exit 2.")
 
 let all_rows_arg =
   Arg.(value & flag

@@ -6,10 +6,6 @@ type scale = {
   sc_validate_tasksets : int;
 }
 
-let default_scale =
-  { sc_seed = 42; sc_trials = 35; sc_per_group = 50; sc_cores = [ 2; 4 ];
-    sc_validate_tasksets = 50 }
-
 let fenced buf render =
   let inner = Buffer.create 512 in
   let ppf = Format.formatter_of_buffer inner in

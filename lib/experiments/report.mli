@@ -12,10 +12,6 @@ type scale = {
   sc_validate_tasksets : int;  (** 0 disables the validation section *)
 }
 
-val default_scale : scale
-(** seed 42, 35 trials, 50 per group, cores [2; 4], 50 validation
-    tasksets — a few minutes of compute. *)
-
 val generate : ?jobs:int -> ?obs:Hydra_obs.t -> scale -> Buffer.t
 (** Runs everything and renders the document. [jobs] (default
     {!Parallel.Pool.default_jobs}[ ()]) is passed to every

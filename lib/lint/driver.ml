@@ -4,7 +4,6 @@ type result = {
   errors : string list;
   warnings : string list;
   files_scanned : int;
-  cache_hits : int;
 }
 
 let normalize path =
@@ -28,163 +27,15 @@ let rec add_tree acc path =
            acc
   | false -> if Filename.check_suffix path ".ml" then path :: acc else acc
 
-let collect_ml_files paths =
-  List.fold_left add_tree [] (List.map normalize paths)
-  |> List.sort_uniq String.compare
-
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-(* ------------------------------------------------------------------ *)
-(* Content-digest summary cache *)
-
-(* Bump on any change to the cached payload ([file_result], and
-   transitively [Finding.t]); [Summary.version] covers the summary
-   schema. Both participate in the content digest, so a schema change
-   makes every old entry a miss rather than a decode hazard. *)
-let cache_version = 1
-
-type file_result = {
-  fr_findings : Finding.t list;  (* phase 1, inline allows applied *)
-  fr_summary : Summary.t option;
-  fr_error : string option;  (* read/parse failure, already rendered *)
-}
-
-let file_key ~file source =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "hydra-lint:%d:%d:%s:%s" cache_version
-          Summary.version file source))
-
-let cache_header =
-  Printf.sprintf "hydra-lint-cache v%d s%d" cache_version Summary.version
-
-let default_cache_file = "_build/.lint-cache"
-
-(* Best-effort load: anything unreadable or from another schema is an
-   empty cache, never an error — the linter recomputes. *)
-let load_cache path =
-  let tbl : (string, file_result) Hashtbl.t = Hashtbl.create 256 in
-  (try
-     In_channel.with_open_bin path (fun ic ->
-         let header : string = Marshal.from_channel ic in
-         if header = cache_header then
-           let entries : (string * file_result) list =
-             Marshal.from_channel ic
-           in
-           List.iter (fun (k, v) -> Hashtbl.replace tbl k v) entries)
-   with _ -> ());
-  tbl
-
-(* Best-effort save via write-to-temp + rename, entries sorted by key
-   so the cache file itself is deterministic. *)
-let save_cache path (tbl : (string, file_result) Hashtbl.t) =
-  try
-    let dir = Filename.dirname path in
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let tmp = path ^ ".tmp" in
-    Out_channel.with_open_bin tmp (fun oc ->
-        Marshal.to_channel oc cache_header [];
-        let entries =
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        in
-        Marshal.to_channel oc entries []);
-    Sys.rename tmp path
-  with _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* The two-phase run *)
 
-(* compiler-libs' lexer keeps module-level mutable buffers, so the
-   parse itself must not run on two domains at once. Everything else
-   per file — reading, digesting, cache lookup — runs in parallel;
-   warm-cache runs skip the lock entirely. *)
-let parse_mutex = Mutex.create ()
+let analyze_file file =
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error m -> Error m
+  | source -> Engine.analyze ~file source
 
-let analyze_locked ~file source =
-  Mutex.lock parse_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock parse_mutex)
-    (fun () -> Engine.analyze ~file source)
-
-let lint_file cache file =
-  match read_file file with
-  | exception Sys_error m ->
-      (None, { fr_findings = []; fr_summary = None; fr_error = Some m }, false)
-  | source -> (
-      let key = file_key ~file source in
-      match Hashtbl.find_opt cache key with
-      | Some fr -> (Some key, fr, true)
-      | None ->
-          let fr =
-            match analyze_locked ~file source with
-            | Ok { Engine.findings; summary } ->
-                { fr_findings = findings;
-                  fr_summary = Some summary;
-                  fr_error = None }
-            | Error m ->
-                { fr_findings = []; fr_summary = None; fr_error = Some m }
-          in
-          (Some key, fr, false))
-
-let run_files ?(allowlist = Allowlist.empty) ?jobs ?cache_dir files =
-  let files = Array.of_list files in
-  let cache_file =
-    match cache_dir with
-    | Some dir -> Some (Filename.concat dir ".lint-cache")
-    | None -> None
-  in
-  let cache =
-    match cache_file with
-    | Some p -> load_cache p
-    | None -> Hashtbl.create 16
-  in
-  (* Phase 1: per-file summaries, index-slotted so results are
-     byte-identical for every --jobs (doc/PARALLELISM.md). *)
-  let per_file =
-    Parallel.Pool.map ?jobs
-      (fun i -> lint_file cache files.(i))
-      (Array.length files)
-  in
-  let cache_hits = ref 0 in
-  Array.iter
-    (fun (key, fr, hit) ->
-      if hit then incr cache_hits;
-      match key with
-      | Some k -> Hashtbl.replace cache k fr
-      | None -> ())
-    per_file;
-  (match cache_file with Some p -> save_cache p cache | None -> ());
-  (* Phase 2: link summaries (already in sorted-file order) and run
-     the reachability rules, sequentially — it is cheap and keeps the
-     output independent of scheduling. *)
-  let summaries =
-    Array.to_list per_file
-    |> List.filter_map (fun (_, fr, _) -> fr.fr_summary)
-  in
-  let graph = Callgraph.build summaries in
-  let reach_findings, reach_notes = Reach.check graph in
-  let phase1_findings =
-    Array.to_list per_file
-    |> List.concat_map (fun (_, fr, _) -> fr.fr_findings)
-  in
-  let errors =
-    Array.to_list per_file
-    |> List.filter_map (fun (_, fr, _) -> fr.fr_error)
-  in
-  let visible fs =
-    fs
-    |> List.filter (fun f -> not (Allowlist.permits allowlist f))
-    |> List.sort Finding.order
-  in
-  { findings = visible (phase1_findings @ reach_findings);
-    notes = visible reach_notes;
-    errors;
-    warnings = [];
-    files_scanned = Array.length files;
-    cache_hits = !cache_hits }
-
-let run ?allowlist ?jobs ?cache_dir paths =
+let run ?(allowlist = Allowlist.empty) paths =
   let paths = List.map normalize paths in
   let warnings =
     List.filter_map
@@ -196,9 +47,36 @@ let run ?allowlist ?jobs ?cache_dir paths =
         else None)
       paths
   in
-  let files = collect_ml_files paths in
-  let r = run_files ?allowlist ?jobs ?cache_dir files in
-  { r with warnings }
+  (* Sorted and deduplicated, so overlapping or reordered path
+     arguments give the same report. *)
+  let files =
+    List.fold_left add_tree [] paths |> List.sort_uniq String.compare
+  in
+  (* Phase 1: per-file findings and summaries, in sorted-file order. *)
+  let per_file = List.map analyze_file files in
+  let analyses = List.filter_map Result.to_option per_file in
+  let errors =
+    List.filter_map (function Error m -> Some m | Ok _ -> None) per_file
+  in
+  (* Phase 2: link the summaries and run the reachability rules. *)
+  let reach_findings, reach_notes =
+    Reach.check
+      (Callgraph.build
+         (List.map (fun (a : Engine.analysis) -> a.summary) analyses))
+  in
+  let phase1_findings =
+    List.concat_map (fun (a : Engine.analysis) -> a.findings) analyses
+  in
+  let visible fs =
+    fs
+    |> List.filter (fun f -> not (Allowlist.permits allowlist f))
+    |> List.sort Finding.order
+  in
+  { findings = visible (phase1_findings @ reach_findings);
+    notes = visible reach_notes;
+    errors;
+    warnings;
+    files_scanned = List.length files }
 
 (* ------------------------------------------------------------------ *)
 (* Reports *)
@@ -217,8 +95,6 @@ let report_text r =
     r.notes;
   Buffer.contents b
 
-(* Cache statistics are deliberately absent: the JSON report must be
-   byte-identical between a cold and a warm run. *)
 let report_json r =
   let b = Buffer.create 1024 in
   Buffer.add_string b

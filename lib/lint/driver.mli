@@ -1,15 +1,13 @@
-(** Whole-tree runs: walk directories, analyze every [.ml] in parallel
-    (phase 1, per-file findings + {!Summary.t}), link the summaries
-    into a call graph and run the interprocedural rules D7/D8 (phase
-    2, {!Reach}), apply the checked-in allowlist, render reports.
+(** Whole-tree runs: walk directories, analyze every [.ml] (phase 1,
+    per-file findings + {!Summary.t}), link the summaries into a call
+    graph and run the interprocedural rules D7/D8 (phase 2, {!Reach}),
+    apply the checked-in allowlist, render reports.
 
     The run obeys the repo determinism contract end to end:
     [Sys.readdir] order is unspecified, so files are sorted before
-    linting; phase 1 runs under {!Parallel.Pool.map}, whose
-    index-slotted results are identical for every [jobs]; phase 2 is
-    sequential over the sorted summaries. Findings, notes, and both
-    report formats are byte-identical across [--jobs] values and
-    across cold/warm cache runs. *)
+    linting, and both phases run sequentially over the sorted list.
+    Findings, notes and every report format depend only on the paths
+    and the files' contents. *)
 
 type result = {
   findings : Finding.t list;  (** sorted, allowlist already applied *)
@@ -21,40 +19,11 @@ type result = {
       (** non-fatal CLI diagnostics, e.g. a path argument that exists
           but contains no [.ml] files *)
   files_scanned : int;
-  cache_hits : int;  (** phase-1 results served from the digest cache *)
 }
 
-(** Every [.ml] under the given files/directories, sorted.
-    [_build] and dot-directories are skipped. *)
-val collect_ml_files : string list -> string list
-
-val default_cache_file : string
-(** ["_build/.lint-cache"] — where the [dune @lint] alias and CI point
-    [--cache-dir _build]. *)
-
-val run :
-  ?allowlist:Allowlist.t ->
-  ?jobs:int ->
-  ?cache_dir:string ->
-  string list ->
-  result
-(** [run paths] walks [paths] and lints every [.ml] found. [jobs]
-    defaults to {!Parallel.Pool.default_jobs}[ ()]. With [cache_dir],
-    per-file phase-1 results are served from and saved to
-    [cache_dir ^ "/.lint-cache"], keyed by a digest of the schema
-    version, path, and file content — so any edit, rename, or schema
-    bump invalidates exactly the affected entries. Cache corruption is
-    never an error: unreadable entries are recomputed. *)
-
-val run_files :
-  ?allowlist:Allowlist.t ->
-  ?jobs:int ->
-  ?cache_dir:string ->
-  string list ->
-  result
-(** Same, on an explicit pre-collected file list (the [--changed-only]
-    path). Callers must pass the list sorted for deterministic
-    output; {!collect_ml_files} already does. *)
+val run : ?allowlist:Allowlist.t -> string list -> result
+(** [run paths] lints every [.ml] under the given files/directories
+    ([_build] and dot-directories are skipped). *)
 
 (** [file:line:col [rule] message] lines; notes follow, prefixed
     ["note: "]. *)
@@ -62,8 +31,7 @@ val report_text : result -> string
 
 (** One JSON object: [{"version":2,"files_scanned":N,"count":N,
     "findings":[...],"notes":[...]}], newline-terminated. [count] is
-    the number of findings; cache statistics are deliberately
-    excluded so cold and warm runs emit identical bytes. *)
+    the number of findings. *)
 val report_json : result -> string
 
 (** SARIF 2.1.0: one run, rule metadata from {!Rules.all}, findings at

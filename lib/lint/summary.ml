@@ -7,11 +7,7 @@ open Parsetree
    values with their referenced identifiers and effect flags,
    module-level mutable bindings, Parallel.Pool call sites, opens and
    includes for longident resolution, and the file's inline
-   [@lint.allow] ranges. Summaries are pure data: they marshal into
-   the content-digest cache (Driver), so [version] must be bumped on
-   any type or extraction change. *)
-
-let version = 1
+   [@lint.allow] ranges. *)
 
 type alloc = {
   al_what : string;  (* "a tuple", "constructor C", ... (rule D6 wording) *)

@@ -1,12 +1,7 @@
 (** Phase 1 of the interprocedural analyzer: one per-module summary,
     extracted from a file's parsetree alone, carrying everything phase
     2 ({!Callgraph} linking + {!Reach} reachability rules D7/D8)
-    needs. Summaries are pure marshalable data and flow through the
-    content-digest cache in {!Driver}; {!version} participates in the
-    cache key, so bump it on any type or extraction change. *)
-
-val version : int
-(** Summary schema version (cache invalidation). *)
+    needs. *)
 
 type alloc = {
   al_what : string;  (** rule-D6 wording: "a tuple", "a closure", ... *)

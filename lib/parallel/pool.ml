@@ -11,23 +11,24 @@ let map_seq f n =
     out
   end
 
-(* One worker's share of a map: steal chunks off the shared cursor
-   until the range is exhausted or some worker has failed. [apply i]
-   writes slot [i] of the caller's output array — distinct indices, so
-   no write ever races with another. Shared by the spawn-per-map
-   {!map} and the persistent {!Static} pool so both have the same
-   scheduling, failure and profiling behavior. *)
-let claim_loop obs ~profile ~cursor ~failure ~chunk ~n apply =
+(* One worker's share of a map: claim indices off the shared cursor,
+   one per [fetch_and_add], until the range is exhausted or some
+   worker has failed. [apply i] writes slot [i] of the caller's output
+   array — distinct indices, so no write ever races with another.
+   Shared by the spawn-per-map {!map} and the persistent {!Static}
+   pool so both have the same scheduling, failure and profiling
+   behavior. *)
+let claim_loop obs ~profile ~cursor ~failure ~n apply =
   let body () =
     (* accumulate locally, publish once per worker at the end *)
-    let busy = ref 0 and idle = ref 0 and chunks = ref 0 in
+    let busy = ref 0 and idle = ref 0 and claims = ref 0 in
     let running = ref true in
     while !running do
       if Atomic.get failure <> None then running := false
       else begin
         let t_wait = if profile then Hydra_obs.now_ns () else 0 in
-        let start = Atomic.fetch_and_add cursor chunk in
-        if start >= n then running := false
+        let i = Atomic.fetch_and_add cursor 1 in
+        if i >= n then running := false
         else begin
           let t_claim =
             if profile then begin
@@ -35,16 +36,12 @@ let claim_loop obs ~profile ~cursor ~failure ~chunk ~n apply =
               let w = t - t_wait in
               idle := !idle + w;
               Hydra_obs.sample obs "pool.queue_wait_ns" w;
-              incr chunks;
+              incr claims;
               t
             end
             else 0
           in
-          let stop = min n (start + chunk) in
-          (try
-             for i = start to stop - 1 do
-               apply i
-             done
+          (try apply i
            with e ->
              let bt = Printexc.get_raw_backtrace () in
              ignore (Atomic.compare_and_set failure None (Some (e, bt)));
@@ -56,7 +53,7 @@ let claim_loop obs ~profile ~cursor ~failure ~chunk ~n apply =
     if profile then begin
       Hydra_obs.sample obs "pool.worker.busy_ns" !busy;
       Hydra_obs.sample obs "pool.worker.idle_ns" !idle;
-      Hydra_obs.add obs "pool.chunks" !chunks
+      Hydra_obs.add obs "pool.chunks" !claims
     end
   in
   (* under profiling each worker is also a span, so the trace grows
@@ -74,16 +71,15 @@ let reraise_failure failure =
 let with_hook on_item f =
   match on_item with None -> f | Some h -> fun i -> h i; f i
 
-let map ?obs ?jobs ?(chunk = 1) ?on_item f n =
+let map ?obs ?jobs ?on_item f n =
   if n < 0 then invalid_arg "Pool.map: negative length";
   let f = with_hook on_item f in
-  let chunk = max 1 chunk in
   let jobs =
     let requested =
       match jobs with Some j -> max 1 j | None -> default_jobs ()
     in
-    (* more workers than chunks would only spawn idle domains *)
-    min requested (max 1 ((n + chunk - 1) / chunk))
+    (* more workers than items would only spawn idle domains *)
+    min requested (max 1 n)
   in
   (* [pool.maps]/[pool.items] are pure functions of the workload, so
      they stay inside the byte-identical-across---jobs snapshot
@@ -100,7 +96,7 @@ let map ?obs ?jobs ?(chunk = 1) ?on_item f n =
     let cursor = Atomic.make 0 in
     let failure = Atomic.make None in
     let worker () =
-      claim_loop obs ~profile ~cursor ~failure ~chunk ~n (fun i ->
+      claim_loop obs ~profile ~cursor ~failure ~n (fun i ->
           out.(i) <- Some (f i))
     in
     let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
@@ -110,11 +106,11 @@ let map ?obs ?jobs ?(chunk = 1) ?on_item f n =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let map_array ?obs ?jobs ?chunk f a =
-  map ?obs ?jobs ?chunk (fun i -> f a.(i)) (Array.length a)
+let map_array ?obs ?jobs f a =
+  map ?obs ?jobs (fun i -> f a.(i)) (Array.length a)
 
-let map_list ?obs ?jobs ?chunk f l =
-  Array.to_list (map_array ?obs ?jobs ?chunk f (Array.of_list l))
+let map_list ?obs ?jobs f l =
+  Array.to_list (map_array ?obs ?jobs f (Array.of_list l))
 
 (* Persistent worker pool: [jobs - 1] long-lived domains parked on a
    condition variable between maps. [map] publishes a job under the
@@ -190,14 +186,13 @@ module Static = struct
     in
     if join then Array.iter Domain.join t.domains
 
-  let map ?obs ?(chunk = 1) ?on_item t f n =
+  let map ?obs ?on_item t f n =
     if n < 0 then invalid_arg "Pool.Static.map: negative length";
     if t.stopped then invalid_arg "Pool.Static.map: pool is shut down";
     let f = with_hook on_item f in
-    let chunk = max 1 chunk in
     Hydra_obs.incr obs "pool.maps";
     Hydra_obs.add obs "pool.items" n;
-    if t.jobs = 1 || n <= chunk then map_seq f n
+    if t.jobs = 1 || n <= 1 then map_seq f n
     else begin
       let profile = Hydra_obs.profiling_enabled obs in
       if profile then Hydra_obs.add obs "pool.workers" t.jobs;
@@ -205,7 +200,7 @@ module Static = struct
       let cursor = Atomic.make 0 in
       let failure = Atomic.make None in
       let run () =
-        claim_loop obs ~profile ~cursor ~failure ~chunk ~n (fun i ->
+        claim_loop obs ~profile ~cursor ~failure ~n (fun i ->
             out.(i) <- Some (f i))
       in
       Mutex.lock t.mu;

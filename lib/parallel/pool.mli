@@ -17,10 +17,10 @@
     ascending [for] loop in the calling domain, i.e. the exact
     sequential path.
 
-    Scheduling is chunked work-stealing: a shared atomic cursor hands
-    out chunks of [chunk] consecutive indices to whichever worker is
-    idle, so heterogeneous item costs (high-utilization tasksets take
-    far longer to analyze than low ones) balance automatically.
+    Scheduling is work-stealing: a shared atomic cursor hands out one
+    index at a time to whichever worker is idle, so heterogeneous item
+    costs (high-utilization tasksets take far longer to analyze than
+    low ones) balance automatically.
 
     See [doc/PARALLELISM.md] for the full contract and measured
     speedups. *)
@@ -32,25 +32,24 @@ val default_jobs : unit -> int
     (fully sequential). *)
 
 val map :
-  ?obs:Hydra_obs.t -> ?jobs:int -> ?chunk:int -> ?on_item:(int -> unit) ->
+  ?obs:Hydra_obs.t -> ?jobs:int -> ?on_item:(int -> unit) ->
   (int -> 'a) -> int -> 'a array
-(** [map ~jobs ~chunk f n] is [[| f 0; ...; f (n-1) |]] computed on
-    [jobs] domains ([jobs - 1] spawned workers plus the calling
-    domain). [jobs] defaults to {!default_jobs}[ ()] and is clamped to
-    at least 1; [chunk] (default 1) is the number of consecutive
-    indices claimed per steal — raise it only when [f] is so cheap
-    that cursor contention shows.
+(** [map ~jobs f n] is [[| f 0; ...; f (n-1) |]] computed on [jobs]
+    domains ([jobs - 1] spawned workers plus the calling domain).
+    [jobs] defaults to {!default_jobs}[ ()] and is clamped to between
+    1 and [n].
 
     If any [f i] raises, the first exception (in steal order) is
     re-raised in the caller with its backtrace after all workers have
-    stopped; remaining unclaimed chunks are abandoned.
+    stopped; remaining unclaimed indices are abandoned.
 
     With [?obs], the pool records the deterministic workload counters
     [pool.maps] and [pool.items] always, and — only when
     {!Hydra_obs.profiling_enabled} holds for the registry — the
-    scheduling metrics: [pool.workers]/[pool.chunks] counters, the
-    [pool.queue_wait_ns] per-steal histogram, per-worker
-    [pool.worker.busy_ns]/[pool.worker.idle_ns] histograms, and one
+    scheduling metrics: [pool.workers]/[pool.chunks] counters (a
+    chunk is one claimed index), the [pool.queue_wait_ns] per-steal
+    histogram, per-worker [pool.worker.busy_ns]/[pool.worker.idle_ns]
+    histograms, and one
     [pool.worker] span per worker domain (a per-worker row in the
     Chrome trace). Scheduling numbers are wall-clock and vary across
     [--jobs], which is why they sit behind the profiling gate
@@ -68,13 +67,11 @@ val map :
     @raise Invalid_argument if [n < 0]. *)
 
 val map_array :
-  ?obs:Hydra_obs.t -> ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array ->
-  'b array
+  ?obs:Hydra_obs.t -> ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array f a] is [Array.map f a], parallelized as {!map}. *)
 
 val map_list :
-  ?obs:Hydra_obs.t -> ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list ->
-  'b list
+  ?obs:Hydra_obs.t -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list f l] is [List.map f l], parallelized as {!map}. The
     result preserves list order. *)
 
@@ -105,13 +102,13 @@ module Static : sig
   (** The clamped worker count (including the calling domain). *)
 
   val map :
-    ?obs:Hydra_obs.t -> ?chunk:int -> ?on_item:(int -> unit) -> t ->
-    (int -> 'a) -> int -> 'a array
+    ?obs:Hydra_obs.t -> ?on_item:(int -> unit) -> t -> (int -> 'a) -> int ->
+    'a array
   (** [map t f n] is [[| f 0; ...; f (n-1) |]] on the pool's domains
-      plus the calling domain; blocks until complete. [chunk] and
-      [on_item] as in {!val:map}. Records the same [pool.*] metrics as
-      {!val:map} (workload counters always, scheduling metrics behind
-      the profiling gate).
+      plus the calling domain; blocks until complete. [on_item] as in
+      {!val:map}. Records the same [pool.*] metrics as {!val:map}
+      (workload counters always, scheduling metrics behind the
+      profiling gate).
       @raise Invalid_argument if [n < 0] or the pool was shut down. *)
 
   val shutdown : t -> unit

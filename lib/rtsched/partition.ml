@@ -5,8 +5,6 @@ let heuristic_name = function
   | First_fit -> "first-fit"
   | Worst_fit -> "worst-fit"
 
-let pp_heuristic ppf h = Format.pp_print_string ppf (heuristic_name h)
-
 let core_utilization tasks =
   List.fold_left (fun acc t -> acc +. Task.rt_utilization t) 0.0 tasks
 

@@ -11,7 +11,6 @@ type heuristic =
   | First_fit  (** feasible core with the lowest index *)
   | Worst_fit  (** feasible core with the lowest current utilization *)
 
-val pp_heuristic : Format.formatter -> heuristic -> unit
 val heuristic_name : heuristic -> string
 
 val partition_rt :

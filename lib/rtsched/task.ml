@@ -119,4 +119,3 @@ let pp_taskset ppf ts =
   Format.fprintf ppf "@]"
 
 let show_rt t = Format.asprintf "%a" pp_rt t
-let show_sec s = Format.asprintf "%a" pp_sec s

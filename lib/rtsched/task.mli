@@ -100,4 +100,3 @@ val pp_sec : Format.formatter -> sec_task -> unit
 val pp_taskset : Format.formatter -> taskset -> unit
 
 val show_rt : rt_task -> string
-val show_sec : sec_task -> string

@@ -228,11 +228,3 @@ let to_chrome t =
     (chrome_events t ~pid:1);
   Buffer.add_string b "]}";
   Buffer.contents b
-
-let write_chrome t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_chrome t);
-      output_char oc '\n')

@@ -84,7 +84,3 @@ val chrome_events : t -> pid:int -> string list
 val to_chrome : t -> string
 (** A standalone Chrome trace JSON document
     ([{"traceEvents":[...]}], pid 1). *)
-
-val write_chrome : t -> path:string -> unit
-(** {!to_chrome} plus a trailing newline to a file.
-    @raise Sys_error on I/O failure. *)

@@ -14,9 +14,6 @@ let sum_over stats sim_ids field =
 let deadline_misses stats ~sim_ids =
   sum_over stats sim_ids (fun ts -> ts.Engine.ts_deadline_misses)
 
-let finished_jobs stats ~sim_ids =
-  sum_over stats sim_ids (fun ts -> ts.Engine.ts_finished)
-
 let mean_response stats ~sim_id =
   let ts = stats_of_sim_id stats ~sim_id in
   if ts.Engine.ts_finished = 0 then Float.nan

@@ -8,9 +8,6 @@ val stats_of_sim_id : Engine.stats -> sim_id:int -> Engine.task_stats
 val deadline_misses : Engine.stats -> sim_ids:int array -> int
 (** Total deadline misses over the given tasks. *)
 
-val finished_jobs : Engine.stats -> sim_ids:int array -> int
-(** Total completed jobs over the given tasks. *)
-
 val mean_response : Engine.stats -> sim_id:int -> float
 (** Mean response time of one task's finished jobs; [nan] if none. *)
 

@@ -21,8 +21,7 @@ let mk_result findings =
     notes = [];
     errors = [];
     warnings = [];
-    files_scanned = 1;
-    cache_hits = 0 }
+    files_scanned = 1 }
 
 let fixture_source name =
   In_channel.with_open_bin
@@ -267,95 +266,13 @@ let test_interproc_messages () =
   check_contains "note callee" n "Ext_mystery.transform"
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: --jobs and the summary cache must never change the
-   report bytes. *)
-
-let test_jobs_identity () =
-  let report n = Lint.Driver.report_json (Lint.Driver.run ~jobs:n [ interproc ]) in
-  Alcotest.(check string) "jobs 1 = jobs 4" (report 1) (report 4)
-
-let test_jobs_identity_lib () =
-  let report n = Lint.Driver.report_json (Lint.Driver.run ~jobs:n [ "../lib" ]) in
-  Alcotest.(check string) "jobs 1 = jobs 4 over lib/" (report 1) (report 4)
+(* Path arguments *)
 
 let temp_dir () =
-  let d = Filename.temp_file "lint_cache_test" "" in
+  let d = Filename.temp_file "lint_test" "" in
   Sys.remove d;
   Sys.mkdir d 0o700;
   d
-
-let write_file path s = Out_channel.with_open_bin path (fun oc ->
-    Out_channel.output_string oc s)
-
-(* Random little programs assembled from a template pool — some clean,
-   some violating D1/D4/D6/D7/D8 — to drive the cache property. *)
-let source_templates =
-  [| "let f x = x + 1";
-     "let t () = Sys.time ()";
-     "let h = Hashtbl.create 16";
-     "let[@lint.hot] g x = (x, x)";
-     "let[@lint.hot] k x = succ x";
-     "let p n = Parallel.Pool.map (fun i -> i + 1) n";
-     "let r = ref 0\nlet bump () = r := !r + 1";
-     "let q n = Parallel.Pool.map (fun i -> bump (); i) n" |]
-
-let arb_sources =
-  QCheck.make
-    ~print:(fun l -> String.concat "\n---\n" l)
-    QCheck.Gen.(
-      list_size (int_range 1 3)
-        (map
-           (fun picks ->
-             String.concat "\n"
-               (List.map
-                  (fun i ->
-                    source_templates.(i mod Array.length source_templates))
-                  picks))
-           (list_size (int_range 1 4) (int_range 0 100))))
-
-(* Cold-vs-warm identity: for any generated file set, linting with an
-   empty cache and re-linting with the warm cache yield byte-identical
-   reports, and the warm run is served entirely from the cache. *)
-let prop_cache_identity sources =
-  let dir = temp_dir () in
-  let files =
-    List.mapi
-      (fun i src ->
-        let f = Filename.concat dir (Printf.sprintf "m%d.ml" i) in
-        write_file f src;
-        f)
-      sources
-  in
-  let cold = Lint.Driver.run_files ~cache_dir:dir files in
-  let warm = Lint.Driver.run_files ~cache_dir:dir files in
-  check_int "cold runs fresh" 0 cold.Lint.Driver.cache_hits;
-  check_int "warm runs cached" (List.length files) warm.Lint.Driver.cache_hits;
-  Lint.Driver.report_json cold = Lint.Driver.report_json warm
-  && Lint.Driver.report_sarif cold = Lint.Driver.report_sarif warm
-
-let test_cache_invalidation () =
-  let dir = temp_dir () in
-  let file = Filename.concat dir "x.ml" in
-  write_file file "let f () = 1";
-  let r1 = Lint.Driver.run_files ~cache_dir:dir [ file ] in
-  check_int "clean source" 0 (List.length r1.Lint.Driver.findings);
-  (* An edit must invalidate the entry: the stale clean result would
-     otherwise mask the new D1. *)
-  write_file file "let f () = Sys.time ()";
-  let r2 = Lint.Driver.run_files ~cache_dir:dir [ file ] in
-  check_int "edit invalidates" 0 r2.cache_hits;
-  check_int "new finding seen" 1 (List.length r2.findings);
-  let r3 = Lint.Driver.run_files ~cache_dir:dir [ file ] in
-  check_int "unchanged file cached" 1 r3.cache_hits;
-  Alcotest.(check string)
-    "warm report identical"
-    (Lint.Driver.report_json r2)
-    (Lint.Driver.report_json r3);
-  (* A corrupt cache file is recomputed, never an error. *)
-  write_file (Filename.concat dir ".lint-cache") "garbage";
-  let r4 = Lint.Driver.run_files ~cache_dir:dir [ file ] in
-  check_int "corrupt cache recomputes" 0 r4.cache_hits;
-  check_int "findings survive corruption" 1 (List.length r4.findings)
 
 let test_warnings () =
   let dir = temp_dir () in
@@ -478,15 +395,7 @@ let () =
           Alcotest.test_case "finding messages" `Quick
             test_interproc_messages ] );
       ( "determinism",
-        [ Alcotest.test_case "jobs identity (fixtures)" `Quick
-            test_jobs_identity;
-          Alcotest.test_case "jobs identity (lib/)" `Quick
-            test_jobs_identity_lib;
-          qtest ~count:25 "cold = warm cache" arb_sources
-            prop_cache_identity;
-          Alcotest.test_case "cache invalidation" `Quick
-            test_cache_invalidation;
-          Alcotest.test_case "path warnings" `Quick test_warnings ] );
+        [ Alcotest.test_case "path warnings" `Quick test_warnings ] );
       ( "sarif", [ Alcotest.test_case "sarif export" `Quick test_sarif ] );
       ( "tree",
         [ Alcotest.test_case "lib/ lints clean" `Quick test_clean_tree;

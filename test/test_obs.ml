@@ -363,14 +363,14 @@ let test_pool_metrics_without_profiling () =
 
 let test_pool_metrics_with_profiling () =
   (* Under profiling the counts are still exact functions of the
-     workload shape: one claim per chunk, one busy/idle sample and one
+     workload shape: one claim per item, one busy/idle sample and one
      span per worker. Only the recorded durations are wall-clock. *)
   let obs_t = Hydra_obs.create ~profile:true () in
   let obs = Some obs_t in
   let n = 32 and jobs = 4 in
   let (_ : int array) = Parallel.Pool.map ?obs ~jobs (fun i -> i * i) n in
   check_int "pool.workers" jobs (Hydra_obs.counter_total obs_t "pool.workers");
-  check_int "one claim per chunk" n
+  check_int "one claim per item" n
     (Hydra_obs.counter_total obs_t "pool.chunks");
   let hist name =
     match

@@ -28,8 +28,7 @@ let test_slotted_by_index () =
   let expect = Array.init 100 (fun i -> i * i) in
   check int_array "jobs:1" expect (Pool.map ~jobs:1 (fun i -> i * i) 100);
   check int_array "jobs:4" expect (Pool.map ~jobs:4 (fun i -> i * i) 100);
-  check int_array "jobs:16 chunk:7" expect
-    (Pool.map ~jobs:16 ~chunk:7 (fun i -> i * i) 100);
+  check int_array "jobs:16" expect (Pool.map ~jobs:16 (fun i -> i * i) 100);
   check int_array "jobs > items" expect
     (Pool.map ~jobs:128 (fun i -> i * i) 100)
 
@@ -71,9 +70,9 @@ let test_static_matches_map () =
             expect
             (Pool.Static.map pool (fun i -> i * i) 200);
           check int_array
-            (Printf.sprintf "jobs:%d chunk:7" jobs)
-            expect
-            (Pool.Static.map ~chunk:7 pool (fun i -> i * i) 200)))
+            (Printf.sprintf "jobs:%d one item" jobs)
+            [| 0 |]
+            (Pool.Static.map pool (fun i -> i * i) 1)))
     [ 1; 2; 4 ]
 
 let test_static_reuse () =
