@@ -8,11 +8,6 @@ open Cmdliner
 
 let std = Format.std_formatter
 
-let profile_arg =
-  Arg.(value & flag
-       & info [ "profile-runtime" ]
-           ~doc:"Profile the OCaml runtime and the worker pool: subscribe to                  the runtime's event rings (GC pause histograms                  gc.minor_pause_ns / gc.major_pause_ns, per-domain pause                  counters, domain lifecycle) and record per-worker pool                  scheduling metrics (busy/idle time, queue waits). Implies                  collection; adds per-domain 'ocaml runtime' rows to                  --trace-out. Profiling metrics are wall-clock and vary                  across --jobs, so a snapshot taken with this flag is                  outside the byte-identical determinism contract                  (doc/OBSERVABILITY.md). Stdout is still unaffected.")
-
 (* "sweep M=2" -> "sweep_m_2": phase labels double as span metric
    names (phase.<slug>), which keeps to the dot-separated lowercase
    catalog convention. *)
@@ -40,56 +35,59 @@ let timed ?obs ~jobs label f =
     jobs;
   r
 
+(* Values that would only fail once the run is over (an output file
+   in a missing directory) or deep inside it (a count below 1) are
+   usage errors instead: cmdliner exits 124 naming the flag, before
+   any work runs. *)
+
+(* counts and sizes; cmdliner's [int] parser for everything else *)
+let pos_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not a positive integer" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* a file written when the command finishes *)
+let out_file =
+  let parse path =
+    let dir = Filename.dirname path in
+    if Sys.file_exists dir && Sys.is_directory dir then Ok path
+    else Error (`Msg (Printf.sprintf "no directory '%s'" dir))
+  in
+  Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)
+
 let metrics_arg =
   Arg.(value & flag
        & info [ "metrics" ]
            ~doc:"Collect Hydra_obs metrics (fixed-point iterations,                  binary-search probes, simulator schedule events, spans)                  and print a summary table on stderr when the command                  finishes. Never changes stdout or any result                  (doc/OBSERVABILITY.md).")
 
 let trace_out_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some out_file) None
        & info [ "trace-out" ] ~docv:"FILE"
            ~doc:"Write the spans of the run (and, for fig5, the simulated                  per-core schedule; for serve, every request's span tree                  with cross-domain flow arrows) as Chrome trace-event JSON                  to FILE (open in Perfetto or chrome://tracing). Implies                  collection; stdout and --metrics-out are unaffected.")
 
 let metrics_out_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some out_file) None
        & info [ "metrics-out" ] ~docv:"FILE"
            ~doc:"Write a machine-readable metrics snapshot (schema                  hydra_c.metrics/1: counters, distributions, latency                  histograms with quantiles, span counts) as JSON to FILE.                  Deterministic: byte-identical for every --jobs value.                  Implies collection; stdout is unaffected                  (doc/OBSERVABILITY.md).")
 
 (* One Hydra_obs registry per command invocation, created only when
-   --metrics, --trace-out, --metrics-out or --profile-runtime asks
-   for it: the [None] default keeps every instrumented code path a
-   no-op. The summary goes to stderr and the trace/snapshot to files
-   so stdout stays byte-identical to an uninstrumented run (the
-   determinism contract, doc/PARALLELISM.md).
-   [sched_log], when given (fig5 + --trace-out), contributes the
-   simulated schedule as a second Perfetto process (pid 1) in the same
-   trace file; --profile-runtime contributes the OCaml runtime's GC
-   rows as a third (pid 2) and creates the registry in profiling mode
-   (pool scheduling metrics, GC histograms — nondeterministic, outside
-   the snapshot contract; doc/OBSERVABILITY.md). *)
-let with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile f =
-  if (not metrics) && (not profile) && trace_out = None && metrics_out = None
-  then f None
+   --metrics, --trace-out or --metrics-out asks for it: the [None]
+   default keeps every instrumented code path a no-op. The summary
+   goes to stderr and the trace/snapshot to files so stdout stays
+   byte-identical to an uninstrumented run (the determinism contract,
+   doc/PARALLELISM.md). [sched_log], when given (fig5 + --trace-out),
+   contributes the simulated schedule as a second Perfetto process
+   (pid 1) in the same trace file. *)
+let with_obs ?sched_log ~metrics ~trace_out ~metrics_out f =
+  if (not metrics) && trace_out = None && metrics_out = None then f None
   else begin
-    let obs = Hydra_obs.create ~profile () in
-    let profiler =
-      if not profile then None
-      else
-        match Hydra_obs.Runtime.start obs with
-        | Some _ as p -> p
-        | None ->
-            Format.eprintf
-              "[obs] Runtime_events unavailable; GC/domain profiling \
-               disabled@.";
-            None
-    in
+    let obs = Hydra_obs.create () in
     Fun.protect
       ~finally:(fun () ->
-        (* stop the profiler before the snapshot so the last drained GC
-           events are included *)
-        (match profiler with
-        | Some p -> Hydra_obs.Runtime.stop p
-        | None -> ());
         if metrics then Hydra_obs.pp_summary Format.err_formatter obs;
         (match metrics_out with
         | Some path ->
@@ -99,12 +97,8 @@ let with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile f =
         match trace_out with
         | Some path ->
             let extra =
-              (match sched_log with
+              match sched_log with
               | Some log -> Sim.Event_log.chrome_events log ~pid:1
-              | None -> [])
-              @
-              match profiler with
-              | Some p -> Hydra_obs.Runtime.chrome_events p ~pid:2
               | None -> []
             in
             Hydra_obs.write_chrome_trace ~extra obs ~path;
@@ -130,19 +124,19 @@ let jobs_arg =
   Term.(const (max 1) $ raw)
 
 let trials_arg =
-  Arg.(value & opt int 35 & info [ "trials" ] ~docv:"N"
+  Arg.(value & opt pos_int 35 & info [ "trials" ] ~docv:"N"
          ~doc:"Rover trials (the paper uses 35).")
 
 let horizon_arg =
-  Arg.(value & opt int 45000 & info [ "horizon" ] ~docv:"TICKS"
+  Arg.(value & opt pos_int 45000 & info [ "horizon" ] ~docv:"TICKS"
          ~doc:"Simulation horizon in ms (the paper observes 45 s).")
 
 let per_group_arg =
-  Arg.(value & opt int 250 & info [ "tasksets-per-group" ] ~docv:"N"
+  Arg.(value & opt pos_int 250 & info [ "tasksets-per-group" ] ~docv:"N"
          ~doc:"Synthetic tasksets per utilization group (paper: 250).")
 
 let cores_arg =
-  Arg.(value & opt (list int) [ 2; 4 ] & info [ "cores" ] ~docv:"M,..."
+  Arg.(value & opt (list pos_int) [ 2; 4 ] & info [ "cores" ] ~docv:"M,..."
          ~doc:"Core counts to sweep (paper: 2 and 4).")
 
 let policy_arg =
@@ -181,7 +175,7 @@ let export dat_dir f =
       Format.printf "[export] wrote %s@." path
 
 let run_fig5 jobs seed trials horizon deployment dat_dir metrics
-    trace_out metrics_out profile =
+    trace_out metrics_out =
   (* The schedule log only exists when a trace file was requested; it
      records trial 0's HYDRA-C run on the rover's cores. *)
   let sched_log =
@@ -191,7 +185,7 @@ let run_fig5 jobs seed trials horizon deployment dat_dir metrics
         let ts = Security.Rover.taskset () in
         Some (Sim.Event_log.create ~n_cores:ts.Rtsched.Task.n_cores)
   in
-  with_obs ?sched_log ~metrics ~trace_out ~metrics_out ~profile
+  with_obs ?sched_log ~metrics ~trace_out ~metrics_out
   @@ fun obs ->
   let report =
     timed ?obs ~jobs "fig5" (fun () ->
@@ -213,8 +207,8 @@ let sweeps ?obs jobs policy seed per_group cores =
     cores
 
 let run_fig6 jobs policy seed per_group cores dat_dir metrics trace_out
-    metrics_out profile =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile
+    metrics_out =
+  with_obs ~metrics ~trace_out ~metrics_out
   @@ fun obs ->
   sweeps ?obs jobs policy seed per_group cores
   |> List.iter (fun sweep ->
@@ -224,8 +218,8 @@ let run_fig6 jobs policy seed per_group cores dat_dir metrics trace_out
   export dat_dir (fun ~dir -> Experiments.Dat_export.gnuplot_script ~dir ~cores)
 
 let run_fig7 which jobs policy seed per_group cores dat_dir metrics
-    trace_out metrics_out profile =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile
+    trace_out metrics_out =
+  with_obs ~metrics ~trace_out ~metrics_out
   @@ fun obs ->
   sweeps ?obs jobs policy seed per_group cores
   |> List.iter (fun sweep ->
@@ -244,9 +238,8 @@ let run_fig7 which jobs policy seed per_group cores dat_dir metrics
              export dat_dir (fun ~dir -> Experiments.Dat_export.fig7b ~dir fig)));
   export dat_dir (fun ~dir -> Experiments.Dat_export.gnuplot_script ~dir ~cores)
 
-let run_ablation jobs seed per_group cores metrics trace_out metrics_out
-    profile =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile
+let run_ablation jobs seed per_group cores metrics trace_out metrics_out =
+  with_obs ~metrics ~trace_out ~metrics_out
   @@ fun obs ->
   timed ?obs ~jobs "ablation" (fun () ->
       Experiments.Ablation.run_all ~jobs ?obs std ~seed ~per_group ~cores)
@@ -310,8 +303,8 @@ let run_analyze policy file =
             (Hydra.Sensitivity.analyze ~policy sys ts.Rtsched.Task.sec))
 
 let run_report jobs seed trials per_group cores out metrics trace_out
-    metrics_out profile =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile
+    metrics_out =
+  with_obs ~metrics ~trace_out ~metrics_out
   @@ fun obs ->
   let scale =
     { Experiments.Report.sc_seed = seed; sc_trials = trials;
@@ -323,8 +316,8 @@ let run_report jobs seed trials per_group cores out metrics trace_out
   Format.printf "wrote %s@." out
 
 let run_validate jobs policy seed tasksets cores metrics trace_out
-    metrics_out profile =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile
+    metrics_out =
+  with_obs ~metrics ~trace_out ~metrics_out
   @@ fun obs ->
   List.iter
     (fun n_cores ->
@@ -340,8 +333,8 @@ let run_validate jobs policy seed tasksets cores metrics trace_out
     cores
 
 let run_all jobs policy seed trials horizon per_group cores
-    dat_dir metrics trace_out metrics_out profile =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile
+    dat_dir metrics trace_out metrics_out =
+  with_obs ~metrics ~trace_out ~metrics_out
   @@ fun obs ->
   let t0 = Hydra_obs.now_ns () in
   run_tables ();
@@ -381,8 +374,8 @@ let run_all jobs policy seed trials horizon per_group cores
    [hydra-experiments --jobs 4 --metrics --trace-out t.json] exercises
    and exports every metric family while keeping stdout identical to a
    plain [hydra-experiments --jobs 1] run. *)
-let run_smoke jobs metrics trace_out metrics_out profile =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile
+let run_smoke jobs metrics trace_out metrics_out =
+  with_obs ~metrics ~trace_out ~metrics_out
   @@ fun obs ->
   Format.printf "[smoke] fixed-scale smoke workload (M=2, seed 42)@.";
   let sweep =
@@ -406,28 +399,28 @@ let cmd_fig5 =
   Cmd.v (Cmd.info "fig5" ~doc:"Rover detection-latency experiment (Fig. 5).")
     Term.(const run_fig5 $ jobs_arg $ seed_arg $ trials_arg
           $ horizon_arg $ deploy_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg)
+          $ trace_out_arg $ metrics_out_arg)
 
 let cmd_fig6 =
   Cmd.v (Cmd.info "fig6" ~doc:"Period-distance sweep (Fig. 6).")
     Term.(const run_fig6 $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg)
+          $ trace_out_arg $ metrics_out_arg)
 
 let cmd_fig7a =
   Cmd.v (Cmd.info "fig7a" ~doc:"Acceptance-ratio sweep (Fig. 7a).")
     Term.(const (run_fig7 `A) $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg)
+          $ trace_out_arg $ metrics_out_arg)
 
 let cmd_fig7b =
   Cmd.v (Cmd.info "fig7b" ~doc:"Period-difference sweep (Fig. 7b).")
     Term.(const (run_fig7 `B) $ jobs_arg $ policy_arg $ seed_arg
           $ per_group_arg $ cores_arg $ dat_dir_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg)
+          $ trace_out_arg $ metrics_out_arg)
 
 let tasksets_arg =
-  Arg.(value & opt int 100 & info [ "tasksets" ] ~docv:"N"
+  Arg.(value & opt pos_int 100 & info [ "tasksets" ] ~docv:"N"
          ~doc:"Tasksets to cross-validate.")
 
 let file_arg =
@@ -442,7 +435,7 @@ let cmd_analyze =
     Term.(const run_analyze $ policy_arg $ file_arg)
 
 let out_arg =
-  Arg.(value & opt string "report.md" & info [ "out" ] ~docv:"PATH"
+  Arg.(value & opt out_file "report.md" & info [ "out" ] ~docv:"PATH"
          ~doc:"Output path for the Markdown report.")
 
 let cmd_report =
@@ -451,7 +444,7 @@ let cmd_report =
        ~doc:"Regenerate every artifact and write a Markdown report.")
     Term.(const run_report $ jobs_arg $ seed_arg $ trials_arg $ per_group_arg
           $ cores_arg $ out_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg)
+          $ metrics_out_arg)
 
 let cmd_validate =
   Cmd.v
@@ -460,7 +453,7 @@ let cmd_validate =
              simulator (soundness + tightness).")
     Term.(const run_validate $ jobs_arg $ policy_arg $ seed_arg
           $ tasksets_arg $ cores_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg)
+          $ metrics_out_arg)
 
 let cmd_ablation =
   Cmd.v
@@ -469,13 +462,13 @@ let cmd_ablation =
              order.")
     Term.(const run_ablation $ jobs_arg $ seed_arg $ per_group_arg
           $ cores_arg $ metrics_arg $ trace_out_arg
-          $ metrics_out_arg $ profile_arg)
+          $ metrics_out_arg)
 
 let cmd_all =
   Cmd.v (Cmd.info "all" ~doc:"Everything: tables, figures, ablations.")
     Term.(const run_all $ jobs_arg $ policy_arg $ seed_arg $ trials_arg
           $ horizon_arg $ per_group_arg $ cores_arg $ dat_dir_arg
-          $ metrics_arg $ trace_out_arg $ metrics_out_arg $ profile_arg)
+          $ metrics_arg $ trace_out_arg $ metrics_out_arg)
 
 (* --------------------------------------------------------------- *)
 (* obs-report: offline consumer of the snapshot artifacts.
@@ -632,8 +625,8 @@ let cmd_obs_report =
 (* serve: the online admission-control daemon (doc/SERVER.md) *)
 
 let run_serve socket jobs slow_request_ms flight_out metrics trace_out
-    metrics_out profile =
-  with_obs ~metrics ~trace_out ~metrics_out ~profile
+    metrics_out =
+  with_obs ~metrics ~trace_out ~metrics_out
     (fun obs ->
       let config =
         { Hydra_server.Daemon.socket_path = socket; jobs;
@@ -668,12 +661,11 @@ let cmd_serve =
     (Cmd.info "serve"
        ~doc:"Run the admission-control daemon: tenant systems stay resident                (workload caches, warm-start state, last selection) and                reconfiguration requests (RT/security task arrive/leave,                core-count change, re-select) stream over a Unix-domain                socket speaking length-prefixed hydra_c.server/1 JSON                (doc/SERVER.md). Stop it with a 'shutdown' request. Scrape                it live with 'hydra_c obs-report --connect SOCKET'; send                SIGUSR1 for a flight-recorder dump.")
     Term.(const run_serve $ socket_arg $ jobs_arg $ slow_request_ms_arg
-          $ flight_out_arg $ metrics_arg $ trace_out_arg $ metrics_out_arg
-          $ profile_arg)
+          $ flight_out_arg $ metrics_arg $ trace_out_arg $ metrics_out_arg)
 
 let smoke_term =
   Term.(const run_smoke $ jobs_arg $ metrics_arg
-          $ trace_out_arg $ metrics_out_arg $ profile_arg)
+          $ trace_out_arg $ metrics_out_arg)
 
 let () =
   let info =

@@ -27,7 +27,7 @@ let metric_suffix scheme =
   String.map (function '-' -> '_' | c -> Char.lowercase_ascii c)
     (Scheme.name scheme)
 
-let evaluate_one ?policy ?obs schemes (g : Generator.generated) ~group =
+let evaluate_one ?policy ?obs (g : Generator.generated) ~group =
   let ts = g.Generator.taskset in
   let outcomes =
     List.map
@@ -42,13 +42,12 @@ let evaluate_one ?policy ?obs schemes (g : Generator.generated) ~group =
             Array.iter (fun p -> Hydra_obs.sample obs metric p) ps
         | None -> ());
         (scheme, outcome))
-      schemes
+      Scheme.all
   in
   { group; norm_util = Task.normalized_utilization ts;
     bounds = bounds_of ts; outcomes }
 
-let run ?policy ?config ?(schemes = Scheme.all) ?jobs ?obs ~n_cores
-    ~per_group ~seed () =
+let run ?policy ?config ?jobs ?obs ~n_cores ~per_group ~seed () =
   Hydra_obs.span obs "sweep.run" @@ fun () ->
   let config =
     Option.value config ~default:(Generator.default_config ~n_cores)
@@ -72,7 +71,7 @@ let run ?policy ?config ?(schemes = Scheme.all) ?jobs ?obs ~n_cores
             None
         | Some g ->
             Hydra_obs.incr obs "sweep.tasksets.generated";
-            Some (evaluate_one ?policy ?obs schemes g ~group))
+            Some (evaluate_one ?policy ?obs g ~group))
       n
   in
   { n_cores; per_group;

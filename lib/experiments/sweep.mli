@@ -19,16 +19,16 @@ type t = {
 
 val run :
   ?policy:Hydra.Analysis.carry_in_policy ->
-  ?config:Taskgen.Generator.config -> ?schemes:Hydra.Scheme.t list ->
-  ?jobs:int -> ?obs:Hydra_obs.t -> n_cores:int -> per_group:int ->
-  seed:int -> unit -> t
+  ?config:Taskgen.Generator.config -> ?jobs:int -> ?obs:Hydra_obs.t ->
+  n_cores:int -> per_group:int -> seed:int -> unit -> t
 (** Runs the sweep. Each worker builds its own
     {!Hydra.Analysis.system} per taskset, so the per-system workload
     cache is never shared across domains. [config] defaults to
-    [Taskgen.Generator.default_config ~n_cores]; [schemes] defaults to
-    all four. Each taskset gets its own RNG stream, pre-split in
-    generation order ({!Taskgen.Rng.split_n}), so results are
-    independent of evaluation order. Groups where the generator
+    [Taskgen.Generator.default_config ~n_cores]; every record evaluates
+    all four schemes ({!Hydra.Scheme.all}). Each taskset gets its own
+    RNG stream, pre-split in generation order
+    ({!Taskgen.Rng.split_n}), so results are independent of evaluation
+    order. Groups where the generator
     exhausts its attempts contribute fewer records.
 
     [jobs] (default {!Parallel.Pool.default_jobs}[ ()]) evaluates

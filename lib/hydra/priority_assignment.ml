@@ -41,13 +41,13 @@ let apply ordering secs =
 let select_with ?policy sys secs ordering =
   Period_selection.select ?policy sys (apply ordering secs)
 
-let first_schedulable ?policy ?(orderings = all_orderings) sys secs =
+let first_schedulable ?policy sys secs =
   let try_one ordering =
     match select_with ?policy sys secs ordering with
     | Period_selection.Schedulable assignments -> Some (ordering, assignments)
     | Period_selection.Unschedulable -> None
   in
-  List.find_map try_one orderings
+  List.find_map try_one all_orderings
 
 let distance_of assignments ~n_sec =
   Metrics.normalized_distance_to_bound
@@ -60,7 +60,7 @@ let distance_of assignments ~n_sec =
             assignments)
          ~n_sec)
 
-let best_by_distance ?policy ?(orderings = all_orderings) sys secs =
+let best_by_distance ?policy sys secs =
   let n_sec = Array.length secs in
   let candidates =
     List.filter_map
@@ -69,7 +69,7 @@ let best_by_distance ?policy ?(orderings = all_orderings) sys secs =
         | Period_selection.Schedulable assignments ->
             Some (ordering, assignments, distance_of assignments ~n_sec)
         | Period_selection.Unschedulable -> None)
-      orderings
+      all_orderings
   in
   List.fold_left
     (fun best ((_, _, d) as candidate) ->

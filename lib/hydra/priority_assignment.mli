@@ -33,16 +33,16 @@ val select_with :
 (** Runs Algorithm 1 under the given ordering. *)
 
 val first_schedulable :
-  ?policy:Analysis.carry_in_policy -> ?orderings:ordering list ->
-  Analysis.system -> Rtsched.Task.sec_task array ->
+  ?policy:Analysis.carry_in_policy -> Analysis.system ->
+  Rtsched.Task.sec_task array ->
   (ordering * Period_selection.assignment list) option
-(** Tries the orderings in sequence (default {!all_orderings}) and
-    returns the first that schedules, with its period assignments. *)
+(** Tries {!all_orderings} in sequence and returns the first that
+    schedules, with its period assignments. *)
 
 val best_by_distance :
-  ?policy:Analysis.carry_in_policy -> ?orderings:ordering list ->
-  Analysis.system -> Rtsched.Task.sec_task array ->
+  ?policy:Analysis.carry_in_policy -> Analysis.system ->
+  Rtsched.Task.sec_task array ->
   (ordering * Period_selection.assignment list * float) option
-(** Among schedulable orderings, the one maximizing the Fig. 6 metric
-    (normalized distance of the selected periods to the bounds), i.e.
-    the most frequent monitoring. *)
+(** Among the schedulable {!all_orderings}, the one maximizing the
+    Fig. 6 metric (normalized distance of the selected periods to the
+    bounds), i.e. the most frequent monitoring. *)

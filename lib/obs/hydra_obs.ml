@@ -1,11 +1,5 @@
 external now_ns : unit -> int = "hydra_obs_monotonic_ns" [@@noalloc]
 
-(* Blocking nanosleep that releases the runtime lock (so the sleeping
-   Runtime poll domain never stalls a stop-the-world collection of the
-   workers it is observing). Not [@@noalloc]: the stub enters a
-   blocking section. *)
-external sleep_ns : int -> unit = "hydra_obs_sleep_ns"
-
 (* ------------------------------------------------------------------ *)
 (* Request-scoped trace contexts.
 
@@ -288,19 +282,11 @@ type t = {
   hists : (string, hist) Hashtbl.t;
   spans : (string, dist) Hashtbl.t;
   events : event list Atomic.t;
-  profiling : bool;
 }
 
 let next_id = Atomic.make 0
 
-(* Profiling is fixed when a registry is created: metrics that are
-   inherently nondeterministic — wall-clock pool scheduling numbers,
-   GC pauses — are recorded only on a [~profile:true] registry, so a
-   plain --metrics/--metrics-out run keeps the
-   byte-identical-across---jobs snapshot contract and a
-   --profile-runtime run knowingly trades it away
-   (doc/OBSERVABILITY.md). *)
-let create ?(profile = false) () =
+let create () =
   { id = Atomic.fetch_and_add next_id 1;
     epoch_ns = now_ns ();
     mu = Mutex.create ();
@@ -308,10 +294,7 @@ let create ?(profile = false) () =
     dists = Hashtbl.create 16;
     hists = Hashtbl.create 16;
     spans = Hashtbl.create 16;
-    events = Atomic.make [];
-    profiling = profile }
-
-let profiling_enabled = function None -> false | Some t -> t.profiling
+    events = Atomic.make [] }
 
 (* Per-domain handle caches: name resolution takes the registry mutex
    only on a domain's first use of a metric; afterwards the lookup is a
@@ -952,244 +935,6 @@ module Snapshot = struct
     Out_channel.with_open_text path (fun oc ->
         Out_channel.output_string oc (to_json t);
         Out_channel.output_char oc '\n')
-end
-
-(* ------------------------------------------------------------------ *)
-(* Runtime profiling: OCaml 5 Runtime_events -> the registry + trace.
-
-   [Runtime.start] turns on the runtime's per-domain event rings and
-   attaches a self cursor. A poll domain drains the rings every
-   [poll_ns] (so bursts of GC activity don't overflow a ring between
-   phase boundaries; overflows that happen anyway surface as the
-   [runtime.events.lost] counter). Each top-level GC phase folds into
-   the registry — [gc.minor_pause_ns]/[gc.major_pause_ns] histograms
-   plus per-ring [gc.{minor,major}.d<ring>] counters — and every phase
-   becomes a slice for the Chrome trace, one row per runtime ring
-   (= domain) under its own pid, so GC pauses line up with the
-   application spans above them. All of it is gated behind
-   --profile-runtime in the CLI: the determinism contract only covers
-   runs without profiling (doc/OBSERVABILITY.md). *)
-
-module Runtime = struct
-  module RE = Runtime_events
-
-  type slice = {
-    sl_ring : int;
-    sl_name : string;
-    sl_start_ns : int;  (* absolute monotonic ns *)
-    sl_dur_ns : int;
-  }
-
-  type instant = { in_ring : int; in_name : string; in_ts_ns : int }
-
-  (* Keep at most this many trace slices (the histograms and counters
-     keep accumulating regardless); beyond it, slices are dropped and
-     counted in [runtime.trace.dropped]. *)
-  let max_slices = 500_000
-  let poll_ns = 10_000_000
-
-  type profiler = {
-    p_reg : t;
-    p_obs : t option;
-    p_cursor : RE.cursor;
-    p_mu : Mutex.t;
-    p_stacks : (int, (RE.runtime_phase * int) list ref) Hashtbl.t;
-    mutable p_slices : slice list;
-    mutable p_n_slices : int;
-    mutable p_instants : instant list;
-    mutable p_callbacks : RE.Callbacks.t;
-    p_halt : bool Atomic.t;  (* tells the poll domain to exit *)
-    mutable p_poller : unit Domain.t option;
-    mutable p_stopped : bool;
-  }
-
-  type gc_family = Gc_minor | Gc_major | Gc_other
-
-  let family : RE.runtime_phase -> gc_family = function
-    | RE.EV_MINOR | RE.EV_EXPLICIT_GC_MINOR -> Gc_minor
-    | RE.EV_MAJOR | RE.EV_MAJOR_SLICE | RE.EV_MAJOR_GC_STW
-    | RE.EV_EXPLICIT_GC_MAJOR | RE.EV_EXPLICIT_GC_FULL_MAJOR
-    | RE.EV_EXPLICIT_GC_MAJOR_SLICE | RE.EV_EXPLICIT_GC_COMPACT ->
-        Gc_major
-    | _ -> Gc_other
-
-  let ts_ns ts = Int64.to_int (RE.Timestamp.to_int64 ts)
-
-  let stack_of p ring =
-    match Hashtbl.find_opt p.p_stacks ring with
-    | Some s -> s
-    | None ->
-        let s = ref [] in
-        Hashtbl.add p.p_stacks ring s;
-        s
-
-  let push_slice p ring name start dur =
-    if p.p_n_slices < max_slices then begin
-      p.p_slices <-
-        { sl_ring = ring; sl_name = name; sl_start_ns = start;
-          sl_dur_ns = dur }
-        :: p.p_slices;
-      p.p_n_slices <- p.p_n_slices + 1
-    end
-    else incr p.p_obs "runtime.trace.dropped"
-
-  (* Callbacks run inside [read_poll], which only ever executes under
-     [p_mu] (see [poll]), so the stacks and slice lists need no further
-     synchronization. *)
-  let make_callbacks p =
-    let runtime_begin ring ts phase =
-      let stack = stack_of p ring in
-      stack := (phase, ts_ns ts) :: !stack
-    in
-    let runtime_end ring ts phase =
-      let stack = stack_of p ring in
-      match !stack with
-      | (ph, t0) :: rest when ph = phase ->
-          stack := rest;
-          let dur = ts_ns ts - t0 in
-          push_slice p ring (RE.runtime_phase_name phase) t0 dur;
-          (* Only top-level phases feed the pause metrics: EV_MINOR
-             contains EV_MINOR_* sub-phases (and a major slice nests
-             its own), so sampling at depth 0 counts each pause once. *)
-          if rest = [] then (
-            match family phase with
-            | Gc_minor ->
-                sample p.p_obs "gc.minor_pause_ns" dur;
-                incr p.p_obs (Printf.sprintf "gc.minor.d%d" ring)
-            | Gc_major ->
-                sample p.p_obs "gc.major_pause_ns" dur;
-                incr p.p_obs (Printf.sprintf "gc.major.d%d" ring)
-            | Gc_other -> ())
-      | _ ->
-          (* an end without its begin: the cursor attached mid-phase or
-             the ring wrapped — drop it *)
-          ()
-    in
-    let runtime_counter ring ts ctr v =
-      ignore ring;
-      ignore ts;
-      observe p.p_obs ("runtime.ctr." ^ RE.runtime_counter_name ctr) v
-    in
-    let lifecycle ring ts lc _arg =
-      p.p_instants <-
-        { in_ring = ring; in_name = RE.lifecycle_name lc; in_ts_ns = ts_ns ts }
-        :: p.p_instants;
-      match lc with
-      | RE.EV_DOMAIN_SPAWN -> incr p.p_obs "runtime.domain.spawn"
-      | RE.EV_DOMAIN_TERMINATE -> incr p.p_obs "runtime.domain.terminate"
-      | _ -> ()
-    in
-    let lost_events ring n =
-      ignore ring;
-      add p.p_obs "runtime.events.lost" n
-    in
-    RE.Callbacks.create ~runtime_begin ~runtime_end ~runtime_counter
-      ~lifecycle ~lost_events ()
-
-  let poll p =
-    Mutex.protect p.p_mu (fun () ->
-        if not p.p_stopped then
-          ignore (RE.read_poll p.p_cursor p.p_callbacks None))
-
-  let start reg =
-    match
-      RE.start ();
-      RE.create_cursor None
-    with
-    | exception _ -> None  (* Runtime_events unavailable: degrade *)
-    | cursor ->
-        let p =
-          { p_reg = reg; p_obs = Some reg; p_cursor = cursor;
-            p_mu = Mutex.create (); p_stacks = Hashtbl.create 8;
-            p_slices = []; p_n_slices = 0; p_instants = [];
-            p_callbacks = RE.Callbacks.create (); p_halt = Atomic.make false;
-            p_poller = None; p_stopped = false }
-        in
-        p.p_callbacks <- make_callbacks p;
-        p.p_poller <-
-          Some
-            (Domain.spawn (fun () ->
-                 while not (Atomic.get p.p_halt) do
-                   sleep_ns poll_ns;
-                   poll p
-                 done));
-        Some p
-
-  let stop p =
-    Atomic.set p.p_halt true;
-    (match p.p_poller with
-    | Some d ->
-        p.p_poller <- None;
-        Domain.join d
-    | None -> ());
-    poll p;
-    Mutex.protect p.p_mu (fun () ->
-        if not p.p_stopped then begin
-          p.p_stopped <- true;
-          RE.free_cursor p.p_cursor;
-          (* stop producing into the rings; a later [start] resumes *)
-          try RE.pause () with _ -> ()
-        end)
-
-  let slice_count p = Mutex.protect p.p_mu (fun () -> p.p_n_slices)
-
-  let chrome_events p ~pid =
-    let slices, instants =
-      Mutex.protect p.p_mu (fun () -> (p.p_slices, p.p_instants))
-    in
-    let epoch = p.p_reg.epoch_ns in
-    let rel ns = if ns < epoch then 0 else ns - epoch in
-    let us ns = float_of_int (rel ns) /. 1e3 in
-    let rings =
-      List.sort_uniq Int.compare
-        (List.map (fun s -> s.sl_ring) slices
-        @ List.map (fun i -> i.in_ring) instants)
-    in
-    let out = ref [] in
-    let emit s = out := s :: !out in
-    emit
-      (Printf.sprintf
-         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"ocaml runtime\"}}"
-         pid);
-    emit
-      (Printf.sprintf
-         "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"sort_index\":%d}}"
-         pid pid);
-    List.iter
-      (fun ring ->
-        emit
-          (Printf.sprintf
-             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"runtime domain %d\"}}"
-             pid ring ring))
-      rings;
-    let sorted_slices =
-      List.sort
-        (fun a b ->
-          match Int.compare a.sl_start_ns b.sl_start_ns with
-          | 0 -> (
-              (* longer (outer) slice first at equal start *)
-              match Int.compare b.sl_dur_ns a.sl_dur_ns with
-              | 0 -> Int.compare a.sl_ring b.sl_ring
-              | c -> c)
-          | c -> c)
-        slices
-    in
-    List.iter
-      (fun s ->
-        emit
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"gc\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}"
-             (json_escape s.sl_name) pid s.sl_ring (us s.sl_start_ns)
-             (float_of_int s.sl_dur_ns /. 1e3)))
-      sorted_slices;
-    List.iter
-      (fun i ->
-        emit
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f}"
-             (json_escape i.in_name) pid i.in_ring (us i.in_ts_ns)))
-      (List.rev instants);
-    List.rev !out
 end
 
 (* Offline snapshot tooling, re-exported so consumers reach everything

@@ -30,19 +30,12 @@ type t
 (** A metrics registry plus span sink. Create one per instrumented run
     and thread it (as [Some t]) through the [?obs] parameters. *)
 
-val create : ?profile:bool -> unit -> t
-(** A fresh registry. Some metrics are inherently nondeterministic —
-    wall-clock pool scheduling numbers ({!Parallel.Pool}), GC pause
-    histograms ({!Runtime}), the daemon's latency histograms. Those are
-    recorded only on a registry created with [~profile:true] (default
-    [false]), so a default run keeps the byte-identical-across-[--jobs]
-    snapshot contract and [--profile-runtime] knowingly trades it away
-    (doc/OBSERVABILITY.md). *)
-
-val profiling_enabled : t option -> bool
-(** [false] on [None] and on registries created without [~profile:true]
-    — the guard instrumentation sites check before recording a
-    profiling-class metric. *)
+val create : unit -> t
+(** A fresh, empty registry. Every counter, distribution and histogram
+    recorded into it is a pure function of the work done, so its
+    {!Snapshot} is byte-identical for every [--jobs] value
+    (doc/OBSERVABILITY.md); wall-clock durations live only in span
+    events, which {!chrome_trace} exports and the snapshot omits. *)
 
 (** {1 Log-bucketed histograms}
 
@@ -380,61 +373,11 @@ module Snapshot : sig
       pure function of the analytical work; span durations are left to
       {!chrome_trace} — so snapshots of the same workload are
       byte-identical for every [--jobs] value (tested in
-      test/test_obs.ml, gated in CI) unless the registry records
-      profiling-class metrics. *)
+      test/test_obs.ml, gated in CI). *)
 
   val write : t -> path:string -> unit
   (** {!to_json} plus a trailing newline to a file.
       @raise Sys_error on I/O failure. *)
-end
-
-(** {1 Runtime profiling}
-
-    GC and domain-lifecycle visibility via the OCaml 5 [Runtime_events]
-    ring buffers (self-monitoring cursor). While running, a profiler
-    folds runtime activity into its registry —
-    [gc.minor_pause_ns]/[gc.major_pause_ns] pause histograms (top-level
-    phases only, so nested sub-phases don't double-count), per-ring
-    [gc.{minor,major}.d<ring>] pause counters,
-    [runtime.ctr.*] distributions (minor-heap promotion/allocation
-    counters), [runtime.domain.{spawn,terminate}], and
-    [runtime.events.lost] for ring overflows — and keeps every runtime
-    phase as a trace slice for {!chrome_events}. All of this is
-    wall-clock-dependent, so the CLI only starts a profiler under
-    [--profile-runtime], outside the determinism contract
-    (doc/OBSERVABILITY.md). *)
-
-module Runtime : sig
-  type profiler
-
-  val start : t -> profiler option
-  (** Enable runtime event collection and attach a self cursor; spawns
-      a domain that drains the rings every 10 ms so they don't overflow
-      during long phases (its sleep releases the runtime lock, so it
-      never delays a stop-the-world collection). [None] when
-      [Runtime_events] is unavailable in this runtime — callers degrade
-      to no runtime profiling. *)
-
-  val poll : profiler -> unit
-  (** Drain pending events now (also happens periodically and in
-      {!stop}). *)
-
-  val stop : profiler -> unit
-  (** Stop and join the poll domain, drain a final time, free the
-      cursor and pause runtime event collection. The profiler's
-      collected slices remain readable; further [poll]s are no-ops. *)
-
-  val slice_count : profiler -> int
-  (** Number of trace slices collected so far (capped; overflow is
-      counted in the [runtime.trace.dropped] counter). *)
-
-  val chrome_events : profiler -> pid:int -> string list
-  (** The collected runtime activity as pre-rendered Chrome trace-event
-      objects under process [pid] — one thread row per runtime ring
-      (= domain), "X" slices for phases (category ["gc"]), instants for
-      lifecycle events — ready to splice into {!chrome_trace}'s
-      [?extra]. Timestamps share the registry's epoch, so runtime rows
-      align with the span rows recorded by the same registry. *)
 end
 
 (** {1 Snapshot tooling re-exports}

@@ -157,46 +157,6 @@ let regressions ?(watch = fun _ -> true) ~threshold_pct changes =
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
 
-(* Per-tenant SLO metrics as recorded by the admission daemon under
-   profiling: [server.tenant.<t>.latency_ns] histograms and
-   [server.tenant.<t>.errors] counters. *)
-let tenant_prefix = "server.tenant."
-let latency_suffix = ".latency_ns"
-
-let slo_offenders ?(k = 5) snap =
-  let errors t =
-    match List.assoc_opt (tenant_prefix ^ t ^ ".errors") snap.counters with
-    | Some n -> n
-    | None -> 0
-  in
-  let scored =
-    List.filter_map
-      (fun (key, h) ->
-        if
-          String.starts_with ~prefix:tenant_prefix key
-          && String.ends_with ~suffix:latency_suffix key
-        then begin
-          let t =
-            String.sub key
-              (String.length tenant_prefix)
-              (String.length key - String.length tenant_prefix
-              - String.length latency_suffix)
-          in
-          Some (t, h, errors t)
-        end
-        else None)
-      snap.hists
-  in
-  let sorted =
-    List.sort
-      (fun (t1, h1, _) (t2, h2, _) ->
-        match Int.compare (quantile h2 0.99) (quantile h1 0.99) with
-        | 0 -> String.compare t1 t2
-        | c -> c)
-      scored
-  in
-  List.filteri (fun i _ -> i < k) sorted
-
 let pp_summary ppf snap =
   let line = String.make 70 '-' in
   Format.fprintf ppf "%s@." line;
@@ -233,16 +193,6 @@ let pp_summary ppf snap =
       (fun (k, v) -> Format.fprintf ppf "  %-42s %12d@." k v)
       snap.spans
   end;
-  (match slo_offenders snap with
-  | [] -> ()
-  | offenders ->
-      Format.fprintf ppf "%-28s %8s %8s %8s %8s %6s@." "tenant (worst p99)"
-        "count" "p50" "p99" "max" "errors";
-      List.iter
-        (fun (t, h, errs) ->
-          Format.fprintf ppf "  %-26s %8d %8d %8d %8d %6d@." t h.h_count
-            (quantile h 0.50) (quantile h 0.99) h.h_max errs)
-        offenders);
   if snap.counters = [] && snap.dists = [] && snap.hists = [] && snap.spans = []
   then Format.fprintf ppf "(empty snapshot)@.";
   Format.fprintf ppf "%s@." line

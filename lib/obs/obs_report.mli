@@ -77,25 +77,14 @@ val regressions :
     (default: every key). The verdict the CLI turns into its exit
     code. *)
 
-val slo_offenders : ?k:int -> snapshot -> (string * hist * int) list
-(** The [k] (default 5) worst tenants by latency p99, from the
-    admission daemon's per-tenant SLO metrics
-    ([server.tenant.<t>.latency_ns] histograms and
-    [server.tenant.<t>.errors] counters — recorded only under
-    profiling, doc/SERVER.md): [(tenant, latency histogram, error
-    count)], p99-descending, ties broken by tenant name. Empty when
-    the snapshot has no tenant histograms. *)
-
 (** {1 Rendering}
 
     Both renderers are deterministic: sorted keys, fixed column
     layout, no wall-clock content. *)
 
 val pp_summary : Format.formatter -> snapshot -> unit
-(** Summary table of one snapshot (counters, distributions, histogram
-    quantiles recomputed via {!quantile}, span counts, and — when the
-    snapshot carries per-tenant SLO metrics — a {!slo_offenders}
-    table). *)
+(** Summary table of one snapshot: counters, distributions, histogram
+    quantiles recomputed via {!quantile}, and span counts. *)
 
 val pp_diff : ?only_changed:bool -> Format.formatter -> change list -> unit
 (** Diff table: key, before, after, delta, percent. [only_changed]

@@ -16,64 +16,30 @@ let map_seq f n =
    worker has failed. [apply i] writes slot [i] of the caller's output
    array — distinct indices, so no write ever races with another.
    Shared by the spawn-per-map {!map} and the persistent {!Static}
-   pool so both have the same scheduling, failure and profiling
-   behavior. *)
-let claim_loop obs ~profile ~cursor ~failure ~n apply =
-  let body () =
-    (* accumulate locally, publish once per worker at the end *)
-    let busy = ref 0 and idle = ref 0 and claims = ref 0 in
-    let running = ref true in
-    while !running do
-      if Atomic.get failure <> None then running := false
-      else begin
-        let t_wait = if profile then Hydra_obs.now_ns () else 0 in
-        let i = Atomic.fetch_and_add cursor 1 in
-        if i >= n then running := false
-        else begin
-          let t_claim =
-            if profile then begin
-              let t = Hydra_obs.now_ns () in
-              let w = t - t_wait in
-              idle := !idle + w;
-              Hydra_obs.sample obs "pool.queue_wait_ns" w;
-              incr claims;
-              t
-            end
-            else 0
-          in
-          (try apply i
-           with e ->
-             let bt = Printexc.get_raw_backtrace () in
-             ignore (Atomic.compare_and_set failure None (Some (e, bt)));
-             running := false);
-          if profile then busy := !busy + (Hydra_obs.now_ns () - t_claim)
-        end
-      end
-    done;
-    if profile then begin
-      Hydra_obs.sample obs "pool.worker.busy_ns" !busy;
-      Hydra_obs.sample obs "pool.worker.idle_ns" !idle;
-      Hydra_obs.add obs "pool.chunks" !claims
+   pool so both have the same scheduling and failure behavior. *)
+let claim_loop ~cursor ~failure ~n apply =
+  let running = ref true in
+  while !running do
+    if Atomic.get failure <> None then running := false
+    else begin
+      let i = Atomic.fetch_and_add cursor 1 in
+      if i >= n then running := false
+      else
+        try apply i
+        with e ->
+          let bt = Printexc.get_raw_backtrace () in
+          ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+          running := false
     end
-  in
-  (* under profiling each worker is also a span, so the trace grows
-     one "pool.worker" slice per worker domain per map *)
-  if profile then Hydra_obs.span obs "pool.worker" body else body ()
+  done
 
 let reraise_failure failure =
   match Atomic.get failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-(* [?on_item] rides inside [f] so every execution path — sequential,
-   spawn-per-map, persistent pool — fires it on the domain that
-   actually computes the item, immediately before it does. *)
-let with_hook on_item f =
-  match on_item with None -> f | Some h -> fun i -> h i; f i
-
-let map ?obs ?jobs ?on_item f n =
+let map ?obs ?jobs f n =
   if n < 0 then invalid_arg "Pool.map: negative length";
-  let f = with_hook on_item f in
   let jobs =
     let requested =
       match jobs with Some j -> max 1 j | None -> default_jobs ()
@@ -81,23 +47,18 @@ let map ?obs ?jobs ?on_item f n =
     (* more workers than items would only spawn idle domains *)
     min requested (max 1 n)
   in
-  (* [pool.maps]/[pool.items] are pure functions of the workload, so
-     they stay inside the byte-identical-across---jobs snapshot
-     contract; everything measured below is scheduling (wall-clock,
-     worker count, steal order) and is recorded only on a profiling
-     registry (doc/OBSERVABILITY.md). *)
+  (* the pool records only what is a pure function of the workload —
+     how many maps and items, never which worker ran what or for how
+     long — so snapshots stay byte-identical across --jobs *)
   Hydra_obs.incr obs "pool.maps";
   Hydra_obs.add obs "pool.items" n;
   if jobs = 1 then map_seq f n
   else begin
-    let profile = Hydra_obs.profiling_enabled obs in
-    if profile then Hydra_obs.add obs "pool.workers" jobs;
     let out = Array.make n None in
     let cursor = Atomic.make 0 in
     let failure = Atomic.make None in
     let worker () =
-      claim_loop obs ~profile ~cursor ~failure ~n (fun i ->
-          out.(i) <- Some (f i))
+      claim_loop ~cursor ~failure ~n (fun i -> out.(i) <- Some (f i))
     in
     let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
     worker ();
@@ -135,8 +96,6 @@ module Static = struct
     mutable stopped : bool;
     mutable domains : unit Domain.t array;
   }
-
-  let jobs t = t.jobs
 
   let worker t =
     let seen = ref 0 in
@@ -186,22 +145,18 @@ module Static = struct
     in
     if join then Array.iter Domain.join t.domains
 
-  let map ?obs ?on_item t f n =
+  let map ?obs t f n =
     if n < 0 then invalid_arg "Pool.Static.map: negative length";
     if t.stopped then invalid_arg "Pool.Static.map: pool is shut down";
-    let f = with_hook on_item f in
     Hydra_obs.incr obs "pool.maps";
     Hydra_obs.add obs "pool.items" n;
     if t.jobs = 1 || n <= 1 then map_seq f n
     else begin
-      let profile = Hydra_obs.profiling_enabled obs in
-      if profile then Hydra_obs.add obs "pool.workers" t.jobs;
       let out = Array.make n None in
       let cursor = Atomic.make 0 in
       let failure = Atomic.make None in
       let run () =
-        claim_loop obs ~profile ~cursor ~failure ~n (fun i ->
-            out.(i) <- Some (f i))
+        claim_loop ~cursor ~failure ~n (fun i -> out.(i) <- Some (f i))
       in
       Mutex.lock t.mu;
       t.body <- Some run;

@@ -31,9 +31,7 @@ val default_jobs : unit -> int
     and the orchestrating domain. On a single-core machine this is 1
     (fully sequential). *)
 
-val map :
-  ?obs:Hydra_obs.t -> ?jobs:int -> ?on_item:(int -> unit) ->
-  (int -> 'a) -> int -> 'a array
+val map : ?obs:Hydra_obs.t -> ?jobs:int -> (int -> 'a) -> int -> 'a array
 (** [map ~jobs f n] is [[| f 0; ...; f (n-1) |]] computed on [jobs]
     domains ([jobs - 1] spawned workers plus the calling domain).
     [jobs] defaults to {!default_jobs}[ ()] and is clamped to between
@@ -43,26 +41,11 @@ val map :
     re-raised in the caller with its backtrace after all workers have
     stopped; remaining unclaimed indices are abandoned.
 
-    With [?obs], the pool records the deterministic workload counters
-    [pool.maps] and [pool.items] always, and — only when
-    {!Hydra_obs.profiling_enabled} holds for the registry — the
-    scheduling metrics: [pool.workers]/[pool.chunks] counters (a
-    chunk is one claimed index), the [pool.queue_wait_ns] per-steal
-    histogram, per-worker [pool.worker.busy_ns]/[pool.worker.idle_ns]
-    histograms, and one
-    [pool.worker] span per worker domain (a per-worker row in the
-    Chrome trace). Scheduling numbers are wall-clock and vary across
-    [--jobs], which is why they sit behind the profiling gate
-    (doc/OBSERVABILITY.md has the catalog; doc/PARALLELISM.md the
-    contract).
-
-    [?on_item] is an observability hook: it runs on the {e executing}
-    domain immediately before [f i], on every path including the
-    sequential one. The admission engine uses it to drop the receiving
-    end of cross-domain trace flow arrows on the worker that picked the
-    item up ({!Hydra_obs.flow_end}). The hook must be domain-safe and
-    must not raise; side effects on shared state fall outside the
-    determinism contract exactly like profiling metrics do.
+    With [?obs], the pool records two workload counters, [pool.maps]
+    and [pool.items]. Both are pure functions of the calls, so a
+    snapshot stays byte-identical for every [jobs]; which worker ran
+    an item, and for how long, is not recorded (the callers' own
+    per-item spans show that in a trace, doc/PARALLELISM.md).
 
     @raise Invalid_argument if [n < 0]. *)
 
@@ -98,17 +81,10 @@ module Static : sig
       sequential). The caller must eventually {!shutdown} the pool or
       the domains keep the process alive. *)
 
-  val jobs : t -> int
-  (** The clamped worker count (including the calling domain). *)
-
-  val map :
-    ?obs:Hydra_obs.t -> ?on_item:(int -> unit) -> t -> (int -> 'a) -> int ->
-    'a array
+  val map : ?obs:Hydra_obs.t -> t -> (int -> 'a) -> int -> 'a array
   (** [map t f n] is [[| f 0; ...; f (n-1) |]] on the pool's domains
-      plus the calling domain; blocks until complete. [on_item] as in
-      {!val:map}. Records the same [pool.*] metrics as {!val:map}
-      (workload counters always, scheduling metrics behind the
-      profiling gate).
+      plus the calling domain; blocks until complete. Records the same
+      two [pool.*] counters as {!val:map}.
       @raise Invalid_argument if [n < 0] or the pool was shut down. *)
 
   val shutdown : t -> unit

@@ -116,7 +116,6 @@ let obs_snapshot_resp srv (q : Protocol.request) =
    connections leave no registry footprint. *)
 let handle_batch srv counted payloads =
   let obs = srv.obs in
-  let profile = Hydra_obs.profiling_enabled obs in
   let t0 = Hydra_obs.now_ns () in
   Hydra_obs.Flight.record srv.flight ~ts:t0 ~kind:Hydra_obs.Flight.Accept
     ~tenant:(-1) ~a:(List.length payloads) ~b:0;
@@ -197,30 +196,6 @@ let handle_batch srv counted payloads =
         ~tenant:(-1) ~a:dt ~b:(status_code r);
       Hydra_obs.trace_emit obs ctx "server.request" ~start_ns:t0 ~dur_ns:dt)
     ctxs responses;
-  if profile then begin
-    List.iter (fun _ -> Hydra_obs.sample obs "server.latency" dt) payloads;
-    (* per-tenant SLO signals for the scrape path (obs-report's
-       worst-tenants table). They carry wall-clock, so they sit behind
-       the profiling gate — default snapshots stay byte-identical
-       across --jobs. *)
-    List.iter
-      (fun d ->
-        match d with
-        | Ok (q : Protocol.request) when not (is_daemon_op q.q_op) ->
-            Hydra_obs.sample obs
-              ("server.tenant." ^ q.q_tenant ^ ".latency_ns")
-              dt
-        | _ -> ())
-      decoded;
-    List.iter
-      (fun (r : Protocol.response) ->
-        match r.p_status with
-        | Protocol.Rejected | Protocol.Failed ->
-            if r.p_tenant <> "" then
-              Hydra_obs.incr obs ("server.tenant." ^ r.p_tenant ^ ".errors")
-        | Protocol.Ok | Protocol.Unschedulable -> ())
-      responses
-  end;
   if srv.slow_ns > 0 && dt > srv.slow_ns then begin
     Hydra_obs.Flight.record srv.flight ~ts:t1 ~kind:Hydra_obs.Flight.Slow
       ~tenant:(-1) ~a:dt ~b:(List.length payloads);

@@ -39,13 +39,12 @@
     [slow_request_ms], and at shutdown when [flight_path] was given
     explicitly. Never appears in metrics snapshots.
 
-    Request timing uses the monotonic {!Hydra_obs.now_ns} clock; the
-    [server.latency] histogram, the per-tenant
-    [server.tenant.<t>.latency_ns]/[.errors] SLO metrics and the
-    per-shard spans record only when profiling is enabled on the
-    registry, keeping snapshots byte-identical across [--jobs].
-    Operator messages (slow batches, dump notices, connection errors)
-    go through the rate-limited structured {!Hydra_obs.Log} — the only
+    Request timing uses the monotonic {!Hydra_obs.now_ns} clock and
+    lands only in the flight ring's [Reply] events and the request
+    spans, never in the registry, so a daemon's snapshot is
+    byte-identical across [--jobs] like every other. Operator
+    messages (slow batches, dump notices, connection errors) go
+    through the rate-limited structured {!Hydra_obs.Log} — the only
     stderr channel hydra_lint permits under [lib/server]. *)
 
 type config = {

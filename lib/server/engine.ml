@@ -228,31 +228,26 @@ let exec_batch ?ctxs t (batch : Protocol.request list) :
     let ftids = Array.map (Hydra_obs.Flight.intern t.flight) names in
     (* departure end of every traced request's cross-domain flow
        arrow, stamped on the dispatching domain; the arrival end lands
-       on whichever worker claims the request's group ([on_item]) *)
+       on whichever worker claims the request's group, before it runs
+       the group *)
     Array.iteri
       (fun i _ -> Hydra_obs.flow_begin obs ctxs.(i) "server.dispatch")
       reqs;
-    let on_item g =
-      List.iter
-        (fun (_, ctx, _) -> Hydra_obs.flow_end obs ctx "server.dispatch")
-        members.(g)
-    in
     (* pre-fetch tenant records on the calling domain; each group is
        then owned exclusively by one worker *)
     let states = Array.map (fun nm -> Hashtbl.find_opt t.tenants nm) names in
-    let profile = Hydra_obs.profiling_enabled obs in
     let results =
-      Pool.Static.map ?obs ~on_item t.pool
+      Pool.Static.map ?obs t.pool
         (fun g ->
           let ms = members.(g) in
+          List.iter
+            (fun (_, ctx, _) -> Hydra_obs.flow_end obs ctx "server.dispatch")
+            ms;
           Hydra_obs.Flight.record t.flight ~ts:(Hydra_obs.now_ns ())
             ~kind:Hydra_obs.Flight.Shard ~tenant:ftids.(g)
             ~a:(List.length ms) ~b:g;
-          let run () =
-            run_group ~obs ~flight:t.flight ~ftid:ftids.(g) ~name:names.(g)
-              states.(g) ms
-          in
-          if profile then Hydra_obs.span obs "server.shard" run else run ())
+          run_group ~obs ~flight:t.flight ~ftid:ftids.(g) ~name:names.(g)
+            states.(g) ms)
         n_groups
     in
     (* table updates happen only here, back on the calling domain *)

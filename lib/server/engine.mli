@@ -9,9 +9,8 @@
     sequentially by exactly one worker (a {!Parallel.Pool.Static}
     pool), tenants are disjoint between groups, and responses are
     slotted back by request position. Registry counters are
-    order-commutative sums, so metrics snapshots agree too;
-    wall-clock spans ([server.shard]) and latency histograms sit
-    behind the profiling gate.
+    order-commutative sums and nothing wall-clock enters the
+    registry, so metrics snapshots agree too.
 
     {b Coalescing.} Within a group, consecutive dirty ops (init,
     arrive, leave, set_cores, reselect) apply their state edits
