@@ -1,5 +1,6 @@
 module Task = Rtsched.Task
 module Workload = Rtsched.Workload
+module Guan = Rtsched.Guan
 
 type time = Task.time
 
@@ -99,15 +100,11 @@ let refresh_rt_cores sys new_cores ~changed =
     c.keys;
   { sys with rt_cores = new_cores }
 
-let rt_interference sys ~job_wcet x =
-  Array.fold_left
-    (fun acc core -> acc + Workload.rt_core_interference ~job_wcet core x)
-    0 sys.rt_cores
-
-(* Cached [rt_interference]: memoized raw per-core workloads, clamp
-   applied per call. Bit-identical to the uncached term because
-   interference = clamp(rt_core_workload core x) either way. *)
-let rt_interference_cached obs sys ~job_wcet x =
+(* The RT term of Eq. 6 for a window of length [x]: the sum over cores
+   of the clamped raw workload, memoized per window. Bit-identical to
+   the oracle's uncached term because interference =
+   clamp(rt_core_workload core x) either way. *)
+let rt_term obs sys ~job_wcet x =
   let c = sys.cache in
   let n = sys.n_cores in
   let slot = x land (Array.length c.keys - 1) in
@@ -136,276 +133,159 @@ let rt_interference_cached obs sys ~job_wcet x =
   done;
   !acc
 
-(* Non-carry-in and carry-in interference of one higher-priority
-   security task on a window of length [x]. *)
-let sec_interference_nc ~job_wcet h x =
-  Workload.interference ~job_wcet ~window:x
-    (Workload.non_carry_in ~wcet:h.hp_task.Task.sec_wcet ~period:h.hp_period x)
-
-let sec_interference_ci ~job_wcet h x =
-  Workload.interference ~job_wcet ~window:x
-    (Workload.carry_in ~wcet:h.hp_task.Task.sec_wcet ~period:h.hp_period
-       ~resp:h.hp_resp x)
-
-let top_k_sum k l =
-  let sorted = List.sort (fun a b -> Int.compare b a) l in
-  let rec take n acc = function
-    | [] -> acc
-    | _ when n <= 0 -> acc
-    | v :: rest -> take (n - 1) (acc + v) rest
-  in
-  take k 0 sorted
-
-(* Eq. 6 with the Guan-style carry-in bound: every hp security task
-   contributes its non-carry-in interference, and the M-1 largest
-   carry-in increments are added on top. *)
-let omega_top_delta obs sys ~hp ~job_wcet x =
-  let rt = rt_interference_cached obs sys ~job_wcet x in
-  let nc_total, deltas =
-    List.fold_left
-      (fun (nc_acc, deltas) h ->
-        let nc = sec_interference_nc ~job_wcet h x in
-        let ci = sec_interference_ci ~job_wcet h x in
-        (nc_acc + nc, max 0 (ci - nc) :: deltas))
-      (0, []) hp
-  in
-  rt + nc_total + top_k_sum (sys.n_cores - 1) deltas
-
-(* Eq. 6 for one fixed carry-in set (tasks are compared by id). *)
-let omega_fixed_sets sys ~hp ~carry_in_ids ~job_wcet x =
-  let rt = rt_interference sys ~job_wcet x in
-  List.fold_left
-    (fun acc h ->
-      let i =
-        if List.mem h.hp_task.Task.sec_id carry_in_ids then
-          sec_interference_ci ~job_wcet h x
-        else sec_interference_nc ~job_wcet h x
-      in
-      acc + i)
-    rt hp
-
-(* Eq. 7 fixed-point iteration for a monotone Omega, started at
-   [max wcet start]. [start = 0] (the default) is the textbook
-   iteration from x = C_s. Any start in [wcet, lfp] yields the same
-   least fixed point and the same convergence verdict: the iterates
-   x -> Omega(x)/M + C_s form a monotone chain that cannot cross lfp
-   from below without landing on it, and every fixed point reachable
-   from a start <= lfp is lfp itself (proof sketch in
-   doc/PERFORMANCE.md). [iters] accumulates the iteration count
-   locally (an int ref costs nothing measurable); the caller reports
-   it to [obs] once. *)
-let fixpoint ?(start = 0) ~iters ~n_cores ~wcet ~limit omega =
-  let rec iter x =
-    if x > limit then None
-    else begin
-      incr iters;
-      let x' = (omega x / n_cores) + wcet in
-      if x' = x then Some x else iter x'
-    end
-  in
-  if wcet > limit then None else iter (max wcet start)
-
 let record_fixpoint obs iters r =
   Hydra_obs.add obs "analysis.fixpoint.iterations" !iters;
   match r with
   | Some _ -> Hydra_obs.incr obs "analysis.fixpoint.converged"
   | None -> Hydra_obs.incr obs "analysis.fixpoint.diverged"
 
-let carry_in_subsets items ~max_size =
-  (* Sizes are threaded alongside each subset so extending costs O(1);
-     the historical version recomputed [List.length s] inside the
-     [filter_map], making generation O(n^2) in the subset count. The
-     construction (and hence the output order) is unchanged:
-     without @ with_x at every level. *)
-  let rec go = function
-    | [] -> [ (0, []) ]
-    | x :: rest ->
-        let without = go rest in
-        let with_x =
-          List.filter_map
-            (fun (len, s) ->
-              if len < max_size then Some (len + 1, x :: s) else None)
-            without
-        in
-        without @ with_x
-  in
-  if max_size <= 0 then [ [] ] else List.map snd (go items)
+(* The hp tasks as the kernel's flat arrays, built once per
+   response-time call. *)
+let guan_hp hp =
+  let g = Guan.make (List.length hp) in
+  List.iteri
+    (fun i h ->
+      g.wcet.(i) <- h.hp_task.Task.sec_wcet;
+      g.period.(i) <- h.hp_period;
+      g.resp.(i) <- h.hp_resp)
+    hp;
+  g
 
-(* Literal Eq. 8: the WCRT is the maximum over carry-in subsets of the
-   per-subset fixed points; the task is unschedulable as soon as one
-   subset's iteration exceeds the limit. Uncached; reached only as the
-   fallback of the branch-and-bound path below. *)
-let response_time_exhaustive ?obs sys ~hp ~wcet ~limit =
-  let subsets =
-    carry_in_subsets
-      (List.map (fun h -> h.hp_task.Task.sec_id) hp)
-      ~max_size:(sys.n_cores - 1)
+(* Eq. 7 under the Guan bound: the kernel's Omega (every hp task's
+   non-carry-in interference plus the M-1 largest carry-in increments)
+   plus the cached RT term, iterated from [max wcet warm]
+   (doc/PERFORMANCE.md §3). *)
+let response_time_top_delta ~warm obs sys (g : Guan.hp) ~wcet ~limit =
+  let n = Array.length g.wcet in
+  Hydra_obs.observe obs "analysis.carry_in.set_size" (min (sys.n_cores - 1) n);
+  let top = Array.make (sys.n_cores - 1) 0 in
+  let iters = ref 0 in
+  let r =
+    Guan.fixpoint ~start:warm ~iters ~n_cores:sys.n_cores ~wcet ~limit
+      (fun x ->
+        rt_term obs sys ~job_wcet:wcet x
+        + Guan.bound g ~n ~top ~job_wcet:wcet x)
   in
-  Hydra_obs.add obs "analysis.carry_in.subsets" (List.length subsets);
-  let step acc carry_in_ids =
-    match acc with
-    | None -> None
-    | Some best -> (
-        Hydra_obs.observe obs "analysis.carry_in.set_size"
-          (List.length carry_in_ids);
-        let omega = omega_fixed_sets sys ~hp ~carry_in_ids ~job_wcet:wcet in
+  record_fixpoint obs iters r;
+  r
+
+(* Eq. 8: the maximum, over the admissible carry-in sets S, of the
+   Eq. 7 fixed point under
+   Omega_S(x) = RT(x) + sum_i nc_i(x) + sum_{i in S} delta_i(x).
+
+   Soundness (proofs in doc/PERFORMANCE.md §2):
+
+   - Drop criterion: a hp task whose increment is <= 0 at every window
+     (exactly when C = 1 or R <= C) never raises a set's fixed point,
+     nor turns a converging set into a diverging one, so only the other
+     tasks are candidates. The admissible sets are the candidate
+     subsets of size <= M-1, generated depth-first, each extending its
+     parent by a later candidate.
+
+   - Top-delta certificate: the Guan Omega dominates every admissible
+     Omega_S pointwise. If its fixed point r_top converges, so does
+     every set's, at or below r_top. Without it (r_top = None) the
+     running maximum starts at C_s, and the first set whose iterate
+     passes [limit] decides the [None] verdict.
+
+   - Prefixed-point skip: for the running maximum b (C_s <= b <=
+     limit), if Omega_S(b)/M + C_s <= b then lfp(S) <= b, so S can
+     neither raise the maximum nor diverge; it is skipped without its
+     fixed point (analysis.prune.subsets_skipped), as it is once b
+     reaches r_top.
+
+   - Warm floor: [warm] is a caller-guaranteed lower bound on the Eq. 8
+     value. It only seeds the running maximum under the certificate,
+     never an individual set's iteration. *)
+let response_time_eq8 ~warm obs sys (g : Guan.hp) ~wcet ~limit =
+  let r_top = response_time_top_delta ~warm obs sys g ~wcet ~limit in
+  let n = Array.length g.wcet in
+  let cand = Array.make n 0 in
+  let n_cand = ref 0 in
+  for i = 0 to n - 1 do
+    let c = g.wcet.(i) in
+    if c = 1 || g.resp.(i) <= c then
+      Hydra_obs.incr obs "analysis.prune.carry_in_dropped"
+    else begin
+      cand.(!n_cand) <- i;
+      incr n_cand
+    end
+  done;
+  let n_cand = !n_cand in
+  let k = min (sys.n_cores - 1) n_cand in
+  if wcet > limit then None
+  else if k = 0 then begin
+    (* Only the empty set: with every increment dropped (or no carry-in
+       at M = 1), its Omega is the Guan Omega, so its fixed point and
+       verdict are r_top's. *)
+    Hydra_obs.add obs "analysis.carry_in.subsets" 1;
+    Hydra_obs.observe obs "analysis.carry_in.set_size" 0;
+    r_top
+  end
+  else begin
+    let certified = Option.is_some r_top in
+    let cap = Option.value r_top ~default:max_int in
+    (* the set under consideration: cand indices chosen.(0 .. size-1) *)
+    let chosen = Array.make k 0 in
+    let omega size x =
+      let acc =
+        ref
+          (rt_term obs sys ~job_wcet:wcet x
+          + Guan.nc_total g ~n ~job_wcet:wcet x)
+      in
+      for j = 0 to size - 1 do
+        acc := !acc + Guan.delta g ~job_wcet:wcet chosen.(j) x
+      done;
+      !acc
+    in
+    let best = ref (if certified then max wcet warm else wcet) in
+    let enumerated = ref 0 in
+    let skipped = ref 0 in
+    (* false: the set's iterate passed [limit] *)
+    let visit size =
+      incr enumerated;
+      let b = !best in
+      if cap <= b || (omega size b / sys.n_cores) + wcet <= b then begin
+        incr skipped;
+        true
+      end
+      else begin
+        Hydra_obs.observe obs "analysis.carry_in.set_size" size;
         let iters = ref 0 in
-        let r = fixpoint ~iters ~n_cores:sys.n_cores ~wcet ~limit omega in
+        let r =
+          Guan.fixpoint ~iters ~n_cores:sys.n_cores ~wcet ~limit (omega size)
+        in
         record_fixpoint obs iters r;
         match r with
-        | None -> None
-        | Some r -> Some (max best r))
-  in
-  List.fold_left step (Some wcet) subsets
-
-(* Eq. 7 for one fixed carry-in set; exposed for the property test
-   that Top_delta upper-bounds every admissible subset. *)
-let response_time_fixed_subset ?obs sys ~hp ~carry_in_ids ~wcet ~limit =
-  let iters = ref 0 in
-  let r =
-    fixpoint ~iters ~n_cores:sys.n_cores ~wcet ~limit
-      (omega_fixed_sets sys ~hp ~carry_in_ids ~job_wcet:wcet)
-  in
-  record_fixpoint obs iters r;
-  r
-
-(* ------------------------------------------------------------------ *)
-(* Cached RT workloads and warm-started fixed points
-   (doc/PERFORMANCE.md): bit-identical to the reference analysis in
-   test/oracle/naive_analysis.ml; only the amount of work differs. *)
-
-let response_time_top_delta ?(warm = 0) ?obs sys ~hp ~wcet ~limit =
-  Hydra_obs.observe obs "analysis.carry_in.set_size"
-    (min (sys.n_cores - 1) (List.length hp));
-  let iters = ref 0 in
-  let r =
-    fixpoint ~start:warm ~iters ~n_cores:sys.n_cores ~wcet ~limit
-      (omega_top_delta obs sys ~hp ~job_wcet:wcet)
-  in
-  record_fixpoint obs iters r;
-  r
-
-(* Branch-and-bound Eq. 8.
-
-   Soundness (proofs in doc/PERFORMANCE.md):
-
-   - Drop criterion: a hp task h whose carry-in workload never exceeds
-     its non-carry-in workload (delta_h(x) <= 0 for all x, which holds
-     exactly when C_h = 1 or R_h <= C_h) cannot increase any subset's
-     fixed point, so it is removed from carry-in candidacy; the literal
-     enumeration visits subsets containing h but each is dominated by
-     the same subset without h, leaving the maximum unchanged.
-
-   - Upper-bound certificate: omega_top_delta >= omega_fixed_sets for
-     every admissible subset at every x (nc + max(0, ci - nc) =
-     max(nc, ci) per task, summed over the M-1 largest). Hence if the
-     top-delta fixed point converges to r_top, every subset converges
-     and the Eq. 8 maximum is <= r_top; if top-delta diverges we fall
-     back to the literal enumeration to reproduce its verdict exactly.
-
-   - Prefixed-point skip: for a subset S and the current best b >= wcet,
-     if omega_S(b)/M + wcet <= b then the iterates from wcet never
-     exceed b, so lfp(S) <= b and S cannot raise the maximum — skipped
-     without running the fixed point (counted in
-     analysis.prune.subsets_skipped).
-
-   - Warm floor: [warm] must be a caller-guaranteed lower bound on the
-     true Eq. 8 value (Period_selection passes the response under the
-     previous, larger, feasible candidate period — monotonicity proof
-     in doc/PERFORMANCE.md). It only seeds the running maximum, never
-     an individual subset's iteration. *)
-let response_time_exhaustive_fast ?(warm = 0) ?obs sys ~hp ~wcet ~limit =
-  match response_time_top_delta ~warm ?obs sys ~hp ~wcet ~limit with
-  | None ->
-      (* Top-delta diverged: no convergence certificate for the
-         subsets, so reproduce the literal Eq. 8 verdict. *)
-      response_time_exhaustive ?obs sys ~hp ~wcet ~limit
-  | Some r_top ->
-      let hp_arr = Array.of_list hp in
-      let n = Array.length hp_arr in
-      let max_size = sys.n_cores - 1 in
-      if max_size <= 0 || n = 0 then begin
-        (* Only the empty subset: its omega is omega_top_delta (no
-           deltas), so its fixed point is r_top itself. *)
-        Hydra_obs.add obs "analysis.carry_in.subsets" 1;
-        Hydra_obs.observe obs "analysis.carry_in.set_size" 0;
-        Some r_top
+        | Some r ->
+            if r > !best then best := r;
+            true
+        | None ->
+            (* Unreachable under the certificate: Omega_S <= the Guan
+               Omega pointwise, so from C_s <= r_top every iterate stays
+               <= r_top <= limit. *)
+            if certified then assert false;
+            false
       end
-      else if n > 60 then
-        (* Bitmask width guard; unreachable at paper scale. *)
-        response_time_exhaustive ?obs sys ~hp ~wcet ~limit
-      else begin
-        (* Carry-in candidates: tasks whose delta can be positive. *)
-        let kept_mask = ref 0 in
-        for i = 0 to n - 1 do
-          let h = hp_arr.(i) in
-          let c = h.hp_task.Task.sec_wcet in
-          if c = 1 || h.hp_resp <= c then
-            Hydra_obs.incr obs "analysis.prune.carry_in_dropped"
-          else kept_mask := !kept_mask lor (1 lsl i)
-        done;
-        let kept_mask = !kept_mask in
-        let omega_mask mask x =
-          let acc = ref (rt_interference_cached obs sys ~job_wcet:wcet x) in
-          for i = 0 to n - 1 do
-            let h = hp_arr.(i) in
-            acc :=
-              !acc
-              + (if mask land (1 lsl i) <> 0 then
-                   sec_interference_ci ~job_wcet:wcet h x
-                 else sec_interference_nc ~job_wcet:wcet h x)
-          done;
-          !acc
-        in
-        let best = ref (max wcet warm) in
-        let enumerated = ref 0 in
-        let skipped = ref 0 in
-        let popcount m =
-          let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-          go m 0
-        in
-        let consider mask =
-          let size = popcount mask in
-          if size <= max_size then begin
-            incr enumerated;
-            let b = !best in
-            (* r_top bounds every subset's fixed point; if it cannot
-               beat the floor, neither can this subset. *)
-            if r_top <= b || (omega_mask mask b / sys.n_cores) + wcet <= b
-            then incr skipped
-            else begin
-              Hydra_obs.observe obs "analysis.carry_in.set_size" size;
-              let iters = ref 0 in
-              let r =
-                fixpoint ~iters ~n_cores:sys.n_cores ~wcet ~limit
-                  (omega_mask mask)
-              in
-              record_fixpoint obs iters r;
-              match r with
-              | Some r -> if r > !best then best := r
-              | None ->
-                  (* Unreachable: omega_mask mask <= omega_top_delta
-                     pointwise (|mask| <= M-1), so from wcet <= r_top
-                     every iterate stays <= r_top <= limit and the
-                     subset's fixed point converges at or below
-                     r_top. *)
-                  assert false
-            end
-          end
-        in
-        consider 0;
-        let s = ref kept_mask in
-        while !s <> 0 do
-          consider !s;
-          s := (!s - 1) land kept_mask
-        done;
-        Hydra_obs.add obs "analysis.carry_in.subsets" !enumerated;
-        Hydra_obs.add obs "analysis.prune.subsets_skipped" !skipped;
-        Some !best
-      end
+    in
+    let rec sets size from =
+      visit size && (size = k || extend size from)
+    and extend size i =
+      i >= n_cand
+      || begin
+           chosen.(size) <- cand.(i);
+           sets (size + 1) (i + 1) && extend size (i + 1)
+         end
+    in
+    let converged = sets 0 0 in
+    Hydra_obs.add obs "analysis.carry_in.subsets" !enumerated;
+    Hydra_obs.add obs "analysis.prune.subsets_skipped" !skipped;
+    if converged then Some !best else None
+  end
 
 let response_time ?(policy = Top_delta) ?(warm = 0) ?obs sys ~hp ~wcet
     ~limit =
+  let g = guan_hp hp in
   match policy with
-  | Top_delta -> response_time_top_delta ~warm ?obs sys ~hp ~wcet ~limit
-  | Exhaustive -> response_time_exhaustive_fast ~warm ?obs sys ~hp ~wcet ~limit
+  | Top_delta -> response_time_top_delta ~warm obs sys g ~wcet ~limit
+  | Exhaustive -> response_time_eq8 ~warm obs sys g ~wcet ~limit

@@ -16,20 +16,23 @@
        (Lemma 2).}}
 
     Which tasks carry in is unknown, so Eq. 8 maximizes over all
-    admissible carry-in sets. {!Exhaustive} implements Eq. 8 literally
-    (exponential in [min (M-1, |hp|)]); {!Top_delta} is the standard
-    Guan-style polynomial upper bound that, at every fixed-point
-    iterate, grants carry-in to the [M - 1] tasks with the largest
-    interference increment. [Top_delta] dominates every individual
-    carry-in choice, hence is a safe upper bound on the Eq. 8 value
-    (property-tested in [test/test_analysis.ml]).
+    admissible carry-in sets. {!Top_delta} is the standard Guan-style
+    polynomial upper bound that, at every fixed-point iterate, grants
+    carry-in to the [M - 1] tasks with the largest interference
+    increment; it dominates every individual carry-in choice, hence is
+    a safe upper bound on the Eq. 8 value. {!Exhaustive} computes the
+    Eq. 8 maximum itself (exponential in [min (M-1, |hp|)]). The Guan
+    bound and the Eq. 7 loop are {!Rtsched.Guan}'s, the kernel the
+    GLOBAL-TMax baseline's global RTA runs too; this module adds the
+    cached per-core RT term and the Eq. 8 enumeration.
 
     Both policies avoid redundant work: a per-system RT-workload
-    cache, branch-and-bound carry-in enumeration for [Exhaustive], and
+    cache, a pruned carry-in enumeration for [Exhaustive], and
     warm-started fixed points. Results are bit-identical to the seed
     reference implementation, which lives on as a test-only oracle
-    ([test/oracle/naive_analysis.ml]) — the design and soundness
-    arguments are in doc/PERFORMANCE.md, the equivalence gate in
+    ([test/oracle/naive_analysis.ml], with the literal Eq. 8 subsets
+    and the uncached RT term) — the design and soundness arguments are
+    in doc/PERFORMANCE.md, the equivalence gate in
     [test/test_analysis.ml]. *)
 
 type time = Rtsched.Task.time
@@ -119,14 +122,6 @@ val refresh_rt_cores :
     [sys.n_cores] — a core-count change is structural; use
     {!make_system}. *)
 
-val rt_interference : system -> job_wcet:time -> time -> time
-(** Total RT interference term of Eq. 6 for a window of length [x],
-    computed without the workload cache. It is the RT term of
-    {!response_time_fixed_subset} and of the literal Eq. 8 enumeration
-    that [Exhaustive] falls back to when the top-delta bound diverges;
-    {!response_time} otherwise computes the same value through the
-    cache. *)
-
 val response_time :
   ?policy:carry_in_policy -> ?warm:time -> ?obs:Hydra_obs.t -> system ->
   hp:hp_sec list -> wcet:time -> limit:time -> time option
@@ -135,13 +130,13 @@ val response_time :
     [None] if the fixed point exceeds [limit] (Sec. 4.4 stops at
     [T_s^max] since the task is then trivially unschedulable).
 
-    RT workloads are cached per system, and [Exhaustive] runs a
-    branch-and-bound enumeration (delta-negative tasks dropped from
-    carry-in candidacy, dominated subsets skipped against the
-    top-delta upper bound, id bitmasks instead of list membership).
-    The returned value — and the [None] verdict — are
-    {b bit-identical} to the reference analysis in
-    [test/oracle/naive_analysis.ml] for both policies
+    RT workloads are cached per system, and [Exhaustive] enumerates
+    only the admissible carry-in sets — at most [M - 1] tasks, none of
+    them one whose carry-in increment is never positive — skipping
+    every set that the top-delta bound or a prefixed point at the
+    running maximum proves cannot raise it. The returned value — and
+    the [None] verdict — are {b bit-identical} to the reference
+    analysis in [test/oracle/naive_analysis.ml] for both policies
     (equivalence-gated in [test/test_analysis.ml]; design in
     doc/PERFORMANCE.md).
 
@@ -153,22 +148,8 @@ val response_time :
 
     [obs] records the Eq. 7/8 instrumentation:
     [analysis.fixpoint.iterations] plus converged/diverged tallies,
-    [analysis.carry_in.subsets] (Exhaustive: subsets enumerated),
+    [analysis.carry_in.subsets] (Exhaustive: sets visited),
     the [analysis.carry_in.set_size] distribution,
     [analysis.cache.{hit,miss,evicted}] and
     [analysis.prune.{carry_in_dropped,subsets_skipped}]
     (doc/OBSERVABILITY.md). *)
-
-val response_time_fixed_subset :
-  ?obs:Hydra_obs.t -> system -> hp:hp_sec list ->
-  carry_in_ids:int list -> wcet:time -> limit:time -> time option
-(** Eq. 7 under one {b fixed} carry-in set (tasks named by [sec_id]):
-    one term of the Eq. 8 maximum. Exposed so tests can check that
-    [Top_delta] upper-bounds every admissible subset, and so the test
-    oracle can state [Exhaustive] literally as the subset maximum. *)
-
-val carry_in_subsets : 'a list -> max_size:int -> 'a list list
-(** All sublists of size [<= max_size] (order-preserving); exposed for
-    the Eq. 8 tests and the X1 ablation. Generation is linear in the
-    output size (sizes are threaded, not recomputed — see
-    [test/test_analysis.ml] for the count law). *)

@@ -562,22 +562,6 @@ let pp_summary ppf t =
     Format.fprintf ppf "(no metrics recorded)@.";
   Format.fprintf ppf "%s@." line
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Chrome trace-event format (the JSON array flavour understood by
    Perfetto and chrome://tracing): process/thread metadata, then one
    event per stored event with microsecond timestamps and tid = the
@@ -612,7 +596,7 @@ let chrome_trace ?(extra = []) t =
       in
       Printf.bprintf b
         ",{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":%s,\"pid\":0,\"tid\":%d,\"ts\":%.3f"
-        (json_escape e.ev_name) cat ph e.ev_domain (us e.ev_start_ns);
+        (Obs_json.escape e.ev_name) cat ph e.ev_domain (us e.ev_start_ns);
       match e.ev_kind with
       | Plain -> Printf.bprintf b ",\"dur\":%.3f}" (us e.ev_dur_ns)
       | Request c ->
@@ -770,7 +754,7 @@ module Flight = struct
       in
       Printf.bprintf b
         "{\"seq\":%d,\"ts_ns\":%d,\"kind\":\"%s\",\"tenant\":\"%s\",\"a\":%d,\"b\":%d}\n"
-        seq ts (name_of_code kind) (json_escape tname) a bv
+        seq ts (name_of_code kind) (Obs_json.escape tname) a bv
     done;
     Buffer.contents b
 
@@ -827,7 +811,7 @@ module Log = struct
            (fun c -> c <> ' ' && c <> '"' && c <> '=' && Char.code c >= 0x20)
            v
     in
-    if plain then v else "\"" ^ json_escape v ^ "\""
+    if plain then v else "\"" ^ Obs_json.escape v ^ "\""
 
   let log t event kvs =
     Mutex.protect t.lg_mu (fun () ->
@@ -890,14 +874,14 @@ module Snapshot = struct
     Buffer.add_string b "\",\"counters\":";
     obj_of b
       (fun b (c : counter_view) ->
-        Printf.bprintf b "\"%s\":%d" (json_escape c.cv_name) c.cv_total)
+        Printf.bprintf b "\"%s\":%d" (Obs_json.escape c.cv_name) c.cv_total)
       (counters t);
     Buffer.add_string b ",\"dists\":";
     obj_of b
       (fun b (d : dist_view) ->
         Printf.bprintf b
           "\"%s\":{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"mean\":%s}"
-          (json_escape d.dv_name) d.dv_count d.dv_sum d.dv_min d.dv_max
+          (Obs_json.escape d.dv_name) d.dv_count d.dv_sum d.dv_min d.dv_max
           (json_float (float_of_int d.dv_sum /. float_of_int d.dv_count)))
       (dists t);
     Buffer.add_string b ",\"histograms\":";
@@ -908,7 +892,7 @@ module Snapshot = struct
           "\"%s\":{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"mean\":%s,\
            \"quantiles\":{\"p50\":%d,\"p95\":%d,\"p99\":%d,\"max\":%d},\
            \"buckets\":["
-          (json_escape v.hv_name) (Histogram.count h) (Histogram.sum h)
+          (Obs_json.escape v.hv_name) (Histogram.count h) (Histogram.sum h)
           (Option.value (Histogram.min_value h) ~default:0)
           (Option.value (Histogram.max_value h) ~default:0)
           (json_float (Histogram.mean h))
@@ -925,7 +909,7 @@ module Snapshot = struct
     Buffer.add_string b ",\"spans\":";
     obj_of b
       (fun b (s : span_view) ->
-        Printf.bprintf b "\"%s\":{\"count\":%d}" (json_escape s.sv_name)
+        Printf.bprintf b "\"%s\":{\"count\":%d}" (Obs_json.escape s.sv_name)
           s.sv_count)
       (span_stats t);
     Buffer.add_string b "}";

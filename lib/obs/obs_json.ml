@@ -151,6 +151,26 @@ let parse (s : string) : t =
   if !pos <> n then fail "trailing content after JSON value";
   v
 
+let escape s =
+  let plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20 in
+  if String.for_all plain s then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
+
 let member k = function
   | Obj kvs -> List.assoc_opt k kvs
   | _ -> None

@@ -25,6 +25,15 @@ val parse : string -> t
 (** Parse one complete JSON document; trailing whitespace is allowed,
     any other trailing content is an error. *)
 
+val escape : string -> string
+(** [escape s] is [s] as the body of a JSON string literal (without
+    the quotes): quote, backslash, newline, carriage return and tab
+    take their two-character escapes, the other control characters a
+    [\u00XX] escape, and every other byte stays as is. A string that
+    needs no escape is returned as is, without a copy. It is the one
+    escaper of the JSON writers that link [hydra_obs]: snapshots and
+    traces, the daemon's protocol, the simulator's schedule trace. *)
+
 val member : string -> t -> t option
 (** [member k (Obj _)] is the value bound to [k], if any; [None] on
     non-objects. *)

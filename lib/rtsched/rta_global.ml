@@ -7,68 +7,33 @@ type gtask = {
   g_deadline : time;
 }
 
-(* Interference of one higher-priority task [t] (with known response
-   time [resp]) on a window of length [x] for a job of WCET [job_wcet]:
-   non-carry-in bound and the increment gained if [t] carries in. *)
-let nc_and_delta ~job_wcet ~window (t, resp) =
-  let nc =
-    Workload.interference ~job_wcet ~window
-      (Workload.non_carry_in ~wcet:t.g_wcet ~period:t.g_period window)
-  in
-  let ci =
-    Workload.interference ~job_wcet ~window
-      (Workload.carry_in ~wcet:t.g_wcet ~period:t.g_period ~resp window)
-  in
-  (nc, max 0 (ci - nc))
-
-(* Sum of the [k] largest elements of [l]. *)
-let top_k_sum k l =
-  let sorted = List.sort (fun a b -> compare b a) l in
-  let rec take n acc = function
-    | [] -> acc
-    | _ when n = 0 -> acc
-    | x :: rest -> take (n - 1) (acc + x) rest
-  in
-  take k 0 sorted
-
-let omega ~n_cores ~job_wcet ~window hp =
-  let pairs = List.map (nc_and_delta ~job_wcet ~window) hp in
-  let nc_total = List.fold_left (fun acc (nc, _) -> acc + nc) 0 pairs in
-  let deltas = List.map snd pairs in
-  nc_total + top_k_sum (n_cores - 1) deltas
-
-let response_time_of_lowest ?obs ~n_cores ~hp ~wcet ~limit () =
-  let iters = ref 0 in
-  let rec iter x =
-    if x > limit then None
-    else begin
-      incr iters;
-      let om = omega ~n_cores ~job_wcet:wcet ~window:x hp in
-      let x' = (om / n_cores) + wcet in
-      if x' = x then Some x else iter (max x' (x + 1))
-    end
-  in
-  let r = if wcet > limit then None else iter wcet in
-  Hydra_obs.add obs "rta.global.iterations" !iters;
-  (match r with
-  | Some _ -> Hydra_obs.incr obs "rta.global.converged"
-  | None -> Hydra_obs.incr obs "rta.global.diverged");
-  r
-
 let response_times ?obs ~n_cores tasks =
-  (* Analyze in priority order, threading the (task, response) pairs of
-     already-analyzed higher-priority tasks. *)
-  let rec go hp_acc = function
+  (* Analyze in priority order: task [i] runs the Eq. 7 fixed point
+     against the Guan bound over entries [0 .. i-1] of [hp], which hold
+     the already-analyzed higher-priority tasks. *)
+  let hp = Guan.make (List.length tasks) in
+  let top = Array.make (n_cores - 1) 0 in
+  let rec go i = function
     | [] -> []
     | t :: rest -> (
-        match
-          response_time_of_lowest ?obs ~n_cores ~hp:(List.rev hp_acc)
-            ~wcet:t.g_wcet ~limit:t.g_deadline ()
-        with
-        | Some r -> Some r :: go ((t, r) :: hp_acc) rest
-        | None -> None :: List.map (fun _ -> None) rest)
+        let iters = ref 0 in
+        let r =
+          Guan.fixpoint ~iters ~n_cores ~wcet:t.g_wcet ~limit:t.g_deadline
+            (Guan.bound hp ~n:i ~top ~job_wcet:t.g_wcet)
+        in
+        Hydra_obs.add obs "rta.global.iterations" !iters;
+        match r with
+        | Some resp ->
+            Hydra_obs.incr obs "rta.global.converged";
+            hp.wcet.(i) <- t.g_wcet;
+            hp.period.(i) <- t.g_period;
+            hp.resp.(i) <- resp;
+            r :: go (i + 1) rest
+        | None ->
+            Hydra_obs.incr obs "rta.global.diverged";
+            None :: List.map (fun _ -> None) rest)
   in
-  go [] tasks
+  go 0 tasks
 
 let all_schedulable ?obs ~n_cores tasks =
   List.for_all Option.is_some (response_times ?obs ~n_cores tasks)

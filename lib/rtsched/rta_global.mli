@@ -8,7 +8,8 @@
     time is the least fixed point of
     [x = floor(Omega(x)/M) + C] where [Omega] sums the non-carry-in
     interference of every higher-priority task plus the [M-1] largest
-    carry-in increments. *)
+    carry-in increments. That bound and the fixed point are {!Guan}'s,
+    the same kernel the HYDRA-C analysis runs. *)
 
 type time = Task.time
 
@@ -29,14 +30,6 @@ val response_times :
     get [None] because their carry-in bound needs every
     higher-priority response time. [obs] counts
     [rta.global.iterations] and the converged/diverged tallies. *)
-
-val response_time_of_lowest :
-  ?obs:Hydra_obs.t -> n_cores:int -> hp:(gtask * time) list -> wcet:time ->
-  limit:time -> unit -> time option
-(** [response_time_of_lowest ~n_cores ~hp ~wcet ~limit] analyzes one
-    extra lowest-priority task of WCET [wcet] against higher-priority
-    tasks with {e known} response times [(task, resp)], without
-    re-analyzing them. Exposed for tests and cross-checks. *)
 
 val all_schedulable : ?obs:Hydra_obs.t -> n_cores:int -> gtask list -> bool
 (** Whether every task of the priority-ordered list meets its

@@ -36,7 +36,3 @@ val partitioned_rt_schedulable :
 (** Whether all RT tasks of the taskset meet their deadlines under the
     given core [assignment] ([assignment.(i)] is the core of
     [ts.rt.(i)]). *)
-
-val demand_at : hp:hp_task list -> wcet:time -> time -> time
-(** [demand_at ~hp ~wcet t] is the Eq. 1 left-hand side
-    [C + sum ceil(t/T_i)*C_i] — exposed for property tests. *)

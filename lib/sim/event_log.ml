@@ -124,21 +124,6 @@ let hooks ?(base = Engine.no_hooks) t =
    are in us, and integer ticks map 1:1 so slice boundaries stay
    exact. *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let chrome_events t ~pid =
   let evs = events t in
   let out = ref [] in
@@ -172,17 +157,18 @@ let chrome_events t ~pid =
   List.iter
     (fun e ->
       let key = (e.e_task_id, e.e_job_seq) in
+      let name = Hydra_obs.Json.escape e.e_task_name in
       match e.e_kind with
       | Release ->
           emit
             (Printf.sprintf
                "{\"name\":\"release %s#%d\",\"ph\":\"i\",\"s\":\"p\",\"pid\":%d,\"tid\":0,\"ts\":%d}"
-               (esc e.e_task_name) e.e_job_seq pid e.e_time)
+               name e.e_job_seq pid e.e_time)
       | Segment { core; stop } ->
           emit
             (Printf.sprintf
                "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"dur\":%d,\"args\":{\"job\":%d,\"task_id\":%d}}"
-               (esc e.e_task_name) pid core e.e_time (stop - e.e_time)
+               name pid core e.e_time (stop - e.e_time)
                e.e_job_seq e.e_task_id);
           (match Hashtbl.find_opt open_flow key with
           | Some id ->
@@ -208,13 +194,13 @@ let chrome_events t ~pid =
           emit
             (Printf.sprintf
                "{\"name\":\"preempt %s#%d\",\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"ts\":%d}"
-               (esc e.e_task_name) e.e_job_seq pid core e.e_time)
+               name e.e_job_seq pid core e.e_time)
       | Finish _ -> ()
       | Deadline_miss ->
           emit
             (Printf.sprintf
                "{\"name\":\"DEADLINE MISS %s#%d\",\"ph\":\"i\",\"s\":\"p\",\"pid\":%d,\"tid\":0,\"ts\":%d}"
-               (esc e.e_task_name) e.e_job_seq pid e.e_time))
+               name e.e_job_seq pid e.e_time))
     evs;
   List.rev !out
 

@@ -42,7 +42,7 @@ let test_subset_counts () =
     let items = List.init n Fun.id in
     List.iter
       (fun max_size ->
-        let subsets = Analysis.carry_in_subsets items ~max_size in
+        let subsets = Naive_analysis.carry_in_subsets items ~max_size in
         check_int
           (Printf.sprintf "count n=%d max_size=%d" n max_size)
           (expected_count n max_size)
@@ -52,7 +52,7 @@ let test_subset_counts () =
 
 let test_subset_sizes_and_order () =
   let items = List.init 9 Fun.id in
-  let subsets = Analysis.carry_in_subsets items ~max_size:3 in
+  let subsets = Naive_analysis.carry_in_subsets items ~max_size:3 in
   check_bool "no oversized subset" true
     (List.for_all (fun s -> List.length s <= 3) subsets);
   (* Items were given in increasing order, so order preservation means
@@ -125,12 +125,12 @@ let prop_top_delta_bounds_every_subset =
           with
           | None -> true (* no certificate; nothing claimed *)
           | Some r_top ->
-              Analysis.carry_in_subsets
+              Naive_analysis.carry_in_subsets
                 (List.map (fun h -> h.Analysis.hp_task.Task.sec_id) hp)
                 ~max_size:(sys.Analysis.n_cores - 1)
               |> List.for_all (fun carry_in_ids ->
                      match
-                       Analysis.response_time_fixed_subset sys ~hp
+                       Naive_analysis.response_time_fixed_subset sys ~hp
                          ~carry_in_ids ~wcet ~limit
                      with
                      | Some r -> r <= r_top
@@ -274,6 +274,55 @@ let test_fast_path_counters () =
   check_bool "cache hits recorded" true (total "analysis.cache.hit" > 0);
   check_bool "subsets enumerated" true
     (total "analysis.carry_in.subsets" > 0)
+
+(* Exhaustive on long hp chains at M = 2: every one of the n tasks is a
+   carry-in candidate (C = 2 < R = 5), so the admissible sets are the
+   empty set and the n singletons. The enumerator must visit at most
+   those n + 1, with and without the top-delta certificate (a limit
+   one below the top-delta bound takes it away), and agree with the
+   literal Eq. 8 maximum. A walk over every subset of the candidates
+   would visit 2^n. *)
+let test_exhaustive_long_chains () =
+  let sys =
+    { Analysis.n_cores = 2; rt_cores = [| []; [] |];
+      cache = Analysis.fresh_cache 2 }
+  in
+  List.iter
+    (fun n ->
+      let hp =
+        List.init n (fun i ->
+            { Analysis.hp_task =
+                Task.make_sec ~id:i ~prio:i ~wcet:2 ~period_max:(4 * n) ();
+              hp_period = 4 * n; hp_resp = 5 })
+      in
+      let wcet = 3 in
+      let r_top =
+        match Analysis.response_time sys ~hp ~wcet ~limit:max_int with
+        | Some r -> r
+        | None -> Alcotest.fail "top-delta must converge"
+      in
+      List.iter
+        (fun limit ->
+          let obs = Hydra_obs.create () in
+          let at what = Printf.sprintf "%s n=%d limit=%d" what n limit in
+          Alcotest.(check (option int))
+            (at "= literal Eq. 8")
+            (Naive_analysis.response_time ~policy:Analysis.Exhaustive sys ~hp
+               ~wcet ~limit)
+            (Analysis.response_time ~policy:Analysis.Exhaustive ~obs sys ~hp
+               ~wcet ~limit);
+          let subsets =
+            match
+              List.find_opt
+                (fun c -> c.Hydra_obs.cv_name = "analysis.carry_in.subsets")
+                (Hydra_obs.counters obs)
+            with
+            | Some c -> c.Hydra_obs.cv_total
+            | None -> 0
+          in
+          check_bool (at "at most n + 1 sets") true (subsets <= n + 1))
+        [ r_top; r_top - 1 ])
+    [ 40; 70 ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache hygiene: the stats accessor, the slot count (every size
@@ -456,7 +505,9 @@ let () =
             test_sweep_fast_naive_across_jobs ] );
       ( "counters",
         [ Alcotest.test_case "fast-path counters" `Quick
-            test_fast_path_counters ] );
+            test_fast_path_counters;
+          Alcotest.test_case "Exhaustive on long hp chains" `Quick
+            test_exhaustive_long_chains ] );
       ( "cache_hygiene",
         [ Alcotest.test_case "stats + bounded eviction" `Quick
             test_cache_stats_and_bound;

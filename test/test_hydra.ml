@@ -10,6 +10,7 @@ module Baseline_hydra = Hydra.Baseline_hydra
 module Baseline_tmax = Hydra.Baseline_tmax
 module Metrics = Hydra.Metrics
 module Scheme = Hydra.Scheme
+module Naive_analysis = Hydra_oracle.Naive_analysis
 
 let check_int = Test_util.check_int
 let check_bool = Test_util.check_bool
@@ -71,10 +72,11 @@ let test_analysis_rt_interference_term () =
   in
   (* For a window of 10 and job wcet 2, RT interference is
      min(W_nc(10)=4, 10-2+1=9) = 4. *)
-  check_int "rt interference" 4 (Analysis.rt_interference sys ~job_wcet:2 10)
+  check_int "rt interference" 4
+    (Naive_analysis.rt_interference sys ~job_wcet:2 10)
 
 let test_carry_in_subsets () =
-  let subsets = Analysis.carry_in_subsets [ 1; 2; 3 ] ~max_size:2 in
+  let subsets = Naive_analysis.carry_in_subsets [ 1; 2; 3 ] ~max_size:2 in
   check_int "count of size <= 2 subsets" 7 (List.length subsets);
   check_bool "contains empty" true (List.mem [] subsets);
   check_bool "no oversized subset" true

@@ -107,6 +107,21 @@ let test_chrome_trace_escapes_names () =
   in
   check_int "one event" 1 (List.length events)
 
+(* The one JSON string escaper: every ASCII byte survives a round trip
+   through the reader, control characters take their short escapes
+   where JSON has one, and a string with nothing to escape is not
+   copied. *)
+let test_json_escape () =
+  let all = String.init 128 Char.chr in
+  (match Hydra_obs.Json.parse ("\"" ^ Hydra_obs.Json.escape all ^ "\"") with
+  | Hydra_obs.Json.Str s -> Alcotest.(check string) "round trip" all s
+  | _ -> Alcotest.fail "not a string");
+  Alcotest.(check string) "short escapes" {|a\"b\\c\nd\re\tf\u0001|}
+    (Hydra_obs.Json.escape "a\"b\\c\nd\re\tf\001");
+  let plain = "sweep.item" in
+  check_bool "plain string not copied" true
+    (Hydra_obs.Json.escape plain == plain)
+
 (* ------------------------------------------------------------------ *)
 (* No-op path *)
 
@@ -772,7 +787,9 @@ let () =
           Alcotest.test_case "recorded on exception" `Quick
             test_span_records_on_exception;
           Alcotest.test_case "names escaped in JSON" `Quick
-            test_chrome_trace_escapes_names ] );
+            test_chrome_trace_escapes_names;
+          Alcotest.test_case "Json.escape round-trips" `Quick
+            test_json_escape ] );
       ( "no-op",
         [ Alcotest.test_case "allocates nothing" `Quick
             test_noop_allocates_nothing;

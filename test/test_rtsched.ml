@@ -471,33 +471,125 @@ let test_global_unschedulable_cascades () =
       Alcotest.(check (option int)) "third starves" None r3
   | _ -> Alcotest.fail "unexpected shape"
 
+let print_gtasks tasks =
+  String.concat "; "
+    (List.map
+       (fun (t : Global.gtask) ->
+         Printf.sprintf "(C=%d T=%d D=%d)" t.g_wcet t.g_period t.g_deadline)
+       tasks)
+
+(* The kernel's Guan bound = the reference's sorted top-(M-1) sum, on
+   random hp tasks with arbitrary response times, windows and job
+   WCETs at M = 1..8. *)
+let prop_guan_bound_equals_naive =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 8 >>= fun n_cores ->
+    int_range 0 14 >>= fun n ->
+    int_range 1 30 >>= fun job_wcet ->
+    int_range job_wcet 2000 >>= fun window ->
+    list_repeat n
+      (int_range 1 40 >>= fun wcet ->
+       int_range wcet 400 >>= fun period ->
+       int_range wcet (2 * period) >>= fun resp ->
+       return (gt "t" wcet period, resp))
+    >|= fun hp -> (n_cores, job_wcet, window, hp)
+  in
+  let print (n_cores, job_wcet, window, hp) =
+    Printf.sprintf "M=%d C=%d x=%d hp=[%s] R=[%s]" n_cores job_wcet window
+      (print_gtasks (List.map fst hp))
+      (String.concat "; " (List.map (fun (_, r) -> string_of_int r) hp))
+  in
+  Test_util.qtest ~count:300 "Guan bound = sorted top-(M-1) sum"
+    (QCheck.make ~print gen) (fun (n_cores, job_wcet, window, hp) ->
+      let n = List.length hp in
+      let g = Rtsched.Guan.make n in
+      List.iteri
+        (fun i ((t : Global.gtask), r) ->
+          g.wcet.(i) <- t.g_wcet;
+          g.period.(i) <- t.g_period;
+          g.resp.(i) <- r)
+        hp;
+      Rtsched.Guan.bound g ~n ~top:(Array.make (n_cores - 1) 0) ~job_wcet
+        window
+      = Hydra_oracle.Naive_global.omega ~n_cores ~job_wcet ~window hp)
+
+(* Rta_global on the Guan kernel = the list-based reference
+   (test/oracle/naive_global.ml), values and None verdicts, on random
+   priority-ordered lists at M = 1..8 (lists shorter than M - 1
+   included), loaded at 40-95 % of the M cores so that responses, and
+   carry-in increments, grow down the list. *)
+let prop_global_equals_naive =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 8 >>= fun n_cores ->
+    int_range 0 14 >>= fun n ->
+    int_range 40 95 >>= fun load ->
+    list_repeat n
+      (int_range 1 30 >>= fun wcet ->
+       int_range 70 140 >>= fun jitter ->
+       let period = max wcet (wcet * n * jitter / (load * n_cores)) in
+       int_range ((wcet + period + 1) / 2) period >>= fun deadline ->
+       return { (gt "t" wcet period) with Global.g_deadline = deadline })
+    >|= fun tasks -> (n_cores, tasks)
+  in
+  let print (n_cores, tasks) =
+    Printf.sprintf "M=%d [%s]" n_cores (print_gtasks tasks)
+  in
+  Test_util.qtest ~count:300 "global RTA = naive reference"
+    (QCheck.make ~print gen) (fun (n_cores, tasks) ->
+      Global.response_times ~n_cores tasks
+      = Hydra_oracle.Naive_global.response_times ~n_cores tasks)
+
+(* GLOBAL-TMax soundness against the simulator: on tasksets of 2M RT
+   and three security tasks at T^max, M = 2..4, no RT or security
+   task's simulated response under Global_all (synchronous release)
+   exceeds its Rta_global bound. Seed-fixed. *)
 let prop_global_bounds_simulation =
-  let arb = Test_util.arb_taskset ~n_cores:2 ~n_rt:4 ~n_sec:0 in
-  Test_util.qtest ~count:60 "global RTA bounds simulated responses" arb
-    (fun ts ->
+  let arb =
+    QCheck.make ~print:Test_util.print_taskset
+      QCheck.Gen.(
+        int_range 2 4 >>= fun n_cores ->
+        Test_util.gen_taskset ~n_cores ~n_rt:(2 * n_cores) ~n_sec:3)
+  in
+  Test_util.qtest ~count:100 ~seed:11 "global RTA bounds simulated responses"
+    arb (fun ts ->
+      let n_cores = ts.Task.n_cores in
       let gtasks =
         Global.of_taskset ts ~sec_period:(fun s -> s.Task.sec_period_max)
       in
-      let resps = Global.response_times ~n_cores:2 gtasks in
+      let resps = Global.response_times ~n_cores gtasks in
       QCheck.assume (List.for_all Option.is_some resps);
+      let sec_periods = Array.make (Array.length ts.Task.sec) 0 in
+      Array.iter
+        (fun (s : Task.sec_task) -> sec_periods.(s.sec_id) <- s.sec_period_max)
+        ts.Task.sec;
       let built =
         Sim.Scenario.of_taskset ts
           ~rt_assignment:(Test_util.round_robin_assignment ts)
-          ~policy:Sim.Policy.Global_all ~sec_periods:[||] ()
+          ~policy:Sim.Policy.Global_all ~sec_periods ()
       in
       let stats =
-        Sim.Engine.run ~n_cores:2 ~horizon:3000 built.Sim.Scenario.tasks
+        Sim.Engine.run ~n_cores ~horizon:3000 built.Sim.Scenario.tasks
       in
-      let sorted = Task.sort_rt_by_priority ts.Task.rt in
+      (* sim ids in the priority order of [gtasks] *)
+      let sim_ids =
+        Array.to_list
+          (Array.map
+             (fun (t : Task.rt_task) -> built.Sim.Scenario.rt_sim_ids.(t.rt_id))
+             (Task.sort_rt_by_priority ts.Task.rt))
+        @ Array.to_list
+            (Array.map
+               (fun (s : Task.sec_task) ->
+                 built.Sim.Scenario.sec_sim_ids.(s.sec_id))
+               (Task.sort_sec_by_priority ts.Task.sec))
+      in
       List.for_all2
-        (fun (t : Task.rt_task) resp ->
+        (fun sim_id resp ->
           match resp with
           | None -> false
-          | Some bound ->
-              Sim.Metrics.max_response stats
-                ~sim_id:built.Sim.Scenario.rt_sim_ids.(t.Task.rt_id)
-              <= bound)
-        (Array.to_list sorted) resps)
+          | Some bound -> Sim.Metrics.max_response stats ~sim_id <= bound)
+        sim_ids resps)
 
 let () =
   Alcotest.run "rtsched"
@@ -573,4 +665,6 @@ let () =
             test_global_uniprocessor_upper_bounds;
           Alcotest.test_case "unschedulable cascades" `Quick
             test_global_unschedulable_cascades;
+          prop_guan_bound_equals_naive;
+          prop_global_equals_naive;
           prop_global_bounds_simulation ] ) ]

@@ -45,8 +45,11 @@ let arb_taskset ~n_cores ~n_rt ~n_sec =
 let round_robin_assignment ts =
   Array.init (Array.length ts.Task.rt) (fun i -> i mod ts.Task.n_cores)
 
-let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest
+(* [seed] fixes the cases drawn; without it each run draws afresh (the
+   seed is printed, QCHECK_SEED replays it). *)
+let qtest ?(count = 100) ?seed name arb prop =
+  let rand = Option.map (fun s -> Random.State.make [| s |]) seed in
+  QCheck_alcotest.to_alcotest ?rand
     (QCheck.Test.make ~count ~name arb prop)
 
 (* ------------------------------------------------------------------ *)
