@@ -6,7 +6,8 @@
    - unqualified [f]: the module's own mutable bindings plus its
      values (preferring those nested under the caller's top-level
      binding, then top-level values); then each [open]/[include]d
-     module, qualified.
+     module, qualified. A call to one of the caller's own parameters
+     never gets here: phase 1 records it as a local call.
    - qualified [M.f]: module [M] in the same directory first (dune
      wraps each lib directory, so in-library references are bare),
      then a unique global match; ambiguity resolves to nothing

@@ -191,6 +191,16 @@ let is_syntactic_fun e =
   | Pexp_fun _ | Pexp_newtype _ | Pexp_function _ -> true
   | _ -> false
 
+(* Names bound by the parameters [peel_params] strips, the cases of a
+   trailing [function] included. *)
+let rec param_vars acc e =
+  match e.pexp_desc with
+  | Pexp_fun (_, _, p, body) -> param_vars (pat_vars acc p) body
+  | Pexp_newtype (_, body) -> param_vars acc body
+  | Pexp_function cases ->
+      List.fold_left (fun acc c -> pat_vars acc c.pc_lhs) acc cases
+  | _ -> acc
+
 (* ------------------------------------------------------------------ *)
 (* Reference collection *)
 
@@ -214,11 +224,14 @@ let push seen key tag lst =
 
 (* Collect referenced identifiers in [e0]. [excl] holds locally-bound
    names (minus names that are recorded module values, which stay
-   resolvable); [recorded] is that exception set. *)
+   resolvable); [recorded] is that exception set. A parameter of [e0]
+   itself shadows a recorded value of the same name: inside the body
+   the name is the argument, not the module's binding. *)
 let collect_refs ~excl ~recorded e0 =
   let r = fresh_refs () in
+  let params = param_vars [] e0 in
   let is_local n =
-    Hashtbl.mem excl n && not (Hashtbl.mem recorded n)
+    List.mem n params || (Hashtbl.mem excl n && not (Hashtbl.mem recorded n))
   in
   let note_ident ~applied parts =
     let name = join parts in

@@ -34,8 +34,9 @@ end
    live domains at 128 and domain ids only grow, so a power-of-two mask
    keeps collisions rare — and a collision merely shares an atomic, it
    never loses an update. Reads sum (or fold min/max over) the stripes;
-   they are exact once the writing domains have been joined, which is
-   the only point the experiment harnesses read them. *)
+   they are exact once the map has drained (every worker checks back in
+   under the pool's mutex before the map returns), which is the only
+   point the experiment harnesses read them. *)
 
 let stripes = 64
 let slot () = (Domain.self () :> int) land (stripes - 1)

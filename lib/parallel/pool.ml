@@ -15,8 +15,8 @@ let map_seq f n =
    one per [fetch_and_add], until the range is exhausted or some
    worker has failed. [apply i] writes slot [i] of the caller's output
    array — distinct indices, so no write ever races with another.
-   Shared by the spawn-per-map {!map} and the persistent {!Static}
-   pool so both have the same scheduling and failure behavior. *)
+   Every domain of a {!Static} map runs it, the calling domain
+   included. *)
 let claim_loop ~cursor ~failure ~n apply =
   let running = ref true in
   while !running do
@@ -38,52 +38,16 @@ let reraise_failure failure =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let map ?obs ?jobs f n =
-  if n < 0 then invalid_arg "Pool.map: negative length";
-  let jobs =
-    let requested =
-      match jobs with Some j -> max 1 j | None -> default_jobs ()
-    in
-    (* more workers than items would only spawn idle domains *)
-    min requested (max 1 n)
-  in
-  (* the pool records only what is a pure function of the workload —
-     how many maps and items, never which worker ran what or for how
-     long — so snapshots stay byte-identical across --jobs *)
-  Hydra_obs.incr obs "pool.maps";
-  Hydra_obs.add obs "pool.items" n;
-  if jobs = 1 then map_seq f n
-  else begin
-    let out = Array.make n None in
-    let cursor = Atomic.make 0 in
-    let failure = Atomic.make None in
-    let worker () =
-      claim_loop ~cursor ~failure ~n (fun i -> out.(i) <- Some (f i))
-    in
-    let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join spawned;
-    reraise_failure failure;
-    Array.map (function Some v -> v | None -> assert false) out
-  end
-
-let map_array ?obs ?jobs f a =
-  map ?obs ?jobs (fun i -> f a.(i)) (Array.length a)
-
-let map_list ?obs ?jobs f l =
-  Array.to_list (map_array ?obs ?jobs f (Array.of_list l))
-
 (* Persistent worker pool: [jobs - 1] long-lived domains parked on a
    condition variable between maps. [map] publishes a job under the
    mutex as a monomorphic [unit -> unit] body (the polymorphic output
    array is captured in the closure), bumps the epoch, wakes everyone,
    runs the same claim loop in the calling domain, then blocks until
-   every worker has checked back in. Spawning a domain costs ~100 us;
-   a server dispatching small batches per request would pay that on
-   every batch with {!map}, which is the entire reason this module
-   exists (doc/SERVER.md). Determinism is inherited from
-   {!claim_loop}: results are slotted by index, so output is identical
-   for every [jobs]. *)
+   every worker has checked back in. Spawning a domain costs ~100 us,
+   so a map on parked domains costs a wake-up instead. {!map} drives
+   one shared pool; the daemon owns its own (doc/SERVER.md).
+   Determinism is inherited from {!claim_loop}: results are slotted by
+   index, so output is identical for every [jobs]. *)
 module Static = struct
   type t = {
     jobs : int;
@@ -176,3 +140,59 @@ module Static = struct
       Array.map (function Some v -> v | None -> assert false) out
     end
 end
+
+(* The pool behind {!map}: created at the first map that needs more
+   than one domain, re-created only when a map needs another size, and
+   parked between maps. Its domains persist because spawning and
+   joining one per map grows the major heap on every call (OCaml 5.1),
+   so a long run's peak RSS would rise with its number of maps. [Busy]
+   is held for the whole of a map, so the pool runs one map at a time;
+   a map that finds it taken (a map nested in an item, or one issued
+   from another domain meanwhile) runs the exact sequential path
+   instead. *)
+type shared = Idle of Static.t option | Busy
+
+let shared = Atomic.make (Idle None)
+
+let acquire () =
+  match Atomic.get shared with
+  | Busy -> None
+  | Idle pool as seen ->
+      if Atomic.compare_and_set shared seen Busy then Some pool else None
+
+let map ?obs ?jobs f n =
+  if n < 0 then invalid_arg "Pool.map: negative length";
+  let jobs =
+    let requested =
+      match jobs with Some j -> max 1 j | None -> default_jobs ()
+    in
+    (* more workers than items would only park idle domains *)
+    min requested (max 1 n)
+  in
+  (* the pool records only what is a pure function of the workload —
+     how many maps and items, never which worker ran what or for how
+     long — so snapshots stay byte-identical across --jobs *)
+  Hydra_obs.incr obs "pool.maps";
+  Hydra_obs.add obs "pool.items" n;
+  match if jobs = 1 then None else acquire () with
+  | None -> map_seq f n
+  | Some old ->
+      let pool = ref None in
+      Fun.protect
+        ~finally:(fun () -> Atomic.set shared (Idle !pool))
+        (fun () ->
+          let p =
+            match old with
+            | Some p when p.Static.jobs = jobs -> p
+            | _ ->
+                Option.iter Static.shutdown old;
+                Static.create ~jobs
+          in
+          pool := Some p;
+          Static.map p f n)
+
+let map_array ?obs ?jobs f a =
+  map ?obs ?jobs (fun i -> f a.(i)) (Array.length a)
+
+let map_list ?obs ?jobs f l =
+  Array.to_list (map_array ?obs ?jobs f (Array.of_list l))

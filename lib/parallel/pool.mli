@@ -13,9 +13,18 @@
     index, never over what the result at that index is. Provided [f]
     is deterministic and items are independent (no shared mutable
     state), the output is identical for [jobs = 1] and [jobs = 64].
-    [jobs = 1] does not spawn any domain at all — it is a plain
+    [jobs = 1] does not use any other domain at all — it is a plain
     ascending [for] loop in the calling domain, i.e. the exact
     sequential path.
+
+    {b Persistent domains.} {!map} runs on one shared {!Static} pool
+    whose worker domains persist between calls: it is created by the
+    first call that needs more than one domain, re-created only when a
+    call needs a different number, and parked on a condition variable
+    in between. A call nested in an item of a running map, or made
+    from another domain while a map runs, finds the pool busy and runs
+    the exact sequential path, so results are the same either way.
+    Parked domains do not keep the process from exiting.
 
     Scheduling is work-stealing: a shared atomic cursor hands out one
     index at a time to whichever worker is idle, so heterogeneous item
@@ -33,13 +42,15 @@ val default_jobs : unit -> int
 
 val map : ?obs:Hydra_obs.t -> ?jobs:int -> (int -> 'a) -> int -> 'a array
 (** [map ~jobs f n] is [[| f 0; ...; f (n-1) |]] computed on [jobs]
-    domains ([jobs - 1] spawned workers plus the calling domain).
-    [jobs] defaults to {!default_jobs}[ ()] and is clamped to between
-    1 and [n].
+    domains ([jobs - 1] parked workers of the shared pool plus the
+    calling domain). [jobs] defaults to {!default_jobs}[ ()] and is
+    clamped to between 1 and [n]; the pool is re-created when the
+    clamped value differs from its size.
 
     If any [f i] raises, the first exception (in steal order) is
     re-raised in the caller with its backtrace after all workers have
-    stopped; remaining unclaimed indices are abandoned.
+    stopped; remaining unclaimed indices are abandoned, and the pool
+    stays usable.
 
     With [?obs], the pool records two workload counters, [pool.maps]
     and [pool.items]. Both are pure functions of the calls, so a
@@ -58,14 +69,14 @@ val map_list :
 (** [map_list f l] is [List.map f l], parallelized as {!map}. The
     result preserves list order. *)
 
-(** Persistent worker pool for callers that dispatch {e many small}
-    maps: the admission-control daemon runs one map per request batch,
-    and paying a domain spawn (~100 us) per batch would dominate its
-    latency profile (doc/SERVER.md). [create ~jobs] spawns [jobs - 1]
+(** Persistent worker pool, owned by its caller: {!val:map} drives one
+    shared instance, and the admission-control daemon owns its own,
+    with one map per request batch, so that no batch pays a domain
+    spawn (~100 us) (doc/SERVER.md). [create ~jobs] spawns [jobs - 1]
     long-lived domains that park on a condition variable between maps;
     {!Static.map} hands them a job, joins in from the calling domain,
     and blocks until the job is drained — so a pool runs exactly one
-    map at a time and must only be driven from one domain.
+    map at a time and must only be driven from one domain at a time.
 
     The determinism contract is the same as {!map}: results are
     slotted by index, so the output array is identical for every

@@ -3,12 +3,15 @@ module Paths = Map.Make (String)
 type path = string
 
 (* A persistent map, so [list_paths] comes out sorted by construction
-   and a store's bindings are never shared mutably with another's. *)
-type t = { mutable files : string Paths.t }
+   and a store's bindings are never shared mutably with another's.
+   [generation] counts the changes to the set of paths. *)
+type t = { mutable files : string Paths.t; mutable generation : int }
 
-let create () = { files = Paths.empty }
+let create () = { files = Paths.empty; generation = 0 }
 
-let add_file t path content = t.files <- Paths.add path content t.files
+let add_file t path content =
+  if not (Paths.mem path t.files) then t.generation <- t.generation + 1;
+  t.files <- Paths.add path content t.files
 
 let require t path =
   if not (Paths.mem path t.files) then raise Not_found
@@ -25,7 +28,10 @@ let read t path = Paths.find path t.files
 
 let remove t path =
   require t path;
-  t.files <- Paths.remove path t.files
+  t.files <- Paths.remove path t.files;
+  t.generation <- t.generation + 1
+
+let generation t = t.generation
 
 let mem t path = Paths.mem path t.files
 let file_count t = Paths.cardinal t.files

@@ -24,6 +24,10 @@ val read : t -> path -> string
 val remove : t -> path -> unit
 (** @raise Not_found if absent. *)
 
+val generation : t -> int
+(** A counter that {!add_file} of a new path and {!remove} bump: it
+    moves whenever the set of paths changes, and only then. *)
+
 val mem : t -> path -> bool
 val file_count : t -> int
 

@@ -2,7 +2,8 @@ module Store = struct
   type store = Filesystem.t
 
   let keys = Filesystem.list_paths
-  let fingerprint store key = Hash.fnv1a64 (Filesystem.read store key)
+  let generation = Filesystem.generation
+  let fingerprint store key = Hash.words64 (Filesystem.read store key)
 end
 
 module Checker = Profile_checker.Make (Store)

@@ -1,11 +1,12 @@
 (** Tripwire analogue: file-system integrity checking over the
     synthetic {!Filesystem} (paper Sec. 5.1.2 — Tripwire watches the
     rover's image data-store). An instantiation of {!Profile_checker}
-    with FNV-1a content fingerprints. *)
+    with word-wise content fingerprints ({!Hash.words64}). *)
 
 module Store : Profile_checker.ITEM_STORE with type store = Filesystem.t
-(** The view of the store the checker scans: the sorted paths, and the
-    FNV-1a hash of a file's content as its fingerprint. *)
+(** The view of the store the checker scans: the sorted paths, the
+    store's {!Filesystem.generation}, and {!Hash.words64} of a file's
+    content as its fingerprint. *)
 
 type t
 

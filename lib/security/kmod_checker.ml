@@ -5,18 +5,22 @@ type module_info = {
   m_signature : string;
 }
 
-type table = { mutable mods : module_info list }
+(* [generation] counts the changes to the set of names. *)
+type table = { mutable mods : module_info list; mutable generation : int }
 
-let create_table mods = { mods }
+let create_table mods = { mods; generation = 0 }
 
 let modules t =
   List.sort (fun a b -> compare a.m_name b.m_name) t.mods
 
-let insert_module t m = t.mods <- m :: t.mods
+let insert_module t m =
+  t.mods <- m :: t.mods;
+  t.generation <- t.generation + 1
 
 let hide_module t name =
   if not (List.exists (fun m -> m.m_name = name) t.mods) then raise Not_found;
-  t.mods <- List.filter (fun m -> m.m_name <> name) t.mods
+  t.mods <- List.filter (fun m -> m.m_name <> name) t.mods;
+  t.generation <- t.generation + 1
 
 let patch_module t name ~size =
   if not (List.exists (fun m -> m.m_name = name) t.mods) then raise Not_found;
@@ -46,14 +50,17 @@ module Store = struct
   type store = table
 
   let keys t = List.map (fun m -> m.m_name) t.mods
+  let generation t = t.generation
 
   let fingerprint t key =
     match List.find_opt (fun m -> m.m_name = key) t.mods with
     | None -> raise Not_found
     | Some m ->
-        Hash.fnv1a64_list
-          [ m.m_name; string_of_int m.m_size; Int64.to_string m.m_addr;
-            m.m_signature ]
+        Hash.combine
+          (Hash.combine
+             (Hash.combine (Hash.words64 m.m_name) (Int64.of_int m.m_size))
+             m.m_addr)
+          (Hash.words64 m.m_signature)
 end
 
 module Checker = Profile_checker.Make (Store)

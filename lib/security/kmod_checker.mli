@@ -35,9 +35,11 @@ val default_profile : unit -> module_info list
 
 module Store : Profile_checker.ITEM_STORE with type store = table
 (** The view of the table the checker scans: module names as keys, in
-    table order (a duplicated name appears once per entry), and the
-    hash of a module's name, size, address and signature as its
-    fingerprint. *)
+    table order (a duplicated name appears once per entry); a
+    generation that {!insert_module} and {!hide_module} bump; and as a
+    module's fingerprint, {!Hash.words64} of its name and of its
+    signature, {!Hash.combine}d with its size and address taken as
+    integers (no number is formatted per check). *)
 
 type t
 (** The checker: expected profile plus region split. *)

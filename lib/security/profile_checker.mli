@@ -16,6 +16,13 @@ module type ITEM_STORE = sig
   val keys : store -> string list
   (** Current item keys, any order. *)
 
+  val generation : store -> int
+  (** A counter that changes whenever the set of keys changes (a key
+      added or removed). The checker partitions the keys by region
+      again only when it has moved since the last partition, so a
+      store that changes its keys without moving it is checked against
+      a stale partition. *)
+
   val fingerprint : store -> string -> int64
   (** Fingerprint of one item. @raise Not_found if the key vanished
       between [keys] and [fingerprint] (not possible in this
@@ -42,9 +49,11 @@ module Make (S : ITEM_STORE) : sig
   (** Deterministic region of a key (stable across adds/removes). *)
 
   val check_region : t -> int -> violation list
-  (** Rescans one region against the baseline. The baseline is kept
-      grouped by region, so the check reads only this region's part
-      of it; it still fingerprints every live item of the region. *)
+  (** Rescans one region against the baseline. The baseline and the
+      live keys are kept grouped by region, so the check reads only
+      this region's part of each; it still fingerprints every live
+      item of the region. The live keys are listed and partitioned
+      again only after [S.generation] has moved. *)
 
   val check_all : t -> violation list
   (** Full pass over every region, in region order. *)

@@ -265,6 +265,23 @@ let test_interproc_messages () =
   check_contains "note" n "cannot prove";
   check_contains "note callee" n "Ext_mystery.transform"
 
+(* A parameter shadows a top-level value of the same name
+   (lint_fixtures/shadow/): [run ~omega] calls its argument, so both
+   files get the same "bound by a parameter" note and neither gets a
+   D8 finding through the top-level [omega]. *)
+let test_parameter_shadows_value () =
+  let r = Lint.Driver.run [ "lint_fixtures/shadow" ] in
+  check_int "no errors" 0 (List.length r.Lint.Driver.errors);
+  check_sites "no findings" [] (rule_sites r.findings);
+  check_sites "notes"
+    [ ("D8", "shadow.ml", 5); ("D8", "shadow_renamed.ml", 3) ]
+    (rule_sites r.notes);
+  List.iter
+    (fun n ->
+      check_contains "note" n.Lint.Finding.msg
+        "'run' calls 'omega', bound by a parameter")
+    r.notes
+
 (* ------------------------------------------------------------------ *)
 (* Path arguments *)
 
@@ -393,7 +410,9 @@ let () =
         [ Alcotest.test_case "D7/D8 fixture findings" `Quick
             test_interproc_findings;
           Alcotest.test_case "finding messages" `Quick
-            test_interproc_messages ] );
+            test_interproc_messages;
+          Alcotest.test_case "parameter shadows a value" `Quick
+            test_parameter_shadows_value ] );
       ( "determinism",
         [ Alcotest.test_case "path warnings" `Quick test_warnings ] );
       ( "sarif", [ Alcotest.test_case "sarif export" `Quick test_sarif ] );

@@ -53,6 +53,108 @@ let test_map_list_array () =
     (Pool.map_array ~jobs:4 (fun x -> 2 * x) [| 0; 1; 2 |])
 
 (* ------------------------------------------------------------------ *)
+(* The pool behind [map]: its worker domains persist between calls *)
+
+let self () = (Domain.self () :> int)
+
+module Ints = Set.Make (Int)
+
+(* [map ~jobs f n] with the domain that ran each item; each item
+   spins a little first, so that every domain of a map gets some *)
+let map_on ~jobs f n =
+  Pool.map ~jobs
+    (fun i ->
+      for _ = 1 to 20_000 do ignore (Sys.opaque_identity i) done;
+      (f i, self ()))
+    n
+
+let domains_of results = Ints.of_list (Array.to_list (Array.map snd results))
+
+let test_domains_persist () =
+  let seen = ref Ints.empty in
+  for round = 1 to 50 do
+    let r = map_on ~jobs:2 (fun i -> (round * 100) + i) 16 in
+    check int_array "round" (Array.init 16 (fun i -> (round * 100) + i))
+      (Array.map fst r);
+    seen := Ints.union !seen (domains_of r)
+  done;
+  (* a domain per call would show up to 51 *)
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 2 domains in 50 maps (saw %d)"
+       (Ints.cardinal !seen))
+    true
+    (Ints.cardinal !seen <= 2)
+
+let test_nested_map_sequential () =
+  let inner i j = (i * 10) + j in
+  let r =
+    Pool.map ~jobs:2
+      (fun i ->
+        let outer = self () in
+        let nested = map_on ~jobs:2 (inner i) 5 in
+        (Array.map fst nested, Ints.elements (domains_of nested), outer))
+      4
+  in
+  Array.iteri
+    (fun i (values, domains, outer) ->
+      check int_array "nested = sequential" (Array.init 5 (inner i)) values;
+      Alcotest.(check (list int)) "nested items on the item's domain"
+        [ outer ] domains)
+    r
+
+let test_second_domain_while_busy () =
+  let started = Atomic.make false and finished = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        while not (Atomic.get started) do Domain.cpu_relax () done;
+        let r = map_on ~jobs:2 (fun i -> i * i) 20 in
+        Atomic.set finished true;
+        (r, self ()))
+  in
+  let busy =
+    Pool.map ~jobs:2
+      (fun i ->
+        if i = 0 then begin
+          Atomic.set started true;
+          while not (Atomic.get finished) do Domain.cpu_relax () done
+        end;
+        i)
+      4
+  in
+  let r, caller = Domain.join other in
+  check int_array "busy map" [| 0; 1; 2; 3 |] busy;
+  check int_array "second domain's map = sequential"
+    (Array.init 20 (fun i -> i * i)) (Array.map fst r);
+  Alcotest.(check (list int)) "ran on the calling domain" [ caller ]
+    (Ints.elements (domains_of r))
+
+let test_resize () =
+  List.iter
+    (fun jobs ->
+      for _ = 1 to 5 do
+        let n = Ints.cardinal (domains_of (map_on ~jobs (fun i -> i) 40)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "jobs:%d uses at most %d domains (saw %d)" jobs
+             jobs n)
+          true (n <= jobs)
+      done)
+    [ 3; 2; 4; 2 ]
+
+let test_failure_then_reuse () =
+  let before = domains_of (map_on ~jobs:2 (fun i -> i) 32) in
+  Alcotest.check_raises "item failure reaches caller" (Failure "boom")
+    (fun () ->
+      ignore
+        (Pool.map ~jobs:2
+           (fun i -> if i = 13 then failwith "boom" else i)
+           64));
+  let r = map_on ~jobs:2 (fun i -> i) 64 in
+  check int_array "usable after failure" (Array.init 64 Fun.id)
+    (Array.map fst r);
+  Alcotest.(check bool) "same pool: at most 2 domains before and after" true
+    (Ints.cardinal (Ints.union before (domains_of r)) <= 2)
+
+(* ------------------------------------------------------------------ *)
 (* Static (persistent) pool *)
 
 let with_static ~jobs f =
@@ -169,8 +271,16 @@ let () =
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagates;
           Alcotest.test_case "default jobs" `Quick test_default_jobs;
-          Alcotest.test_case "map_list/map_array" `Quick test_map_list_array
-        ] );
+          Alcotest.test_case "map_list/map_array" `Quick test_map_list_array;
+          Alcotest.test_case "domains persist across maps" `Quick
+            test_domains_persist;
+          Alcotest.test_case "nested map runs sequentially" `Quick
+            test_nested_map_sequential;
+          Alcotest.test_case "map from a second domain while busy" `Quick
+            test_second_domain_while_busy;
+          Alcotest.test_case "resized per jobs" `Quick test_resize;
+          Alcotest.test_case "failure then reuse" `Quick
+            test_failure_then_reuse ] );
       ( "static",
         [ Alcotest.test_case "matches map" `Quick test_static_matches_map;
           Alcotest.test_case "reuse across epochs" `Quick test_static_reuse;

@@ -29,10 +29,6 @@ let test_hash_discriminates () =
   check_bool "empty vs non-empty" true
     (Hash.fnv1a64 "" <> Hash.fnv1a64 "x")
 
-let test_hash_list_order_sensitive () =
-  check_bool "order matters" true
-    (Hash.fnv1a64_list [ "a"; "b" ] <> Hash.fnv1a64_list [ "b"; "a" ])
-
 let test_hash_known_answers () =
   (* The published FNV-1a 64 test vectors: determinism and inequality
      alone would pass a kernel that computed some other function. *)
@@ -44,19 +40,85 @@ let test_hash_known_answers () =
       ("foobar", 0x85944171f73967e8L) ]
 
 let test_hash_allocates_only_result () =
-  (* The kernel's accumulator must stay unboxed: hashing a 4 KiB image
-     may allocate the boxed result and nothing per byte. *)
+  (* Each kernel's state must stay unboxed: hashing a 4 KiB image may
+     allocate the boxed result and nothing per byte or word. *)
   let image = String.make 4096 'x' in
-  ignore (Sys.opaque_identity (Hash.fnv1a64 image));
-  let calls = 100 in
-  let before = Gc.minor_words () in
-  for _ = 1 to calls do
-    ignore (Sys.opaque_identity (Hash.fnv1a64 image))
-  done;
-  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
-  check_bool
-    (Printf.sprintf "at most 8 minor words per call (got %.1f)" per_call)
-    true (per_call <= 8.0)
+  List.iter
+    (fun (name, hash) ->
+      ignore (Sys.opaque_identity (hash image));
+      let calls = 100 in
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (hash image))
+      done;
+      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+      check_bool
+        (Printf.sprintf "%s: at most 8 minor words per call (got %.1f)" name
+           per_call)
+        true (per_call <= 8.0))
+    [ ("fnv1a64", Hash.fnv1a64); ("words64", Hash.words64) ]
+
+(* The content kernel, [Hash.words64]. Its vectors come from an
+   independent transcription of the definition in hash.mli (xor each
+   little-endian word into the state, multiply by 0xBF58476D1CE4E5B9,
+   xorshift right by 31; seed 0x9E3779B97F4A7C15 xor the length; the
+   tail zero-padded into one word). *)
+let test_words64_known_answers () =
+  List.iter
+    (fun (label, input, expected) ->
+      Alcotest.(check int64) ("words64 " ^ label) expected (Hash.words64 input))
+    [ ("empty", "", 0x9e3779b97f4a7c15L);
+      ("a", "a", 0x978edaae6d412cd3L);
+      ("foobar", "foobar", 0x6f70a0368487f8e1L);
+      ("one word", "abcdefgh", 0x15fdf91c349001a4L);
+      ("word and tail", "abcdefghi", 0xa4ef31bf21eabc42L);
+      (* every bit set, bit 63 included *)
+      ("0xff x 8", String.make 8 '\xff', 0x6f716b65518fae99L);
+      ("4 KiB image", String.init 4096 (fun i -> Char.chr (i land 255)),
+       0xf51673de9e58a7f5L) ]
+
+let test_words64_trailing_zeros () =
+  (* the tail is zero-padded, so only the length in the seed tells
+     these apart *)
+  List.iter
+    (fun s ->
+      check_bool
+        (Printf.sprintf "%S vs %S" s (s ^ "\000"))
+        true
+        (Hash.words64 s <> Hash.words64 (s ^ "\000")))
+    [ ""; "ab"; "abcdefg"; "abcdefgh"; "abcdefgh\000" ]
+
+(* Between two strings of one length, changing one 8-byte word (the
+   zero-padded tail counts as one) or flipping one bit must change the
+   result: every step is a bijection of the state. Each case tries
+   every bit of its string, and replaces each of its words with the
+   case's random word (the low bit of the word's first byte flipped
+   if that would change nothing). *)
+let replace_word s w r =
+  let lo = w * 8 in
+  let len = min 8 (String.length s - lo) in
+  let word = Bytes.create 8 in
+  Bytes.set_int64_le word 0 r;
+  let b = Bytes.of_string s in
+  Bytes.blit word 0 b lo len;
+  if Bytes.sub_string b lo len = String.sub s lo len then
+    Bytes.set b lo (Char.chr (Char.code s.[lo] lxor 1));
+  Bytes.to_string b
+
+let flip_bit s k =
+  let b = Bytes.of_string s in
+  Bytes.set b (k / 8) (Char.chr (Char.code s.[k / 8] lxor (1 lsl (k mod 8))));
+  Bytes.to_string b
+
+let prop_words64_sensitive =
+  Test_util.qtest ~count:200 "words64: any one word or bit changes it"
+    QCheck.(pair (string_of_size Gen.(int_range 0 100)) int64)
+    (fun (s, r) ->
+      let n = String.length s and h = Hash.words64 s in
+      List.for_all
+        (fun s' -> Hash.words64 s' <> h)
+        (List.init (n * 8) (flip_bit s)
+        @ List.init ((n + 7) / 8) (fun w -> replace_word s w r)))
 
 (* ------------------------------------------------------------------ *)
 (* Filesystem *)
@@ -162,6 +224,77 @@ let test_checker_region_partition () =
       check_bool "region in range" true
         (r >= 0 && r < Integrity_checker.n_regions checker))
     (Filesystem.list_paths fs)
+
+(* The key partition is work the checker does once per key set: a
+   store that counts its [keys] and [fingerprint] calls. *)
+module Counting_store = struct
+  type store = {
+    mutable items : (string * int64) list;
+    mutable gen : int;
+    mutable key_calls : int;
+    mutable fp_calls : int;
+  }
+
+  let keys s =
+    s.key_calls <- s.key_calls + 1;
+    List.map fst s.items
+
+  let generation s = s.gen
+
+  let fingerprint s key =
+    s.fp_calls <- s.fp_calls + 1;
+    List.assoc key s.items
+end
+
+module Counting_checker = Profile_checker.Make (Counting_store)
+
+let violation = Alcotest.testable Profile_checker.pp_violation ( = )
+
+let test_partition_per_key_set () =
+  let store =
+    { Counting_store.items =
+        List.init 256 (fun i -> (Printf.sprintf "k%03d" i, Int64.of_int i));
+      gen = 0; key_calls = 0; fp_calls = 0 }
+  in
+  let checker = Counting_checker.create store ~n_regions:64 in
+  let check_all_regions () =
+    for r = 0 to 63 do
+      check_int (Printf.sprintf "region %d clean" r) 0
+        (List.length (Counting_checker.check_region checker r))
+    done
+  in
+  check_all_regions ();
+  (* one listing for the baseline and all 64 checks (one per check
+     before: 65); every check still fingerprints each of its items *)
+  check_int "keys listed once" 1 store.key_calls;
+  check_int "each item fingerprinted by create and by its check" 512
+    store.fp_calls;
+  (* a content change needs no new listing *)
+  store.items <-
+    List.map
+      (fun (k, v) -> if k = "k007" then (k, 99L) else (k, v))
+      store.items;
+  Alcotest.(check (list violation))
+    "modified" [ Profile_checker.Modified "k007" ]
+    (Counting_checker.check_region checker
+       (Counting_checker.region_of_key checker "k007"));
+  check_int "still one listing" 1 store.key_calls;
+  Counting_checker.accept checker ~key:"k007";
+  (* a new key moves the generation and shows at its region's next
+     check *)
+  store.items <- ("rootkit", 7L) :: store.items;
+  store.gen <- store.gen + 1;
+  Alcotest.(check (list violation)) "added" [ Profile_checker.Added "rootkit" ]
+    (Counting_checker.check_region checker
+       (Counting_checker.region_of_key checker "rootkit"));
+  check_int "listed again after the key set changed" 2 store.key_calls;
+  Counting_checker.accept checker ~key:"rootkit";
+  store.items <- List.remove_assoc "k100" store.items;
+  store.gen <- store.gen + 1;
+  Alcotest.(check (list violation)) "removed" [ Profile_checker.Removed "k100" ]
+    (Counting_checker.check_region checker
+       (Counting_checker.region_of_key checker "k100"));
+  check_int "three listings in all" 3 store.key_calls
 
 (* ------------------------------------------------------------------ *)
 (* Region-indexed checker vs. the flat-baseline reference
@@ -654,11 +787,14 @@ let () =
     [ ( "hash",
         [ Alcotest.test_case "deterministic" `Quick test_hash_deterministic;
           Alcotest.test_case "discriminates" `Quick test_hash_discriminates;
-          Alcotest.test_case "list order sensitive" `Quick
-            test_hash_list_order_sensitive;
           Alcotest.test_case "known answers" `Quick test_hash_known_answers;
           Alcotest.test_case "allocates only the result" `Quick
-            test_hash_allocates_only_result ] );
+            test_hash_allocates_only_result;
+          Alcotest.test_case "words64 known answers" `Quick
+            test_words64_known_answers;
+          Alcotest.test_case "words64 trailing zero bytes" `Quick
+            test_words64_trailing_zeros;
+          prop_words64_sensitive ] );
       ( "filesystem",
         [ Alcotest.test_case "crud" `Quick test_fs_crud;
           Alcotest.test_case "errors on missing" `Quick
@@ -675,6 +811,8 @@ let () =
             test_checker_detects_added_and_removed;
           Alcotest.test_case "rebaseline clears" `Quick
             test_checker_rebaseline_clears;
+          Alcotest.test_case "key partition per key set" `Quick
+            test_partition_per_key_set;
           Alcotest.test_case "region partition" `Quick
             test_checker_region_partition ] );
       ( "kmod_checker",
