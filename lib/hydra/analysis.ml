@@ -16,9 +16,9 @@ type time = Task.time
    workloads. The arrays are plain (not thread-safe) state: a system
    value must not be shared across domains — the sweep builds one per
    taskset per worker, see analysis.mli. The hit/miss/eviction/refresh
-   tallies back {!cache_stats}; the [?obs] counters are recorded
-   alongside, they are not a substitute (a daemon holds one registry
-   for many tenant systems). *)
+   tallies back {!cache_stats}; each response-time call adds its own
+   share of them to the [?obs] counters, which are not a substitute
+   (a daemon holds one registry for many tenant systems). *)
 type cache = {
   keys : int array;  (* slots, a power of two *)
   wl : int array;  (* slots * n_cores *)
@@ -101,27 +101,22 @@ let refresh_rt_cores sys new_cores ~changed =
   { sys with rt_cores = new_cores }
 
 (* The RT term of Eq. 6 for a window of length [x]: the sum over cores
-   of the clamped raw workload, memoized per window. Bit-identical to
-   the oracle's uncached term because interference =
-   clamp(rt_core_workload core x) either way. *)
-let rt_term obs sys ~job_wcet x =
+   of the clamped raw workload, memoized per window, each core's term
+   recording its slack in [runs] for the fixed point's jump. Bit-identical
+   to the oracle's uncached term because interference =
+   clamp(rt_core_workload core x) either way. The lookups are tallied
+   in the cache's own counters; {!response_time} adds them to [obs]. *)
+let rt_term sys runs ~job_wcet x =
   let c = sys.cache in
   let n = sys.n_cores in
   let slot = x land (Array.length c.keys - 1) in
   let base = slot * n in
   let wl = c.wl in
   let k = c.keys.(slot) in
-  if k = x then begin
-    Hydra_obs.incr obs "analysis.cache.hit";
-    c.c_hits <- c.c_hits + 1
-  end
+  if k = x then c.c_hits <- c.c_hits + 1
   else begin
-    Hydra_obs.incr obs "analysis.cache.miss";
     c.c_misses <- c.c_misses + 1;
-    if k >= 0 then begin
-      c.c_evictions <- c.c_evictions + 1;
-      Hydra_obs.incr obs "analysis.cache.evicted"
-    end;
+    if k >= 0 then c.c_evictions <- c.c_evictions + 1;
     c.keys.(slot) <- x;
     for m = 0 to n - 1 do
       wl.(base + m) <- Workload.rt_core_workload sys.rt_cores.(m) x
@@ -129,7 +124,7 @@ let rt_term obs sys ~job_wcet x =
   end;
   let acc = ref 0 in
   for m = 0 to n - 1 do
-    acc := !acc + Workload.interference ~job_wcet ~window:x wl.(base + m)
+    acc := !acc + Guan.clamped runs ~job_wcet x wl.(base + m)
   done;
   !acc
 
@@ -154,17 +149,17 @@ let guan_hp hp =
 (* Eq. 7 under the Guan bound: the kernel's Omega (every hp task's
    non-carry-in interference plus the M-1 largest carry-in increments)
    plus the cached RT term, iterated from [max wcet warm]
-   (doc/PERFORMANCE.md §3). *)
-let response_time_top_delta ~warm obs sys (g : Guan.hp) ~wcet ~limit =
+   (doc/PERFORMANCE.md §3) with the kernel's jumps (§2). *)
+let response_time_top_delta ~warm obs sys runs (g : Guan.hp) ~wcet ~limit =
   let n = Array.length g.wcet in
   Hydra_obs.observe obs "analysis.carry_in.set_size" (min (sys.n_cores - 1) n);
   let top = Array.make (sys.n_cores - 1) 0 in
   let iters = ref 0 in
   let r =
-    Guan.fixpoint ~start:warm ~iters ~n_cores:sys.n_cores ~wcet ~limit
+    Guan.fixpoint ~start:warm ~iters ~runs ~n_cores:sys.n_cores ~wcet ~limit
       (fun x ->
-        rt_term obs sys ~job_wcet:wcet x
-        + Guan.bound g ~n ~top ~job_wcet:wcet x)
+        rt_term sys runs ~job_wcet:wcet x
+        + Guan.bound g ~n ~top ~runs ~job_wcet:wcet x)
   in
   record_fixpoint obs iters r;
   r
@@ -192,13 +187,18 @@ let response_time_top_delta ~warm obs sys (g : Guan.hp) ~wcet ~limit =
      limit), if Omega_S(b)/M + C_s <= b then lfp(S) <= b, so S can
      neither raise the maximum nor diverge; it is skipped without its
      fixed point (analysis.prune.subsets_skipped), as it is once b
-     reaches r_top.
+     reaches r_top. RT(b) + sum_i nc_i(b) and each candidate's
+     delta_i(b) are computed once per value of b, so a test costs
+     O(|S|).
 
    - Warm floor: [warm] is a caller-guaranteed lower bound on the Eq. 8
      value. It only seeds the running maximum under the certificate,
-     never an individual set's iteration. *)
-let response_time_eq8 ~warm obs sys (g : Guan.hp) ~wcet ~limit =
-  let r_top = response_time_top_delta ~warm obs sys g ~wcet ~limit in
+     never an individual set's iteration.
+
+   Each set's fixed point jumps on the runs of its own terms
+   (Guan.set_bound), not on the top set's. *)
+let response_time_eq8 ~warm obs sys runs (g : Guan.hp) ~wcet ~limit =
+  let r_top = response_time_top_delta ~warm obs sys runs g ~wcet ~limit in
   let n = Array.length g.wcet in
   let cand = Array.make n 0 in
   let n_cand = ref 0 in
@@ -225,16 +225,27 @@ let response_time_eq8 ~warm obs sys (g : Guan.hp) ~wcet ~limit =
   else begin
     let certified = Option.is_some r_top in
     let cap = Option.value r_top ~default:max_int in
-    (* the set under consideration: cand indices chosen.(0 .. size-1) *)
+    (* the set under consideration: task indices chosen.(0 .. size-1) *)
     let chosen = Array.make k 0 in
     let omega size x =
-      let acc =
-        ref
-          (rt_term obs sys ~job_wcet:wcet x
-          + Guan.nc_total g ~n ~job_wcet:wcet x)
-      in
+      rt_term sys runs ~job_wcet:wcet x
+      + Guan.set_bound g ~n ~set:chosen ~size ~runs ~job_wcet:wcet x
+    in
+    (* Omega_S(b) = [base] + the members' [delta_b], recomputed only
+       when the running maximum b moves off [b_seen] *)
+    let b_seen = ref (-1) in
+    let base = ref 0 in
+    let delta_b = Array.make n 0 in
+    let omega_at size b =
+      if !b_seen <> b then begin
+        b_seen := b;
+        base :=
+          rt_term sys runs ~job_wcet:wcet b
+          + Guan.increments g ~n ~runs ~job_wcet:wcet ~delta:delta_b b
+      end;
+      let acc = ref !base in
       for j = 0 to size - 1 do
-        acc := !acc + Guan.delta g ~job_wcet:wcet chosen.(j) x
+        acc := !acc + delta_b.(chosen.(j))
       done;
       !acc
     in
@@ -245,7 +256,7 @@ let response_time_eq8 ~warm obs sys (g : Guan.hp) ~wcet ~limit =
     let visit size =
       incr enumerated;
       let b = !best in
-      if cap <= b || (omega size b / sys.n_cores) + wcet <= b then begin
+      if cap <= b || (omega_at size b / sys.n_cores) + wcet <= b then begin
         incr skipped;
         true
       end
@@ -253,7 +264,8 @@ let response_time_eq8 ~warm obs sys (g : Guan.hp) ~wcet ~limit =
         Hydra_obs.observe obs "analysis.carry_in.set_size" size;
         let iters = ref 0 in
         let r =
-          Guan.fixpoint ~iters ~n_cores:sys.n_cores ~wcet ~limit (omega size)
+          Guan.fixpoint ~iters ~runs ~n_cores:sys.n_cores ~wcet ~limit
+            (omega size)
         in
         record_fixpoint obs iters r;
         match r with
@@ -283,9 +295,27 @@ let response_time_eq8 ~warm obs sys (g : Guan.hp) ~wcet ~limit =
     if converged then Some !best else None
   end
 
+(* The cache's lookups during one call, added to [obs] in one go: the
+   same totals as counting each lookup, with at most three registry
+   lookups per call. A counter with nothing to add is left alone, so
+   it appears in a snapshot exactly when some lookup reached it. *)
+let add_positive obs name d = if d > 0 then Hydra_obs.add obs name d
+
+let record_cache obs c ~hits ~misses ~evictions =
+  add_positive obs "analysis.cache.hit" (c.c_hits - hits);
+  add_positive obs "analysis.cache.miss" (c.c_misses - misses);
+  add_positive obs "analysis.cache.evicted" (c.c_evictions - evictions)
+
 let response_time ?(policy = Top_delta) ?(warm = 0) ?obs sys ~hp ~wcet
     ~limit =
   let g = guan_hp hp in
-  match policy with
-  | Top_delta -> response_time_top_delta ~warm obs sys g ~wcet ~limit
-  | Exhaustive -> response_time_eq8 ~warm obs sys g ~wcet ~limit
+  let runs = Guan.runs ~n_cores:sys.n_cores in
+  let c = sys.cache in
+  let hits = c.c_hits and misses = c.c_misses and evictions = c.c_evictions in
+  let r =
+    match policy with
+    | Top_delta -> response_time_top_delta ~warm obs sys runs g ~wcet ~limit
+    | Exhaustive -> response_time_eq8 ~warm obs sys runs g ~wcet ~limit
+  in
+  record_cache obs c ~hits ~misses ~evictions;
+  r

@@ -28,11 +28,12 @@
 
     Both policies avoid redundant work: a per-system RT-workload
     cache, a pruned carry-in enumeration for [Exhaustive], and
-    warm-started fixed points. Results are bit-identical to the seed
-    reference implementation, which lives on as a test-only oracle
-    ([test/oracle/naive_analysis.ml], with the literal Eq. 8 subsets
-    and the uncached RT term) — the design and soundness arguments are
-    in doc/PERFORMANCE.md, the equivalence gate in
+    warm-started fixed points that jump past windows which cannot be
+    fixed points ({!Rtsched.Guan.fixpoint}). Results are bit-identical
+    to the seed reference implementation, which lives on as a test-only
+    oracle ([test/oracle/naive_analysis.ml], with the literal Eq. 8
+    subsets and the uncached RT term) — the design and soundness
+    arguments are in doc/PERFORMANCE.md, the equivalence gate in
     [test/test_analysis.ml]. *)
 
 type time = Rtsched.Task.time
@@ -147,9 +148,11 @@ val response_time :
     at [wcet]; passing a value above the true response is unsound.
 
     [obs] records the Eq. 7/8 instrumentation:
-    [analysis.fixpoint.iterations] plus converged/diverged tallies,
+    [analysis.fixpoint.iterations] (one per [Omega] evaluation, jumps
+    included) plus converged/diverged tallies,
     [analysis.carry_in.subsets] (Exhaustive: sets visited),
     the [analysis.carry_in.set_size] distribution,
-    [analysis.cache.{hit,miss,evicted}] and
+    [analysis.cache.{hit,miss,evicted}] (the call's lookups, added when
+    it returns) and
     [analysis.prune.{carry_in_dropped,subsets_skipped}]
     (doc/OBSERVABILITY.md). *)

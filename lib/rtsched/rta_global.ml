@@ -13,13 +13,15 @@ let response_times ?obs ~n_cores tasks =
      the already-analyzed higher-priority tasks. *)
   let hp = Guan.make (List.length tasks) in
   let top = Array.make (n_cores - 1) 0 in
+  let runs = Guan.runs ~n_cores in
   let rec go i = function
     | [] -> []
     | t :: rest -> (
         let iters = ref 0 in
         let r =
-          Guan.fixpoint ~iters ~n_cores ~wcet:t.g_wcet ~limit:t.g_deadline
-            (Guan.bound hp ~n:i ~top ~job_wcet:t.g_wcet)
+          Guan.fixpoint ~iters ~runs ~n_cores ~wcet:t.g_wcet
+            ~limit:t.g_deadline
+            (Guan.bound hp ~n:i ~top ~runs ~job_wcet:t.g_wcet)
         in
         Hydra_obs.add obs "rta.global.iterations" !iters;
         match r with

@@ -324,6 +324,25 @@ let test_exhaustive_long_chains () =
         [ r_top; r_top - 1 ])
     [ 40; 70 ]
 
+(* The creep the jump removes: with both cores' RT tasks at 95 % and
+   no hp task, the plain Eq. 7 loop climbs one tick per iteration from
+   C_s = 1000 to the response, 19,001 iterations in all. The same
+   response as the oracle from at most 200. *)
+let test_saturated_rt_creep () =
+  let rt m = Task.make_rt ~id:m ~prio:0 ~wcet:95 ~period:100 () in
+  let sys =
+    { Analysis.n_cores = 2; rt_cores = [| [ rt 0 ]; [ rt 1 ] |];
+      cache = Analysis.fresh_cache 2 }
+  in
+  let obs = Hydra_obs.create () in
+  let wcet = 1000 and limit = 30000 in
+  Alcotest.(check (option int)) "= naive" (Some 20000)
+    (Naive_analysis.response_time sys ~hp:[] ~wcet ~limit);
+  Alcotest.(check (option int)) "response" (Some 20000)
+    (Analysis.response_time ~obs sys ~hp:[] ~wcet ~limit);
+  let iters = Hydra_obs.counter_total obs "analysis.fixpoint.iterations" in
+  check_bool (Printf.sprintf "%d iterations <= 200" iters) true (iters <= 200)
+
 (* ------------------------------------------------------------------ *)
 (* Cache hygiene: the stats accessor, the slot count (every size
    computes bit-identical results; a colliding window overwrites its
@@ -507,7 +526,9 @@ let () =
         [ Alcotest.test_case "fast-path counters" `Quick
             test_fast_path_counters;
           Alcotest.test_case "Exhaustive on long hp chains" `Quick
-            test_exhaustive_long_chains ] );
+            test_exhaustive_long_chains;
+          Alcotest.test_case "saturated RT creep" `Quick
+            test_saturated_rt_creep ] );
       ( "cache_hygiene",
         [ Alcotest.test_case "stats + bounded eviction" `Quick
             test_cache_stats_and_bound;

@@ -471,6 +471,21 @@ let test_global_unschedulable_cascades () =
       Alcotest.(check (option int)) "third starves" None r3
   | _ -> Alcotest.fail "unexpected shape"
 
+(* The creep the jump removes: two tasks at 95 % of a core each leave
+   the third one tick of progress per plain Eq. 7 step from C = 1000
+   up to its response, 19,003 iterations in all. The same response
+   from at most 200. *)
+let test_global_saturated_creep () =
+  let tasks = [ gt "a" 95 100; gt "b" 95 100; gt "s" 1000 30000 ] in
+  let obs = Hydra_obs.create () in
+  let expected = [ Some 95; Some 95; Some 20000 ] in
+  Alcotest.(check (list (option int))) "= naive reference" expected
+    (Hydra_oracle.Naive_global.response_times ~n_cores:2 tasks);
+  Alcotest.(check (list (option int))) "responses" expected
+    (Global.response_times ~obs ~n_cores:2 tasks);
+  let iters = Hydra_obs.counter_total obs "rta.global.iterations" in
+  check_bool (Printf.sprintf "%d iterations <= 200" iters) true (iters <= 200)
+
 let print_gtasks tasks =
   String.concat "; "
     (List.map
@@ -510,9 +525,214 @@ let prop_guan_bound_equals_naive =
           g.period.(i) <- t.g_period;
           g.resp.(i) <- r)
         hp;
-      Rtsched.Guan.bound g ~n ~top:(Array.make (n_cores - 1) 0) ~job_wcet
-        window
+      Rtsched.Guan.bound g ~n ~top:(Array.make (n_cores - 1) 0)
+        ~runs:(Rtsched.Guan.runs ~n_cores) ~job_wcet window
       = Hydra_oracle.Naive_global.omega ~n_cores ~job_wcet ~window hp)
+
+(* The plain Eq. 7 loop over [omega] from [max wcet start], and the
+   number of times it evaluated [omega]. *)
+let plain_fixpoint ~n_cores ~wcet ~limit ~start omega =
+  let iters = ref 0 in
+  let rec iter x =
+    if x > limit then None
+    else begin
+      incr iters;
+      let x' = (omega x / n_cores) + wcet in
+      if x' = x then Some x else iter x'
+    end
+  in
+  let r = if wcet > limit then None else iter (max wcet start) in
+  (r, !iters)
+
+(* The jumping [Guan.fixpoint] = the plain Eq. 7 loop, value and
+   verdict, in no more iterations, with Omega = the Guan bound plus
+   RT-core terms added through [Guan.clamped]. The cases lean towards
+   the creep the jump removes: job WCETs up to 2000, hp WCETs and RT
+   cores near full load, warm starts anywhere in [C, lfp] and limits
+   on both sides of the lfp, at M = 1..8 (M = 1 has no top buffer). *)
+let prop_jumping_fixpoint_equals_plain =
+  let gen =
+    let open QCheck.Gen in
+    let period c =
+      frequency
+        [ (1, int_range c (c + (c / 8) + 1)); (2, int_range (2 * c) (12 * c)) ]
+    in
+    let task =
+      int_range 1 400 >>= fun c ->
+      period c >>= fun t -> int_range c t >>= fun r -> return (c, t, r)
+    in
+    let core =
+      list_size (int_range 0 2)
+        (int_range 1 200 >>= fun c -> period c >>= fun t -> return (c, t))
+    in
+    int_range 1 8 >>= fun n_cores ->
+    int_range 0 14 >>= fun n ->
+    int_range 1 2000 >>= fun job_wcet ->
+    list_repeat n task >>= fun hp ->
+    int_range 0 n_cores >>= fun n_rt ->
+    list_repeat n_rt core >>= fun cores ->
+    int_range 0 1_000_000 >>= fun pick ->
+    return (n_cores, job_wcet, hp, cores, pick)
+  in
+  let print (n_cores, job_wcet, hp, cores, pick) =
+    let pair (c, t) = Printf.sprintf "(%d,%d)" c t in
+    Printf.sprintf "M=%d C=%d hp=[%s] cores=[%s] pick=%d" n_cores job_wcet
+      (String.concat "; "
+         (List.map (fun (c, t, r) -> Printf.sprintf "(%d,%d,R=%d)" c t r) hp))
+      (String.concat "; "
+         (List.map (fun l -> String.concat "+" (List.map pair l)) cores))
+      pick
+  in
+  Test_util.qtest ~count:300 "jumping fixpoint = plain Eq. 7 loop"
+    (QCheck.make ~print gen) (fun (n_cores, job_wcet, hp, cores, pick) ->
+      let n = List.length hp in
+      let g = Rtsched.Guan.make n in
+      List.iteri
+        (fun i (c, t, r) ->
+          g.wcet.(i) <- c;
+          g.period.(i) <- t;
+          g.resp.(i) <- r)
+        hp;
+      let cores =
+        List.mapi
+          (fun m l ->
+            List.mapi
+              (fun j (c, t) ->
+                Task.make_rt ~id:((m * 3) + j) ~prio:j ~wcet:c ~period:t ())
+              l)
+          cores
+      in
+      let top = Array.make (n_cores - 1) 0 in
+      let runs = Rtsched.Guan.runs ~n_cores in
+      let omega x =
+        List.fold_left
+          (fun acc core ->
+            acc
+            + Rtsched.Guan.clamped runs ~job_wcet x
+                (Workload.rt_core_workload core x))
+          (Rtsched.Guan.bound g ~n ~top ~runs ~job_wcet x)
+          cores
+      in
+      let horizon = 40_000 in
+      let lfp, _ =
+        plain_fixpoint ~n_cores ~wcet:job_wcet ~limit:horizon ~start:0 omega
+      in
+      let top_of = Option.value lfp ~default:horizon in
+      let start = job_wcet + (pick mod (top_of - job_wcet + 1)) in
+      let limits =
+        match lfp with
+        | Some l -> [ l - 1; l; l + (pick mod 97); horizon ]
+        | None -> [ job_wcet + (pick mod (horizon - job_wcet + 1)); horizon ]
+      in
+      List.for_all
+        (fun limit ->
+          List.for_all
+            (fun start ->
+              let plain, plain_iters =
+                plain_fixpoint ~n_cores ~wcet:job_wcet ~limit ~start omega
+              in
+              let iters = ref 0 in
+              let jumped =
+                Rtsched.Guan.fixpoint ~start ~iters ~runs ~n_cores
+                  ~wcet:job_wcet ~limit omega
+              in
+              if jumped <> plain || !iters > plain_iters then
+                QCheck.Test.fail_reportf
+                  "limit=%d start=%d: plain %s in %d, jumped %s in %d" limit
+                  start
+                  (Option.fold ~none:"None" ~some:string_of_int plain)
+                  plain_iters
+                  (Option.fold ~none:"None" ~some:string_of_int jumped)
+                  !iters;
+              true)
+            [ 0; start ])
+        limits)
+
+(* A jump one window too far is wrong only when the least fixed point
+   sits exactly on the window it skipped. Adding a constant K to Omega
+   (a term with no run) moves that point one window at a time, so
+   sweeping K in 0..63 puts it on every boundary a run could
+   over-claim. Small systems at M = 1..3, from starts near C, with
+   Omega's hp part the Guan bound (mask = -1) or an Eq. 8 set's
+   [set_bound] (the tasks in [mask]). *)
+let prop_jumps_skip_no_fixed_point =
+  let gen =
+    let open QCheck.Gen in
+    int_range 1 3 >>= fun n_cores ->
+    int_range 1 60 >>= fun job_wcet ->
+    list_size (int_range 1 3)
+      (int_range 1 120 >>= fun c ->
+       int_range c (3 * c) >>= fun t ->
+       int_range c t >>= fun r -> return (c, t, r))
+    >>= fun hp ->
+    list_size (int_range 0 1)
+      (int_range 1 60 >>= fun c ->
+       int_range c (2 * c) >>= fun t -> return (c, t))
+    >>= fun core ->
+    int_range 0 150 >>= fun lead ->
+    int_range (-1) 7 >>= fun mask ->
+    return (n_cores, job_wcet, hp, core, lead, mask)
+  in
+  let print (n_cores, job_wcet, hp, core, lead, mask) =
+    Printf.sprintf "M=%d C=%d hp=[%s] core=[%s] lead=%d mask=%d" n_cores
+      job_wcet
+      (String.concat "; "
+         (List.map (fun (c, t, r) -> Printf.sprintf "(%d,%d,R=%d)" c t r) hp))
+      (String.concat "; "
+         (List.map (fun (c, t) -> Printf.sprintf "(%d,%d)" c t) core))
+      lead mask
+  in
+  Test_util.qtest ~count:1000 "jumps skip no fixed point (offset sweep)"
+    (QCheck.make ~print gen) (fun (n_cores, job_wcet, hp, core, lead, mask) ->
+      let n = List.length hp in
+      let g = Rtsched.Guan.make n in
+      List.iteri
+        (fun i (c, t, r) ->
+          g.wcet.(i) <- c;
+          g.period.(i) <- t;
+          g.resp.(i) <- r)
+        hp;
+      let core =
+        List.mapi
+          (fun j (c, t) -> Task.make_rt ~id:j ~prio:j ~wcet:c ~period:t ())
+          core
+      in
+      let set =
+        Array.of_list
+          (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id))
+      in
+      let top = Array.make (n_cores - 1) 0 in
+      let runs = Rtsched.Guan.runs ~n_cores in
+      let hp_part x =
+        if mask < 0 then Rtsched.Guan.bound g ~n ~top ~runs ~job_wcet x
+        else
+          Rtsched.Guan.set_bound g ~n ~set ~size:(Array.length set) ~runs
+            ~job_wcet x
+      in
+      let start = job_wcet + lead in
+      let limit = start + 600 in
+      List.for_all
+        (fun k ->
+          let omega x =
+            k
+            + Rtsched.Guan.clamped runs ~job_wcet x
+                (Workload.rt_core_workload core x)
+            + hp_part x
+          in
+          let plain, _ =
+            plain_fixpoint ~n_cores ~wcet:job_wcet ~limit ~start omega
+          in
+          let iters = ref 0 in
+          let jumped =
+            Rtsched.Guan.fixpoint ~start ~iters ~runs ~n_cores ~wcet:job_wcet
+              ~limit omega
+          in
+          if jumped <> plain then
+            QCheck.Test.fail_reportf "K=%d: plain %s, jumped %s" k
+              (Option.fold ~none:"None" ~some:string_of_int plain)
+              (Option.fold ~none:"None" ~some:string_of_int jumped);
+          true)
+        (List.init 64 Fun.id))
 
 (* Rta_global on the Guan kernel = the list-based reference
    (test/oracle/naive_global.ml), values and None verdicts, on random
@@ -665,6 +885,10 @@ let () =
             test_global_uniprocessor_upper_bounds;
           Alcotest.test_case "unschedulable cascades" `Quick
             test_global_unschedulable_cascades;
+          Alcotest.test_case "saturated creep" `Quick
+            test_global_saturated_creep;
           prop_guan_bound_equals_naive;
+          prop_jumping_fixpoint_equals_plain;
+          prop_jumps_skip_no_fixed_point;
           prop_global_equals_naive;
           prop_global_bounds_simulation ] ) ]
