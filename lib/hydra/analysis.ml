@@ -18,7 +18,10 @@ type time = Task.time
    taskset per worker, see analysis.mli. The hit/miss/eviction/refresh
    tallies back {!cache_stats}; each response-time call adds its own
    share of them to the [?obs] counters, which are not a substitute
-   (a daemon holds one registry for many tenant systems). *)
+   (a daemon holds one registry for many tenant systems). The Guan
+   kernel's scratch, its run buffer and top-(M-1) increments, lives
+   here too, under the same one-domain rule, so a response-time call
+   allocates no buffer of its own. *)
 type cache = {
   keys : int array;  (* slots, a power of two *)
   wl : int array;  (* slots * n_cores *)
@@ -26,13 +29,16 @@ type cache = {
   mutable c_misses : int;
   mutable c_evictions : int;
   mutable c_refreshes : int;
+  runs : Guan.runs;
+  top : time array;  (* n_cores - 1 *)
 }
 
 let fresh_cache ?(slots = 256) n_cores =
   if slots <= 0 || slots land (slots - 1) <> 0 then
     invalid_arg "Analysis.fresh_cache: slots must be a power of two";
   { keys = Array.make slots (-1); wl = Array.make (slots * n_cores) 0;
-    c_hits = 0; c_misses = 0; c_evictions = 0; c_refreshes = 0 }
+    c_hits = 0; c_misses = 0; c_evictions = 0; c_refreshes = 0;
+    runs = Guan.runs ~n_cores; top = Array.make (n_cores - 1) 0 }
 
 type cache_stats = {
   cs_entries : int;
@@ -47,12 +53,6 @@ type system = {
   n_cores : int;
   rt_cores : Task.rt_task list array;
   cache : cache;
-}
-
-type hp_sec = {
-  hp_task : Task.sec_task;
-  hp_period : time;
-  hp_resp : time;
 }
 
 type carry_in_policy = Top_delta | Exhaustive
@@ -102,11 +102,11 @@ let refresh_rt_cores sys new_cores ~changed =
 
 (* The RT term of Eq. 6 for a window of length [x]: the sum over cores
    of the clamped raw workload, memoized per window, each core's term
-   recording its slack in [runs] for the fixed point's jump. Bit-identical
-   to the oracle's uncached term because interference =
+   recording its slack in the kernel's runs for the fixed point's jump.
+   Bit-identical to the oracle's uncached term because interference =
    clamp(rt_core_workload core x) either way. The lookups are tallied
    in the cache's own counters; {!response_time} adds them to [obs]. *)
-let rt_term sys runs ~job_wcet x =
+let rt_term sys ~job_wcet x =
   let c = sys.cache in
   let n = sys.n_cores in
   let slot = x land (Array.length c.keys - 1) in
@@ -124,7 +124,7 @@ let rt_term sys runs ~job_wcet x =
   end;
   let acc = ref 0 in
   for m = 0 to n - 1 do
-    acc := !acc + Guan.clamped runs ~job_wcet x wl.(base + m)
+    acc := !acc + Guan.clamped c.runs ~job_wcet x wl.(base + m)
   done;
   !acc
 
@@ -134,32 +134,19 @@ let record_fixpoint obs iters r =
   | Some _ -> Hydra_obs.incr obs "analysis.fixpoint.converged"
   | None -> Hydra_obs.incr obs "analysis.fixpoint.diverged"
 
-(* The hp tasks as the kernel's flat arrays, built once per
-   response-time call. *)
-let guan_hp hp =
-  let g = Guan.make (List.length hp) in
-  List.iteri
-    (fun i h ->
-      g.wcet.(i) <- h.hp_task.Task.sec_wcet;
-      g.period.(i) <- h.hp_period;
-      g.resp.(i) <- h.hp_resp)
-    hp;
-  g
-
 (* Eq. 7 under the Guan bound: the kernel's Omega (every hp task's
    non-carry-in interference plus the M-1 largest carry-in increments)
    plus the cached RT term, iterated from [max wcet warm]
    (doc/PERFORMANCE.md §3) with the kernel's jumps (§2). *)
-let response_time_top_delta ~warm obs sys runs (g : Guan.hp) ~wcet ~limit =
-  let n = Array.length g.wcet in
+let response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit =
   Hydra_obs.observe obs "analysis.carry_in.set_size" (min (sys.n_cores - 1) n);
-  let top = Array.make (sys.n_cores - 1) 0 in
+  let { runs; top; _ } = sys.cache in
   let iters = ref 0 in
   let r =
     Guan.fixpoint ~start:warm ~iters ~runs ~n_cores:sys.n_cores ~wcet ~limit
       (fun x ->
-        rt_term sys runs ~job_wcet:wcet x
-        + Guan.bound g ~n ~top ~runs ~job_wcet:wcet x)
+        rt_term sys ~job_wcet:wcet x
+        + Guan.bound hp ~n ~top ~runs ~job_wcet:wcet x)
   in
   record_fixpoint obs iters r;
   r
@@ -197,14 +184,14 @@ let response_time_top_delta ~warm obs sys runs (g : Guan.hp) ~wcet ~limit =
 
    Each set's fixed point jumps on the runs of its own terms
    (Guan.set_bound), not on the top set's. *)
-let response_time_eq8 ~warm obs sys runs (g : Guan.hp) ~wcet ~limit =
-  let r_top = response_time_top_delta ~warm obs sys runs g ~wcet ~limit in
-  let n = Array.length g.wcet in
+let response_time_eq8 ~warm obs sys (hp : Guan.hp) ~n ~wcet ~limit =
+  let r_top = response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit in
+  let runs = sys.cache.runs in
   let cand = Array.make n 0 in
   let n_cand = ref 0 in
   for i = 0 to n - 1 do
-    let c = g.wcet.(i) in
-    if c = 1 || g.resp.(i) <= c then
+    let c = hp.wcet.(i) in
+    if c = 1 || hp.resp.(i) <= c then
       Hydra_obs.incr obs "analysis.prune.carry_in_dropped"
     else begin
       cand.(!n_cand) <- i;
@@ -228,8 +215,8 @@ let response_time_eq8 ~warm obs sys runs (g : Guan.hp) ~wcet ~limit =
     (* the set under consideration: task indices chosen.(0 .. size-1) *)
     let chosen = Array.make k 0 in
     let omega size x =
-      rt_term sys runs ~job_wcet:wcet x
-      + Guan.set_bound g ~n ~set:chosen ~size ~runs ~job_wcet:wcet x
+      rt_term sys ~job_wcet:wcet x
+      + Guan.set_bound hp ~n ~set:chosen ~size ~runs ~job_wcet:wcet x
     in
     (* Omega_S(b) = [base] + the members' [delta_b], recomputed only
        when the running maximum b moves off [b_seen] *)
@@ -240,8 +227,8 @@ let response_time_eq8 ~warm obs sys runs (g : Guan.hp) ~wcet ~limit =
       if !b_seen <> b then begin
         b_seen := b;
         base :=
-          rt_term sys runs ~job_wcet:wcet b
-          + Guan.increments g ~n ~runs ~job_wcet:wcet ~delta:delta_b b
+          rt_term sys ~job_wcet:wcet b
+          + Guan.increments hp ~n ~runs ~job_wcet:wcet ~delta:delta_b b
       end;
       let acc = ref !base in
       for j = 0 to size - 1 do
@@ -306,16 +293,14 @@ let record_cache obs c ~hits ~misses ~evictions =
   add_positive obs "analysis.cache.miss" (c.c_misses - misses);
   add_positive obs "analysis.cache.evicted" (c.c_evictions - evictions)
 
-let response_time ?(policy = Top_delta) ?(warm = 0) ?obs sys ~hp ~wcet
+let response_time ?(policy = Top_delta) ?(warm = 0) ?obs sys ~hp ~n ~wcet
     ~limit =
-  let g = guan_hp hp in
-  let runs = Guan.runs ~n_cores:sys.n_cores in
   let c = sys.cache in
   let hits = c.c_hits and misses = c.c_misses and evictions = c.c_evictions in
   let r =
     match policy with
-    | Top_delta -> response_time_top_delta ~warm obs sys runs g ~wcet ~limit
-    | Exhaustive -> response_time_eq8 ~warm obs sys runs g ~wcet ~limit
+    | Top_delta -> response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit
+    | Exhaustive -> response_time_eq8 ~warm obs sys hp ~n ~wcet ~limit
   in
   record_cache obs c ~hits ~misses ~evictions;
   r

@@ -44,11 +44,14 @@ type cache
     It is direct-mapped: 256 slots (tests may pick another power of
     two, {!fresh_cache}), window [x] in slot [x land (slots - 1)],
     each slot holding one window and its [M] workloads in flat [int]
-    arrays, [slots * (M + 1)] words in all (10 KiB at [M = 4]). A lookup or a store allocates nothing; a window that
-    lands on a slot held by another window overwrites it (an
-    eviction). Mutable but observationally pure: every entry is a
-    function of the RT partition and the window only, so a hit
-    returns exactly what a miss computes. *)
+    arrays, [slots * (M + 1)] words in all (10 KiB at [M = 4]). A
+    lookup or a store allocates nothing; a window that lands on a slot
+    held by another window overwrites it (an eviction). Mutable but
+    observationally pure: every entry is a function of the RT
+    partition and the window only, so a hit returns exactly what a
+    miss computes. It also holds the {!Rtsched.Guan} kernel's scratch
+    (the run buffer and the top-[(M - 1)] increments), built once, so
+    that {!response_time} allocates no buffer. *)
 
 val fresh_cache : ?slots:int -> int -> cache
 (** [fresh_cache n_cores] is an empty cache for [n_cores] cores —
@@ -56,7 +59,8 @@ val fresh_cache : ?slots:int -> int -> cache
     {!make_system}. [slots] (default 256) exists for the collision
     tests: the slot count changes only how often windows collide,
     never a result.
-    @raise Invalid_argument if [slots] is not a power of two. *)
+    @raise Invalid_argument if [slots] is not a power of two or
+    [n_cores < 1]. *)
 
 type cache_stats = {
   cs_entries : int;  (** occupied slots *)
@@ -77,21 +81,12 @@ type system = {
   rt_cores : Rtsched.Task.rt_task list array;
       (** RT tasks pinned to each core, index = core *)
   cache : cache;
-      (** RT-workload memo. {b Not} domain-safe: a [system] value must
-          not be shared across domains (the parallel sweep builds one
-          per taskset inside the worker, so this holds by
-          construction — doc/PARALLELISM.md). *)
+      (** RT-workload memo and kernel scratch. {b Not} domain-safe: a
+          [system] value must not be shared across domains (the
+          parallel sweep builds one per taskset inside the worker, so
+          this holds by construction — doc/PARALLELISM.md). *)
 }
 (** The fixed, partitioned RT side of the platform. *)
-
-type hp_sec = {
-  hp_task : Rtsched.Task.sec_task;
-  hp_period : time;  (** period already chosen for this task *)
-  hp_resp : time;  (** its WCRT under that period *)
-}
-(** A higher-priority security task whose period and response time are
-    already known (Algorithm 1 processes priorities top-down, so this
-    is always available). *)
 
 type carry_in_policy =
   | Top_delta  (** polynomial Guan-style bound — the default *)
@@ -125,11 +120,18 @@ val refresh_rt_cores :
 
 val response_time :
   ?policy:carry_in_policy -> ?warm:time -> ?obs:Hydra_obs.t -> system ->
-  hp:hp_sec list -> wcet:time -> limit:time -> time option
-(** [response_time sys ~hp ~wcet ~limit] is the WCRT of a security job
-    of WCET [wcet] below the given higher-priority security tasks, or
-    [None] if the fixed point exceeds [limit] (Sec. 4.4 stops at
-    [T_s^max] since the task is then trivially unschedulable).
+  hp:Rtsched.Guan.hp -> n:int -> wcet:time -> limit:time -> time option
+(** [response_time sys ~hp ~n ~wcet ~limit] is the WCRT of a security
+    job of WCET [wcet] below the higher-priority security tasks held in
+    entries [0 .. n-1] of [hp] (highest priority first: WCET, the
+    period already chosen, and the WCRT under that period), or [None]
+    if the fixed point exceeds [limit] (Sec. 4.4 stops at [T_s^max]
+    since the task is then trivially unschedulable).
+
+    [hp] is only read: [Period_selection.select] passes its own
+    period and response arrays, filled in place as its search moves
+    (doc/PERFORMANCE.md §3), so a [Top_delta] call allocates nothing
+    that grows with [n].
 
     RT workloads are cached per system, and [Exhaustive] enumerates
     only the admissible carry-in sets — at most [M - 1] tasks, none of

@@ -32,8 +32,6 @@ let core_response_time ?obs (sys : Analysis.system) ~core ~placed s =
   Rta.response_time ?obs ~hp:(rt_hp @ sec_hp) ~wcet:s.Task.sec_wcet
     ~limit:s.Task.sec_period_max ()
 
-type criterion = Min_response | Max_utilization
-
 (* Security-task utilization already committed to a core. *)
 let core_sec_utilization placed core =
   List.fold_left
@@ -43,17 +41,18 @@ let core_sec_utilization placed core =
       else acc)
     0.0 placed
 
-(* Pick a feasible core: the one minimizing the response time (HYDRA's
-   "maximum monitoring frequency") or classic best-fit by committed
-   utilization; ties broken by lowest core index. *)
-let best_core criterion obs sys ~placed s =
+(* Pick a feasible core: with [minimize], the one minimizing the
+   response time (HYDRA's "maximum monitoring frequency"); without,
+   classic best-fit by committed security utilization, since with
+   every period at its bound every feasible core yields the same
+   period. Ties go to the lowest core index. *)
+let best_core ~minimize obs sys ~placed s =
   let better (m, r) (m', r') =
-    match criterion with
-    | Min_response -> if r' < r then (m', r') else (m, r)
-    | Max_utilization ->
-        let u = core_sec_utilization placed m
-        and u' = core_sec_utilization placed m' in
-        if u' > u then (m', r') else (m, r)
+    let takes =
+      if minimize then r' < r
+      else core_sec_utilization placed m' > core_sec_utilization placed m
+    in
+    if takes then (m', r') else (m, r)
   in
   let rec go m best =
     if m >= sys.Analysis.n_cores then best
@@ -70,16 +69,12 @@ let best_core criterion obs sys ~placed s =
   in
   go 0 None
 
-let allocate ?criterion ?obs ~minimize sys secs =
-  let criterion =
-    Option.value criterion
-      ~default:(if minimize then Min_response else Max_utilization)
-  in
+let allocate ?obs ~minimize sys secs =
   let sorted = Task.sort_sec_by_priority secs in
   let rec place placed = function
     | [] -> Schedulable (List.rev placed)
     | s :: rest -> (
-        match best_core criterion obs sys ~placed s with
+        match best_core ~minimize obs sys ~placed s with
         | None -> Unschedulable
         | Some (core, resp) ->
             Hydra_obs.incr obs "baseline_hydra.placements";
@@ -163,8 +158,8 @@ let minimize_core obs sys allocs =
   in
   loop allocs 0
 
-let allocate_coordinated ?(criterion = Max_utilization) ?obs sys secs =
-  match allocate ~criterion ?obs ~minimize:false sys secs with
+let allocate_coordinated ?obs sys secs =
+  match allocate ?obs ~minimize:false sys secs with
   | Unschedulable -> Unschedulable
   | Schedulable allocs ->
       let per_core core =

@@ -28,36 +28,31 @@ type result =
   | Schedulable of alloc list  (** in priority order, highest first *)
   | Unschedulable  (** some task fits on no core within its bound *)
 
-type criterion =
-  | Min_response
-      (** the core giving the smallest response time = the highest
-          achievable monitoring frequency (HYDRA's criterion) *)
-  | Max_utilization
-      (** classic bin-packing best-fit: the feasible core with the
-          highest security-task utilization so far. With periods pinned
-          at the bounds HYDRA's frequency criterion degenerates (every
-          feasible core yields the same period), so HYDRA-TMax uses
-          this criterion. *)
-
 val allocate :
-  ?criterion:criterion -> ?obs:Hydra_obs.t -> minimize:bool ->
-  Analysis.system -> Rtsched.Task.sec_task array -> result
-(** [allocate ~minimize sys secs] runs the greedy allocation;
-    [minimize = true] is HYDRA (default criterion [Min_response]),
-    [false] is HYDRA-TMax (default criterion [Max_utilization]). *)
+  ?obs:Hydra_obs.t -> minimize:bool -> Analysis.system ->
+  Rtsched.Task.sec_task array -> result
+(** [allocate ~minimize sys secs] runs the greedy allocation, ties
+    going to the lowest core index. [minimize = true] is HYDRA: each
+    task goes to the feasible core giving the smallest response time,
+    the highest achievable monitoring frequency. [false] is
+    HYDRA-TMax: with periods pinned at the bounds that criterion
+    degenerates (every feasible core yields the same period), so each
+    task goes to the feasible core with the highest security-task
+    utilization so far (classic bin-packing best-fit). *)
 
 val allocate_coordinated :
-  ?criterion:criterion -> ?obs:Hydra_obs.t -> Analysis.system ->
-  Rtsched.Task.sec_task array -> result
+  ?obs:Hydra_obs.t -> Analysis.system -> Rtsched.Task.sec_task array ->
+  result
 (** HYDRA-coordinated — a charitable reading of the DATE'18 baseline
     used by the X5 ablation: first allocate every task with its period
-    at the bound (best-fit, default criterion [Max_utilization]), then
-    minimize periods {e per core} with the Algorithm-1 discipline
-    (highest priority first, constrained by every lower-priority task
-    on the same core staying schedulable). Unlike {!allocate}
-    [~minimize:true], the greedy period of a high-priority task can no
-    longer starve its core-mates, so acceptance equals HYDRA-TMax's by
-    construction while the periods are still adapted. *)
+    at the bound (HYDRA-TMax's best-fit, {!allocate}
+    [~minimize:false]), then minimize periods {e per core} with the
+    Algorithm-1 discipline (highest priority first, constrained by
+    every lower-priority task on the same core staying schedulable).
+    Unlike {!allocate} [~minimize:true], the greedy period of a
+    high-priority task can no longer starve its core-mates, so
+    acceptance equals HYDRA-TMax's by construction while the periods
+    are still adapted. *)
 
 val core_response_time :
   ?obs:Hydra_obs.t -> Analysis.system -> core:int -> placed:alloc list ->

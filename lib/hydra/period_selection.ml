@@ -30,8 +30,9 @@ let export_bounds bounds_out sorted resps0 =
 
    Invariants:
    - [periods] holds the committed vector (prefix fixed, suffix at the
-     bounds); a probe's candidate period is passed by value, never
-     written until the search for that position finishes.
+     bounds), except at the position under search, where each probe
+     writes its candidate before it runs; the search's result is
+     written there last.
    - [resps] holds the responses of the {e last feasible} full vector
      (initially all-bounds). Feasible candidates for a position are
      strictly decreasing (the search recurses on [lo, c-1] after a
@@ -40,6 +41,10 @@ let export_bounds bounds_out sorted resps0 =
      later probe of the same or deeper position.
    - [scratch] receives the suffix responses of the probe in flight;
      it is committed into [resps] only when the probe is feasible.
+     At and before the position under search it equals [resps] (each
+     search starts by copying its own entry over), so [hp], the WCETs
+     with [periods] and [scratch], is every probe's hp view: position
+     j's hp tasks are its first j entries.
      The seed's final suffix refresh is subsumed: after the search
      for [index] returns [t_star], [resps] already holds the suffix
      responses under [t_star] (the last committed probe), or — when no
@@ -51,6 +56,10 @@ let select ?policy ?warm0 ?hints ?bounds_out ?obs sys secs =
   let periods = Array.map (fun s -> s.Task.sec_period_max) sorted in
   let resps = Array.make n 0 in
   let scratch = Array.make n 0 in
+  let hp =
+    { Rtsched.Guan.wcet = Array.map (fun s -> s.Task.sec_wcet) sorted;
+      period = periods; resp = scratch }
+  in
   Hydra_obs.add obs "period_selection.tasks" n;
   (* Caller-supplied warm floors for the initial all-bounds pass,
      re-indexed from sec_id to priority position ([0] = no floor). *)
@@ -71,27 +80,20 @@ let select ?policy ?warm0 ?hints ?bounds_out ?obs sys secs =
           let id = sorted.(index).Task.sec_id in
           if id < Array.length h then h.(id) else 0
   in
-  (* Response of position [j] while probing [candidate] at [index]
-     ([index = -1]: no probe, plain evaluation of [periods]). hp
-     responses come from [resps] for the already-committed prefix and
-     from [scratch] for suffix positions recomputed by this probe. *)
-  let resp_probe ~index ~candidate j =
+  (* Response of position [j] while probing at [index] ([index = -1]:
+     no probe, plain evaluation of [periods]), below the first [j]
+     entries of [hp]. *)
+  let resp_probe ~index j =
     let s = sorted.(j) in
-    let hp =
-      List.init j (fun i ->
-          { Analysis.hp_task = sorted.(i);
-            hp_period = (if i = index then candidate else periods.(i));
-            hp_resp = (if i <= index then resps.(i) else scratch.(i)) })
-    in
     let warm = if index < 0 then warm_init j else resps.(j) in
-    Analysis.response_time ?policy ~warm ?obs sys ~hp
+    Analysis.response_time ?policy ~warm ?obs sys ~hp ~n:j
       ~wcet:s.Task.sec_wcet ~limit:s.Task.sec_period_max
   in
-  let probe ~index ~candidate ~from =
+  let probe ~index ~from =
     let rec go j =
       if j >= n then true
       else
-        match resp_probe ~index ~candidate j with
+        match resp_probe ~index j with
         | None -> false
         | Some r ->
             scratch.(j) <- r;
@@ -101,7 +103,7 @@ let select ?policy ?warm0 ?hints ?bounds_out ?obs sys secs =
   in
   let commit ~from = Array.blit scratch from resps from (n - from) in
   (* Algorithm 1, lines 1-4: all periods at their bounds. *)
-  if not (probe ~index:(-1) ~candidate:0 ~from:0) then begin
+  if not (probe ~index:(-1) ~from:0) then begin
     Hydra_obs.incr obs "period_selection.unschedulable";
     Unschedulable
   end
@@ -125,10 +127,12 @@ let select ?policy ?warm0 ?hints ?bounds_out ?obs sys secs =
        above. *)
     for index = 0 to n - 1 do
       let tmax = sorted.(index).Task.sec_period_max in
+      scratch.(index) <- resps.(index);
       let steps = ref 0 in
       let feasible c =
         incr steps;
-        if probe ~index ~candidate:c ~from:(index + 1) then begin
+        periods.(index) <- c;
+        if probe ~index ~from:(index + 1) then begin
           commit ~from:(index + 1);
           true
         end

@@ -36,8 +36,9 @@ val select :
 (** Runs Algorithm 1 on the security tasks (any order; they are sorted
     by priority internally).
 
-    The search is copy-free and incremental: no per-probe array copies
-    (a scratch row committed only on feasible probes), and
+    The search is copy-free and incremental: no per-probe copies (a
+    scratch row committed only on feasible probes, and the period and
+    scratch rows read in place as the analysis' hp view), and
     warm-started fixed points (the previous feasible probe's responses
     are valid lower bounds — feasible candidates decrease and
     interference is monotone in hp periods). Results are

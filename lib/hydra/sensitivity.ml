@@ -27,10 +27,12 @@ let schedulable_with_scale ?policy sys secs ~scale_pct ~only =
      | Period_selection.Schedulable _ -> true
      | Period_selection.Unschedulable -> false)
 
+let max_pct = 1000 (* the search ceiling, 10x *)
+
 (* Largest feasible percentage in [100, max_pct]; feasibility is
    monotone in the scale (more execution never helps), so binary
    search applies. *)
-let headroom ?policy sys secs ~max_pct ~only =
+let headroom ?policy sys secs ~only =
   if not (schedulable_with_scale ?policy sys secs ~scale_pct:100 ~only) then
     None
   else if schedulable_with_scale ?policy sys secs ~scale_pct:max_pct ~only
@@ -48,13 +50,13 @@ let headroom ?policy sys secs ~max_pct ~only =
     Some (search 100 max_pct)
   end
 
-let analyze ?policy ?(max_pct = 1000) sys secs =
+let analyze ?policy sys secs =
   let sorted = Task.sort_sec_by_priority secs in
-  { global_headroom_pct = headroom ?policy sys secs ~max_pct ~only:None;
+  { global_headroom_pct = headroom ?policy sys secs ~only:None;
     per_task_headroom_pct =
       Array.to_list sorted
       |> List.map (fun s ->
-             (s, headroom ?policy sys secs ~max_pct ~only:(Some s))) }
+             (s, headroom ?policy sys secs ~only:(Some s))) }
 
 let pp_headroom ppf = function
   | None -> Format.pp_print_string ppf "unschedulable at nominal WCETs"

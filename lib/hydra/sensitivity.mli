@@ -15,7 +15,7 @@ type report = {
   global_headroom_pct : int option;
       (** largest uniform scaling of every security WCET that stays
           schedulable; [None] when already unschedulable at 100%,
-          [Some max_pct] when even the search ceiling fits *)
+          [Some 1000] when even the search ceiling fits *)
   per_task_headroom_pct : (Rtsched.Task.sec_task * int option) list;
       (** largest scaling of each task alone (others at their nominal
           WCET), in priority order *)
@@ -32,8 +32,8 @@ val schedulable_with_scale :
     period bound). *)
 
 val analyze :
-  ?policy:Analysis.carry_in_policy -> ?max_pct:int -> Analysis.system ->
+  ?policy:Analysis.carry_in_policy -> Analysis.system ->
   Rtsched.Task.sec_task array -> report
-(** Binary-searches headroom up to [max_pct] (default 1000 = 10x). *)
+(** Binary-searches headroom up to 1000% (10x). *)
 
 val render : Format.formatter -> report -> unit

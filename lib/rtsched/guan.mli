@@ -8,7 +8,7 @@
     its non-carry-in interference (Eqs. 2-3/5), and at most [M - 1] of
     them (Lemma 2) add their carry-in increment
     [delta_i(x) = I_ci(x) - I_nc(x)] (Eq. 4). The hp tasks are held in
-    flat arrays, filled once per response-time call, and the largest
+    flat arrays that the caller fills in place, and the largest
     increments are selected in a caller-owned buffer, so evaluating the
     bound allocates nothing.
 
@@ -26,7 +26,9 @@ type hp = {
 }
 (** hp tasks by index, highest priority first. The functions below
     read only the first [n] entries, so one value can hold a growing
-    prefix (as {!Rta_global.response_times} fills it task by task). *)
+    prefix: {!Rta_global.response_times} fills it task by task, and
+    [Hydra.Period_selection.select] updates its own in place as its
+    search moves. *)
 
 val make : int -> hp
 (** [make n] has room for [n] hp tasks (zero-filled). *)

@@ -21,6 +21,12 @@ val partition_rt :
     heuristic fails to place some task. Default heuristic is
     [Best_fit]. *)
 
+val choose_core :
+  heuristic -> Task.rt_task list array -> Task.rt_task -> int option
+(** [choose_core h cores task] is the core, among those that stay
+    TDA-feasible with [task] added to [cores.(m)], that [h] picks
+    (lowest index on ties), or [None] if there is none. *)
+
 val cores_of_assignment :
   Task.taskset -> int array -> Task.rt_task list array
 (** Per-core RT task lists (index = core) for a given assignment. *)

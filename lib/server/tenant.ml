@@ -1,6 +1,5 @@
 module Task = Rtsched.Task
 module Partition = Rtsched.Partition
-module Rta = Rtsched.Rta_uniproc
 module Analysis = Hydra.Analysis
 module Period_selection = Hydra.Period_selection
 
@@ -68,9 +67,6 @@ let build_cores tasks residents n_cores =
     residents;
   Array.map by_prio cores
 
-let core_utilization core =
-  List.fold_left (fun acc tk -> acc +. Task.rt_utilization tk) 0. core
-
 let taskset t =
   Task.make_taskset ~n_cores:t.cores
     ~rt:(Array.to_list (rt_tasks t.rt))
@@ -88,8 +84,6 @@ let dup_sec t n = List.exists (fun (s : Protocol.sec_spec) -> s.s_name = n) t.se
 
 let guard f = try f () with Task.Invalid_task m -> Invalid m
 
-(* Full (re)build from scratch: partition everything, fresh system,
-   discard warm state. Shared by [create] and [set_cores]. *)
 let find_dup names =
   let seen = Hashtbl.create 8 in
   List.fold_left
@@ -104,9 +98,17 @@ let find_dup names =
           end)
     None names
 
+let max_cores = 1024
+
+(* Full (re)build from scratch: partition everything, fresh system,
+   discard warm state. Shared by [create] and [set_cores]. *)
 let rebuild ~name ~cores ~rt_specs ~sec_specs ~selects
     ~warm_selects =
   guard (fun () ->
+      if cores > max_cores then
+        raise
+          (Task.Invalid_task
+             (Printf.sprintf "cores %d above the limit %d" cores max_cores));
       (match
          find_dup (List.map (fun (s : Protocol.rt_spec) -> s.r_name) rt_specs)
        with
@@ -169,37 +171,23 @@ let rt_arrive t spec =
         let tasks = rt_tasks residents in
         let incoming = tasks.(n) in
         (* per-core lists of the resident tasks under the new global RM
-           numbering (the incoming task is not placed yet) *)
+           numbering (the incoming task is not placed yet); best-fit
+           admission picks among the TDA-feasible cores *)
         let cores = build_cores tasks t.rt t.cores in
-        (* best-fit admission: among TDA-feasible cores, the one with
-           the highest current utilization; strict [>] keeps the lowest
-           index on ties — mirrors Partition.choose_core *)
-        let best = ref (-1) in
-        let best_util = ref neg_infinity in
-        for m = 0 to t.cores - 1 do
-          if Rta.core_rt_schedulable (by_prio (incoming :: cores.(m))) then begin
-            let u = core_utilization cores.(m) in
-            if u > !best_util then begin
-              best := m;
-              best_util := u
-            end
-          end
-        done;
-        if !best < 0 then
-          Rejected
-            (Printf.sprintf "no feasible core for RT task %S"
-               spec.Protocol.r_name)
-        else begin
-          let m = !best in
-          t.rt <- t.rt @ [ { spec; core = m } ];
-          let new_cores = build_cores tasks t.rt t.cores in
-          let changed = Array.make t.cores false in
-          changed.(m) <- true;
-          t.sys <- Analysis.refresh_rt_cores t.sys new_cores ~changed;
-          (* interference only grew: the warm floors stay sound *)
-          t.dirty <- true;
-          Admitted ()
-        end)
+        match Partition.choose_core Best_fit cores incoming with
+        | None ->
+            Rejected
+              (Printf.sprintf "no feasible core for RT task %S"
+                 spec.Protocol.r_name)
+        | Some m ->
+            t.rt <- t.rt @ [ { spec; core = m } ];
+            let new_cores = build_cores tasks t.rt t.cores in
+            let changed = Array.make t.cores false in
+            changed.(m) <- true;
+            t.sys <- Analysis.refresh_rt_cores t.sys new_cores ~changed;
+            (* interference only grew: the warm floors stay sound *)
+            t.dirty <- true;
+            Admitted ())
 
 let rt_leave t name =
   match List.find_opt (fun r -> r.spec.Protocol.r_name = name) t.rt with

@@ -26,13 +26,18 @@ type 'a admission =
       (** admission control refused; tenant state unchanged *)
   | Invalid of string  (** malformed edit (bad spec, unknown name...) *)
 
+val max_cores : int
+(** 1024, the largest core count {!create} and {!set_cores} accept:
+    the workload memo holds 256 slots of [M] workloads (2 MiB here). *)
+
 val create :
   name:string -> cores:int -> rt:Protocol.rt_spec list ->
   sec:Protocol.sec_spec list -> t admission
 (** Build a tenant from an [Init] request: rate-monotonic RT
     priorities, best-fit partitioning ([Rejected] if some RT task
     cannot be placed), fresh analysis system (its workload cache is
-    the fixed 256-slot memo of {!Hydra.Analysis.cache}). *)
+    the fixed 256-slot memo of {!Hydra.Analysis.cache}). [Invalid] if
+    [cores] is below 1 or above {!max_cores}. *)
 
 val name : t -> string
 
@@ -59,7 +64,8 @@ val sec_leave : t -> string -> unit admission
 val set_cores : t -> int -> unit admission
 (** Change the core count: full repartition and a fresh system
     (structural delta — cache and warm floors discarded). [Rejected]
-    if the RT set no longer partitions; state unchanged then. *)
+    if the RT set no longer partitions, [Invalid] if the count is
+    below 1 or above {!max_cores}; state unchanged then. *)
 
 val touch : t -> unit
 (** Mark the tenant dirty so the next {!materialize} recomputes

@@ -2,6 +2,27 @@ module Task = Rtsched.Task
 module Workload = Rtsched.Workload
 module Analysis = Hydra.Analysis
 
+type hp_sec = {
+  hp_task : Task.sec_task;
+  hp_period : Task.time;
+  hp_resp : Task.time;
+}
+
+(* The list as the production analysis' hp view. *)
+let view hp =
+  let g = Rtsched.Guan.make (List.length hp) in
+  List.iteri
+    (fun i h ->
+      g.wcet.(i) <- h.hp_task.Task.sec_wcet;
+      g.period.(i) <- h.hp_period;
+      g.resp.(i) <- h.hp_resp)
+    hp;
+  g
+
+let fast_response_time ?policy ?obs sys ~hp ~wcet ~limit =
+  Analysis.response_time ?policy ?obs sys ~hp:(view hp)
+    ~n:(List.length hp) ~wcet ~limit
+
 let rt_interference (sys : Analysis.system) ~job_wcet x =
   Array.fold_left
     (fun acc core -> acc + Workload.rt_core_interference ~job_wcet core x)
@@ -9,11 +30,11 @@ let rt_interference (sys : Analysis.system) ~job_wcet x =
 
 (* Non-carry-in and carry-in interference of one higher-priority
    security task on a window of length [x]. *)
-let sec_interference_nc ~job_wcet (h : Analysis.hp_sec) x =
+let sec_interference_nc ~job_wcet (h : hp_sec) x =
   Workload.interference ~job_wcet ~window:x
     (Workload.non_carry_in ~wcet:h.hp_task.Task.sec_wcet ~period:h.hp_period x)
 
-let sec_interference_ci ~job_wcet (h : Analysis.hp_sec) x =
+let sec_interference_ci ~job_wcet (h : hp_sec) x =
   Workload.interference ~job_wcet ~window:x
     (Workload.carry_in ~wcet:h.hp_task.Task.sec_wcet ~period:h.hp_period
        ~resp:h.hp_resp x)
@@ -46,7 +67,7 @@ let omega_top_delta (sys : Analysis.system) ~hp ~job_wcet x =
 let omega_fixed_set (sys : Analysis.system) ~hp ~carry_in_ids ~job_wcet x =
   let rt = rt_interference sys ~job_wcet x in
   List.fold_left
-    (fun acc (h : Analysis.hp_sec) ->
+    (fun acc (h : hp_sec) ->
       let i =
         if List.mem h.hp_task.Task.sec_id carry_in_ids then
           sec_interference_ci ~job_wcet h x
@@ -98,7 +119,7 @@ let carry_in_subsets items ~max_size =
 let response_time_exhaustive (sys : Analysis.system) ~hp ~wcet ~limit =
   let subsets =
     carry_in_subsets
-      (List.map (fun (h : Analysis.hp_sec) -> h.hp_task.Task.sec_id) hp)
+      (List.map (fun (h : hp_sec) -> h.hp_task.Task.sec_id) hp)
       ~max_size:(sys.n_cores - 1)
   in
   let step acc carry_in_ids =

@@ -8,9 +8,28 @@
     {!carry_in_subsets} of {!response_time_fixed_subset}, [None] as
     soon as one subset's fixed point exceeds [limit]. *)
 
+type hp_sec = {
+  hp_task : Rtsched.Task.sec_task;
+  hp_period : Rtsched.Task.time;  (** period already chosen for this task *)
+  hp_resp : Rtsched.Task.time;  (** its WCRT under that period *)
+}
+(** A higher-priority security task whose period and response time are
+    already known: the seed's list form of the hp set, which the
+    reference analysis and the tests build. *)
+
+val fast_response_time :
+  ?policy:Hydra.Analysis.carry_in_policy -> ?obs:Hydra_obs.t ->
+  Hydra.Analysis.system -> hp:hp_sec list ->
+  wcet:Rtsched.Task.time -> limit:Rtsched.Task.time ->
+  Rtsched.Task.time option
+(** {!Hydra.Analysis.response_time} on the list as its hp view (entry
+    [i] holds the list's [i]-th task, [n = List.length hp]): the
+    production analysis, called with the list form the differentials
+    compare it at. *)
+
 val response_time :
   ?policy:Hydra.Analysis.carry_in_policy -> Hydra.Analysis.system ->
-  hp:Hydra.Analysis.hp_sec list -> wcet:Rtsched.Task.time ->
+  hp:hp_sec list -> wcet:Rtsched.Task.time ->
   limit:Rtsched.Task.time -> Rtsched.Task.time option
 (** Same contract as {!Hydra.Analysis.response_time} ([policy] defaults
     to [Top_delta]); the production path must return the identical
@@ -25,7 +44,7 @@ val rt_interference :
     computes the same value through its per-system cache. *)
 
 val response_time_fixed_subset :
-  Hydra.Analysis.system -> hp:Hydra.Analysis.hp_sec list ->
+  Hydra.Analysis.system -> hp:hp_sec list ->
   carry_in_ids:int list -> wcet:Rtsched.Task.time -> limit:Rtsched.Task.time ->
   Rtsched.Task.time option
 (** Eq. 7 under one {b fixed} carry-in set (tasks named by [sec_id]):

@@ -1,10 +1,9 @@
 module Task = Rtsched.Task
-module Analysis = Hydra.Analysis
 module Period_selection = Hydra.Period_selection
 
 let hp_list (sorted : Task.sec_task array) periods resps j =
   List.init j (fun i ->
-      { Analysis.hp_task = sorted.(i); hp_period = periods.(i);
+      { Naive_analysis.hp_task = sorted.(i); hp_period = periods.(i);
         hp_resp = resps.(i) })
 
 (* Response time of the task at position [j] given the current period

@@ -76,13 +76,13 @@ let hp_chain ?policy sys (sorted : Task.sec_task array) upto =
     else
       let s = sorted.(i) in
       match
-        Analysis.response_time ?policy sys ~hp:(List.rev acc)
+        Naive_analysis.fast_response_time ?policy sys ~hp:(List.rev acc)
           ~wcet:s.Task.sec_wcet ~limit:s.Task.sec_period_max
       with
       | None -> None
       | Some r ->
           go (i + 1)
-            ({ Analysis.hp_task = s; hp_period = s.Task.sec_period_max;
+            ({ Naive_analysis.hp_task = s; hp_period = s.Task.sec_period_max;
                hp_resp = r }
              :: acc)
   in
@@ -120,13 +120,14 @@ let prop_top_delta_bounds_every_subset =
       | Some hp -> (
           let wcet = target.Task.sec_wcet in
           let limit = target.Task.sec_period_max in
-          match Analysis.response_time ~policy:Analysis.Top_delta sys ~hp
-                  ~wcet ~limit
+          match
+            Naive_analysis.fast_response_time ~policy:Analysis.Top_delta sys
+              ~hp ~wcet ~limit
           with
           | None -> true (* no certificate; nothing claimed *)
           | Some r_top ->
               Naive_analysis.carry_in_subsets
-                (List.map (fun h -> h.Analysis.hp_task.Task.sec_id) hp)
+                (List.map (fun h -> h.Naive_analysis.hp_task.Task.sec_id) hp)
                 ~max_size:(sys.Analysis.n_cores - 1)
               |> List.for_all (fun carry_in_ids ->
                      match
@@ -158,7 +159,8 @@ let prop_response_time_fast_equals_naive =
                     Naive_analysis.response_time ~policy sys ~hp ~wcet ~limit
                   in
                   let fast =
-                    Analysis.response_time ~policy sys ~hp ~wcet ~limit
+                    Naive_analysis.fast_response_time ~policy sys ~hp ~wcet
+                      ~limit
                   in
                   naive = fast)
             [ Analysis.Top_delta; Analysis.Exhaustive ])
@@ -291,13 +293,15 @@ let test_exhaustive_long_chains () =
     (fun n ->
       let hp =
         List.init n (fun i ->
-            { Analysis.hp_task =
+            { Naive_analysis.hp_task =
                 Task.make_sec ~id:i ~prio:i ~wcet:2 ~period_max:(4 * n) ();
               hp_period = 4 * n; hp_resp = 5 })
       in
       let wcet = 3 in
       let r_top =
-        match Analysis.response_time sys ~hp ~wcet ~limit:max_int with
+        match
+          Naive_analysis.fast_response_time sys ~hp ~wcet ~limit:max_int
+        with
         | Some r -> r
         | None -> Alcotest.fail "top-delta must converge"
       in
@@ -309,8 +313,8 @@ let test_exhaustive_long_chains () =
             (at "= literal Eq. 8")
             (Naive_analysis.response_time ~policy:Analysis.Exhaustive sys ~hp
                ~wcet ~limit)
-            (Analysis.response_time ~policy:Analysis.Exhaustive ~obs sys ~hp
-               ~wcet ~limit);
+            (Naive_analysis.fast_response_time ~policy:Analysis.Exhaustive
+               ~obs sys ~hp ~wcet ~limit);
           let subsets =
             match
               List.find_opt
@@ -339,9 +343,55 @@ let test_saturated_rt_creep () =
   Alcotest.(check (option int)) "= naive" (Some 20000)
     (Naive_analysis.response_time sys ~hp:[] ~wcet ~limit);
   Alcotest.(check (option int)) "response" (Some 20000)
-    (Analysis.response_time ~obs sys ~hp:[] ~wcet ~limit);
+    (Naive_analysis.fast_response_time ~obs sys ~hp:[] ~wcet ~limit);
   let iters = Hydra_obs.counter_total obs "analysis.fixpoint.iterations" in
   check_bool (Printf.sprintf "%d iterations <= 200" iters) true (iters <= 200)
+
+(* A Top_delta call reads its hp view in place and runs on the
+   system's kernel scratch, so what it allocates does not grow with the
+   hp count. Each call is warm-started at its least fixed point, whose
+   window the memo already holds, so it takes one iteration. *)
+let test_call_allocation_flat () =
+  let rt = Task.make_rt ~id:0 ~prio:0 ~wcet:3 ~period:20 () in
+  let sys =
+    { Analysis.n_cores = 4; rt_cores = [| [ rt ]; []; []; [] |];
+      cache = Analysis.fresh_cache 4 }
+  in
+  let wcet = 10 and limit = 100_000 in
+  let per_call n =
+    let hp = Rtsched.Guan.make n in
+    for i = 0 to n - 1 do
+      hp.wcet.(i) <- 2 + (i mod 3);
+      hp.period.(i) <- 400 + (10 * i);
+      hp.resp.(i) <- 7
+    done;
+    let lfp =
+      match Analysis.response_time sys ~hp ~n ~wcet ~limit with
+      | Some r -> r
+      | None -> Alcotest.fail "must converge"
+    in
+    let obs = Hydra_obs.create () in
+    ignore
+      (Sys.opaque_identity
+         (Analysis.response_time ~warm:lfp ~obs sys ~hp ~n ~wcet ~limit));
+    check_int (Printf.sprintf "one iteration at n=%d" n) 1
+      (Hydra_obs.counter_total obs "analysis.fixpoint.iterations");
+    let calls = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore
+        (Sys.opaque_identity
+           (Analysis.response_time ~warm:lfp sys ~hp ~n ~wcet ~limit))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let one = per_call 1 in
+  List.iter
+    (fun n ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "minor words per call, %d hp tasks = 1" n)
+        one (per_call n))
+    [ 8; 32 ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache hygiene: the stats accessor, the slot count (every size
@@ -528,7 +578,9 @@ let () =
           Alcotest.test_case "Exhaustive on long hp chains" `Quick
             test_exhaustive_long_chains;
           Alcotest.test_case "saturated RT creep" `Quick
-            test_saturated_rt_creep ] );
+            test_saturated_rt_creep;
+          Alcotest.test_case "call allocation flat in hp count" `Quick
+            test_call_allocation_flat ] );
       ( "cache_hygiene",
         [ Alcotest.test_case "stats + bounded eviction" `Quick
             test_cache_stats_and_bound;

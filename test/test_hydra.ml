@@ -33,36 +33,40 @@ let rover_system () =
 let test_analysis_alone () =
   (* No RT tasks, no higher-priority security tasks: R = C. *)
   Alcotest.(check (option int)) "alone" (Some 9)
-    (Analysis.response_time (empty_system 2) ~hp:[] ~wcet:9 ~limit:100)
+    (Naive_analysis.fast_response_time (empty_system 2) ~hp:[] ~wcet:9
+       ~limit:100)
 
 let test_analysis_more_cores_than_tasks () =
   (* One hp task but two cores: the job under analysis never waits. *)
   let hp =
-    [ { Analysis.hp_task = sec 5 50; hp_period = 50; hp_resp = 5 } ]
+    [ { Naive_analysis.hp_task = sec 5 50; hp_period = 50; hp_resp = 5 } ]
   in
   Alcotest.(check (option int)) "never waits" (Some 9)
-    (Analysis.response_time (empty_system 2) ~hp ~wcet:9 ~limit:100)
+    (Naive_analysis.fast_response_time (empty_system 2) ~hp ~wcet:9 ~limit:100)
 
 let test_analysis_single_core_interference () =
   (* M = 1, hp security task (2,10,R=2): classic uniprocessor-like
      interference with the synchronous workload bound. *)
   let hp =
-    [ { Analysis.hp_task = sec 2 10; hp_period = 10; hp_resp = 2 } ]
+    [ { Naive_analysis.hp_task = sec 2 10; hp_period = 10; hp_resp = 2 } ]
   in
-  match Analysis.response_time (empty_system 1) ~hp ~wcet:5 ~limit:100 with
+  match
+    Naive_analysis.fast_response_time (empty_system 1) ~hp ~wcet:5 ~limit:100
+  with
   | None -> Alcotest.fail "expected schedulable"
   | Some r -> check_bool "bounded sensibly" true (r >= 7 && r <= 10)
 
 let test_analysis_unschedulable () =
   let hp =
-    [ { Analysis.hp_task = sec 10 10; hp_period = 10; hp_resp = 10 } ]
+    [ { Naive_analysis.hp_task = sec 10 10; hp_period = 10; hp_resp = 10 } ]
   in
   Alcotest.(check (option int)) "saturated core" None
-    (Analysis.response_time (empty_system 1) ~hp ~wcet:5 ~limit:200)
+    (Naive_analysis.fast_response_time (empty_system 1) ~hp ~wcet:5 ~limit:200)
 
 let test_analysis_limit_is_respected () =
   Alcotest.(check (option int)) "wcet beyond limit" None
-    (Analysis.response_time (empty_system 2) ~hp:[] ~wcet:50 ~limit:49)
+    (Naive_analysis.fast_response_time (empty_system 2) ~hp:[] ~wcet:50
+       ~limit:49)
 
 let test_analysis_rt_interference_term () =
   let rt0 = Task.make_rt ~id:0 ~prio:0 ~wcet:4 ~period:10 () in
@@ -114,15 +118,15 @@ let prop_top_delta_upper_bounds_exhaustive =
         Array.to_list sorted
         |> List.filter (fun s -> s.Task.sec_prio < target.Task.sec_prio)
         |> List.map (fun s ->
-               { Analysis.hp_task = s; hp_period = s.Task.sec_period_max;
+               { Naive_analysis.hp_task = s; hp_period = s.Task.sec_period_max;
                  hp_resp = s.Task.sec_wcet })
       in
       let r_top =
-        Analysis.response_time ~policy:Analysis.Top_delta sys ~hp
+        Naive_analysis.fast_response_time ~policy:Analysis.Top_delta sys ~hp
           ~wcet:target.Task.sec_wcet ~limit:100_000
       in
       let r_exh =
-        Analysis.response_time ~policy:Analysis.Exhaustive sys ~hp
+        Naive_analysis.fast_response_time ~policy:Analysis.Exhaustive sys ~hp
           ~wcet:target.Task.sec_wcet ~limit:100_000
       in
       match (r_top, r_exh) with
@@ -216,7 +220,7 @@ let prop_selection_periods_feasible =
             | [] -> true
             | (a : Period_selection.assignment) :: rest -> (
                 match
-                  Analysis.response_time sys ~hp
+                  Naive_analysis.fast_response_time sys ~hp
                     ~wcet:a.Period_selection.sec.Task.sec_wcet
                     ~limit:a.Period_selection.sec.Task.sec_period_max
                 with
@@ -225,7 +229,7 @@ let prop_selection_periods_feasible =
                     r <= a.Period_selection.period
                     && verify
                          (hp
-                         @ [ { Analysis.hp_task = a.Period_selection.sec;
+                         @ [ { Naive_analysis.hp_task = a.Period_selection.sec;
                                hp_period = a.Period_selection.period;
                                hp_resp = r } ])
                          rest)
@@ -249,14 +253,14 @@ let prop_selection_minimality =
           else begin
             (* probe T-1: some lower-priority task must fail *)
             let hp_probe =
-              { Analysis.hp_task = first.sec; hp_period = first.period - 1;
-                hp_resp = first.resp }
+              { Naive_analysis.hp_task = first.sec;
+                hp_period = first.period - 1; hp_resp = first.resp }
             in
             let rec lp_all_ok hp = function
               | [] -> true
               | (a : assignment) :: tl -> (
                   match
-                    Analysis.response_time sys ~hp
+                    Naive_analysis.fast_response_time sys ~hp
                       ~wcet:a.sec.Task.sec_wcet
                       ~limit:a.sec.Task.sec_period_max
                   with
@@ -264,7 +268,7 @@ let prop_selection_minimality =
                   | Some r ->
                       lp_all_ok
                         (hp
-                        @ [ { Analysis.hp_task = a.sec;
+                        @ [ { Naive_analysis.hp_task = a.sec;
                               hp_period = a.sec.Task.sec_period_max;
                               hp_resp = r } ])
                         tl)
@@ -289,14 +293,14 @@ let prop_selection_never_below_tmax_feasibility =
         | [] -> true
         | (s : Task.sec_task) :: rest -> (
             match
-              Analysis.response_time sys ~hp ~wcet:s.Task.sec_wcet
+              Naive_analysis.fast_response_time sys ~hp ~wcet:s.Task.sec_wcet
                 ~limit:s.Task.sec_period_max
             with
             | None -> false
             | Some r ->
                 feasible
                   (hp
-                  @ [ { Analysis.hp_task = s;
+                  @ [ { Naive_analysis.hp_task = s;
                         hp_period = s.Task.sec_period_max; hp_resp = r } ])
                   rest)
       in

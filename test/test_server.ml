@@ -320,6 +320,46 @@ let test_set_cores () =
             (List.length (assignments r4) = 2)
       | _ -> Alcotest.fail "expected five responses")
 
+(* A core count above Tenant.max_cores is an error, from init and from
+   set_cores alike, and leaves the tenant as it was: the workload memo
+   grows with the core count (256 slots of M workloads), so at
+   cores = 100_000 one small frame would have the daemon zero-fill a
+   200 MB memo. The bound itself is admitted. *)
+let test_cores_bound () =
+  with_engine (fun e ->
+      let stats () =
+        match Engine.exec_batch e [ req 9 Protocol.Stats ] with
+        | [ r ] -> the_stats r
+        | _ -> Alcotest.fail "expected one response"
+      in
+      ignore (Engine.exec_batch e [ req 0 small_init; req 1 Protocol.Query ]);
+      let before = stats () in
+      let too_many cores =
+        match
+          Engine.exec_batch e
+            [ req 2 (Protocol.Init { cores; rt = []; sec = [] });
+              req 3 (Protocol.Set_cores cores) ]
+        with
+        | [ r2; r3 ] ->
+            let at what = Printf.sprintf "%s at cores = %d" what cores in
+            check_bool (at "init refused") true (status r2 = Protocol.Failed);
+            check_bool (at "set_cores refused") true
+              (status r3 = Protocol.Failed);
+            check_bool (at "stats unchanged") true (stats () = before)
+        | _ -> Alcotest.fail "expected two responses"
+      in
+      List.iter too_many [ Tenant.max_cores + 1; 100_000 ];
+      match
+        Engine.exec_batch e
+          [ req 4 (Protocol.Set_cores Tenant.max_cores); req 5 Protocol.Query ]
+      with
+      | [ r4; r5 ] ->
+          check_bool "the bound itself is admitted" true
+            (status r4 = Protocol.Ok);
+          check_int "still 2 rows" 2 (List.length (assignments r5));
+          check_int "cores" Tenant.max_cores (stats ()).Protocol.st_cores
+      | _ -> Alcotest.fail "expected two responses")
+
 let test_remove () =
   with_engine (fun e ->
       ignore (Engine.exec_batch e [ req 0 small_init ]);
@@ -1026,6 +1066,7 @@ let () =
           Alcotest.test_case "unknown names error" `Quick
             test_unknown_names_error;
           Alcotest.test_case "set_cores" `Quick test_set_cores;
+          Alcotest.test_case "cores bound" `Quick test_cores_bound;
           Alcotest.test_case "remove" `Quick test_remove ] );
       ( "coalescing",
         [ Alcotest.test_case "burst runs one select" `Quick test_coalescing;
