@@ -28,13 +28,17 @@ let hydra_c_outcome ?policy ?obs (g : Generator.generated) =
 let distance_of (g : Generator.generated) (o : Scheme.outcome) =
   match o.Scheme.periods with
   | Some periods when o.Scheme.schedulable ->
-      let ts = g.Generator.taskset in
-      let bounds = Array.make (Array.length ts.Task.sec) 0 in
-      Array.iter
-        (fun s -> bounds.(s.Task.sec_id) <- s.Task.sec_period_max)
-        ts.Task.sec;
-      Some (Hydra.Metrics.normalized_distance_to_bound ~periods ~bounds)
+      Some
+        (Hydra.Metrics.normalized_distance_to_bound ~periods
+           ~bounds:(Task.period_bounds g.Generator.taskset.Task.sec))
   | Some _ | None -> None
+
+(* An "accepted / mean distance" row from one entry per taskset: its
+   distance when the variant accepts it, [None] otherwise. *)
+let distance_row label distances =
+  let accepted = List.filter_map Fun.id distances in
+  [ label; string_of_int (List.length accepted);
+    Table_render.float_cell (Hydra.Metrics.mean accepted) ]
 
 let run_carry_in ?jobs ?obs ppf ~seed ~per_group ~n_cores =
   Hydra_obs.span obs "ablation.carry_in" @@ fun () ->
@@ -51,14 +55,8 @@ let run_carry_in ?jobs ?obs ppf ~seed ~per_group ~n_cores =
   in
   let top = evaluate Hydra.Analysis.Top_delta in
   let exh = evaluate Hydra.Analysis.Exhaustive in
-  let accepted l =
-    List.length (List.filter (fun o -> o.Scheme.schedulable) l)
-  in
-  let mean_distance outcomes =
-    Hydra.Metrics.mean
-      (List.filter_map
-         (fun ((_, g), o) -> distance_of g o)
-         (List.combine batch outcomes))
+  let distances outcomes =
+    List.map2 (fun (_, g) o -> distance_of g o) batch outcomes
   in
   let diverging =
     List.length
@@ -73,10 +71,8 @@ let run_carry_in ?jobs ?obs ppf ~seed ~per_group ~n_cores =
          n_cores (List.length batch))
     ~header:[ "policy"; "accepted"; "mean distance" ]
     ~rows:
-      [ [ "top-delta"; string_of_int (accepted top);
-          Table_render.float_cell (mean_distance top) ];
-        [ "exhaustive"; string_of_int (accepted exh);
-          Table_render.float_cell (mean_distance exh) ] ];
+      [ distance_row "top-delta" (distances top);
+        distance_row "exhaustive" (distances exh) ];
   Format.fprintf ppf
     "tasksets where the polynomial bound changes the verdict: %d@." diverging
 
@@ -123,29 +119,19 @@ let run_priority_order ?jobs ?obs ppf ~seed ~per_group ~n_cores =
   let rows =
     List.map
       (fun ordering ->
-        let outcomes =
-          Parallel.Pool.map_list ?obs ?jobs
-            (fun (_, (g : Generator.generated)) ->
-              let ts = g.Generator.taskset in
-              let sec' = Hydra.Priority_assignment.apply ordering ts.Task.sec in
-              let o =
-                Scheme.evaluate ?obs Scheme.Hydra_c
-                  { ts with Task.sec = sec' }
-                  ~rt_assignment:g.Generator.rt_assignment
-              in
-              (g, o))
-            batch
-        in
-        let accepted =
-          List.length
-            (List.filter (fun (_, o) -> o.Scheme.schedulable) outcomes)
-        in
-        let mean_distance =
-          Hydra.Metrics.mean
-            (List.filter_map (fun (g, o) -> distance_of g o) outcomes)
-        in
-        [ Hydra.Priority_assignment.ordering_name ordering;
-          string_of_int accepted; Table_render.float_cell mean_distance ])
+        distance_row
+          (Hydra.Priority_assignment.ordering_name ordering)
+          (Parallel.Pool.map_list ?obs ?jobs
+             (fun (_, (g : Generator.generated)) ->
+               let ts = g.Generator.taskset in
+               let sec' =
+                 Hydra.Priority_assignment.apply ordering ts.Task.sec
+               in
+               distance_of g
+                 (Scheme.evaluate ?obs Scheme.Hydra_c
+                    { ts with Task.sec = sec' }
+                    ~rt_assignment:g.Generator.rt_assignment))
+             batch))
       Hydra.Priority_assignment.all_orderings
   in
   Table_render.table ppf
@@ -160,64 +146,45 @@ let run_hydra_variants ?jobs ?obs ppf ~seed ~per_group ~n_cores =
   Hydra_obs.span obs "ablation.hydra_variants" @@ fun () ->
   let config = Generator.default_config ~n_cores in
   let batch = generate_batch ?jobs ?obs config ~seed ~per_group in
-  let bounds_of (ts : Task.taskset) =
-    let v = Array.make (Array.length ts.Task.sec) 0 in
-    Array.iter (fun s -> v.(s.Task.sec_id) <- s.Task.sec_period_max) ts.Task.sec;
-    v
-  in
-  (* Evaluate one variant: (accepted, mean distance of the accepted). *)
-  let evaluate label run =
-    let results =
-      Parallel.Pool.map_list ?obs ?jobs
-        (fun (_, (g : Generator.generated)) ->
-          let ts = g.Generator.taskset in
-          let n_sec = Array.length ts.Task.sec in
-          match run g with
-          | None -> None
-          | Some periods ->
+  (* Each variant runs once per taskset: its distance when it accepts
+     the taskset, and the paired HYDRA-C vs coordinated difference when
+     both do. *)
+  let results =
+    Parallel.Pool.map_list ?obs ?jobs
+      (fun (_, (g : Generator.generated)) ->
+        let ts = g.Generator.taskset in
+        let rt_assignment = g.Generator.rt_assignment in
+        let bounds = Task.period_bounds ts.Task.sec in
+        let greedy = Scheme.evaluate ?obs Scheme.Hydra ts ~rt_assignment in
+        let coordinated =
+          match
+            Hydra.Baseline_hydra.allocate_coordinated ?obs
+              (Hydra.Analysis.make_system ts ~assignment:rt_assignment)
+              ts.Task.sec
+          with
+          | Hydra.Baseline_hydra.Schedulable allocs ->
               Some
-                (Hydra.Metrics.normalized_distance_to_bound ~periods:
-                   (Array.init n_sec (fun i -> periods.(i)))
-                   ~bounds:(bounds_of ts)))
-        batch
-    in
-    let accepted = List.filter_map (fun x -> x) results in
-    [ label; string_of_int (List.length accepted);
-      Table_render.float_cell (Hydra.Metrics.mean accepted) ]
-  in
-  let sys_of (g : Generator.generated) =
-    Hydra.Analysis.make_system g.Generator.taskset
-      ~assignment:g.Generator.rt_assignment
-  in
-  let n_sec_of (g : Generator.generated) =
-    Array.length g.Generator.taskset.Task.sec
-  in
-  let hydra_greedy g =
-    match
-      Hydra.Baseline_hydra.allocate ?obs ~minimize:true (sys_of g)
-        g.Generator.taskset.Task.sec
-    with
-    | Hydra.Baseline_hydra.Schedulable allocs ->
-        Some (Hydra.Baseline_hydra.period_vector allocs ~n_sec:(n_sec_of g))
-    | Hydra.Baseline_hydra.Unschedulable -> None
-  in
-  let hydra_coordinated g =
-    match
-      Hydra.Baseline_hydra.allocate_coordinated ?obs (sys_of g)
-        g.Generator.taskset.Task.sec
-    with
-    | Hydra.Baseline_hydra.Schedulable allocs ->
-        Some (Hydra.Baseline_hydra.period_vector allocs ~n_sec:(n_sec_of g))
-    | Hydra.Baseline_hydra.Unschedulable -> None
-  in
-  let hydra_c g =
-    match
-      Hydra.Period_selection.select ?obs (sys_of g)
-        g.Generator.taskset.Task.sec
-    with
-    | Hydra.Period_selection.Schedulable a ->
-        Some (Hydra.Period_selection.period_vector a ~n_sec:(n_sec_of g))
-    | Hydra.Period_selection.Unschedulable -> None
+                (Hydra.Baseline_hydra.period_vector allocs
+                   ~n_sec:(Array.length ts.Task.sec))
+          | Hydra.Baseline_hydra.Unschedulable -> None
+        in
+        let hydra_c = Scheme.evaluate ?obs Scheme.Hydra_c ts ~rt_assignment in
+        let paired =
+          match (hydra_c.Scheme.periods, coordinated) with
+          | Some ours, Some other ->
+              Some
+                (Hydra.Metrics.mean_normalized_difference ~ours ~other
+                   ~bounds)
+          | (Some _ | None), _ -> None
+        in
+        ( distance_of g greedy,
+          Option.map
+            (fun periods ->
+              Hydra.Metrics.normalized_distance_to_bound ~periods ~bounds)
+            coordinated,
+          distance_of g hydra_c,
+          paired ))
+      batch
   in
   Table_render.table ppf
     ~title:
@@ -226,23 +193,14 @@ let run_hydra_variants ?jobs ?obs ppf ~seed ~per_group ~n_cores =
          n_cores (List.length batch))
     ~header:[ "variant"; "accepted"; "mean distance" ]
     ~rows:
-      [ evaluate "HYDRA (greedy)" hydra_greedy;
-        evaluate "HYDRA-coordinated" hydra_coordinated;
-        evaluate "HYDRA-C" hydra_c ];
+      [ distance_row "HYDRA (greedy)"
+          (List.map (fun (d, _, _, _) -> d) results);
+        distance_row "HYDRA-coordinated"
+          (List.map (fun (_, d, _, _) -> d) results);
+        distance_row "HYDRA-C" (List.map (fun (_, _, d, _) -> d) results) ];
   (* Paired comparison on the tasksets both HYDRA-C and the
      coordinated variant schedule (the honest Fig. 7b-style number). *)
-  let paired =
-    Parallel.Pool.map_list ?obs ?jobs
-      (fun (_, (g : Generator.generated)) ->
-        match (hydra_c g, hydra_coordinated g) with
-        | Some ours, Some other ->
-            Some
-              (Hydra.Metrics.mean_normalized_difference ~ours ~other
-                 ~bounds:(bounds_of g.Generator.taskset))
-        | (Some _ | None), _ -> None)
-      batch
-    |> List.filter_map Fun.id
-  in
+  let paired = List.filter_map (fun (_, _, _, p) -> p) results in
   Format.fprintf ppf
     "paired HYDRA-C vs HYDRA-coordinated difference (positive = HYDRA-C \
      shorter): %s over %d common tasksets@."

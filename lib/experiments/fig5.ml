@@ -178,32 +178,24 @@ let run ?(seed = 42) ?(trials = 35) ?(horizon = 45000) ?(deployment = Tmax)
   let ts = Security.Rover.taskset () in
   let rt_assignment = Security.Rover.rt_assignment () in
   let n_sec = Array.length ts.Task.sec in
-  let sys = Hydra.Analysis.make_system ts ~assignment:rt_assignment in
-  let bounds =
-    let v = Array.make n_sec 0 in
-    Array.iter (fun s -> v.(s.Task.sec_id) <- s.Task.sec_period_max) ts.Task.sec;
-    v
+  let deploy scheme =
+    match Hydra.Scheme.evaluate ?obs scheme ts ~rt_assignment with
+    | { Hydra.Scheme.schedulable = true; periods = Some periods; sec_cores } ->
+        (periods, sec_cores)
+    | _ ->
+        failwith
+          ("Fig5.run: rover taskset unschedulable under "
+          ^ Hydra.Scheme.name scheme)
   in
-  (* HYDRA-C deployment: selected periods (Algorithm 1) or the bounds. *)
-  let hc_periods =
+  (* HYDRA-C runs at its selected periods (Algorithm 1) or at the
+     bounds; HYDRA allocates greedily per core, minimizing the periods
+     or keeping the bounds. *)
+  let hc_periods, (hy_periods, hy_cores) =
     match deployment with
-    | Tmax -> bounds
-    | Adapted -> (
-        match Hydra.Period_selection.select ?obs sys ts.Task.sec with
-        | Hydra.Period_selection.Schedulable a ->
-            Hydra.Period_selection.period_vector a ~n_sec
-        | Hydra.Period_selection.Unschedulable ->
-            failwith "Fig5.run: rover taskset unschedulable under HYDRA-C")
-  in
-  (* HYDRA deployment: greedy per-core allocation, minimizing or not. *)
-  let hy_periods, hy_cores =
-    let minimize = deployment = Adapted in
-    match Hydra.Baseline_hydra.allocate ?obs ~minimize sys ts.Task.sec with
-    | Hydra.Baseline_hydra.Schedulable allocs ->
-        ( Hydra.Baseline_hydra.period_vector allocs ~n_sec,
-          Hydra.Baseline_hydra.core_vector allocs ~n_sec )
-    | Hydra.Baseline_hydra.Unschedulable ->
-        failwith "Fig5.run: rover taskset unschedulable under HYDRA"
+    | Tmax -> (Task.period_bounds ts.Task.sec, deploy Hydra.Scheme.Hydra_tmax)
+    | Adapted ->
+        let hc_periods, _ = deploy Hydra.Scheme.Hydra_c in
+        (hc_periods, deploy Hydra.Scheme.Hydra)
   in
   let rng = Rng.create seed in
   (* One pre-split stream per trial (attack times and targets), so a
@@ -235,7 +227,7 @@ let run ?(seed = 42) ?(trials = 35) ?(horizon = 45000) ?(deployment = Tmax)
         ~policy:Sim.Policy.Semi_partitioned ~periods:hc_periods
         ~sec_cores:None (),
       common ~scheme:"hydra" ~policy:Sim.Policy.Fully_partitioned
-        ~periods:hy_periods ~sec_cores:(Some hy_cores) () )
+        ~periods:hy_periods ~sec_cores:hy_cores () )
   in
   let results = Parallel.Pool.map ?obs ?jobs trial trials in
   (* Last trial first, matching the original accumulation order: the

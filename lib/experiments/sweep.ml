@@ -15,11 +15,6 @@ type t = {
   records : record list;
 }
 
-let bounds_of (ts : Task.taskset) =
-  let v = Array.make (Array.length ts.sec) 0 in
-  Array.iter (fun s -> v.(s.Task.sec_id) <- s.Task.sec_period_max) ts.sec;
-  v
-
 (* Metric-name suffix for a scheme: lowercase, underscores for dashes
    ("HYDRA-TMax" -> "hydra_tmax"), matching Fig5's hydra_c/hydra
    labels. *)
@@ -45,7 +40,7 @@ let evaluate_one ?policy ?obs (g : Generator.generated) ~group =
       Scheme.all
   in
   { group; norm_util = Task.normalized_utilization ts;
-    bounds = bounds_of ts; outcomes }
+    bounds = Task.period_bounds ts.sec; outcomes }
 
 let run ?policy ?config ?jobs ?obs ~n_cores ~per_group ~seed () =
   Hydra_obs.span obs "sweep.run" @@ fun () ->

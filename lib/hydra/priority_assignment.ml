@@ -49,25 +49,19 @@ let first_schedulable ?policy sys secs =
   in
   List.find_map try_one all_orderings
 
-let distance_of assignments ~n_sec =
-  Metrics.normalized_distance_to_bound
-    ~periods:(Period_selection.period_vector assignments ~n_sec)
-    ~bounds:
-      (Period_selection.period_vector
-         (List.map
-            (fun (a : Period_selection.assignment) ->
-              { a with Period_selection.period = a.sec.Task.sec_period_max })
-            assignments)
-         ~n_sec)
-
 let best_by_distance ?policy sys secs =
   let n_sec = Array.length secs in
+  let bounds = Task.period_bounds secs in
   let candidates =
     List.filter_map
       (fun ordering ->
         match select_with ?policy sys secs ordering with
         | Period_selection.Schedulable assignments ->
-            Some (ordering, assignments, distance_of assignments ~n_sec)
+            let periods = Period_selection.period_vector assignments ~n_sec in
+            Some
+              ( ordering,
+                assignments,
+                Metrics.normalized_distance_to_bound ~periods ~bounds )
         | Period_selection.Unschedulable -> None)
       all_orderings
   in

@@ -22,11 +22,6 @@ type outcome = {
 
 let unschedulable = { schedulable = false; periods = None; sec_cores = None }
 
-let tmax_periods (ts : Task.taskset) =
-  let v = Array.make (Array.length ts.sec) 0 in
-  Array.iter (fun s -> v.(s.Task.sec_id) <- s.Task.sec_period_max) ts.sec;
-  v
-
 let evaluate ?policy ?obs scheme (ts : Task.taskset) ~rt_assignment =
   let n_sec = Array.length ts.sec in
   match scheme with
@@ -49,6 +44,6 @@ let evaluate ?policy ?obs scheme (ts : Task.taskset) ~rt_assignment =
             sec_cores = Some (Baseline_hydra.core_vector allocs ~n_sec) })
   | Global_tmax ->
       if Baseline_tmax.global_tmax_schedulable ?obs ts then
-        { schedulable = true; periods = Some (tmax_periods ts);
+        { schedulable = true; periods = Some (Task.period_bounds ts.sec);
           sec_cores = None }
       else unschedulable

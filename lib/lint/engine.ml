@@ -19,20 +19,12 @@ let scope_of_file file =
 (* ------------------------------------------------------------------ *)
 (* Small Parsetree helpers *)
 
-let flatten_ident e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      match Longident.flatten txt with
-      | parts -> Some parts
-      | exception _ -> None)
-  | _ -> None
-
 (* Head of a (possibly partial) application chain: the [List.sort] in
    [List.sort cmp] or [x |> List.sort cmp]. *)
 let rec head_ident e =
   match e.pexp_desc with
   | Pexp_apply (f, _) -> head_ident f
-  | _ -> flatten_ident e
+  | _ -> Summary.flatten_ident e
 
 (* [exists_in_expr pred e]: does any subexpression of [e] satisfy
    [pred]? Only expressions are inspected (not patterns or types). *)
@@ -97,7 +89,7 @@ let accumulates e =
       match e.pexp_desc with
       | Pexp_construct ({ txt = Longident.Lident "::"; _ }, _) -> true
       | Pexp_ident _ -> (
-          match flatten_ident e with
+          match Summary.flatten_ident e with
           | Some ([ "@" ] | [ "^" ] | [ "List"; "cons" ]) -> true
           | Some [ "Buffer"; f ] -> String.starts_with ~prefix:"add" f
           | _ -> false)
@@ -110,42 +102,6 @@ let is_sort = function
       true
   | _ -> false
 
-(* D4: creators of shared mutable cells. [Atomic.make], [Mutex.create]
-   and [Domain.DLS.new_key] are deliberately absent — they are the
-   sanctioned forms of module-level state. *)
-let d4_creator = function
-  | [ "ref" ] | [ "Stdlib"; "ref" ] -> Some "ref"
-  | [ "Hashtbl"; "create" ] -> Some "Hashtbl.create"
-  | [ "Queue"; "create" ] -> Some "Queue.create"
-  | [ "Stack"; "create" ] -> Some "Stack.create"
-  | [ "Buffer"; "create" ] -> Some "Buffer.create"
-  | [ "Array"; ("make" | "create_float" | "init") as f ] ->
-      Some ("Array." ^ f)
-  | [ "Bytes"; ("create" | "make") as f ] -> Some ("Bytes." ^ f)
-  | _ -> None
-
-(* D6: syntactic heap-allocation sites, for bodies of [@lint.hot]
-   bindings. Constant constructors ([None], [[]]) and pattern matches
-   are free; [raise]d exception constructors still count — a hot path
-   should validate before it gets hot. *)
-let d6_marker e =
-  match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ -> Some "a closure"
-  | Pexp_tuple _ -> Some "a tuple"
-  | Pexp_record _ -> Some "a record"
-  | Pexp_array _ -> Some "an array literal"
-  | Pexp_lazy _ -> Some "a lazy block"
-  | Pexp_construct ({ txt; _ }, Some _) -> (
-      match Longident.flatten txt with
-      | parts -> Some ("constructor " ^ String.concat "." parts)
-      | exception _ -> Some "a constructor application")
-  | Pexp_variant (tag, Some _) -> Some ("variant `" ^ tag)
-  | Pexp_apply (f, _) -> (
-      match flatten_ident f with
-      | Some ([ "ref" ] | [ "Stdlib"; "ref" ]) -> Some "a ref cell"
-      | _ -> None)
-  | _ -> None
-
 let is_hot_attr (attr : attribute) = attr.attr_name.txt = "lint.hot"
 
 (* D5: syntactic evidence that an operand is a float. *)
@@ -155,7 +111,7 @@ let float_evidence e =
       match e.pexp_desc with
       | Pexp_constant (Pconst_float _) -> true
       | Pexp_ident _ -> (
-          match flatten_ident e with
+          match Summary.flatten_ident e with
           | Some [ ("+." | "-." | "*." | "/." | "**") ] -> true
           | Some [ "float_of_int" ] -> true
           | Some ("Float" :: _) -> true
@@ -170,39 +126,16 @@ type ctx = {
   file : string;
   scope : scope;
   mutable findings : Finding.t list;
-  (* (rule, first byte offset, last byte offset) covered by an inline
-     [@lint.allow] attribute *)
-  mutable allows : (string * int * int) list;
   (* > 0 while inside an expression chain that sorts its result *)
   mutable sorted_depth : int;
 }
-
-let allow_rules_of_payload = function
-  | PStr
-      [ { pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _ } ] ->
-      String.split_on_char ' ' s
-      |> List.concat_map (String.split_on_char ',')
-      |> List.filter (fun r -> r <> "")
-  | _ -> []
 
 let run_pass ctx ast =
   let add rule (loc : Location.t) msg =
     ctx.findings <- Finding.make ~rule ~file:ctx.file ~loc ~msg :: ctx.findings
   in
-  let record_allow (attr : attribute) ~first ~last =
-    if attr.attr_name.txt = "lint.allow" then
-      List.iter
-        (fun r -> ctx.allows <- (r, first, last) :: ctx.allows)
-        (allow_rules_of_payload attr.attr_payload)
-  in
-  let record_allow_loc attr (loc : Location.t) =
-    record_allow attr ~first:loc.loc_start.pos_cnum ~last:loc.loc_end.pos_cnum
-  in
   let check_ident e =
-    match flatten_ident e with
+    match Summary.flatten_ident e with
     | None -> ()
     | Some parts ->
         (if not ctx.scope.in_obs then
@@ -237,47 +170,32 @@ let run_pass ctx ast =
                    name)
           | None -> ()
   in
-  (* D6 scans the body of a [@lint.hot] binding; the outermost
-     parameter funs are the function being defined, not captures. *)
-  let d6_scan vb =
-    let rec peel e =
-      match e.pexp_desc with
-      | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) -> peel body
-      | _ -> e
-    in
-    let it =
-      { Ast_iterator.default_iterator with
-        expr =
-          (fun it e ->
-            (match d6_marker e with
-            | Some what ->
-                add "D6" e.pexp_loc
-                  (Printf.sprintf
-                     "[@lint.hot] promises an allocation-free path, but \
-                      this expression heap-allocates (%s); hoist the \
-                      allocation into setup code or drop the annotation"
-                     what)
-            | None -> ());
-            Ast_iterator.default_iterator.expr it e) }
-    in
-    it.expr it (peel vb.pvb_expr)
-  in
-  let scan_bindings vbs =
+  (* D6 reports every allocation site in the body of a [@lint.hot]
+     binding; its parameters are the function being defined, not
+     captures. *)
+  let scan_hot vbs =
     List.iter
       (fun vb ->
-        List.iter (fun a -> record_allow_loc a vb.pvb_loc) vb.pvb_attributes;
-        if List.exists is_hot_attr vb.pvb_attributes then d6_scan vb)
+        if List.exists is_hot_attr vb.pvb_attributes then
+          List.iter
+            (fun (what, loc) ->
+              add "D6" loc
+                (Printf.sprintf
+                   "[@lint.hot] promises an allocation-free path, but this \
+                    expression heap-allocates (%s); hoist the allocation \
+                    into setup code or drop the annotation"
+                   what))
+            (Summary.allocs (Summary.peel_params vb.pvb_expr)))
       vbs
   in
   let expr_h it e =
-    List.iter (fun a -> record_allow_loc a e.pexp_loc) e.pexp_attributes;
     check_ident e;
     (match e.pexp_desc with
-    | Pexp_let (_, vbs, _) -> scan_bindings vbs
+    | Pexp_let (_, vbs, _) -> scan_hot vbs
     | _ -> ());
     match e.pexp_desc with
     | Pexp_apply (fn, args) ->
-        let fnp = flatten_ident fn in
+        let fnp = Summary.flatten_ident fn in
         (match fnp with
         | Some [ "Hashtbl"; (("fold" | "iter") as which) ]
           when ctx.sorted_depth = 0 ->
@@ -319,44 +237,24 @@ let run_pass ctx ast =
         else Ast_iterator.default_iterator.expr it e
     | _ -> Ast_iterator.default_iterator.expr it e
   in
-  (* D4 looks only at code that runs at module initialisation: the
-     scan stops at function and lazy boundaries, where creation happens
-     per call instead. *)
-  let d4_scan e0 =
-    let it =
-      { Ast_iterator.default_iterator with
-        expr =
-          (fun it e ->
-            match e.pexp_desc with
-            | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> ()
-            | Pexp_apply (fn, _) ->
-                (match flatten_ident fn with
-                | Some parts -> (
-                    match d4_creator parts with
-                    | Some name ->
-                        add "D4" e.pexp_loc
-                          (Printf.sprintf
-                             "module-level %s is mutable state shared by \
-                              every domain under Parallel.Pool; use Atomic, \
-                              Domain.DLS, or pass the state explicitly"
-                             name)
-                    | None -> ())
-                | None -> ());
-                Ast_iterator.default_iterator.expr it e
-            | _ -> Ast_iterator.default_iterator.expr it e) }
-    in
-    it.expr it e0
-  in
+  (* D4 looks only at code that runs at module initialisation. *)
   let structure_item_h it si =
     (match si.pstr_desc with
-    | Pstr_attribute attr ->
-        (* floating [@@@lint.allow "..."]: the whole file *)
-        record_allow attr ~first:0 ~last:max_int
     | Pstr_value (_, vbs) ->
-        scan_bindings vbs;
-        List.iter
-          (fun vb -> if ctx.scope.in_lib then d4_scan vb.pvb_expr)
-          vbs
+        scan_hot vbs;
+        if ctx.scope.in_lib then
+          List.iter
+            (fun vb ->
+              List.iter
+                (fun (name, loc) ->
+                  add "D4" loc
+                    (Printf.sprintf
+                       "module-level %s is mutable state shared by every \
+                        domain under Parallel.Pool; use Atomic, Domain.DLS, \
+                        or pass the state explicitly"
+                       name))
+                (Summary.creators vb.pvb_expr))
+            vbs
     | _ -> ());
     Ast_iterator.default_iterator.structure_item it si
   in
@@ -366,12 +264,6 @@ let run_pass ctx ast =
       structure_item = structure_item_h }
   in
   it.structure it ast
-
-let suppressed ctx (f : Finding.t) =
-  List.exists
-    (fun (rule, first, last) ->
-      (rule = "*" || rule = f.rule) && f.off >= first && f.off <= last)
-    ctx.allows
 
 type analysis = { findings : Finding.t list; summary : Summary.t }
 
@@ -388,20 +280,18 @@ let analyze ~file source =
       in
       Error msg
   | ast ->
+      let summary = Summary.of_structure ~file ast in
       let ctx =
-        { file;
-          scope = scope_of_file file;
-          findings = [];
-          allows = [];
-          sorted_depth = 0 }
+        { file; scope = scope_of_file file; findings = []; sorted_depth = 0 }
       in
       run_pass ctx ast;
       let findings =
         ctx.findings
-        |> List.filter (fun f -> not (suppressed ctx f))
+        |> List.filter (fun (f : Finding.t) ->
+               not (Summary.allows_at summary ~rule:f.rule ~off:f.off))
         |> List.sort Finding.order
       in
-      Ok { findings; summary = Summary.of_structure ~file ast }
+      Ok { findings; summary }
 
 let lint_source ~file source =
   Result.map (fun a -> a.findings) (analyze ~file source)

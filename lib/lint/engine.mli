@@ -1,6 +1,8 @@
 (** The determinism & domain-safety pass: parse one [.ml] source with
-    compiler-libs and walk the Parsetree with an [Ast_iterator],
-    checking rules D1–D5 (see {!Rules.all} and doc/STATIC_ANALYSIS.md).
+    compiler-libs, build its {!Summary.t}, and walk the Parsetree with
+    an [Ast_iterator], checking rules D1–D6 (see {!Rules.all} and
+    doc/STATIC_ANALYSIS.md). D4 and D6 report every site of the
+    summary's scans ({!Summary.creators}, {!Summary.allocs}).
 
     Scoping is derived from [file]'s [/]-separated segments: a path
     containing a [lib] segment is library-scoped (enables D2/D4),
@@ -8,8 +10,9 @@
     under [lib/server/...] D2 additionally rejects raw stderr writes
     (the daemon must log through [Hydra_obs.Log]).
 
-    Suppression understood here (the checked-in allowlist is applied
-    later, by {!Driver.run}):
+    Suppression understood here, through the summary's allow ranges
+    ({!Summary.allows_at}; the checked-in allowlist is applied later,
+    by {!Driver.run}):
     - [(expr [@lint.allow "D3"])] — that expression and its subtree;
     - [let x = ... [@@lint.allow "D4"]] — that binding;
     - [[@@@lint.allow "D1 D5"]] — the whole file.

@@ -1,13 +1,14 @@
 open Parsetree
 
-(* Phase 1 of the interprocedural analyzer (doc/STATIC_ANALYSIS.md):
-   one self-contained summary per .ml file, extracted from the
-   parsetree alone. The summary records what phase 2 (Callgraph +
-   Reach) needs to run whole-program reachability rules — defined
-   values with their referenced identifiers and effect flags,
-   module-level mutable bindings, Parallel.Pool call sites, opens and
-   includes for longident resolution, and the file's inline
-   [@lint.allow] ranges. *)
+(* Phase 1 of the analyzer (doc/STATIC_ANALYSIS.md): one
+   self-contained summary per .ml file, extracted from the parsetree
+   alone. The summary records what phase 2 (Callgraph + Reach) needs
+   to run whole-program reachability rules — defined values with their
+   referenced identifiers and effect flags, module-level mutable
+   bindings, Parallel.Pool call sites, opens and includes for
+   longident resolution, and the file's inline [@lint.allow] ranges.
+   Engine's D1–D6 pass reads the same allow ranges and the same D4
+   creator and D6 allocation scans. *)
 
 type alloc = {
   al_what : string;  (* "a tuple", "constructor C", ... (rule D6 wording) *)
@@ -24,12 +25,10 @@ type value = {
   v_is_fun : bool;  (* syntactic function: peels to parameters *)
   v_hot : bool;  (* carries [@lint.hot] *)
   v_cold : bool;  (* carries [@lint.cold]: sanctioned allocation point *)
-  v_alloc : alloc option;  (* first D6-style allocation marker in the body *)
+  v_alloc : alloc option;  (* first of [allocs] in the body *)
   v_calls : string list;  (* heads of applications, "."-joined, first-occurrence order *)
   v_reads : string list;  (* every referenced non-local ident (calls included) *)
   v_local_calls : string list;  (* applied names bound by a local pattern/parameter *)
-  v_d1 : string option;  (* first D1 wall-clock/global-RNG primitive referenced *)
-  v_d2 : string option;  (* first D2 stdout primitive referenced *)
 }
 
 type mutable_binding = {
@@ -65,7 +64,7 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Small Parsetree helpers (mirrors of Engine's private ones) *)
+(* Small Parsetree helpers and the scans Engine's D4/D6 read *)
 
 let flatten_ident e =
   match e.pexp_desc with
@@ -125,7 +124,10 @@ let local_names_of_expr e0 =
   it.expr it e0;
   !vars
 
-(* D6's allocation markers, shared wording (doc/STATIC_ANALYSIS.md). *)
+(* D6's allocation markers (doc/STATIC_ANALYSIS.md). Constant
+   constructors ([None], [[]]) and pattern matches are free; [raise]d
+   exception constructors still count — a hot path should validate
+   before it gets hot. *)
 let alloc_marker e =
   match e.pexp_desc with
   | Pexp_fun _ | Pexp_function _ -> Some "a closure"
@@ -144,25 +146,9 @@ let alloc_marker e =
       | _ -> None)
   | _ -> None
 
-let d1_hit = function
-  | "Unix.gettimeofday" | "Unix.time" | "Sys.time" -> true
-  | s ->
-      String.starts_with ~prefix:"Random." s
-      && (match String.index_opt s '.' with
-         | Some i ->
-             String.length s > i + 1
-             && Char.lowercase_ascii s.[i + 1] = s.[i + 1]
-         | None -> false)
-
-let d2_hit = function
-  | "Printf.printf" | "Format.printf" | "Format.std_formatter" | "stdout"
-  | "Stdlib.stdout" ->
-      true
-  | s ->
-      String.starts_with ~prefix:"print_" s
-      || String.starts_with ~prefix:"Stdlib.print_" s
-      || String.starts_with ~prefix:"Format.print_" s
-
+(* D4: creators of shared mutable cells. [Atomic.make], [Mutex.create]
+   and [Domain.DLS.new_key] are deliberately absent — they are the
+   sanctioned forms of module-level state. *)
 let d4_creator = function
   | [ "ref" ] | [ "Stdlib"; "ref" ] -> Some "ref"
   | [ "Hashtbl"; "create" ] -> Some "Hashtbl.create"
@@ -179,8 +165,9 @@ let is_pool_head parts =
   | ("map" | "map_array" | "map_list") :: "Pool" :: _ -> true
   | _ -> false
 
-(* Peel the parameters of a function binding: leading [fun]/[newtype],
-   plus one trailing [function] level whose cases are the body. *)
+(* Peel the leading [fun]/[newtype] parameters of a function binding;
+   a trailing [function] stays, and [allocs] and [param_vars] read its
+   cases as the last parameter. *)
 let rec peel_params e =
   match e.pexp_desc with
   | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) -> peel_params body
@@ -263,39 +250,50 @@ let collect_refs ~excl ~recorded e0 =
     List.rev r.r_reads,
     List.rev r.r_locals )
 
-(* First D6-style allocation marker in a function body ([e] already
-   peeled of its parameters). A trailing [function] is the last
-   parameter: its cases are scanned, the node itself is free. *)
-let first_alloc e =
-  let best = ref None in
-  let scan_expr e0 =
-    let it =
-      { Ast_iterator.default_iterator with
-        expr =
-          (fun it e ->
-            (if !best = None then
-               match alloc_marker e with
-               | Some what ->
-                   let p = e.pexp_loc.Location.loc_start in
-                   best :=
-                     Some
-                       { al_what = what;
-                         al_line = p.pos_lnum;
-                         al_col = p.pos_cnum - p.pos_bol }
-               | None -> ());
-            if !best = None then Ast_iterator.default_iterator.expr it e) }
-    in
-    it.expr it e0
+(* Every D6 allocation site of a function body ([e] already peeled of
+   its parameters), in traversal order. A trailing [function] is the
+   last parameter: its cases are scanned, the node itself is free. *)
+let allocs e =
+  let sites = ref [] in
+  let it =
+    { Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match alloc_marker e with
+          | Some what -> sites := (what, e.pexp_loc) :: !sites
+          | None -> ());
+          Ast_iterator.default_iterator.expr it e) }
   in
   (match e.pexp_desc with
   | Pexp_function cases ->
       List.iter
         (fun c ->
-          (match c.pc_guard with Some g -> scan_expr g | None -> ());
-          if !best = None then scan_expr c.pc_rhs)
+          Option.iter (it.expr it) c.pc_guard;
+          it.expr it c.pc_rhs)
         cases
-  | _ -> scan_expr e);
-  !best
+  | _ -> it.expr it e);
+  List.rev !sites
+
+(* Every D4 creator that runs at module initialisation, in traversal
+   order: the scan stops at function and lazy boundaries, where
+   creation happens per call instead. *)
+let creators e0 =
+  let sites = ref [] in
+  let it =
+    { Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          match e.pexp_desc with
+          | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> ()
+          | Pexp_apply (fn, _) ->
+              (match Option.bind (flatten_ident fn) d4_creator with
+              | Some name -> sites := (name, e.pexp_loc) :: !sites
+              | None -> ());
+              Ast_iterator.default_iterator.expr it e
+          | _ -> Ast_iterator.default_iterator.expr it e) }
+  in
+  it.expr it e0;
+  List.rev !sites
 
 (* ------------------------------------------------------------------ *)
 (* Extraction *)
@@ -372,7 +370,6 @@ let mk_value acc ~top vb =
   | None -> None
   | Some name ->
       let p = vb.pvb_loc.Location.loc_start in
-      let body = peel_params vb.pvb_expr in
       let excl = Hashtbl.create 16 in
       List.iter
         (fun n -> Hashtbl.replace excl n ())
@@ -389,38 +386,18 @@ let mk_value acc ~top vb =
           v_is_fun = is_syntactic_fun vb.pvb_expr;
           v_hot = attr_has "lint.hot" vb.pvb_attributes;
           v_cold = attr_has "lint.cold" vb.pvb_attributes;
-          v_alloc = first_alloc body;
+          v_alloc =
+            (match allocs (peel_params vb.pvb_expr) with
+            | (what, loc) :: _ ->
+                let p = loc.Location.loc_start in
+                Some
+                  { al_what = what;
+                    al_line = p.pos_lnum;
+                    al_col = p.pos_cnum - p.pos_bol }
+            | [] -> None);
           v_calls = calls;
           v_reads = reads;
-          v_local_calls = local_calls;
-          v_d1 = List.find_opt d1_hit reads;
-          v_d2 = List.find_opt d2_hit reads }
-
-(* Module-level mutable state: the D4 creator scan, stopping at
-   function and lazy boundaries (creation per call is fine). Runs on
-   every file regardless of scope — phase 2 needs the state map even
-   where D4 itself would not fire. *)
-let find_creator e0 =
-  let found = ref None in
-  let it =
-    { Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          if !found = None then
-            match e.pexp_desc with
-            | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> ()
-            | Pexp_apply (fn, _) ->
-                (match flatten_ident fn with
-                | Some parts -> (
-                    match d4_creator parts with
-                    | Some name -> found := Some name
-                    | None -> ())
-                | None -> ());
-                Ast_iterator.default_iterator.expr it e
-            | _ -> Ast_iterator.default_iterator.expr it e) }
-  in
-  it.expr it e0;
-  !found
+          v_local_calls = local_calls }
 
 let pool_site_of acc ~top e fnparts args =
   let p = e.pexp_loc.Location.loc_start in
@@ -533,8 +510,11 @@ let collect acc ast =
               (fun a -> record_allow_loc acc a vb.pvb_loc)
               vb.pvb_attributes;
             add_value ~top:"" vb;
-            (match find_creator vb.pvb_expr with
-            | Some creator -> (
+            (* Module-level mutable state: recorded on every file
+               regardless of scope, since phase 2 needs the state map
+               even where D4 itself would not fire. *)
+            (match creators vb.pvb_expr with
+            | (creator, _) :: _ -> (
                 match binding_name vb with
                 | Some n ->
                     let p = vb.pvb_loc.Location.loc_start in
@@ -546,7 +526,7 @@ let collect acc ast =
                         m_off = p.pos_cnum }
                       :: acc.a_mutables
                 | None -> ())
-            | None -> ());
+            | [] -> ());
             top := (match binding_name vb with Some n -> n | None -> "");
             it.expr it vb.pvb_expr;
             top := "")

@@ -1,7 +1,9 @@
-(** Phase 1 of the interprocedural analyzer: one per-module summary,
-    extracted from a file's parsetree alone, carrying everything phase
-    2 ({!Callgraph} linking + {!Reach} reachability rules D7/D8)
-    needs. *)
+(** Phase 1 of the analyzer: one per-module summary, extracted from a
+    file's parsetree alone, carrying everything phase 2 ({!Callgraph}
+    linking + {!Reach} reachability rules D7/D8) needs. It is the one
+    home of phase-1 evidence: {!Engine}'s D1–D6 pass reads its allow
+    ranges ({!allows_at}) and its D4 and D6 scans ({!creators},
+    {!allocs}). *)
 
 type alloc = {
   al_what : string;  (** rule-D6 wording: "a tuple", "a closure", ... *)
@@ -23,14 +25,13 @@ type value = {
   v_cold : bool;
       (** carries [[@lint.cold]] — a sanctioned allocation point;
           D8 traversal stops here without descending *)
-  v_alloc : alloc option;  (** first D6-style allocation marker in body *)
+  v_alloc : alloc option;
+      (** the first of {!allocs} in the body stripped by {!peel_params} *)
   v_calls : string list;  (** heads of applications, "."-joined *)
   v_reads : string list;  (** every referenced non-local ident *)
   v_local_calls : string list;
       (** applied names bound by a parameter or local pattern — callees
           a parse-only pass cannot know ("cannot prove") *)
-  v_d1 : string option;  (** first wall-clock/global-RNG primitive *)
-  v_d2 : string option;  (** first stdout primitive *)
 }
 
 type mutable_binding = {
@@ -63,14 +64,38 @@ type t = {
           resolution rewrites the first segment through these *)
   s_values : value list;
   s_mutables : mutable_binding list;
-      (** module-level mutable bindings (D4 creator scan), recorded on
-          every file regardless of lint scope — phase 2's state map *)
+      (** module-level mutable bindings, each with the first of its
+          {!creators}, recorded on every file regardless of lint scope
+          — phase 2's state map *)
   s_pool_sites : pool_site list;
   s_allows : (string * int * int) list;
       (** inline [[@lint.allow]] ranges: (rule, first, last) offsets *)
 }
 
 val of_structure : file:string -> Parsetree.structure -> t
+
+val flatten_ident : Parsetree.expression -> string list option
+(** The segments of an identifier expression ([Some ["List"; "map"]]
+    for [List.map]); [None] for any other expression. *)
+
+val peel_params : Parsetree.expression -> Parsetree.expression
+(** Strip a binding's leading [fun] and [newtype] parameters. A
+    trailing [function] stays: {!allocs} reads its cases as the last
+    parameter. *)
+
+val allocs : Parsetree.expression -> (string * Location.t) list
+(** Rule D6: every heap-allocation site of a body stripped by
+    {!peel_params}, in traversal order, with its rule-D6 wording ("a
+    tuple", "constructor Some", ...). A trailing [function] is the
+    last parameter: its guards and right-hand sides are scanned, and
+    the node itself is free. *)
+
+val creators : Parsetree.expression -> (string * Location.t) list
+(** Rule D4: every creator of mutable state ([ref], [Hashtbl.create],
+    [Array.make], ...) that runs when a top-level binding's expression
+    is evaluated at module initialisation, in traversal order, named
+    as D4 reports it. The scan stops at [fun], [function] and [lazy],
+    where creation happens per call. *)
 
 val module_name_of_file : string -> string
 

@@ -81,6 +81,11 @@ let total_min_utilization ts =
 let normalized_utilization ts =
   total_min_utilization ts /. float_of_int ts.n_cores
 
+let period_bounds secs =
+  let v = Array.make (Array.length secs) 0 in
+  Array.iter (fun s -> v.(s.sec_id) <- s.sec_period_max) secs;
+  v
+
 let sort_by cmp a =
   let b = Array.copy a in
   Array.sort cmp b;

@@ -84,6 +84,11 @@ val total_min_utilization : taskset -> float
 val normalized_utilization : taskset -> float
 (** [U / M] — x-axis of Figs. 6 and 7. *)
 
+val period_bounds : sec_task array -> time array
+(** [T_s^max] of every security task, indexed by [sec_id]: the period
+    vector of a deployment at the bounds, and the reference of the
+    distance metrics. *)
+
 val sort_rt_by_priority : rt_task array -> rt_task array
 (** Fresh array sorted by ascending priority value (highest first). *)
 

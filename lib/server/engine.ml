@@ -8,6 +8,8 @@ type t = {
   flight : Hydra_obs.Flight.t;
 }
 
+let max_tenants = 64
+
 let create ?obs ?(jobs = 1) () =
   { obs; tenants = Hashtbl.create 16; pool = Pool.Static.create ~jobs;
     flight = Hydra_obs.Flight.create () }
@@ -46,8 +48,9 @@ let rows assignments =
    [ftid] is the group's interned flight-recorder tenant id; every
    request rides with its optional trace context, and a traced
    request's worker-side processing is a ["server.apply"] child
-   span. *)
-let run_group ~obs ~flight ~ftid ~name state reqs =
+   span. Without [may_create] (the tenant cap, decided by
+   [exec_batch]) every [Init] is rejected and leaves no state. *)
+let run_group ~obs ~flight ~ftid ~name ~may_create state reqs =
   let tenant = ref state in
   let pending = ref [] in
   (* (pos, id, ctx) of coalesced dirty ops *)
@@ -119,6 +122,10 @@ let run_group ~obs ~flight ~ftid ~name state reqs =
       Hydra_obs.trace_span obs actx "server.apply" @@ fun () ->
       try
         match q.q_op with
+        | Init _ when not may_create ->
+            emit pos
+              (Protocol.rejected ~id ~tenant:name
+                 (Printf.sprintf "tenant limit %d reached" max_tenants))
         | Init { cores; rt; sec } -> (
             (* a replacement system: answer pending requests against
                the outgoing state first *)
@@ -236,6 +243,29 @@ let exec_batch ?ctxs t (batch : Protocol.request list) :
     (* pre-fetch tenant records on the calling domain; each group is
        then owned exclusively by one worker *)
     let states = Array.map (fun nm -> Hashtbl.find_opt t.tenants nm) names in
+    (* the tenant cap, decided here from the table and the batch alone,
+       so it is the same at every [jobs]: a group whose tenant is not
+       resident may create it while fewer than [max_tenants] are
+       counted, those resident at the batch's start plus those admitted
+       by earlier groups with an [Init] *)
+    let counted = ref (Hashtbl.length t.tenants) in
+    let may_create =
+      Array.mapi
+        (fun g state ->
+          match state with
+          | Some _ -> true
+          | None ->
+              let admit =
+                List.exists
+                  (fun (_, _, (q : Protocol.request)) ->
+                    match q.q_op with Init _ -> true | _ -> false)
+                  members.(g)
+                && !counted < max_tenants
+              in
+              if admit then incr counted;
+              admit)
+        states
+    in
     let results =
       Pool.Static.map ?obs t.pool
         (fun g ->
@@ -247,7 +277,7 @@ let exec_batch ?ctxs t (batch : Protocol.request list) :
             ~kind:Hydra_obs.Flight.Shard ~tenant:ftids.(g)
             ~a:(List.length ms) ~b:g;
           run_group ~obs ~flight:t.flight ~ftid:ftids.(g) ~name:names.(g)
-            states.(g) ms)
+            ~may_create:may_create.(g) states.(g) ms)
         n_groups
     in
     (* table updates happen only here, back on the calling domain *)

@@ -18,9 +18,23 @@
     [Query]/[Remove]/[Init] barrier or at group end; each coalesced
     requester receives the final selection. [server.select] counts
     materializations — under load it grows much slower than
-    [server.req.*]. *)
+    [server.req.*].
+
+    {b Tenant cap.} At most {!max_tenants} tenants are resident. The
+    cap is decided on the calling domain before dispatch, from the
+    table and the batch alone: a group whose tenant is not resident
+    may create it only while fewer than {!max_tenants} tenants are
+    counted — those resident at the batch's start plus those admitted
+    by earlier groups (first-occurrence order) that carry an [Init].
+    Otherwise each of its [Init]s gets [rejected] ("tenant limit 64
+    reached") and leaves no state. A slot freed by [Remove] counts from
+    the next batch on; replacing a resident tenant is always admitted. *)
 
 type t
+
+val max_tenants : int
+(** 64: each resident tenant holds a workload memo of up to 2 MiB, so
+    the memos stay under 128 MiB. *)
 
 val create : ?obs:Hydra_obs.t -> ?jobs:int -> unit -> t
 (** [jobs] (default 1) sizes the persistent worker pool. Tenants stay

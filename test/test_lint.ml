@@ -77,7 +77,8 @@ let test_d5 () =
     (fixture_findings "d5_float_compare.ml")
 
 let test_d6 () =
-  check_findings "d6" [ ("D6", 4); ("D6", 6); ("D6", 8); ("D6", 15) ]
+  check_findings "d6"
+    [ ("D6", 4); ("D6", 6); ("D6", 8); ("D6", 15); ("D6", 22) ]
     (fixture_findings "d6_hot_alloc.ml")
 
 let test_d6_suppression () =

@@ -371,6 +371,38 @@ let test_remove () =
           check_int "no tenants" 0 (Engine.tenant_count e)
       | _ -> Alcotest.fail "expected two responses")
 
+(* The tenant cap: a batch admits new tenants in first-occurrence
+   order up to [Engine.max_tenants], the same at every [jobs]; a slot
+   that [remove] frees counts from the next batch on, and replacing a
+   resident tenant is always admitted. *)
+let test_tenant_cap () =
+  let init i = req ~tenant:(Printf.sprintf "t%d" i) i small_init in
+  let run jobs =
+    with_engine ~jobs (fun e ->
+        let first = Engine.exec_batch e (List.init 66 init) in
+        let count = Engine.tenant_count e in
+        let second =
+          Engine.exec_batch e
+            [ req ~tenant:"t0" 100 Protocol.Remove; init 66; init 1 ]
+        in
+        let third = Engine.exec_batch e [ init 66 ] in
+        (first, count, second, third, Engine.tenant_count e))
+  in
+  let ((first, count, second, third, final) as j1) = run 1 in
+  let statuses rs = List.map status rs in
+  check_bool "64 ok, then 2 rejected" true
+    (statuses first
+    = List.init 64 (fun _ -> Protocol.Ok)
+      @ [ Protocol.Rejected; Protocol.Rejected ]);
+  Alcotest.(check (option string)) "reason" (Some "tenant limit 64 reached")
+    (List.nth first 65).Protocol.p_reason;
+  check_int "tenant_count" Engine.max_tenants count;
+  check_bool "remove frees no slot in its own batch" true
+    (statuses second = [ Protocol.Ok; Protocol.Rejected; Protocol.Ok ]);
+  check_bool "the next batch admits" true (statuses third = [ Protocol.Ok ]);
+  check_int "still at the cap" Engine.max_tenants final;
+  check_bool "identical at jobs 2" true (run 2 = j1)
+
 (* ------------------------------------------------------------------ *)
 (* Coalescing: a burst of dirty ops in one batch runs one selection *)
 
@@ -1067,7 +1099,8 @@ let () =
             test_unknown_names_error;
           Alcotest.test_case "set_cores" `Quick test_set_cores;
           Alcotest.test_case "cores bound" `Quick test_cores_bound;
-          Alcotest.test_case "remove" `Quick test_remove ] );
+          Alcotest.test_case "remove" `Quick test_remove;
+          Alcotest.test_case "tenant cap" `Quick test_tenant_cap ] );
       ( "coalescing",
         [ Alcotest.test_case "burst runs one select" `Quick test_coalescing;
           Alcotest.test_case "warm selects counted" `Quick
