@@ -230,11 +230,6 @@ let run_fig7 which jobs policy seed per_group cores dat_dir metrics
              export dat_dir (fun ~dir -> Experiments.Dat_export.fig7a ~dir fig)
          | `B ->
              Experiments.Fig7.render_b std fig;
-             export dat_dir (fun ~dir -> Experiments.Dat_export.fig7b ~dir fig)
-         | `Both ->
-             Experiments.Fig7.render_a std fig;
-             Experiments.Fig7.render_b std fig;
-             export dat_dir (fun ~dir -> Experiments.Dat_export.fig7a ~dir fig);
              export dat_dir (fun ~dir -> Experiments.Dat_export.fig7b ~dir fig)));
   export dat_dir (fun ~dir -> Experiments.Dat_export.gnuplot_script ~dir ~cores)
 

@@ -139,7 +139,7 @@ let quantiles_of = function
                  | Some m -> m
                  | None -> 0) }
 
-let summarize ~label ~periods ~horizon:_ outcomes ~rt_ids ~sec_ids =
+let summarize ~label ~periods outcomes ~rt_ids ~sec_ids =
   let latencies f =
     List.filter_map (fun o -> Option.map float_of_int (f o)) outcomes
   in
@@ -238,12 +238,12 @@ let run ?(seed = 42) ?(trials = 35) ?(horizon = 45000) ?(deployment = Tmax)
   let rt_ids = Array.init n_rt (fun i -> i) in
   let sec_ids = Array.init n_sec (fun j -> n_rt + j) in
   let hydra_c =
-    summarize ~label:"HYDRA-C" ~periods:hc_periods ~horizon outcomes_c
-      ~rt_ids ~sec_ids
+    summarize ~label:"HYDRA-C" ~periods:hc_periods outcomes_c ~rt_ids
+      ~sec_ids
   in
   let hydra =
-    summarize ~label:"HYDRA" ~periods:hy_periods ~horizon outcomes_h
-      ~rt_ids ~sec_ids
+    summarize ~label:"HYDRA" ~periods:hy_periods outcomes_h ~rt_ids
+      ~sec_ids
   in
   (* Speedup of the mean latency, averaged over the two attack kinds
      (ratio of means — a per-trial ratio average is unstable when a

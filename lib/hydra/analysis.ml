@@ -20,8 +20,10 @@ type time = Task.time
    share of them to the [?obs] counters, which are not a substitute
    (a daemon holds one registry for many tenant systems). The Guan
    kernel's scratch, its run buffer and top-(M-1) increments, lives
-   here too, under the same one-domain rule, so a response-time call
-   allocates no buffer of its own. *)
+   here too, under the same one-domain rule, and so do the Eq. 8
+   enumerator's chosen set (M-1 slots) and its candidate and increment
+   buffers (grown when a larger hp set arrives), so a response-time
+   call allocates no buffer of its own. *)
 type cache = {
   keys : int array;  (* slots, a power of two *)
   wl : int array;  (* slots * n_cores *)
@@ -31,6 +33,9 @@ type cache = {
   mutable c_refreshes : int;
   runs : Guan.runs;
   top : time array;  (* n_cores - 1 *)
+  chosen : int array;  (* n_cores - 1 *)
+  mutable cand : int array;  (* >= the largest hp count seen *)
+  mutable delta_b : time array;  (* as long as [cand] *)
 }
 
 let fresh_cache ?(slots = 256) n_cores =
@@ -38,7 +43,8 @@ let fresh_cache ?(slots = 256) n_cores =
     invalid_arg "Analysis.fresh_cache: slots must be a power of two";
   { keys = Array.make slots (-1); wl = Array.make (slots * n_cores) 0;
     c_hits = 0; c_misses = 0; c_evictions = 0; c_refreshes = 0;
-    runs = Guan.runs ~n_cores; top = Array.make (n_cores - 1) 0 }
+    runs = Guan.runs ~n_cores; top = Array.make (n_cores - 1) 0;
+    chosen = Array.make (n_cores - 1) 0; cand = [||]; delta_b = [||] }
 
 type cache_stats = {
   cs_entries : int;
@@ -178,7 +184,7 @@ let response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit =
      delta_i(b) are computed once per value of b, so a test costs
      O(|S|).
 
-   - Warm floor: [warm] is a caller-guaranteed lower bound on the Eq. 8
+   - Warm start: [warm] is a caller-guaranteed lower bound on the Eq. 8
      value. It only seeds the running maximum under the certificate,
      never an individual set's iteration.
 
@@ -186,8 +192,12 @@ let response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit =
    (Guan.set_bound), not on the top set's. *)
 let response_time_eq8 ~warm obs sys (hp : Guan.hp) ~n ~wcet ~limit =
   let r_top = response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit in
-  let runs = sys.cache.runs in
-  let cand = Array.make n 0 in
+  let cache = sys.cache in
+  if Array.length cache.cand < n then begin
+    cache.cand <- Array.make n 0;
+    cache.delta_b <- Array.make n 0
+  end;
+  let { runs; chosen; cand; delta_b; _ } = cache in
   let n_cand = ref 0 in
   for i = 0 to n - 1 do
     let c = hp.wcet.(i) in
@@ -213,7 +223,6 @@ let response_time_eq8 ~warm obs sys (hp : Guan.hp) ~n ~wcet ~limit =
     let certified = Option.is_some r_top in
     let cap = Option.value r_top ~default:max_int in
     (* the set under consideration: task indices chosen.(0 .. size-1) *)
-    let chosen = Array.make k 0 in
     let omega size x =
       rt_term sys ~job_wcet:wcet x
       + Guan.set_bound hp ~n ~set:chosen ~size ~runs ~job_wcet:wcet x
@@ -222,7 +231,6 @@ let response_time_eq8 ~warm obs sys (hp : Guan.hp) ~n ~wcet ~limit =
        when the running maximum b moves off [b_seen] *)
     let b_seen = ref (-1) in
     let base = ref 0 in
-    let delta_b = Array.make n 0 in
     let omega_at size b =
       if !b_seen <> b then begin
         b_seen := b;

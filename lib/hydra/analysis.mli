@@ -50,8 +50,10 @@ type cache
     observationally pure: every entry is a function of the RT
     partition and the window only, so a hit returns exactly what a
     miss computes. It also holds the {!Rtsched.Guan} kernel's scratch
-    (the run buffer and the top-[(M - 1)] increments), built once, so
-    that {!response_time} allocates no buffer. *)
+    (the run buffer and the top-[(M - 1)] increments), built once, and
+    the [Exhaustive] enumerator's (its chosen set of [M - 1] slots, and
+    candidate and increment buffers grown to the largest hp count
+    seen), so that {!response_time} allocates no buffer. *)
 
 val fresh_cache : ?slots:int -> int -> cache
 (** [fresh_cache n_cores] is an empty cache for [n_cores] cores —
@@ -130,8 +132,9 @@ val response_time :
 
     [hp] is only read: [Period_selection.select] passes its own
     period and response arrays, filled in place as its search moves
-    (doc/PERFORMANCE.md §3), so a [Top_delta] call allocates nothing
-    that grows with [n].
+    (doc/PERFORMANCE.md §3), so a call under either policy allocates
+    nothing that grows with [n], once an [Exhaustive] call has grown
+    the memo's buffers to [n].
 
     RT workloads are cached per system, and [Exhaustive] enumerates
     only the admissible carry-in sets — at most [M - 1] tasks, none of

@@ -12,17 +12,6 @@ type result =
   | Schedulable of assignment list
   | Unschedulable
 
-(* The Algorithm 1 lines 1-4 responses (all periods at their bounds),
-   re-indexed by sec_id into a caller-provided vector. The
-   admission-control server snapshots these as warm floors for its
-   next reconfiguration (doc/SERVER.md). *)
-let export_bounds bounds_out sorted resps0 =
-  match bounds_out with
-  | None -> ()
-  | Some out ->
-      Array.iteri (fun j (s : Task.sec_task) -> out.(s.sec_id) <- resps0.(j))
-        sorted
-
 (* Algorithm 1 (doc/PERFORMANCE.md): no per-probe copies, no post-fix
    suffix refresh, warm-started fixed points. Bit-identical to the
    seed implementation kept as the test oracle
@@ -33,12 +22,13 @@ let export_bounds bounds_out sorted resps0 =
      bounds), except at the position under search, where each probe
      writes its candidate before it runs; the search's result is
      written there last.
-   - [resps] holds the responses of the {e last feasible} full vector
-     (initially all-bounds). Feasible candidates for a position are
-     strictly decreasing (the search recurses on [lo, c-1] after a
-     feasible [c]), and responses are monotone non-decreasing as any
-     hp period decreases, so [resps] is a valid warm floor for every
-     later probe of the same or deeper position.
+   - [resps] holds the responses of the {e last feasible} full vector:
+     zeros (cold starts) until the all-bounds pass commits. Feasible
+     candidates for a position are strictly decreasing (the search
+     recurses on [lo, c-1] after a feasible [c]), and responses are
+     monotone non-decreasing as any hp period decreases, so [resps] is
+     a valid warm start for every later probe of the same or deeper
+     position.
    - [scratch] receives the suffix responses of the probe in flight;
      it is committed into [resps] only when the probe is feasible.
      At and before the position under search it equals [resps] (each
@@ -50,7 +40,7 @@ let export_bounds bounds_out sorted resps0 =
      responses under [t_star] (the last committed probe), or — when no
      probe was feasible and [t_star = T_s^max] — the responses of the
      incoming vector, which already had [index] at its bound. *)
-let select ?policy ?warm0 ?hints ?bounds_out ?obs sys secs =
+let select ?policy ?hints ?obs sys secs =
   let sorted = Task.sort_sec_by_priority secs in
   let n = Array.length sorted in
   let periods = Array.map (fun s -> s.Task.sec_period_max) sorted in
@@ -61,39 +51,29 @@ let select ?policy ?warm0 ?hints ?bounds_out ?obs sys secs =
       period = periods; resp = scratch }
   in
   Hydra_obs.add obs "period_selection.tasks" n;
-  (* Caller-supplied warm floors for the initial all-bounds pass,
-     re-indexed from sec_id to priority position ([0] = no floor). *)
-  let warm_init =
-    match warm0 with
-    | None -> fun _ -> 0
-    | Some w -> fun j -> w.(sorted.(j).Task.sec_id)
-  in
-  (* Caller-supplied search hints (previously selected periods), also
-     by sec_id; 0 or out-of-range means no hint. Hints only steer the
+  (* Caller-supplied search hints (previously selected periods), by
+     sec_id; 0 or out-of-range means no hint. Hints only steer the
      probe order of the per-task search — the result is the same
      minimal feasible period either way (see the search below). *)
-  let hint_of =
+  let hint_of index =
     match hints with
-    | None -> fun _ -> 0
+    | None -> 0
     | Some h ->
-        fun index ->
-          let id = sorted.(index).Task.sec_id in
-          if id < Array.length h then h.(id) else 0
+        let id = sorted.(index).Task.sec_id in
+        if id < Array.length h then h.(id) else 0
   in
-  (* Response of position [j] while probing at [index] ([index = -1]:
-     no probe, plain evaluation of [periods]), below the first [j]
-     entries of [hp]. *)
-  let resp_probe ~index j =
+  (* Response of position [j] under [periods], below the first [j]
+     entries of [hp], warm-started at its last committed response. *)
+  let resp_probe j =
     let s = sorted.(j) in
-    let warm = if index < 0 then warm_init j else resps.(j) in
-    Analysis.response_time ?policy ~warm ?obs sys ~hp ~n:j
+    Analysis.response_time ?policy ~warm:resps.(j) ?obs sys ~hp ~n:j
       ~wcet:s.Task.sec_wcet ~limit:s.Task.sec_period_max
   in
-  let probe ~index ~from =
+  let probe ~from =
     let rec go j =
       if j >= n then true
       else
-        match resp_probe ~index j with
+        match resp_probe j with
         | None -> false
         | Some r ->
             scratch.(j) <- r;
@@ -103,13 +83,12 @@ let select ?policy ?warm0 ?hints ?bounds_out ?obs sys secs =
   in
   let commit ~from = Array.blit scratch from resps from (n - from) in
   (* Algorithm 1, lines 1-4: all periods at their bounds. *)
-  if not (probe ~index:(-1) ~from:0) then begin
+  if not (probe ~from:0) then begin
     Hydra_obs.incr obs "period_selection.unschedulable";
     Unschedulable
   end
   else begin
     commit ~from:0;
-    export_bounds bounds_out sorted resps;
     (* Lines 5-9: minimize periods from highest to lowest priority.
 
        Feasibility is monotone in the candidate (a longer period only
@@ -123,7 +102,7 @@ let select ?policy ?warm0 ?hints ?bounds_out ?obs sys secs =
        where d is the distance the solution moved — O(1) when it did
        not move, which is the admission-control server's common case
        (doc/SERVER.md). Feasible probes stay strictly decreasing on
-       every path, preserving the [resps] warm-floor invariant
+       every path, preserving the [resps] warm-start invariant
        above. *)
     for index = 0 to n - 1 do
       let tmax = sorted.(index).Task.sec_period_max in
@@ -132,7 +111,7 @@ let select ?policy ?warm0 ?hints ?bounds_out ?obs sys secs =
       let feasible c =
         incr steps;
         periods.(index) <- c;
-        if probe ~index ~from:(index + 1) then begin
+        if probe ~from:(index + 1) then begin
           commit ~from:(index + 1);
           true
         end

@@ -30,9 +30,9 @@ type result =
           at its bound (Algorithm 1, line 2) *)
 
 val select :
-  ?policy:Analysis.carry_in_policy -> ?warm0:time array ->
-  ?hints:time array -> ?bounds_out:time array -> ?obs:Hydra_obs.t ->
-  Analysis.system -> Rtsched.Task.sec_task array -> result
+  ?policy:Analysis.carry_in_policy -> ?hints:time array ->
+  ?obs:Hydra_obs.t -> Analysis.system -> Rtsched.Task.sec_task array ->
+  result
 (** Runs Algorithm 1 on the security tasks (any order; they are sorted
     by priority internally).
 
@@ -48,16 +48,6 @@ val select :
     doc/PERFORMANCE.md). Without [hints] the Algorithm 2 probe
     sequence is the seed's binary search.
 
-    [warm0] supplies per-task warm floors, indexed by [sec_id], for
-    the {e initial} all-bounds pass (Algorithm 1, lines 1-4) — each
-    entry must be a sound lower bound on that task's
-    all-bounds response time, e.g. the [bounds_out] of a previous
-    select on a system with no more interference (interference is
-    monotone: RT or security arrivals only grow it). Results are
-    bit-identical with or without [warm0]; only fixed-point iterations
-    are saved. The admission-control server threads these across
-    reconfigurations (doc/SERVER.md).
-
     [hints] supplies per-task starting points for the Algorithm 2
     search, indexed by [sec_id] ([0] or out-of-range: no hint) —
     typically the periods of a previous selection on a
@@ -70,12 +60,6 @@ val select :
     move. Note the probe-order change means the search counters (and
     the exact probe sequence) differ from the plain binary search when
     [hints] is given.
-
-    [bounds_out], when present (length [>=] max [sec_id] + 1), is
-    filled with the all-bounds responses of Algorithm 1 lines 1-4,
-    indexed by [sec_id]; untouched when the result is [Unschedulable]
-    (the pass did not complete). These are exactly the values a later
-    [warm0] may reuse.
 
     [obs] counts the Algorithm 2 probes
     ([period_selection.search.steps], plus the per-task

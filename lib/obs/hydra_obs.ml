@@ -852,7 +852,7 @@ module Snapshot = struct
   let json_float f =
     if Float.is_finite f then Printf.sprintf "%.12g" f else "null"
 
-  let schema = "hydra_c.metrics/1"
+  let schema = Obs_report.schema
 
   (* Stable schema, sorted keys, deterministic values only: counters,
      distributions and histograms are pure functions of the analytical

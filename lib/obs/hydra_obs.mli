@@ -355,7 +355,7 @@ end
 module Snapshot : sig
   val schema : string
   (** The snapshot's self-identifying ["schema"] value,
-      ["hydra_c.metrics/1"]. *)
+      {!Obs_report.schema} (["hydra_c.metrics/1"]). *)
 
   val json_float : float -> string
   (** Renders a float as a JSON token, mapping non-finite values (nan,

@@ -30,6 +30,10 @@ type snapshot = {
 }
 (** A normalized snapshot; every association list is sorted by name. *)
 
+val schema : string
+(** ["hydra_c.metrics/1"], the one snapshot schema {!of_string}
+    accepts; [Hydra_obs.Snapshot] writes it. *)
+
 val of_string : string -> snapshot
 (** Parse the contents of a snapshot artifact: a single JSON object
     with schema [hydra_c.metrics/1]. @raise Obs_json.Error on

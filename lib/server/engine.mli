@@ -38,8 +38,8 @@ val max_tenants : int
 
 val create : ?obs:Hydra_obs.t -> ?jobs:int -> unit -> t
 (** [jobs] (default 1) sizes the persistent worker pool. Tenants stay
-    warm between batches (resident caches, warm floors, search hints,
-    cached clean-tenant results, see {!Tenant.materialize}); every
+    warm between batches (resident caches, search hints, cached
+    clean-tenant results, see {!Tenant.materialize}); every
     selection is bit-identical to one on a fresh system of the
     tenant's state at that point. *)
 

@@ -31,7 +31,6 @@ type stats = {
   st_rt : int;
   st_sec : int;
   st_selects : int;
-  st_warm_selects : int;
   st_cache_entries : int;
   st_cache_capacity : int;
   st_cache_hits : int;
@@ -213,8 +212,6 @@ let encode_response (p : response) =
       Buffer.add_char b ',';
       buf_kv_int b "selects" s.st_selects;
       Buffer.add_char b ',';
-      buf_kv_int b "warm_selects" s.st_warm_selects;
-      Buffer.add_char b ',';
       buf_kv_int b "cache_entries" s.st_cache_entries;
       Buffer.add_char b ',';
       buf_kv_int b "cache_capacity" s.st_cache_capacity;
@@ -342,7 +339,6 @@ let decode_response s =
             Tenant_stats
               { st_cores = get_int s "cores"; st_rt = get_int s "rt";
                 st_sec = get_int s "sec"; st_selects = get_int s "selects";
-                st_warm_selects = get_int s "warm_selects";
                 st_cache_entries = get_int s "cache_entries";
                 st_cache_capacity = get_int s "cache_capacity";
                 st_cache_hits = get_int s "cache_hits";

@@ -59,7 +59,6 @@ type stats = {
   st_rt : int;  (** resident RT tasks *)
   st_sec : int;  (** resident security tasks *)
   st_selects : int;  (** materialized period selections *)
-  st_warm_selects : int;  (** of those, warm-started ones *)
   st_cache_entries : int;
   st_cache_capacity : int;
   st_cache_hits : int;

@@ -16,12 +16,9 @@ type t = {
   mutable rt : rt_resident list;  (* arrival order; rt_id = position *)
   mutable sec : Protocol.sec_spec list;  (* arrival order; sec_id = prio = position *)
   mutable sys : Analysis.system;
-  mutable warm : Analysis.time array;  (* all-bounds WCRTs by sec_id *)
-  mutable warm_ok : bool;  (* warm entries are sound lower bounds *)
   mutable last : Period_selection.result option;
   mutable dirty : bool;
   mutable selects : int;
-  mutable warm_selects : int;
 }
 
 let name t = t.name
@@ -100,10 +97,9 @@ let find_dup names =
 
 let max_cores = 1024
 
-(* Full (re)build from scratch: partition everything, fresh system,
-   discard warm state. Shared by [create] and [set_cores]. *)
-let rebuild ~name ~cores ~rt_specs ~sec_specs ~selects
-    ~warm_selects =
+(* Full build from scratch: partition everything, fresh system. Also
+   [set_cores]'s rebuild. *)
+let create ~name ~cores ~rt:rt_specs ~sec:sec_specs =
   guard (fun () ->
       if cores > max_cores then
         raise
@@ -138,24 +134,17 @@ let rebuild ~name ~cores ~rt_specs ~sec_specs ~selects
           let sys = Analysis.make_system ts ~assignment:asg in
           Admitted
             { name; cores; rt = residents; sec = sec_specs; sys;
-              warm = [||]; warm_ok = false; last = None; dirty = true;
-              selects; warm_selects })
-
-let create ~name ~cores ~rt ~sec =
-  rebuild ~name ~cores ~rt_specs:rt ~sec_specs:sec ~selects:0 ~warm_selects:0
+              last = None; dirty = true; selects = 0 })
 
 let set_cores t cores =
   match
-    rebuild ~name:t.name ~cores
-      ~rt_specs:(List.map (fun r -> r.spec) t.rt)
-      ~sec_specs:t.sec ~selects:t.selects ~warm_selects:t.warm_selects
+    create ~name:t.name ~cores ~rt:(List.map (fun r -> r.spec) t.rt)
+      ~sec:t.sec
   with
   | Admitted fresh ->
       t.cores <- fresh.cores;
       t.rt <- fresh.rt;
       t.sys <- fresh.sys;
-      t.warm <- [||];
-      t.warm_ok <- false;
       t.dirty <- true;
       Admitted ()
   | Rejected r -> Rejected r
@@ -185,7 +174,6 @@ let rt_arrive t spec =
             let changed = Array.make t.cores false in
             changed.(m) <- true;
             t.sys <- Analysis.refresh_rt_cores t.sys new_cores ~changed;
-            (* interference only grew: the warm floors stay sound *)
             t.dirty <- true;
             Admitted ())
 
@@ -200,9 +188,6 @@ let rt_leave t name =
       let changed = Array.make t.cores false in
       changed.(m) <- true;
       t.sys <- Analysis.refresh_rt_cores t.sys new_cores ~changed;
-      (* interference shrank: previous all-bounds responses may now
-         overshoot the true fixed points — drop the warm floors *)
-      t.warm_ok <- false;
       t.dirty <- true;
       Admitted ()
 
@@ -217,10 +202,6 @@ let sec_arrive t spec =
              ~wcet:spec.Protocol.s_wcet
              ~period_max:spec.Protocol.s_period_max ());
         t.sec <- t.sec @ [ spec ];
-        (* the newcomer gets the lowest security priority, so no
-           existing task's hp set changes: warm floors stay sound, the
-           new slot starts at 0 (no floor) *)
-        if t.warm_ok then t.warm <- Array.append t.warm [| 0 |];
         t.dirty <- true;
         Admitted ())
 
@@ -230,9 +211,6 @@ let sec_leave t name =
   else begin
     t.sec <-
       List.filter (fun (s : Protocol.sec_spec) -> s.s_name <> name) t.sec;
-    (* lower-priority tasks lose an hp interferer: responses shrink,
-       old floors may overshoot — drop them *)
-    t.warm_ok <- false;
     t.dirty <- true;
     Admitted ()
   end
@@ -248,15 +226,10 @@ let materialize ?obs ?ctx t =
   | _ ->
       let secs = sec_tasks t.sec in
       let n_sec = Array.length secs in
-      let bounds = Array.make n_sec 0 in
-      let warm0 =
-        if t.warm_ok && Array.length t.warm = n_sec then Some t.warm else None
-      in
       (* Previous periods as search hints: any value is sound (hints
          only steer the probe order of the exact threshold search), so
-         unlike the warm floors they survive structural deltas. Stale
-         sec_ids after a [sec_leave] renumbering at worst waste
-         probes. *)
+         they survive every edit. Stale sec_ids after a [sec_leave]
+         renumbering at worst waste probes. *)
       let hints =
         match t.last with
         | Some (Period_selection.Schedulable assignments) ->
@@ -277,23 +250,10 @@ let materialize ?obs ?ctx t =
       let sel_ctx = Option.map Hydra_obs.Trace_ctx.child ctx in
       let result =
         Hydra_obs.trace_span obs sel_ctx "server.select" (fun () ->
-            Period_selection.select ?warm0 ?hints
-              ~bounds_out:bounds ?obs t.sys secs)
+            Period_selection.select ?hints ?obs t.sys secs)
       in
       t.selects <- t.selects + 1;
       Hydra_obs.incr obs "server.select";
-      if warm0 <> None then begin
-        t.warm_selects <- t.warm_selects + 1;
-        Hydra_obs.incr obs "server.select.warm"
-      end;
-      (match result with
-      | Schedulable _ ->
-          t.warm <- bounds;
-          t.warm_ok <- true
-      | Unschedulable ->
-          (* the all-bounds pass did not complete, so [bounds] is not
-             a full vector — keep the previous floors *)
-          ());
       t.last <- Some result;
       t.dirty <- false;
       result)
@@ -302,7 +262,6 @@ let stats t =
   let cs = Analysis.cache_stats t.sys in
   { Protocol.st_cores = t.cores; st_rt = List.length t.rt;
     st_sec = List.length t.sec; st_selects = t.selects;
-    st_warm_selects = t.warm_selects;
     st_cache_entries = cs.Analysis.cs_entries;
     st_cache_capacity = cs.Analysis.cs_capacity;
     st_cache_hits = cs.Analysis.cs_hits; st_cache_misses = cs.Analysis.cs_misses;

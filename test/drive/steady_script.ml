@@ -1,9 +1,11 @@
 (* The steady request script: one init per resident tenant (M =
    [cores], [rt_tasks] RT and [sec_tasks] security tasks each), then
-   [requests] arrivals, reselects and queries. Every edit preserves
-   the warm floors (doc/SERVER.md), so the daemon stays on its warm
-   path. The stream is a pure function of the constants below — the
-   committed serve-smoke fixture depends on it. *)
+   [requests] arrivals, reselects and queries. No task leaves and the
+   core count never changes, so each selection starts from a nearby
+   one: its resident memo columns and its previous periods as search
+   hints (doc/SERVER.md). The stream is a pure function of the
+   constants below — the committed serve-smoke fixture depends on
+   it. *)
 
 module Protocol = Hydra_server.Protocol
 

@@ -55,7 +55,7 @@ let min_feasible_period policy sys ~sorted ~periods ~resps ~index =
   in
   search resps.(index) tmax tmax
 
-let select ?policy ?bounds_out sys secs =
+let select ?policy sys secs =
   let sorted = Task.sort_sec_by_priority secs in
   let n = Array.length sorted in
   let periods = Array.map (fun s -> s.Task.sec_period_max) sorted in
@@ -64,12 +64,6 @@ let select ?policy ?bounds_out sys secs =
   match recompute_from policy sys sorted periods resps ~from:0 with
   | None -> Period_selection.Unschedulable
   | Some resps0 ->
-      (match bounds_out with
-      | None -> ()
-      | Some out ->
-          Array.iteri
-            (fun j (s : Task.sec_task) -> out.(s.sec_id) <- resps0.(j))
-            sorted);
       Array.blit resps0 0 resps 0 n;
       (* Lines 5-9: minimize periods from highest to lowest priority,
          refreshing the lower-priority response times after each fix. *)

@@ -8,10 +8,7 @@
     analysis, so the two sides of the gate share no fast-path code. *)
 
 val select :
-  ?policy:Hydra.Analysis.carry_in_policy ->
-  ?bounds_out:Rtsched.Task.time array -> Hydra.Analysis.system ->
+  ?policy:Hydra.Analysis.carry_in_policy -> Hydra.Analysis.system ->
   Rtsched.Task.sec_task array -> Hydra.Period_selection.result
 (** Same contract as {!Hydra.Period_selection.select} without
-    [warm0]/[hints]: the production path must return a bit-identical
-    result, and fill [bounds_out] (indexed by [sec_id], untouched when
-    [Unschedulable]) with the same all-bounds responses. *)
+    [hints]: the production path must return a bit-identical result. *)

@@ -347,10 +347,12 @@ let test_saturated_rt_creep () =
   let iters = Hydra_obs.counter_total obs "analysis.fixpoint.iterations" in
   check_bool (Printf.sprintf "%d iterations <= 200" iters) true (iters <= 200)
 
-(* A Top_delta call reads its hp view in place and runs on the
-   system's kernel scratch, so what it allocates does not grow with the
-   hp count. Each call is warm-started at its least fixed point, whose
-   window the memo already holds, so it takes one iteration. *)
+(* A call under either policy reads its hp view in place and runs on
+   the system's scratch (the kernel's, plus Eq. 8's set, candidate and
+   increment buffers, which the first call at a larger hp count grows),
+   so what it allocates does not grow with the hp count. Each call is
+   warm-started at its least fixed point, whose window the memo already
+   holds, so it takes one iteration. *)
 let test_call_allocation_flat () =
   let rt = Task.make_rt ~id:0 ~prio:0 ~wcet:3 ~period:20 () in
   let sys =
@@ -358,7 +360,7 @@ let test_call_allocation_flat () =
       cache = Analysis.fresh_cache 4 }
   in
   let wcet = 10 and limit = 100_000 in
-  let per_call n =
+  let per_call policy n =
     let hp = Rtsched.Guan.make n in
     for i = 0 to n - 1 do
       hp.wcet.(i) <- 2 + (i mod 3);
@@ -366,14 +368,15 @@ let test_call_allocation_flat () =
       hp.resp.(i) <- 7
     done;
     let lfp =
-      match Analysis.response_time sys ~hp ~n ~wcet ~limit with
+      match Analysis.response_time ~policy sys ~hp ~n ~wcet ~limit with
       | Some r -> r
       | None -> Alcotest.fail "must converge"
     in
     let obs = Hydra_obs.create () in
     ignore
       (Sys.opaque_identity
-         (Analysis.response_time ~warm:lfp ~obs sys ~hp ~n ~wcet ~limit));
+         (Analysis.response_time ~policy ~warm:lfp ~obs sys ~hp ~n ~wcet
+            ~limit));
     check_int (Printf.sprintf "one iteration at n=%d" n) 1
       (Hydra_obs.counter_total obs "analysis.fixpoint.iterations");
     let calls = 100 in
@@ -381,17 +384,21 @@ let test_call_allocation_flat () =
     for _ = 1 to calls do
       ignore
         (Sys.opaque_identity
-           (Analysis.response_time ~warm:lfp sys ~hp ~n ~wcet ~limit))
+           (Analysis.response_time ~policy ~warm:lfp sys ~hp ~n ~wcet ~limit))
     done;
     (Gc.minor_words () -. before) /. float_of_int calls
   in
-  let one = per_call 1 in
   List.iter
-    (fun n ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "minor words per call, %d hp tasks = 1" n)
-        one (per_call n))
-    [ 8; 32 ]
+    (fun (name, policy) ->
+      let one = per_call policy 1 in
+      List.iter
+        (fun n ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s: minor words per call, %d hp tasks = 1" name
+               n)
+            one (per_call policy n))
+        [ 8; 32 ])
+    [ ("Top_delta", Analysis.Top_delta); ("Exhaustive", Analysis.Exhaustive) ]
 
 (* ------------------------------------------------------------------ *)
 (* Cache hygiene: the stats accessor, the slot count (every size
@@ -493,34 +500,6 @@ let test_refresh_rt_cores () =
            (Array.make (sys.Analysis.n_cores + 1) [])
            ~changed:(Array.make (sys.Analysis.n_cores + 1) false)))
 
-(* warm0 floors and bounds_out: a select warm-started from a previous
-   run's all-bounds responses is bit-identical to a cold select, and
-   bounds_out re-runs reproduce themselves (fixed point of the
-   export). *)
-let prop_warm0_identical =
-  let arb = Test_util.arb_taskset ~n_cores:3 ~n_rt:4 ~n_sec:5 in
-  Test_util.qtest ~count:80 "select warm0 = cold select" arb (fun ts ->
-      let n_sec = Array.length ts.Task.sec in
-      let run ?warm0 ?bounds_out () =
-        with_taskset ts @@ fun sys _ ->
-        Period_selection.select ?warm0 ?bounds_out sys ts.Task.sec
-      in
-      let bounds = Array.make n_sec 0 in
-      let cold = run ~bounds_out:bounds () in
-      match cold with
-      | Period_selection.Unschedulable -> true (* bounds not exported *)
-      | Period_selection.Schedulable _ ->
-          let bounds2 = Array.make n_sec 0 in
-          let warm = run ~warm0:bounds ~bounds_out:bounds2 () in
-          same_select_result cold warm
-          && bounds = bounds2
-          (* the oracle exports the same all-bounds vector *)
-          &&
-          let bounds3 = Array.make n_sec 0 in
-          (with_taskset ts @@ fun sys _ ->
-           ignore (Naive_selection.select ~bounds_out:bounds3 sys ts.Task.sec));
-          bounds = bounds3)
-
 (* Search hints steer the probe order of the Algorithm 2 threshold
    search, never its result: any hint vector — the previous selection,
    the exact answer, or adversarial garbage — yields a bit-identical
@@ -585,4 +564,4 @@ let () =
         [ Alcotest.test_case "stats + bounded eviction" `Quick
             test_cache_stats_and_bound;
           Alcotest.test_case "refresh_rt_cores" `Quick test_refresh_rt_cores;
-          prop_warm0_identical; prop_hints_identical ] ) ]
+          prop_hints_identical ] ) ]

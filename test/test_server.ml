@@ -82,7 +82,7 @@ let roundtrip_responses =
     Protocol.ok ~id:6 ~tenant:"t0"
       (Protocol.Tenant_stats
          { Protocol.st_cores = 2; st_rt = 3; st_sec = 2; st_selects = 4;
-           st_warm_selects = 3; st_cache_entries = 17; st_cache_capacity = 0;
+           st_cache_entries = 17; st_cache_capacity = 0;
            st_cache_hits = 100; st_cache_misses = 20; st_cache_evictions = 0;
            st_cache_refreshes = 5 }) ]
 
@@ -429,7 +429,7 @@ let test_coalescing () =
       ignore (Engine.exec_batch e [ req 101 Protocol.Reselect ]);
       check_int "reselect forces a pass" 2 (Tenant.selects tn))
 
-let test_warm_select_counted () =
+let test_stats_count_selects () =
   with_engine (fun e ->
       ignore (Engine.exec_batch e [ req 0 small_init ]);
       ignore
@@ -438,9 +438,6 @@ let test_warm_select_counted () =
       | [ r ] ->
           let s = the_stats r in
           check_int "two selects" 2 s.Protocol.st_selects;
-          (* the arrival kept the warm floors, so the second select
-             was warm-started *)
-          check_int "one warm select" 1 s.Protocol.st_warm_selects;
           check_bool "resident cache is populated" true
             (s.Protocol.st_cache_entries > 0);
           check_int "default slot count" 256 s.Protocol.st_cache_capacity
@@ -541,7 +538,7 @@ let make_script seed : script =
   List.rev !batches
 
 (* The reference for one tenant state: Algorithm 1 on a fresh system
-   of its snapshot — empty workload cache, no warm floors, no hints. *)
+   of its snapshot — empty workload cache, no hints. *)
 let fresh_select ?obs tn =
   let ts, assignment = Tenant.snapshot tn in
   Period_selection.select ?obs
@@ -1103,8 +1100,8 @@ let () =
           Alcotest.test_case "tenant cap" `Quick test_tenant_cap ] );
       ( "coalescing",
         [ Alcotest.test_case "burst runs one select" `Quick test_coalescing;
-          Alcotest.test_case "warm selects counted" `Quick
-            test_warm_select_counted ] );
+          Alcotest.test_case "stats count selects" `Quick
+            test_stats_count_selects ] );
       ( "differential",
         [ test_differential;
           Alcotest.test_case "warm path saves work" `Quick
