@@ -62,7 +62,7 @@ let out_file =
 let metrics_arg =
   Arg.(value & flag
        & info [ "metrics" ]
-           ~doc:"Collect Hydra_obs metrics (fixed-point iterations,                  binary-search probes, simulator schedule events, spans)                  and print a summary table on stderr when the command                  finishes. Never changes stdout or any result                  (doc/OBSERVABILITY.md).")
+           ~doc:"Collect Hydra_obs metrics (fixed-point iterations,                  binary-search probes, simulator schedule events, spans)                  and print a summary table on stderr when the command                  finishes: the table obs-report prints for the run's                  --metrics-out snapshot. Never changes stdout or any                  result (doc/OBSERVABILITY.md).")
 
 let trace_out_arg =
   Arg.(value & opt (some out_file) None
@@ -79,7 +79,8 @@ let metrics_out_arg =
    default keeps every instrumented code path a no-op. The summary
    goes to stderr and the trace/snapshot to files so stdout stays
    byte-identical to an uninstrumented run (the determinism contract,
-   doc/PARALLELISM.md). [sched_log], when given (fig5 + --trace-out),
+   doc/PARALLELISM.md); the summary is obs-report's table of the run's
+   snapshot. [sched_log], when given (fig5 + --trace-out),
    contributes the simulated schedule as a second Perfetto process
    (pid 1) in the same trace file. *)
 let with_obs ?sched_log ~metrics ~trace_out ~metrics_out f =
@@ -88,7 +89,9 @@ let with_obs ?sched_log ~metrics ~trace_out ~metrics_out f =
     let obs = Hydra_obs.create () in
     Fun.protect
       ~finally:(fun () ->
-        if metrics then Hydra_obs.pp_summary Format.err_formatter obs;
+        if metrics then
+          Format.eprintf "%a" Hydra_obs.Report.pp_summary
+            (Hydra_obs.Report.of_string (Hydra_obs.Snapshot.to_json obs));
         (match metrics_out with
         | Some path ->
             Hydra_obs.Snapshot.write obs ~path;

@@ -15,15 +15,14 @@ type time = Task.time
    job_wcet clamp of Eq. 3 is applied per query, on top of the cached
    workloads. The arrays are plain (not thread-safe) state: a system
    value must not be shared across domains — the sweep builds one per
-   taskset per worker, see analysis.mli. The hit/miss/eviction/refresh
-   tallies back {!cache_stats}; each response-time call adds its own
-   share of them to the [?obs] counters, which are not a substitute
-   (a daemon holds one registry for many tenant systems). The Guan
-   kernel's scratch, its run buffer and top-(M-1) increments, lives
-   here too, under the same one-domain rule, and so do the Eq. 8
-   enumerator's chosen set (M-1 slots) and its candidate and increment
-   buffers (grown when a larger hp set arrives), so a response-time
-   call allocates no buffer of its own. *)
+   taskset per worker, see analysis.mli. The Guan kernel's scratch, its
+   run buffer and top-(M-1) increments, lives here too, under the same
+   one-domain rule, and so do the Eq. 8 enumerator's chosen set (M-1
+   slots) and its candidate and increment buffers (grown when a larger
+   hp set arrives), so a response-time call allocates no buffer of its
+   own. The memo is also the one account of the analysis's work
+   (lookups, refreshes, verdicts, the Eq. 8 sets visited and skipped
+   and candidates dropped, and in [runs] the iterations). *)
 type cache = {
   keys : int array;  (* slots, a power of two *)
   wl : int array;  (* slots * n_cores *)
@@ -31,6 +30,11 @@ type cache = {
   mutable c_misses : int;
   mutable c_evictions : int;
   mutable c_refreshes : int;
+  mutable c_converged : int;
+  mutable c_diverged : int;
+  mutable c_subsets : int;
+  mutable c_skipped : int;
+  mutable c_dropped : int;
   runs : Guan.runs;
   top : time array;  (* n_cores - 1 *)
   chosen : int array;  (* n_cores - 1 *)
@@ -43,8 +47,10 @@ let fresh_cache ?(slots = 256) n_cores =
     invalid_arg "Analysis.fresh_cache: slots must be a power of two";
   { keys = Array.make slots (-1); wl = Array.make (slots * n_cores) 0;
     c_hits = 0; c_misses = 0; c_evictions = 0; c_refreshes = 0;
-    runs = Guan.runs ~n_cores; top = Array.make (n_cores - 1) 0;
-    chosen = Array.make (n_cores - 1) 0; cand = [||]; delta_b = [||] }
+    c_converged = 0; c_diverged = 0; c_subsets = 0; c_skipped = 0;
+    c_dropped = 0; runs = Guan.runs ~n_cores;
+    top = Array.make (n_cores - 1) 0; chosen = Array.make (n_cores - 1) 0;
+    cand = [||]; delta_b = [||] }
 
 type cache_stats = {
   cs_entries : int;
@@ -53,6 +59,12 @@ type cache_stats = {
   cs_misses : int;
   cs_evictions : int;
   cs_refreshes : int;
+  cs_iterations : int;
+  cs_converged : int;
+  cs_diverged : int;
+  cs_subsets : int;
+  cs_skipped : int;
+  cs_dropped : int;
 }
 
 type system = {
@@ -68,15 +80,22 @@ let make_system (ts : Task.taskset) ~assignment =
     rt_cores = Rtsched.Partition.cores_of_assignment ts assignment;
     cache = fresh_cache ts.n_cores }
 
+(* A slot is never emptied, and a miss either fills an empty slot or
+   evicts, so the occupied slots are the misses that did not evict. *)
 let cache_stats sys =
   let c = sys.cache in
-  { cs_entries =
-      Array.fold_left (fun n k -> if k >= 0 then n + 1 else n) 0 c.keys;
+  { cs_entries = c.c_misses - c.c_evictions;
     cs_capacity = Array.length c.keys;
     cs_hits = c.c_hits;
     cs_misses = c.c_misses;
     cs_evictions = c.c_evictions;
-    cs_refreshes = c.c_refreshes }
+    cs_refreshes = c.c_refreshes;
+    cs_iterations = Guan.iterations c.runs;
+    cs_converged = c.c_converged;
+    cs_diverged = c.c_diverged;
+    cs_subsets = c.c_subsets;
+    cs_skipped = c.c_skipped;
+    cs_dropped = c.c_dropped }
 
 (* Per-core cache invalidation (doc/SERVER.md): the new partition
    differs from the cached one only on the cores flagged in [changed],
@@ -111,7 +130,7 @@ let refresh_rt_cores sys new_cores ~changed =
    recording its slack in the kernel's runs for the fixed point's jump.
    Bit-identical to the oracle's uncached term because interference =
    clamp(rt_core_workload core x) either way. The lookups are tallied
-   in the cache's own counters; {!response_time} adds them to [obs]. *)
+   in the cache's own counters. *)
 let rt_term sys ~job_wcet x =
   let c = sys.cache in
   let n = sys.n_cores in
@@ -134,27 +153,24 @@ let rt_term sys ~job_wcet x =
   done;
   !acc
 
-let record_fixpoint obs iters r =
-  Hydra_obs.add obs "analysis.fixpoint.iterations" !iters;
+let tally_verdict c r =
   match r with
-  | Some _ -> Hydra_obs.incr obs "analysis.fixpoint.converged"
-  | None -> Hydra_obs.incr obs "analysis.fixpoint.diverged"
+  | Some _ -> c.c_converged <- c.c_converged + 1
+  | None -> c.c_diverged <- c.c_diverged + 1
 
 (* Eq. 7 under the Guan bound: the kernel's Omega (every hp task's
    non-carry-in interference plus the M-1 largest carry-in increments)
    plus the cached RT term, iterated from [max wcet warm]
    (doc/PERFORMANCE.md §3) with the kernel's jumps (§2). *)
-let response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit =
-  Hydra_obs.observe obs "analysis.carry_in.set_size" (min (sys.n_cores - 1) n);
+let response_time_top_delta ~warm sys hp ~n ~wcet ~limit =
   let { runs; top; _ } = sys.cache in
-  let iters = ref 0 in
   let r =
-    Guan.fixpoint ~start:warm ~iters ~runs ~n_cores:sys.n_cores ~wcet ~limit
+    Guan.fixpoint ~start:warm ~runs ~n_cores:sys.n_cores ~wcet ~limit
       (fun x ->
         rt_term sys ~job_wcet:wcet x
         + Guan.bound hp ~n ~top ~runs ~job_wcet:wcet x)
   in
-  record_fixpoint obs iters r;
+  tally_verdict sys.cache r;
   r
 
 (* Eq. 8: the maximum, over the admissible carry-in sets S, of the
@@ -179,7 +195,7 @@ let response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit =
    - Prefixed-point skip: for the running maximum b (C_s <= b <=
      limit), if Omega_S(b)/M + C_s <= b then lfp(S) <= b, so S can
      neither raise the maximum nor diverge; it is skipped without its
-     fixed point (analysis.prune.subsets_skipped), as it is once b
+     fixed point (the memo's skipped tally), as it is once b
      reaches r_top. RT(b) + sum_i nc_i(b) and each candidate's
      delta_i(b) are computed once per value of b, so a test costs
      O(|S|).
@@ -190,8 +206,8 @@ let response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit =
 
    Each set's fixed point jumps on the runs of its own terms
    (Guan.set_bound), not on the top set's. *)
-let response_time_eq8 ~warm obs sys (hp : Guan.hp) ~n ~wcet ~limit =
-  let r_top = response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit in
+let response_time_eq8 ~warm sys (hp : Guan.hp) ~n ~wcet ~limit =
+  let r_top = response_time_top_delta ~warm sys hp ~n ~wcet ~limit in
   let cache = sys.cache in
   if Array.length cache.cand < n then begin
     cache.cand <- Array.make n 0;
@@ -201,8 +217,7 @@ let response_time_eq8 ~warm obs sys (hp : Guan.hp) ~n ~wcet ~limit =
   let n_cand = ref 0 in
   for i = 0 to n - 1 do
     let c = hp.wcet.(i) in
-    if c = 1 || hp.resp.(i) <= c then
-      Hydra_obs.incr obs "analysis.prune.carry_in_dropped"
+    if c = 1 || hp.resp.(i) <= c then cache.c_dropped <- cache.c_dropped + 1
     else begin
       cand.(!n_cand) <- i;
       incr n_cand
@@ -215,8 +230,7 @@ let response_time_eq8 ~warm obs sys (hp : Guan.hp) ~n ~wcet ~limit =
     (* Only the empty set: with every increment dropped (or no carry-in
        at M = 1), its Omega is the Guan Omega, so its fixed point and
        verdict are r_top's. *)
-    Hydra_obs.add obs "analysis.carry_in.subsets" 1;
-    Hydra_obs.observe obs "analysis.carry_in.set_size" 0;
+    cache.c_subsets <- cache.c_subsets + 1;
     r_top
   end
   else begin
@@ -245,24 +259,19 @@ let response_time_eq8 ~warm obs sys (hp : Guan.hp) ~n ~wcet ~limit =
       !acc
     in
     let best = ref (if certified then max wcet warm else wcet) in
-    let enumerated = ref 0 in
-    let skipped = ref 0 in
     (* false: the set's iterate passed [limit] *)
     let visit size =
-      incr enumerated;
+      cache.c_subsets <- cache.c_subsets + 1;
       let b = !best in
       if cap <= b || (omega_at size b / sys.n_cores) + wcet <= b then begin
-        incr skipped;
+        cache.c_skipped <- cache.c_skipped + 1;
         true
       end
       else begin
-        Hydra_obs.observe obs "analysis.carry_in.set_size" size;
-        let iters = ref 0 in
         let r =
-          Guan.fixpoint ~iters ~runs ~n_cores:sys.n_cores ~wcet ~limit
-            (omega size)
+          Guan.fixpoint ~runs ~n_cores:sys.n_cores ~wcet ~limit (omega size)
         in
-        record_fixpoint obs iters r;
+        tally_verdict cache r;
         match r with
         | Some r ->
             if r > !best then best := r;
@@ -284,31 +293,31 @@ let response_time_eq8 ~warm obs sys (hp : Guan.hp) ~n ~wcet ~limit =
            sets (size + 1) (i + 1) && extend size (i + 1)
          end
     in
-    let converged = sets 0 0 in
-    Hydra_obs.add obs "analysis.carry_in.subsets" !enumerated;
-    Hydra_obs.add obs "analysis.prune.subsets_skipped" !skipped;
-    if converged then Some !best else None
+    if sets 0 0 then Some !best else None
   end
 
-(* The cache's lookups during one call, added to [obs] in one go: the
-   same totals as counting each lookup, with at most three registry
-   lookups per call. A counter with nothing to add is left alone, so
-   it appears in a snapshot exactly when some lookup reached it. *)
-let add_positive obs name d = if d > 0 then Hydra_obs.add obs name d
+let response_time ?(policy = Top_delta) ?(warm = 0) sys ~hp ~n ~wcet ~limit =
+  match policy with
+  | Top_delta -> response_time_top_delta ~warm sys hp ~n ~wcet ~limit
+  | Exhaustive -> response_time_eq8 ~warm sys hp ~n ~wcet ~limit
 
-let record_cache obs c ~hits ~misses ~evictions =
-  add_positive obs "analysis.cache.hit" (c.c_hits - hits);
-  add_positive obs "analysis.cache.miss" (c.c_misses - misses);
-  add_positive obs "analysis.cache.evicted" (c.c_evictions - evictions)
-
-let response_time ?(policy = Top_delta) ?(warm = 0) ?obs sys ~hp ~n ~wcet
-    ~limit =
-  let c = sys.cache in
-  let hits = c.c_hits and misses = c.c_misses and evictions = c.c_evictions in
-  let r =
-    match policy with
-    | Top_delta -> response_time_top_delta ~warm obs sys hp ~n ~wcet ~limit
-    | Exhaustive -> response_time_eq8 ~warm obs sys hp ~n ~wcet ~limit
-  in
-  record_cache obs c ~hits ~misses ~evictions;
-  r
+(* The same totals as counting each query, at most nine registry
+   lookups per report. A counter with nothing to add is left alone, so
+   it appears in a snapshot exactly when some query reached it. *)
+let record_work obs ~since sys =
+  match obs with
+  | None -> ()
+  | Some _ ->
+      let now = cache_stats sys in
+      let add name before after =
+        if after > before then Hydra_obs.add obs name (after - before)
+      in
+      add "analysis.fixpoint.iterations" since.cs_iterations now.cs_iterations;
+      add "analysis.fixpoint.converged" since.cs_converged now.cs_converged;
+      add "analysis.fixpoint.diverged" since.cs_diverged now.cs_diverged;
+      add "analysis.carry_in.subsets" since.cs_subsets now.cs_subsets;
+      add "analysis.prune.subsets_skipped" since.cs_skipped now.cs_skipped;
+      add "analysis.prune.carry_in_dropped" since.cs_dropped now.cs_dropped;
+      add "analysis.cache.hit" since.cs_hits now.cs_hits;
+      add "analysis.cache.miss" since.cs_misses now.cs_misses;
+      add "analysis.cache.evicted" since.cs_evictions now.cs_evictions

@@ -40,7 +40,8 @@ type time = Rtsched.Task.time
 
 type cache
 (** Per-system memo of the raw per-core RT workloads per window (the
-    [x -> W_m(x)] table behind [analysis.cache.{hit,miss,evicted}]).
+    [x -> W_m(x)] table behind [analysis.cache.{hit,miss,evicted}]),
+    and the account of the analysis work run on it ({!cache_stats}).
     It is direct-mapped: 256 slots (tests may pick another power of
     two, {!fresh_cache}), window [x] in slot [x land (slots - 1)],
     each slot holding one window and its [M] workloads in flat [int]
@@ -72,11 +73,18 @@ type cache_stats = {
   cs_evictions : int;
       (** misses that overwrote a slot held by another window *)
   cs_refreshes : int;  (** per-core columns rewritten by {!refresh_rt_cores} *)
+  cs_iterations : int;  (** [Omega] evaluations, jumps included *)
+  cs_converged : int;  (** fixed points that converged *)
+  cs_diverged : int;  (** fixed points that passed [limit] *)
+  cs_subsets : int;  (** [Exhaustive]: carry-in sets visited *)
+  cs_skipped : int;  (** [Exhaustive]: sets skipped without a fixed point *)
+  cs_dropped : int;  (** [Exhaustive]: hp tasks dropped as candidates *)
 }
-(** Hygiene counters of one system's workload cache — the per-system
-    view behind the global [analysis.cache.{hit,miss,evicted}]
-    registry counters (a long-lived daemon holds many systems on one
-    registry; doc/SERVER.md). *)
+(** The tallies of one system's memo since it was built: its hygiene
+    counters and the work of every {!response_time} call on it, the
+    per-system view behind the registry's [analysis.*] counters that
+    {!record_work} feeds (a daemon holds many systems on one registry;
+    doc/SERVER.md). *)
 
 type system = {
   n_cores : int;
@@ -100,7 +108,7 @@ val make_system :
     fresh, empty workload cache). *)
 
 val cache_stats : system -> cache_stats
-(** Current hygiene counters of this system's workload cache. *)
+(** Current tallies of this system's memo. Constant time. *)
 
 val refresh_rt_cores :
   system -> Rtsched.Task.rt_task list array -> changed:bool array ->
@@ -121,8 +129,8 @@ val refresh_rt_cores :
     {!make_system}. *)
 
 val response_time :
-  ?policy:carry_in_policy -> ?warm:time -> ?obs:Hydra_obs.t -> system ->
-  hp:Rtsched.Guan.hp -> n:int -> wcet:time -> limit:time -> time option
+  ?policy:carry_in_policy -> ?warm:time -> system -> hp:Rtsched.Guan.hp ->
+  n:int -> wcet:time -> limit:time -> time option
 (** [response_time sys ~hp ~n ~wcet ~limit] is the WCRT of a security
     job of WCET [wcet] below the higher-priority security tasks held in
     entries [0 .. n-1] of [hp] (highest priority first: WCET, the
@@ -152,12 +160,14 @@ val response_time :
     monotone in hp periods). The fixed point starts there instead of
     at [wcet]; passing a value above the true response is unsound.
 
-    [obs] records the Eq. 7/8 instrumentation:
-    [analysis.fixpoint.iterations] (one per [Omega] evaluation, jumps
-    included) plus converged/diverged tallies,
-    [analysis.carry_in.subsets] (Exhaustive: sets visited),
-    the [analysis.carry_in.set_size] distribution,
-    [analysis.cache.{hit,miss,evicted}] (the call's lookups, added when
-    it returns) and
-    [analysis.prune.{carry_in_dropped,subsets_skipped}]
-    (doc/OBSERVABILITY.md). *)
+    The call's work is tallied in the system's memo ({!cache_stats})
+    only; {!record_work} reports it. *)
+
+val record_work : Hydra_obs.t option -> since:cache_stats -> system -> unit
+(** [record_work obs ~since sys] adds to [obs] what [sys]'s memo tallied
+    since the reading [since] of {!cache_stats}: the
+    [analysis.fixpoint.{iterations,converged,diverged}],
+    [analysis.carry_in.subsets], [analysis.prune.{subsets_skipped,
+    carry_in_dropped}] and [analysis.cache.{hit,miss,evicted}] counters
+    (doc/OBSERVABILITY.md), each only if its tally grew.
+    [Period_selection.select] reports each selection this way, once. *)

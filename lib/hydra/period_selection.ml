@@ -41,6 +41,7 @@ type result =
      probe was feasible and [t_star = T_s^max] — the responses of the
      incoming vector, which already had [index] at its bound. *)
 let select ?policy ?hints ?obs sys secs =
+  let since = Analysis.cache_stats sys in
   let sorted = Task.sort_sec_by_priority secs in
   let n = Array.length sorted in
   let periods = Array.map (fun s -> s.Task.sec_period_max) sorted in
@@ -66,7 +67,7 @@ let select ?policy ?hints ?obs sys secs =
      entries of [hp], warm-started at its last committed response. *)
   let resp_probe j =
     let s = sorted.(j) in
-    Analysis.response_time ?policy ~warm:resps.(j) ?obs sys ~hp ~n:j
+    Analysis.response_time ?policy ~warm:resps.(j) sys ~hp ~n:j
       ~wcet:s.Task.sec_wcet ~limit:s.Task.sec_period_max
   in
   let probe ~from =
@@ -85,6 +86,7 @@ let select ?policy ?hints ?obs sys secs =
   (* Algorithm 1, lines 1-4: all periods at their bounds. *)
   if not (probe ~from:0) then begin
     Hydra_obs.incr obs "period_selection.unschedulable";
+    Analysis.record_work obs ~since sys;
     Unschedulable
   end
   else begin
@@ -154,6 +156,7 @@ let select ?policy ?hints ?obs sys secs =
       periods.(index) <- t_star
     done;
     Hydra_obs.incr obs "period_selection.schedulable";
+    Analysis.record_work obs ~since sys;
     let assignments =
       List.init n (fun j ->
           { sec = sorted.(j); period = periods.(j); resp = resps.(j) })

@@ -64,7 +64,11 @@ val select :
     [obs] counts the Algorithm 2 probes
     ([period_selection.search.steps], plus the per-task
     [period_selection.search.steps_per_task] distribution) and the
-    schedulable/unschedulable outcome tallies (doc/OBSERVABILITY.md). *)
+    schedulable/unschedulable outcome tallies, and receives the
+    analysis work of the selection once, when it returns: what
+    [sys]'s memo tallied meanwhile ({!Analysis.record_work}), so a
+    second selection on the same system adds only its own work
+    (doc/OBSERVABILITY.md). *)
 
 val period_vector : assignment list -> n_sec:int -> time array
 (** Periods re-indexed by [sec_id] (length [n_sec]). *)

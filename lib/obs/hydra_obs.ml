@@ -504,65 +504,6 @@ let trace_count t =
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
-let pp_ns ppf ns =
-  if ns < 1_000 then Format.fprintf ppf "%dns" ns
-  else if ns < 1_000_000 then Format.fprintf ppf "%.1fus" (float_of_int ns /. 1e3)
-  else if ns < 1_000_000_000 then
-    Format.fprintf ppf "%.1fms" (float_of_int ns /. 1e6)
-  else Format.fprintf ppf "%.2fs" (float_of_int ns /. 1e9)
-
-let pp_summary ppf t =
-  let line = String.make 70 '-' in
-  Format.fprintf ppf "%s@." line;
-  Format.fprintf ppf "Hydra_obs metrics summary@.";
-  Format.fprintf ppf "%s@." line;
-  let cs = counters t and ds = dists t and hs = hists t and ss = span_stats t in
-  if cs <> [] then begin
-    Format.fprintf ppf "%-44s %12s@." "counter" "total";
-    List.iter
-      (fun v -> Format.fprintf ppf "  %-42s %12d@." v.cv_name v.cv_total)
-      cs
-  end;
-  if ds <> [] then begin
-    Format.fprintf ppf "%-36s %8s %10s %7s %7s@." "distribution" "count"
-      "mean" "min" "max";
-    List.iter
-      (fun v ->
-        Format.fprintf ppf "  %-34s %8d %10.2f %7d %7d@." v.dv_name v.dv_count
-          (float_of_int v.dv_sum /. float_of_int v.dv_count)
-          v.dv_min v.dv_max)
-      ds
-  end;
-  if hs <> [] then begin
-    Format.fprintf ppf "%-36s %8s %8s %8s %8s %8s@." "histogram" "count"
-      "p50" "p95" "p99" "max";
-    List.iter
-      (fun v ->
-        let h = v.hv_hist in
-        Format.fprintf ppf "  %-34s %8d %8d %8d %8d %8d@." v.hv_name
-          (Histogram.count h)
-          (Histogram.quantile h 0.50)
-          (Histogram.quantile h 0.95)
-          (Histogram.quantile h 0.99)
-          (Option.value (Histogram.max_value h) ~default:0))
-      hs
-  end;
-  if ss <> [] then begin
-    Format.fprintf ppf "%-36s %8s %10s %10s %10s@." "span" "count" "total"
-      "mean" "max";
-    let ns n = Format.asprintf "%a" pp_ns n in
-    List.iter
-      (fun v ->
-        Format.fprintf ppf "  %-34s %8d %10s %10s %10s@." v.sv_name v.sv_count
-          (ns v.sv_total_ns)
-          (ns (v.sv_total_ns / max 1 v.sv_count))
-          (ns v.sv_max_ns))
-      ss
-  end;
-  if cs = [] && ds = [] && hs = [] && ss = [] then
-    Format.fprintf ppf "(no metrics recorded)@.";
-  Format.fprintf ppf "%s@." line
-
 (* Chrome trace-event format (the JSON array flavour understood by
    Perfetto and chrome://tracing): process/thread metadata, then one
    event per stored event with microsecond timestamps and tid = the

@@ -1,13 +1,15 @@
 (** Domain-safe observability: counters, distributions, monotonic-clock
-    spans, and two exporters (a human summary table and Chrome
-    trace-event JSON loadable in Perfetto / chrome://tracing).
+    spans, and two exporters (the metrics {!Snapshot}, which
+    {!Report} summarizes, and Chrome trace-event JSON loadable in
+    Perfetto / chrome://tracing).
 
     Every instrumented entry point in the repository takes an optional
     [?obs:Hydra_obs.t] capability. The default is [None], and every
     recording function in this module is an allocation-free no-op on
-    [None] — instrumentation can stay in hot paths (the Eq. 7/8
-    fixed-point loops, the simulator, the sweep workers) without
-    costing uninstrumented runs anything.
+    [None] — instrumentation can stay in hot paths (the period search,
+    the simulator, the sweep workers) without costing uninstrumented
+    runs anything. The WCRT analysis tallies its own work in each
+    system's memo instead, reported once per selection.
 
     {b Domain safety.} All recording operations may be called
     concurrently from any number of domains (in particular from inside
@@ -229,12 +231,9 @@ val hists : t -> hist_view list
 val counter_total : t -> string -> int
 (** Total of one counter; [0] if it was never touched. *)
 
-(** {1 Exporters} *)
+(** {1 Exporters}
 
-val pp_summary : Format.formatter -> t -> unit
-(** Human-readable summary table (counters, distributions, spans). The
-    CLI prints this on {b stderr} under [--metrics] so stdout stays
-    byte-identical to an uninstrumented run. *)
+    [--metrics] prints {!Report}'s table of the {!Snapshot} on stderr. *)
 
 val chrome_trace : ?extra:string list -> t -> string
 (** Every recorded event as Chrome trace-event JSON
@@ -279,7 +278,9 @@ module Flight : sig
     | Decode  (** request decoded; [b] = 0 ok / 1 malformed *)
     | Coalesce  (** pending dirty ops flushed; [a] = ops coalesced *)
     | Shard  (** tenant group dispatched; [a] = group size *)
-    | Select  (** period selection ran; [a] = duration ns *)
+    | Select
+        (** selection served; [a] = duration ns, [b] = its fixed-point
+            iterations from the tenant's memo (0: last result served) *)
     | Reply  (** response sent; [a] = latency ns, [b] = status code *)
     | Slow  (** batch exceeded --slow-request-ms; [a] = duration ns *)
     | Error  (** connection/protocol failure *)

@@ -18,19 +18,23 @@ let make n =
    so that they return one int and allocate nothing. [held_nc.(j)] and
    [held_ci.(j)] are the two candidate runs of the hp task whose
    increment sits in slot j of {!bound}'s [top]: which one counts is
-   known only once the top set is. *)
+   known only once the top set is. [evals] counts the Omega
+   evaluations of every {!fixpoint} run on the buffer. *)
 type runs = {
   largest : time array;
   mutable total : time;
   mutable last : time;
   held_nc : time array;
   held_ci : time array;
+  mutable evals : int;
 }
 
 let runs ~n_cores =
   let k = n_cores - 1 in
   { largest = Array.make k 0; total = 0; last = 0; held_nc = Array.make k 0;
-    held_ci = Array.make k 0 }
+    held_ci = Array.make k 0; evals = 0 }
+
+let iterations r = r.evals
 
 let clear r =
   for j = 0 to Array.length r.largest - 1 do
@@ -190,11 +194,11 @@ let jump r ~n_cores ~excess =
    fixed point or past [limit], as the plain iteration does. A start
    above the lfp, outside the contract, descends step by step as the
    plain iteration would; the jump is only sound on a rising step. *)
-let fixpoint ?(start = 0) ~iters ~runs ~n_cores ~wcet ~limit omega =
+let fixpoint ?(start = 0) ~runs ~n_cores ~wcet ~limit omega =
   let rec iter x =
     if x > limit then None
     else begin
-      incr iters;
+      runs.evals <- runs.evals + 1;
       clear runs;
       let o = omega x in
       let x' = (o / n_cores) + wcet in

@@ -42,6 +42,10 @@ type runs
 val runs : n_cores:int -> runs
 (** [runs ~n_cores] is an empty buffer for [M = n_cores]. *)
 
+val iterations : runs -> int
+(** The [omega] evaluations of every {!fixpoint} run on this buffer so
+    far: a caller's iteration count is the difference of two readings. *)
+
 val clamped : runs -> job_wcet:time -> time -> time -> time
 (** [clamped runs ~job_wcet x w] is
     [Workload.interference ~job_wcet ~window:x w] for a raw workload
@@ -89,9 +93,9 @@ val set_bound :
     [x >= job_wcet >= 1]. *)
 
 val fixpoint :
-  ?start:time -> iters:int ref -> runs:runs -> n_cores:int -> wcet:time ->
-  limit:time -> (time -> time) -> time option
-(** [fixpoint ~iters ~runs ~n_cores ~wcet ~limit omega] is the least
+  ?start:time -> runs:runs -> n_cores:int -> wcet:time -> limit:time ->
+  (time -> time) -> time option
+(** [fixpoint ~runs ~n_cores ~wcet ~limit omega] is the least
     fixed point of Eq. 7, [x = floor(omega x / n_cores) + wcet],
     searched from [max wcet start] ([start] defaults to [0]), or
     [None] once an iterate exceeds [limit]. [omega] must be monotone,
@@ -109,4 +113,5 @@ val fixpoint :
     the verdict are those of the plain iteration
     [x <- floor(omega x / n_cores) + wcet] from [wcet]
     (doc/PERFORMANCE.md §§2-3); the number of iterations is not, and
-    is never larger. Each evaluation of [omega] increments [iters]. *)
+    is never larger. Each evaluation of [omega] counts one
+    {!iterations} of [runs]. *)

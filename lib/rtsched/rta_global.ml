@@ -17,13 +17,13 @@ let response_times ?obs ~n_cores tasks =
   let rec go i = function
     | [] -> []
     | t :: rest -> (
-        let iters = ref 0 in
+        let before = Guan.iterations runs in
         let r =
-          Guan.fixpoint ~iters ~runs ~n_cores ~wcet:t.g_wcet
-            ~limit:t.g_deadline
+          Guan.fixpoint ~runs ~n_cores ~wcet:t.g_wcet ~limit:t.g_deadline
             (Guan.bound hp ~n:i ~top ~runs ~job_wcet:t.g_wcet)
         in
-        Hydra_obs.add obs "rta.global.iterations" !iters;
+        Hydra_obs.add obs "rta.global.iterations"
+          (Guan.iterations runs - before);
         match r with
         | Some resp ->
             Hydra_obs.incr obs "rta.global.converged";

@@ -57,11 +57,11 @@ let run_group ~obs ~flight ~ftid ~name ~may_create state reqs =
   let out = ref [] in
   let emit pos r = out := (pos, r) :: !out in
   let materialize ctx tn =
-    let t0 = Hydra_obs.now_ns () in
+    let t0 = Hydra_obs.now_ns () and iters = Tenant.iterations tn in
     let result = Tenant.materialize ?obs ?ctx tn in
     Hydra_obs.Flight.record flight ~ts:(Hydra_obs.now_ns ())
       ~kind:Hydra_obs.Flight.Select ~tenant:ftid
-      ~a:(Hydra_obs.now_ns () - t0) ~b:0;
+      ~a:(Hydra_obs.now_ns () - t0) ~b:(Tenant.iterations tn - iters);
     result
   in
   let flush () =

@@ -269,3 +269,4 @@ let stats t =
     st_cache_refreshes = cs.Analysis.cs_refreshes }
 
 let selects t = t.selects
+let iterations t = (Analysis.cache_stats t.sys).Analysis.cs_iterations

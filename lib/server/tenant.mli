@@ -80,6 +80,10 @@ val materialize :
 val stats : t -> Protocol.stats
 val selects : t -> int
 
+val iterations : t -> int
+(** Fixed-point iterations tallied by the memo of the tenant's system:
+    two readings around {!materialize} give that selection's work. *)
+
 val snapshot : t -> Rtsched.Task.taskset * int array
 (** The current taskset (RM-prioritized RT + arrival-ordered security
     tasks) and per-task core assignment — what the differential test

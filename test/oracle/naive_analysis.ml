@@ -19,9 +19,9 @@ let view hp =
     hp;
   g
 
-let fast_response_time ?policy ?obs sys ~hp ~wcet ~limit =
-  Analysis.response_time ?policy ?obs sys ~hp:(view hp)
-    ~n:(List.length hp) ~wcet ~limit
+let fast_response_time ?policy sys ~hp ~wcet ~limit =
+  Analysis.response_time ?policy sys ~hp:(view hp) ~n:(List.length hp) ~wcet
+    ~limit
 
 let rt_interference (sys : Analysis.system) ~job_wcet x =
   Array.fold_left

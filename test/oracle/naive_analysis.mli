@@ -18,9 +18,8 @@ type hp_sec = {
     reference analysis and the tests build. *)
 
 val fast_response_time :
-  ?policy:Hydra.Analysis.carry_in_policy -> ?obs:Hydra_obs.t ->
-  Hydra.Analysis.system -> hp:hp_sec list ->
-  wcet:Rtsched.Task.time -> limit:Rtsched.Task.time ->
+  ?policy:Hydra.Analysis.carry_in_policy -> Hydra.Analysis.system ->
+  hp:hp_sec list -> wcet:Rtsched.Task.time -> limit:Rtsched.Task.time ->
   Rtsched.Task.time option
 (** {!Hydra.Analysis.response_time} on the list as its hp view (entry
     [i] holds the list's [i]-th task, [n = List.length hp]): the

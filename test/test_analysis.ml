@@ -307,22 +307,16 @@ let test_exhaustive_long_chains () =
       in
       List.iter
         (fun limit ->
-          let obs = Hydra_obs.create () in
+          let before = (Analysis.cache_stats sys).Analysis.cs_subsets in
           let at what = Printf.sprintf "%s n=%d limit=%d" what n limit in
           Alcotest.(check (option int))
             (at "= literal Eq. 8")
             (Naive_analysis.response_time ~policy:Analysis.Exhaustive sys ~hp
                ~wcet ~limit)
             (Naive_analysis.fast_response_time ~policy:Analysis.Exhaustive
-               ~obs sys ~hp ~wcet ~limit);
+               sys ~hp ~wcet ~limit);
           let subsets =
-            match
-              List.find_opt
-                (fun c -> c.Hydra_obs.cv_name = "analysis.carry_in.subsets")
-                (Hydra_obs.counters obs)
-            with
-            | Some c -> c.Hydra_obs.cv_total
-            | None -> 0
+            (Analysis.cache_stats sys).Analysis.cs_subsets - before
           in
           check_bool (at "at most n + 1 sets") true (subsets <= n + 1))
         [ r_top; r_top - 1 ])
@@ -338,13 +332,13 @@ let test_saturated_rt_creep () =
     { Analysis.n_cores = 2; rt_cores = [| [ rt 0 ]; [ rt 1 ] |];
       cache = Analysis.fresh_cache 2 }
   in
-  let obs = Hydra_obs.create () in
   let wcet = 1000 and limit = 30000 in
   Alcotest.(check (option int)) "= naive" (Some 20000)
     (Naive_analysis.response_time sys ~hp:[] ~wcet ~limit);
+  let before = (Analysis.cache_stats sys).Analysis.cs_iterations in
   Alcotest.(check (option int)) "response" (Some 20000)
-    (Naive_analysis.fast_response_time ~obs sys ~hp:[] ~wcet ~limit);
-  let iters = Hydra_obs.counter_total obs "analysis.fixpoint.iterations" in
+    (Naive_analysis.fast_response_time sys ~hp:[] ~wcet ~limit);
+  let iters = (Analysis.cache_stats sys).Analysis.cs_iterations - before in
   check_bool (Printf.sprintf "%d iterations <= 200" iters) true (iters <= 200)
 
 (* A call under either policy reads its hp view in place and runs on
@@ -372,13 +366,13 @@ let test_call_allocation_flat () =
       | Some r -> r
       | None -> Alcotest.fail "must converge"
     in
-    let obs = Hydra_obs.create () in
+    let iterations () = (Analysis.cache_stats sys).Analysis.cs_iterations in
+    let before = iterations () in
     ignore
       (Sys.opaque_identity
-         (Analysis.response_time ~policy ~warm:lfp ~obs sys ~hp ~n ~wcet
-            ~limit));
+         (Analysis.response_time ~policy ~warm:lfp sys ~hp ~n ~wcet ~limit));
     check_int (Printf.sprintf "one iteration at n=%d" n) 1
-      (Hydra_obs.counter_total obs "analysis.fixpoint.iterations");
+      (iterations () - before);
     let calls = 100 in
     let before = Gc.minor_words () in
     for _ = 1 to calls do
@@ -500,6 +494,83 @@ let test_refresh_rt_cores () =
            (Array.make (sys.Analysis.n_cores + 1) [])
            ~changed:(Array.make (sys.Analysis.n_cores + 1) false)))
 
+(* The per-selection report. A traced [select] on a fresh system adds
+   to its registry exactly what the system's memo tallied; a second
+   [select] on the same system and registry (the daemon's case) adds
+   only its own work, so the registry still equals the memo; and
+   without a registry the results and the tallies are the same. On the
+   rover and on generated M = 2 tasksets, one per utilization group,
+   under both policies: the high groups' searches probe infeasible
+   periods (diverged fixed points), and [Exhaustive] reaches the Eq. 8
+   tallies. *)
+let memo_work (s : Analysis.cache_stats) =
+  [ ("analysis.fixpoint.iterations", s.cs_iterations);
+    ("analysis.fixpoint.converged", s.cs_converged);
+    ("analysis.fixpoint.diverged", s.cs_diverged);
+    ("analysis.carry_in.subsets", s.cs_subsets);
+    ("analysis.prune.subsets_skipped", s.cs_skipped);
+    ("analysis.prune.carry_in_dropped", s.cs_dropped);
+    ("analysis.cache.hit", s.cs_hits);
+    ("analysis.cache.miss", s.cs_misses);
+    ("analysis.cache.evicted", s.cs_evictions) ]
+
+let test_select_reports_work_once () =
+  let check_work = Alcotest.(check (list (pair string int))) in
+  let config = Taskgen.Generator.default_config ~n_cores:2 in
+  let groups = config.Taskgen.Generator.util_groups in
+  let streams = Taskgen.Rng.split_n (Taskgen.Rng.create 11) groups in
+  let cases =
+    (Security.Rover.taskset (), Security.Rover.rt_assignment ())
+    :: List.filter_map
+         (fun group ->
+           Option.map
+             (fun (g : Taskgen.Generator.generated) ->
+               (g.taskset, g.rt_assignment))
+             (Taskgen.Generator.generate config streams.(group) ~group))
+         (List.init groups Fun.id)
+  in
+  List.iter
+    (fun (name, policy) ->
+      let diverged = ref 0 and subsets = ref 0 and skipped = ref 0 in
+      List.iteri
+        (fun i (ts, assignment) ->
+          let at what = Printf.sprintf "%s, taskset %d: %s" name i what in
+          let sys = Analysis.make_system ts ~assignment in
+          let obs = Hydra_obs.create () in
+          let check_registry what stats =
+            let expected = memo_work stats in
+            check_work (at what) expected
+              (List.map
+                 (fun (counter, _) ->
+                   (counter, Hydra_obs.counter_total obs counter))
+                 expected)
+          in
+          let first = Period_selection.select ~policy ~obs sys ts.Task.sec in
+          let s1 = Analysis.cache_stats sys in
+          check_registry "registry = memo after one select" s1;
+          let second = Period_selection.select ~policy ~obs sys ts.Task.sec in
+          let s2 = Analysis.cache_stats sys in
+          check_bool (at "the second select did work") true
+            (s2.Analysis.cs_iterations > s1.Analysis.cs_iterations);
+          check_registry "registry = memo after two" s2;
+          let plain = Analysis.make_system ts ~assignment in
+          check_bool (at "results without a registry") true
+            (same_select_result first
+               (Period_selection.select ~policy plain ts.Task.sec)
+            && same_select_result second
+                 (Period_selection.select ~policy plain ts.Task.sec));
+          check_work (at "tallies without a registry") (memo_work s2)
+            (memo_work (Analysis.cache_stats plain));
+          diverged := !diverged + s2.Analysis.cs_diverged;
+          subsets := !subsets + s2.Analysis.cs_subsets;
+          skipped := !skipped + s2.Analysis.cs_skipped)
+        cases;
+      check_bool (name ^ ": some fixed point diverged") true (!diverged > 0);
+      if policy = Analysis.Exhaustive then
+        check_bool (name ^ ": sets visited and skipped") true
+          (!subsets > 0 && !skipped > 0))
+    [ ("Top_delta", Analysis.Top_delta); ("Exhaustive", Analysis.Exhaustive) ]
+
 (* Search hints steer the probe order of the Algorithm 2 threshold
    search, never its result: any hint vector — the previous selection,
    the exact answer, or adversarial garbage — yields a bit-identical
@@ -559,7 +630,9 @@ let () =
           Alcotest.test_case "saturated RT creep" `Quick
             test_saturated_rt_creep;
           Alcotest.test_case "call allocation flat in hp count" `Quick
-            test_call_allocation_flat ] );
+            test_call_allocation_flat;
+          Alcotest.test_case "select reports its work once" `Quick
+            test_select_reports_work_once ] );
       ( "cache_hygiene",
         [ Alcotest.test_case "stats + bounded eviction" `Quick
             test_cache_stats_and_bound;

@@ -631,19 +631,20 @@ let prop_jumping_fixpoint_equals_plain =
               let plain, plain_iters =
                 plain_fixpoint ~n_cores ~wcet:job_wcet ~limit ~start omega
               in
-              let iters = ref 0 in
+              let before = Rtsched.Guan.iterations runs in
               let jumped =
-                Rtsched.Guan.fixpoint ~start ~iters ~runs ~n_cores
-                  ~wcet:job_wcet ~limit omega
+                Rtsched.Guan.fixpoint ~start ~runs ~n_cores ~wcet:job_wcet
+                  ~limit omega
               in
-              if jumped <> plain || !iters > plain_iters then
+              let iters = Rtsched.Guan.iterations runs - before in
+              if jumped <> plain || iters > plain_iters then
                 QCheck.Test.fail_reportf
                   "limit=%d start=%d: plain %s in %d, jumped %s in %d" limit
                   start
                   (Option.fold ~none:"None" ~some:string_of_int plain)
                   plain_iters
                   (Option.fold ~none:"None" ~some:string_of_int jumped)
-                  !iters;
+                  iters;
               true)
             [ 0; start ])
         limits)
@@ -722,10 +723,9 @@ let prop_jumps_skip_no_fixed_point =
           let plain, _ =
             plain_fixpoint ~n_cores ~wcet:job_wcet ~limit ~start omega
           in
-          let iters = ref 0 in
           let jumped =
-            Rtsched.Guan.fixpoint ~start ~iters ~runs ~n_cores ~wcet:job_wcet
-              ~limit omega
+            Rtsched.Guan.fixpoint ~start ~runs ~n_cores ~wcet:job_wcet ~limit
+              omega
           in
           if jumped <> plain then
             QCheck.Test.fail_reportf "K=%d: plain %s, jumped %s" k

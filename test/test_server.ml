@@ -676,6 +676,38 @@ let test_engine_rejects_obs_ops () =
             (status r2 = Protocol.Ok)
       | _ -> Alcotest.fail "expected two responses")
 
+(* Each flight [Select] event carries its selection's fixed-point
+   iterations, read from the tenant's memo (0 when a clean tenant's
+   last result is served), so over the first 100 requests of the
+   steady script they sum to the registry's
+   [analysis.fixpoint.iterations]. *)
+let test_select_events_carry_work () =
+  let obs = Hydra_obs.create () in
+  let kept, dump =
+    with_engine ~obs (fun e ->
+        List.iter
+          (fun q -> ignore (Engine.exec_batch e [ q ]))
+          (Hydra_drive.Steady_script.prefix ~shutdown:false 100);
+        let f = Engine.flight e in
+        ( Hydra_obs.Flight.(recorded f <= capacity f),
+          Hydra_obs.Flight.dump f ))
+  in
+  check_bool "the ring kept every event" true kept;
+  let works =
+    String.split_on_char '\n' dump
+    |> List.filter (fun l -> l <> "")
+    |> List.tl
+    |> List.filter_map (fun l ->
+           let j = Test_util.parse_json l in
+           if Test_util.(as_str (member "kind" j)) = "select" then
+             Some (int_of_float Test_util.(as_num (member "b" j)))
+           else None)
+  in
+  check_bool "some selections ran" true (List.exists (fun b -> b > 0) works);
+  check_int "Select b values sum to the registry's iterations"
+    (Hydra_obs.counter_total obs "analysis.fixpoint.iterations")
+    (List.fold_left ( + ) 0 works)
+
 let ctx_batch =
   [ req 0 small_init; req 1 Protocol.Query;
     req ~tenant:"t1" 2 small_init;
@@ -1110,7 +1142,9 @@ let () =
         [ Alcotest.test_case "engine rejects obs ops" `Quick
             test_engine_rejects_obs_ops;
           Alcotest.test_case "exec_batch with trace contexts" `Quick
-            test_exec_batch_with_ctxs ] );
+            test_exec_batch_with_ctxs;
+          Alcotest.test_case "select events carry their work" `Quick
+            test_select_events_carry_work ] );
       ( "daemon",
         [ Alcotest.test_case "socket smoke" `Quick test_daemon_socket;
           Alcotest.test_case "live scrape" `Quick test_daemon_live_scrape;
