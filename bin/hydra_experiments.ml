@@ -40,15 +40,18 @@ let timed ?obs ~jobs label f =
    usage errors instead: cmdliner exits 124 naming the flag, before
    any work runs. *)
 
-(* counts and sizes; cmdliner's [int] parser for everything else *)
-let pos_int =
+(* an int in [lo, hi]; cmdliner's [int] parser for everything else *)
+let int_in ~lo ~hi what =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not a positive integer" s))
+    | Ok n when lo <= n && n <= hi -> Ok n
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not %s" s what))
     | Error _ as e -> e
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
+(* counts and sizes *)
+let pos_int = int_in ~lo:1 ~hi:max_int "a positive integer"
 
 (* a file written when the command finishes *)
 let out_file =
@@ -644,13 +647,15 @@ let socket_arg =
        & info [ "socket" ] ~docv:"PATH"
            ~doc:"Unix-domain socket to listen on (stale files are                  unlinked; the file is removed again on shutdown).")
 
+(* the daemon compares batch times in ns, so MS * 10^6 must not wrap *)
 let slow_request_ms_arg =
-  Arg.(value & opt int 0
+  let hi = max_int / 1_000_000 in
+  Arg.(value & opt (int_in ~lo:0 ~hi (Printf.sprintf "in 0..%d" hi)) 0
        & info [ "slow-request-ms" ] ~docv:"MS"
            ~doc:"Treat a request batch slower than MS milliseconds as an                  incident: log a rate-limited warning and dump the flight                  recorder. 0 (the default) disables the detector.")
 
 let flight_out_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some out_file) None
        & info [ "flight-out" ] ~docv:"FILE"
            ~doc:"Write flight-recorder dumps (hydra_c.flight/1 JSONL) to                  FILE, including one at clean shutdown. Without this                  option dumps go to SOCKET.flight.jsonl and happen only on                  SIGUSR1, a crash, or a slow request.")
 

@@ -5,7 +5,7 @@
    touch unsanctioned module-level mutable state. Atomic / Mutex /
    Domain.DLS are the sanctioned primitives (never recorded as mutable
    state by Summary), lib/obs is the sanctioned instrumentation sink
-   (its striped-atomic internals are not traversed), and an inline
+   (its atomic cells are not traversed), and an inline
    [@lint.allow "D7"] (or "D4") on the state binding — or anywhere in
    the state's file — sanctions every path that reaches it, which is
    what makes suppression cross-module.
@@ -127,8 +127,9 @@ let classify_extern name =
     | m :: _ :: _ when Hashtbl.mem stdlib_tbl m -> Stdlib_unknown
     | _ -> Extern_unknown
 
-(* The sanctioned instrumentation sink: lib/obs (Hydra_obs) is built
-   on striped atomics and Domain.DLS; D7 does not descend into it. *)
+(* The sanctioned instrumentation sink: lib/obs (Hydra_obs) keeps its
+   metrics in atomic cells and its handle caches in Domain.DLS; D7
+   does not descend into it. *)
 let is_obs (s : Summary.t) =
   s.s_module = "Hydra_obs"
   || Filename.basename s.s_dir = "obs"

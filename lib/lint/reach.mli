@@ -3,9 +3,10 @@
     - {b D7} pool-closure race detector: nothing transitively
       reachable from a closure passed to [Parallel.Pool.map] /
       [map_array] / [map_list] may touch unsanctioned module-level
-      mutable state (Atomic / Mutex / Domain.DLS and lib/obs are
-      sanctioned; [[@lint.allow "D7"]] on the state binding sanctions
-      every path reaching it, cross-module).
+      mutable state (Atomic / Mutex / Domain.DLS and the lib/obs
+      instrumentation sink, whose cells are atomics, are sanctioned;
+      [[@lint.allow "D7"]] on the state binding sanctions every path
+      reaching it, cross-module).
     - {b D8} transitive hot-path allocation: rule D6 extended over the
       full callee cone of every [[@lint.hot]] binding; a
       [[@lint.cold]] callee is a sanctioned allocation point.

@@ -26,41 +26,26 @@ module Trace_ctx = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Striped atomic cells.
+(* Atomic cells.
 
-   Every metric is an array of [stripes] atomics; a writer touches only
-   the cell indexed by its domain id, so Parallel.Pool workers never
-   contend on a cache line they both write. The OCaml 5 runtime caps
-   live domains at 128 and domain ids only grow, so a power-of-two mask
-   keeps collisions rare — and a collision merely shares an atomic, it
-   never loses an update. Reads sum (or fold min/max over) the stripes;
-   they are exact once the map has drained (every worker checks back in
-   under the pool's mutex before the map returns), which is the only
-   point the experiment harnesses read them. *)
-
-let stripes = 64
-let slot () = (Domain.self () :> int) land (stripes - 1)
-
-type counter = int Atomic.t array
-
-let make_counter () : counter = Array.init stripes (fun _ -> Atomic.make 0)
-let counter_add (c : counter) n = ignore (Atomic.fetch_and_add c.(slot ()) n)
-
-let counter_read (c : counter) =
-  Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c
+   A counter is one atomic and a distribution four (count, sum, min,
+   max); a histogram adds one atomic per bucket ([hist] below). Every
+   update is a fetch-and-add or a compare-and-set loop, so concurrent
+   writers never lose one, and reads are exact once the writing domains
+   have been joined (every Parallel.Pool worker checks back in under
+   the pool's mutex before the map returns), which is the only point
+   the experiment harnesses read them. *)
 
 type dist = {
-  d_count : counter;
-  d_sum : counter;
-  d_min : int Atomic.t array;
-  d_max : int Atomic.t array;
+  d_count : int Atomic.t;
+  d_sum : int Atomic.t;
+  d_min : int Atomic.t;
+  d_max : int Atomic.t;
 }
 
 let make_dist () =
-  { d_count = make_counter ();
-    d_sum = make_counter ();
-    d_min = Array.init stripes (fun _ -> Atomic.make max_int);
-    d_max = Array.init stripes (fun _ -> Atomic.make min_int) }
+  { d_count = Atomic.make 0; d_sum = Atomic.make 0;
+    d_min = Atomic.make max_int; d_max = Atomic.make min_int }
 
 let rec atomic_min cell v =
   let cur = Atomic.get cell in
@@ -71,18 +56,10 @@ let rec atomic_max cell v =
   if v > cur && not (Atomic.compare_and_set cell cur v) then atomic_max cell v
 
 let dist_record d v =
-  let s = slot () in
-  ignore (Atomic.fetch_and_add d.d_count.(s) 1);
-  ignore (Atomic.fetch_and_add d.d_sum.(s) v);
-  atomic_min d.d_min.(s) v;
-  atomic_max d.d_max.(s) v
-
-let dist_read d =
-  let count = counter_read d.d_count in
-  let sum = counter_read d.d_sum in
-  let mn = Array.fold_left (fun acc a -> min acc (Atomic.get a)) max_int d.d_min in
-  let mx = Array.fold_left (fun acc a -> max acc (Atomic.get a)) min_int d.d_max in
-  (count, sum, mn, mx)
+  ignore (Atomic.fetch_and_add d.d_count 1);
+  ignore (Atomic.fetch_and_add d.d_sum v);
+  atomic_min d.d_min v;
+  atomic_max d.d_max v
 
 (* ------------------------------------------------------------------ *)
 (* Log-bucketed histograms.
@@ -93,12 +70,11 @@ let dist_read d =
    the octave [2^k, 2^(k+1)), so the bucket upper bound overestimates
    the value by at most 1/64 (~1.6%). The bucket index is a pure
    function of the value and bucket counts are added commutatively, so
-   the merged histogram — and every quantile read from it — is
-   bit-identical regardless of how recording interleaved across
-   domains. [quantile] rank-selects over the cumulative bucket counts
-   and clamps the bucket upper bound to the exact tracked maximum, so
-   p100 (and any quantile landing in the top occupied bucket) is
-   exact. *)
+   the histogram — and every quantile read from it — is bit-identical
+   regardless of how recording interleaved across domains. [quantile]
+   rank-selects over the cumulative bucket counts and clamps the bucket
+   upper bound to the exact tracked maximum, so p100 (and any quantile
+   landing in the top occupied bucket) is exact. *)
 
 module Histogram = struct
   let sub_bits = 6
@@ -161,15 +137,6 @@ module Histogram = struct
     List.iter (record t) vs;
     t
 
-  let merge_into ~into t =
-    Array.iteri
-      (fun i n -> if n <> 0 then into.buckets.(i) <- into.buckets.(i) + n)
-      t.buckets;
-    into.h_count <- into.h_count + t.h_count;
-    into.h_sum <- into.h_sum + t.h_sum;
-    if t.h_min < into.h_min then into.h_min <- t.h_min;
-    if t.h_max > into.h_max then into.h_max <- t.h_max
-
   let count t = t.h_count
   let sum t = t.h_sum
   let min_value t = if t.h_count = 0 then None else Some t.h_min
@@ -201,66 +168,23 @@ module Histogram = struct
     !acc
 end
 
-(* Striped histogram: the count/sum/min/max part reuses the striped
-   [dist]; bucket arrays are allocated lazily per stripe (3648 atomics
-   only for domains that actually record). A stripe collision (> 64
-   live domains) shares the atomics but never loses an update. *)
-
-type hist = {
-  h_dist : dist;
-  h_stripes : int Atomic.t array option Atomic.t array;
-}
+(* [hists] copies both parts into a fresh [Histogram.t]. *)
+type hist = { h_dist : dist; h_buckets : int Atomic.t array }
 
 let make_hist () =
   { h_dist = make_dist ();
-    h_stripes = Array.init stripes (fun _ -> Atomic.make None) }
-
-let hist_record h v =
-  let v = if v < 0 then 0 else v in
-  dist_record h.h_dist v;
-  let s = slot () in
-  let buckets =
-    match Atomic.get h.h_stripes.(s) with
-    | Some b -> b
-    | None ->
-        let b = Array.init Histogram.n_buckets (fun _ -> Atomic.make 0) in
-        if Atomic.compare_and_set h.h_stripes.(s) None (Some b) then b
-        else
-          (* another domain sharing the stripe won the race *)
-          Option.get (Atomic.get h.h_stripes.(s))
-  in
-  ignore (Atomic.fetch_and_add buckets.(Histogram.bucket_of v) 1)
-
-let hist_read h =
-  let out = Histogram.create () in
-  Array.iter
-    (fun stripe ->
-      match Atomic.get stripe with
-      | None -> ()
-      | Some b ->
-          Array.iteri
-            (fun i a ->
-              let n = Atomic.get a in
-              if n <> 0 then
-                out.Histogram.buckets.(i) <- out.Histogram.buckets.(i) + n)
-            b)
-    h.h_stripes;
-  let c, s, mn, mx = dist_read h.h_dist in
-  out.Histogram.h_count <- c;
-  out.Histogram.h_sum <- s;
-  out.Histogram.h_min <- mn;
-  out.Histogram.h_max <- mx;
-  out
+    h_buckets = Array.init Histogram.n_buckets (fun _ -> Atomic.make 0) }
 
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
 (* One store for every event [chrome_trace] renders. [span] records
-   [Plain] events; [trace_span]/[trace_emit] record [Request] spans and
-   [flow_begin]/[flow_end] the two flow halves, all for traced requests
-   only. None of them is in the snapshot tables, so a run with tracing
-   enabled still produces a byte-identical --metrics-out (only
-   --trace-out grows). *)
+   [Plain] events, the only record a span leaves: [span_stats] folds
+   them, and the snapshot carries their counts. [trace_span]/
+   [trace_emit] record [Request] spans and [flow_begin]/[flow_end] the
+   two flow halves, all for traced requests only; none of those is in
+   the snapshot, so a run with tracing enabled still produces a
+   byte-identical --metrics-out (only --trace-out grows). *)
 type event_kind =
   | Plain
   | Request of Trace_ctx.t
@@ -278,10 +202,9 @@ type t = {
   id : int;
   epoch_ns : int;
   mu : Mutex.t;
-  counters : (string, counter) Hashtbl.t;
+  counters : (string, int Atomic.t) Hashtbl.t;
   dists : (string, dist) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
-  spans : (string, dist) Hashtbl.t;
   events : event list Atomic.t;
 }
 
@@ -294,25 +217,20 @@ let create () =
     counters = Hashtbl.create 32;
     dists = Hashtbl.create 16;
     hists = Hashtbl.create 16;
-    spans = Hashtbl.create 16;
     events = Atomic.make [] }
 
 (* Per-domain handle caches: name resolution takes the registry mutex
    only on a domain's first use of a metric; afterwards the lookup is a
-   domain-local hashtable hit followed by one atomic add on the
-   domain's own stripe — no cross-domain contention in steady state.
-   Keys include the registry id so multiple registries coexist. *)
+   domain-local hashtable hit, so resolving a name never blocks. Keys
+   include the registry id so multiple registries coexist. *)
 
-let counter_cache : (int * string, counter) Hashtbl.t Domain.DLS.key =
+let counter_cache : (int * string, int Atomic.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 32)
 
 let dist_cache : (int * string, dist) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 32)
 
 let hist_cache : (int * string, hist) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let span_cache : (int * string, dist) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 32)
 
 let resolve cache table mu ~make id name =
@@ -339,7 +257,9 @@ let add obs name n =
   match obs with
   | None -> ()
   | Some t ->
-      counter_add (resolve counter_cache t.counters t.mu ~make:make_counter t.id name) n
+      let make () = Atomic.make 0 in
+      let c = resolve counter_cache t.counters t.mu ~make t.id name in
+      ignore (Atomic.fetch_and_add c n)
 
 let incr obs name = add obs name 1
 
@@ -353,7 +273,10 @@ let sample obs name v =
   match obs with
   | None -> ()
   | Some t ->
-      hist_record (resolve hist_cache t.hists t.mu ~make:make_hist t.id name) v
+      let h = resolve hist_cache t.hists t.mu ~make:make_hist t.id name in
+      let v = if v < 0 then 0 else v in
+      dist_record h.h_dist v;
+      ignore (Atomic.fetch_and_add h.h_buckets.(Histogram.bucket_of v) 1)
 
 let push_event t ~name ~start_ns ~dur_ns kind =
   let ev =
@@ -382,15 +305,13 @@ let span obs name f =
   match obs with
   | None -> f ()
   | Some t ->
-      let d = resolve span_cache t.spans t.mu ~make:make_dist t.id name in
       timed f (fun start_ns dur_ns ->
-          dist_record d dur_ns;
           push_event t ~name ~start_ns ~dur_ns Plain)
 
 (* Request-scoped tracing: all no-ops unless both the registry and the
    context are present, so an untraced request pays only two option
-   tests. Unlike [span], nothing here touches the span aggregates —
-   trace events are visible only through [chrome_trace]. *)
+   tests. Unlike [span]'s events, these never reach the snapshot: they
+   are visible only through [chrome_trace]. *)
 
 let trace_emit obs ctx name ~start_ns ~dur_ns =
   match (obs, ctx) with
@@ -439,7 +360,7 @@ let by_name f a b = String.compare (f a) (f b)
 let counters t =
   Mutex.protect t.mu (fun () ->
       Hashtbl.fold
-        (fun name c acc -> { cv_name = name; cv_total = counter_read c } :: acc)
+        (fun name c acc -> { cv_name = name; cv_total = Atomic.get c } :: acc)
         t.counters [])
   |> List.sort (by_name (fun v -> v.cv_name))
 
@@ -447,11 +368,11 @@ let dists t =
   Mutex.protect t.mu (fun () ->
       Hashtbl.fold
         (fun name d acc ->
-          let count, sum, mn, mx = dist_read d in
+          let count = Atomic.get d.d_count in
           if count = 0 then acc
           else
-            { dv_name = name; dv_count = count; dv_sum = sum; dv_min = mn;
-              dv_max = mx }
+            { dv_name = name; dv_count = count; dv_sum = Atomic.get d.d_sum;
+              dv_min = Atomic.get d.d_min; dv_max = Atomic.get d.d_max }
             :: acc)
         t.dists [])
   |> List.sort (by_name (fun v -> v.dv_name))
@@ -461,30 +382,40 @@ type hist_view = { hv_name : string; hv_hist : Histogram.t }
 let hists t =
   Mutex.protect t.mu (fun () ->
       Hashtbl.fold
-        (fun name h acc ->
-          let view = hist_read h in
-          if Histogram.count view = 0 then acc
-          else { hv_name = name; hv_hist = view } :: acc)
+        (fun name { h_dist = d; h_buckets } acc ->
+          let h_count = Atomic.get d.d_count in
+          if h_count = 0 then acc
+          else
+            { hv_name = name;
+              hv_hist =
+                { Histogram.buckets = Array.map Atomic.get h_buckets; h_count;
+                  h_sum = Atomic.get d.d_sum; h_min = Atomic.get d.d_min;
+                  h_max = Atomic.get d.d_max } }
+            :: acc)
         t.hists [])
   |> List.sort (by_name (fun v -> v.hv_name))
 
 let span_stats t =
-  Mutex.protect t.mu (fun () ->
-      Hashtbl.fold
-        (fun name d acc ->
-          let count, sum, _, mx = dist_read d in
-          if count = 0 then acc
-          else
-            { sv_name = name; sv_count = count; sv_total_ns = sum;
-              sv_max_ns = mx }
-            :: acc)
-        t.spans [])
+  let by_span = Hashtbl.create 16 in
+  let fold { ev_name = name; ev_dur_ns = d; _ } =
+    Hashtbl.replace by_span name
+      (match Hashtbl.find_opt by_span name with
+      | Some v ->
+          { v with sv_count = v.sv_count + 1; sv_total_ns = v.sv_total_ns + d;
+            sv_max_ns = Stdlib.max v.sv_max_ns d }
+      | None ->
+          { sv_name = name; sv_count = 1; sv_total_ns = d; sv_max_ns = d })
+  in
+  List.iter
+    (fun e -> match e.ev_kind with Plain -> fold e | Request _ | Flow _ -> ())
+    (Atomic.get t.events);
+  Hashtbl.fold (fun _ v acc -> v :: acc) by_span []
   |> List.sort (by_name (fun v -> v.sv_name))
 
 let counter_total t name =
   Mutex.protect t.mu (fun () ->
       match Hashtbl.find_opt t.counters name with
-      | Some c -> counter_read c
+      | Some c -> Atomic.get c
       | None -> 0)
 
 (* Oldest first by start time; the sort is stable, so events with

@@ -13,10 +13,11 @@
 
     {b Domain safety.} All recording operations may be called
     concurrently from any number of domains (in particular from inside
-    {!Parallel.Pool} workers). Each metric is an array of striped
-    atomic cells indexed by domain id: a writer touches only its own
-    stripe, so workers never contend; reads aggregate the stripes and
-    are exact once the writing domains have been joined. Metric-name
+    {!Parallel.Pool} workers). A counter is one atomic cell, a
+    distribution four, and a histogram adds one atomic per bucket;
+    every update is a fetch-and-add or a compare-and-set, so none is
+    lost, and reads are exact once the writing domains have been
+    joined. A span is one event in a lock-free store. Metric-name
     resolution caches handles in domain-local storage, so the registry
     mutex is taken only on a domain's first use of each name.
 
@@ -47,7 +48,7 @@ val create : unit -> t
     sub-buckets of their power-of-two octave above, so a bucket's
     upper bound overestimates any value in it by at most 1/64. The
     bucket index is a pure function of the value and counts add
-    commutatively, which makes the merged histogram — and every
+    commutatively, which makes a registry's histogram — and every
     quantile read from it — bit-identical no matter how recording was
     interleaved across domains (the property behind byte-identical
     [--metrics-out] snapshots for every [--jobs] value; see
@@ -55,17 +56,14 @@ val create : unit -> t
 
 module Histogram : sig
   type t
-  (** A single-writer accumulator (the registry handles striping for
-      concurrent recording — see {!sample}). *)
+  (** A single-writer accumulator. The registry records concurrent
+      {!sample}s into atomic buckets and copies them into a fresh [t]
+      per {!hists} view. *)
 
   val create : unit -> t
   val record : t -> int -> unit
   val of_list : int list -> t
   (** [of_list vs] is a histogram of all of [vs]. *)
-
-  val merge_into : into:t -> t -> unit
-  (** Adds every bucket, count and sum of the second histogram into
-      [into]; order-independent. *)
 
   val count : t -> int
   val sum : t -> int
@@ -123,17 +121,18 @@ val observe : t option -> string -> int -> unit
 val sample : t option -> string -> int -> unit
 (** Record one sample into a log-bucketed {!Histogram} — use for
     quantities whose {e distribution} matters (latencies, response
-    times). Striped like the counters: concurrent recorders never
-    contend, and the merged histogram is independent of interleaving.
-    Negative samples are clamped to 0. *)
+    times). Each bucket is an atomic count, so concurrent recorders
+    never lose a sample and the histogram is independent of
+    interleaving. Negative samples are clamped to 0. *)
 
 val span : t option -> string -> (unit -> 'a) -> 'a
-(** [span obs name f] runs [f ()], timing it with the monotonic clock.
-    The duration feeds the [name] span aggregate, and one trace event
-    attributed to the calling domain is pushed for the Chrome-trace
-    exporter. Nested spans on the same domain render as a stack in
-    Perfetto. The span is recorded (and the exception re-raised) even
-    if [f] raises. On [None] this is exactly [f ()]. *)
+(** [span obs name f] runs [f ()], timing it with the monotonic clock,
+    and pushes one event attributed to the calling domain: the
+    Chrome-trace exporter renders it, and {!span_stats} and the
+    {!Snapshot}'s span counts fold it. Nested spans on the same domain
+    render as a stack in Perfetto. The span is recorded (and the
+    exception re-raised) even if [f] raises. On [None] this is exactly
+    [f ()]. *)
 
 (** {1 Request-scoped tracing}
 
@@ -169,8 +168,8 @@ val trace_span : t option -> Trace_ctx.t option -> string -> (unit -> 'a) -> 'a
 (** [trace_span obs ctx name f] runs [f ()]; when both [obs] and [ctx]
     are present it also emits one request-trace span event carrying
     [ctx]'s ids, attributed to the calling domain. Recorded (and the
-    exception re-raised) even if [f] raises. Unlike {!span}, no
-    aggregate is touched. *)
+    exception re-raised) even if [f] raises. Unlike {!span}'s events,
+    it is not counted by {!span_stats} or the {!Snapshot}. *)
 
 val trace_emit :
   t option -> Trace_ctx.t option -> string -> start_ns:int -> dur_ns:int ->
@@ -224,9 +223,9 @@ val dists : t -> dist_view list
 val span_stats : t -> span_view list
 
 val hists : t -> hist_view list
-(** Merged view of every histogram with at least one sample, sorted by
-    name. Each view is a fresh {!Histogram.t}; query it with
-    {!Histogram.quantile} and friends. *)
+(** A view of every histogram with at least one sample, sorted by
+    name. Each view is a fresh {!Histogram.t}, which later samples do
+    not move; query it with {!Histogram.quantile} and friends. *)
 
 val counter_total : t -> string -> int
 (** Total of one counter; [0] if it was never touched. *)

@@ -107,7 +107,3 @@ let to_string (ts : Task.taskset) =
            s.Task.sec_period_max))
     sec;
   Buffer.contents buf
-
-let save path ts =
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string ts))

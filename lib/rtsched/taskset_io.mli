@@ -27,6 +27,3 @@ val load : string -> (Task.taskset, string) result
 val to_string : Task.taskset -> string
 (** Renders a taskset in the same format ([parse (to_string ts)]
     round-trips the parameters). *)
-
-val save : string -> Task.taskset -> unit
-(** Writes [to_string] to a file. @raise Sys_error on I/O failure. *)

@@ -108,13 +108,3 @@ let generate cfg rng ~group =
       | None -> go (n - 1)
   in
   go cfg.max_attempts
-
-let generate_exn cfg rng ~group =
-  match generate cfg rng ~group with
-  | Some g -> g
-  | None ->
-      failwith
-        (Printf.sprintf
-           "Generator.generate_exn: no RT-schedulable taskset for group %d \
-            within %d attempts"
-           group cfg.max_attempts)

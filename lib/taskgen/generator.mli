@@ -48,6 +48,3 @@ type generated = {
 val generate : config -> Rng.t -> group:int -> generated option
 (** One taskset of utilization group [group]; [None] if no
     RT-schedulable taskset was found within [max_attempts]. *)
-
-val generate_exn : config -> Rng.t -> group:int -> generated
-(** Like {!generate}. @raise Failure when attempts are exhausted. *)

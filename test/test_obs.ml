@@ -1,8 +1,9 @@
-(* Tests for Hydra_obs: exactness of the striped counters under
-   Parallel.Pool domains, span nesting through the Chrome-trace
-   exporter (with the minimal JSON parser from Test_util, shared with
-   test_lint), the zero-allocation no-op path, and the determinism
-   contract (instrumentation never changes results). *)
+(* Tests for Hydra_obs: exactness of the atomic counters and
+   histograms under Parallel.Pool domains, span counts folded from the
+   event store, span nesting through the Chrome-trace exporter (with
+   the minimal JSON parser from Test_util, shared with test_lint), the
+   zero-allocation no-op path, and the determinism contract
+   (instrumentation never changes results). *)
 
 open Test_util
 
@@ -253,17 +254,12 @@ let test_histogram_basic_stats () =
 let test_histogram_merge_order_independent () =
   let a = [ 1; 100; 3_000; 70_000 ] and b = [ 2; 64; 65; 1_000_000 ] in
   let forward = H.of_list (a @ b) and backward = H.of_list (b @ a) in
-  let merged = H.of_list a in
-  H.merge_into ~into:merged (H.of_list b);
-  List.iter
-    (fun (name, h) ->
-      check_bool (name ^ ": same buckets") true
-        (H.nonzero_buckets h = H.nonzero_buckets forward);
-      check_int (name ^ ": same count") (H.count forward) (H.count h);
-      check_int (name ^ ": same sum") (H.sum forward) (H.sum h))
-    [ ("reversed", backward); ("merge_into", merged) ]
+  check_bool "reversed: same buckets" true
+    (H.nonzero_buckets backward = H.nonzero_buckets forward);
+  check_int "reversed: same count" (H.count forward) (H.count backward);
+  check_int "reversed: same sum" (H.sum forward) (H.sum backward)
 
-let test_striped_recording_matches_sequential () =
+let test_concurrent_recording_matches_sequential () =
   (* The same multiset recorded concurrently from 4 domains must
      aggregate to exactly the sequential histogram: bucket counts add
      commutatively, so interleaving cannot matter. *)
@@ -292,6 +288,27 @@ let test_striped_recording_matches_sequential () =
             (H.quantile reference q) (H.quantile h q))
         [ 0.5; 0.95; 0.99; 1.0 ]
   | l -> Alcotest.failf "expected 1 histogram, got %d" (List.length l)
+
+let test_hist_view_is_a_copy () =
+  (* [hists] promises a fresh Histogram.t per view: samples recorded
+     after the read must not show through it, as they would through a
+     view sharing the registry's live bucket array. *)
+  let obs_t = Hydra_obs.create () in
+  let obs = Some obs_t in
+  let read () =
+    match Hydra_obs.hists obs_t with
+    | [ hv ] -> hv.Hydra_obs.hv_hist
+    | l -> Alcotest.failf "expected 1 histogram, got %d" (List.length l)
+  in
+  List.iter (Hydra_obs.sample obs "test.lat") [ 5; 700 ];
+  let view = read () in
+  let buckets = H.nonzero_buckets view in
+  List.iter (Hydra_obs.sample obs "test.lat") [ 5; 700; 90_000 ];
+  check_bool "buckets unmoved" true (H.nonzero_buckets view = buckets);
+  check_int "count unmoved" 2 (H.count view);
+  check_int "sum unmoved" 705 (H.sum view);
+  check_int "p100 unmoved" 700 (H.quantile view 1.0);
+  check_int "a fresh view sees every sample" 5 (H.count (read ()))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot exporter *)
@@ -406,7 +423,9 @@ let prop_multi_domain_trace_valid =
         Parallel.Pool.map ?obs ~jobs
           (fun i ->
             Hydra_obs.span obs "outer" (fun () ->
-                Hydra_obs.span obs "inner" (fun () -> i * i)))
+                (* a span that raises is counted all the same *)
+                try Hydra_obs.span obs "inner" (fun () -> failwith "inner")
+                with Failure _ -> i * i))
           n
       in
       let json = parse_json (Hydra_obs.chrome_trace obs_t) in
@@ -414,8 +433,23 @@ let prop_multi_domain_trace_valid =
         member "traceEvents" json |> as_list
         |> List.filter (fun e -> as_str (member "ph" e) = "X")
       in
-      (* two spans per item, however the domains interleaved *)
-      List.length xs = 2 * n)
+      let stats =
+        List.map
+          (fun s -> (s.Hydra_obs.sv_name, s.Hydra_obs.sv_count))
+          (Hydra_obs.span_stats obs_t)
+      in
+      let spans =
+        member "spans" (parse_json (Hydra_obs.Snapshot.to_json obs_t))
+      in
+      let counted name =
+        int_of_float (as_num (member "count" (member name spans)))
+      in
+      (* two spans per item, however the domains interleaved, and the
+         counts folded from the event store say so too *)
+      List.length xs = 2 * n
+      && stats = [ ("inner", n); ("outer", n) ]
+      && counted "inner" = n
+      && counted "outer" = n)
 
 (* The migration-forcing scenario from test_sim.ml: two alternating
    pinned hogs squeeze a migrating low-prio global task between the
@@ -807,8 +841,10 @@ let () =
             test_histogram_basic_stats;
           Alcotest.test_case "merge order-independent" `Quick
             test_histogram_merge_order_independent;
-          Alcotest.test_case "striped = sequential" `Quick
-            test_striped_recording_matches_sequential ] );
+          Alcotest.test_case "concurrent = sequential" `Quick
+            test_concurrent_recording_matches_sequential;
+          Alcotest.test_case "views unmoved by later samples" `Quick
+            test_hist_view_is_a_copy ] );
       ( "pool-metrics",
         [ Alcotest.test_case "pool records workload counters only" `Quick
             test_pool_workload_counters_only ] );
