@@ -142,8 +142,12 @@ let per_group_arg =
          ~doc:"Synthetic tasksets per utilization group (paper: 250).")
 
 let cores_arg =
-  Arg.(value & opt (list pos_int) [ 2; 4 ] & info [ "cores" ] ~docv:"M,..."
-         ~doc:"Core counts to sweep (paper: 2 and 4).")
+  let max = Rtsched.Task.max_cores in
+  let core_count =
+    int_in ~lo:1 ~hi:max (Printf.sprintf "a core count in 1..%d" max)
+  in
+  Arg.(value & opt (list core_count) [ 2; 4 ] & info [ "cores" ]
+         ~docv:"M,..." ~doc:"Core counts to sweep (paper: 2 and 4).")
 
 let policy_arg =
   let policy_conv =

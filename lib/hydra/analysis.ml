@@ -21,8 +21,9 @@ type time = Task.time
    slots) and its candidate and increment buffers (grown when a larger
    hp set arrives), so a response-time call allocates no buffer of its
    own. The memo is also the one account of the analysis's work
-   (lookups, refreshes, verdicts, the Eq. 8 sets visited and skipped
-   and candidates dropped, and in [runs] the iterations). *)
+   (lookups, refreshes, the Eq. 8 sets visited and skipped and
+   candidates dropped, and in [runs]' tally the iterations and
+   verdicts). *)
 type cache = {
   keys : int array;  (* slots, a power of two *)
   wl : int array;  (* slots * n_cores *)
@@ -30,8 +31,6 @@ type cache = {
   mutable c_misses : int;
   mutable c_evictions : int;
   mutable c_refreshes : int;
-  mutable c_converged : int;
-  mutable c_diverged : int;
   mutable c_subsets : int;
   mutable c_skipped : int;
   mutable c_dropped : int;
@@ -47,8 +46,7 @@ let fresh_cache ?(slots = 256) n_cores =
     invalid_arg "Analysis.fresh_cache: slots must be a power of two";
   { keys = Array.make slots (-1); wl = Array.make (slots * n_cores) 0;
     c_hits = 0; c_misses = 0; c_evictions = 0; c_refreshes = 0;
-    c_converged = 0; c_diverged = 0; c_subsets = 0; c_skipped = 0;
-    c_dropped = 0; runs = Guan.runs ~n_cores;
+    c_subsets = 0; c_skipped = 0; c_dropped = 0; runs = Guan.runs ~n_cores;
     top = Array.make (n_cores - 1) 0; chosen = Array.make (n_cores - 1) 0;
     cand = [||]; delta_b = [||] }
 
@@ -84,15 +82,16 @@ let make_system (ts : Task.taskset) ~assignment =
    evicts, so the occupied slots are the misses that did not evict. *)
 let cache_stats sys =
   let c = sys.cache in
+  let t = Guan.tally c.runs in
   { cs_entries = c.c_misses - c.c_evictions;
     cs_capacity = Array.length c.keys;
     cs_hits = c.c_hits;
     cs_misses = c.c_misses;
     cs_evictions = c.c_evictions;
     cs_refreshes = c.c_refreshes;
-    cs_iterations = Guan.iterations c.runs;
-    cs_converged = c.c_converged;
-    cs_diverged = c.c_diverged;
+    cs_iterations = t.iterations;
+    cs_converged = t.converged;
+    cs_diverged = t.diverged;
     cs_subsets = c.c_subsets;
     cs_skipped = c.c_skipped;
     cs_dropped = c.c_dropped }
@@ -153,25 +152,16 @@ let rt_term sys ~job_wcet x =
   done;
   !acc
 
-let tally_verdict c r =
-  match r with
-  | Some _ -> c.c_converged <- c.c_converged + 1
-  | None -> c.c_diverged <- c.c_diverged + 1
-
 (* Eq. 7 under the Guan bound: the kernel's Omega (every hp task's
    non-carry-in interference plus the M-1 largest carry-in increments)
    plus the cached RT term, iterated from [max wcet warm]
    (doc/PERFORMANCE.md §3) with the kernel's jumps (§2). *)
 let response_time_top_delta ~warm sys hp ~n ~wcet ~limit =
   let { runs; top; _ } = sys.cache in
-  let r =
-    Guan.fixpoint ~start:warm ~runs ~n_cores:sys.n_cores ~wcet ~limit
-      (fun x ->
-        rt_term sys ~job_wcet:wcet x
-        + Guan.bound hp ~n ~top ~runs ~job_wcet:wcet x)
-  in
-  tally_verdict sys.cache r;
-  r
+  Guan.fixpoint ~start:warm ~runs ~n_cores:sys.n_cores ~wcet ~limit
+    (fun x ->
+      rt_term sys ~job_wcet:wcet x
+      + Guan.bound hp ~n ~top ~runs ~job_wcet:wcet x)
 
 (* Eq. 8: the maximum, over the admissible carry-in sets S, of the
    Eq. 7 fixed point under
@@ -268,11 +258,9 @@ let response_time_eq8 ~warm sys (hp : Guan.hp) ~n ~wcet ~limit =
         true
       end
       else begin
-        let r =
+        match
           Guan.fixpoint ~runs ~n_cores:sys.n_cores ~wcet ~limit (omega size)
-        in
-        tally_verdict cache r;
-        match r with
+        with
         | Some r ->
             if r > !best then best := r;
             true
@@ -321,3 +309,16 @@ let record_work obs ~since sys =
       add "analysis.cache.hit" since.cs_hits now.cs_hits;
       add "analysis.cache.miss" since.cs_misses now.cs_misses;
       add "analysis.cache.evicted" since.cs_evictions now.cs_evictions
+
+(* One RTA's tally, reported once per call of its caller. Each counter
+   is added exactly when recording every fixed point would have
+   created it: [iterations] with the first verdict, even at 0, and
+   each verdict with its first occurrence. *)
+let record_rta obs prefix (t : Guan.tally) =
+  match obs with
+  | Some _ when t.converged + t.diverged > 0 ->
+      let add what n = if n > 0 then Hydra_obs.add obs (prefix ^ what) n in
+      Hydra_obs.add obs (prefix ^ ".iterations") t.iterations;
+      add ".converged" t.converged;
+      add ".diverged" t.diverged
+  | _ -> ()

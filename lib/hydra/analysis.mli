@@ -171,3 +171,10 @@ val record_work : Hydra_obs.t option -> since:cache_stats -> system -> unit
     carry_in_dropped}] and [analysis.cache.{hit,miss,evicted}] counters
     (doc/OBSERVABILITY.md), each only if its tally grew.
     [Period_selection.select] reports each selection this way, once. *)
+
+val record_rta : Hydra_obs.t option -> string -> Rtsched.Guan.tally -> unit
+(** [record_rta obs prefix tally] adds [tally] to [obs] as
+    [prefix.{iterations,converged,diverged}] (the baselines'
+    [rta.uniproc] and [rta.global], doc/OBSERVABILITY.md): iterations
+    once the tally holds a verdict, each verdict once it occurred, so a
+    snapshot lists the counters a per-fixed-point recording would. *)

@@ -1,5 +1,6 @@
 module Task = Rtsched.Task
 module Rta = Rtsched.Rta_uniproc
+module Guan = Rtsched.Guan
 
 type time = Task.time
 
@@ -14,7 +15,7 @@ type result =
   | Schedulable of alloc list
   | Unschedulable
 
-let core_response_time ?obs (sys : Analysis.system) ~core ~placed s =
+let core_response_time ~tally (sys : Analysis.system) ~core ~placed s =
   let rt_hp =
     List.map
       (fun (t : Task.rt_task) ->
@@ -29,7 +30,7 @@ let core_response_time ?obs (sys : Analysis.system) ~core ~placed s =
         else None)
       placed
   in
-  Rta.response_time ?obs ~hp:(rt_hp @ sec_hp) ~wcet:s.Task.sec_wcet
+  Rta.response_time ~tally ~hp:(rt_hp @ sec_hp) ~wcet:s.Task.sec_wcet
     ~limit:s.Task.sec_period_max ()
 
 (* Security-task utilization already committed to a core. *)
@@ -46,7 +47,7 @@ let core_sec_utilization placed core =
    classic best-fit by committed security utilization, since with
    every period at its bound every feasible core yields the same
    period. Ties go to the lowest core index. *)
-let best_core ~minimize obs sys ~placed s =
+let best_core ~minimize tally sys ~placed s =
   let better (m, r) (m', r') =
     let takes =
       if minimize then r' < r
@@ -58,7 +59,7 @@ let best_core ~minimize obs sys ~placed s =
     if m >= sys.Analysis.n_cores then best
     else
       let best =
-        match core_response_time ?obs sys ~core:m ~placed s with
+        match core_response_time ~tally sys ~core:m ~placed s with
         | None -> best
         | Some r -> (
             match best with
@@ -69,12 +70,12 @@ let best_core ~minimize obs sys ~placed s =
   in
   go 0 None
 
-let allocate ?obs ~minimize sys secs =
+let greedy ~tally obs ~minimize sys secs =
   let sorted = Task.sort_sec_by_priority secs in
   let rec place placed = function
     | [] -> Schedulable (List.rev placed)
     | s :: rest -> (
-        match best_core ~minimize obs sys ~placed s with
+        match best_core ~minimize tally sys ~placed s with
         | None -> Unschedulable
         | Some (core, resp) ->
             Hydra_obs.incr obs "baseline_hydra.placements";
@@ -83,20 +84,27 @@ let allocate ?obs ~minimize sys secs =
   in
   place [] (Array.to_list sorted)
 
+(* One Eq. 1 tally per allocation, reported once when it returns. *)
+let allocate ?obs ~minimize sys secs =
+  let tally = Guan.make_tally () in
+  let r = greedy ~tally obs ~minimize sys secs in
+  Analysis.record_rta obs "rta.uniproc" tally;
+  r
+
 (* --- HYDRA-coordinated: per-core Algorithm 1 ---------------------- *)
 
 (* Response time of alloc [a] given the current periods of the other
    allocations on its core (encoded in [placed]). *)
-let realloc_resp obs sys placed (a : alloc) =
-  core_response_time ?obs sys ~core:a.core ~placed a.sec
+let realloc_resp tally sys placed (a : alloc) =
+  core_response_time ~tally sys ~core:a.core ~placed a.sec
 
 (* Recompute responses of [allocs] (priority order) against each
    other's current periods; [None] if someone misses its bound. *)
-let recompute_core obs sys allocs =
+let recompute_core tally sys allocs =
   let rec go done_ = function
     | [] -> Some (List.rev done_)
     | a :: rest -> (
-        match realloc_resp obs sys done_ a with
+        match realloc_resp tally sys done_ a with
         | None -> None
         | Some resp -> go ({ a with resp } :: done_) rest)
   in
@@ -105,7 +113,7 @@ let recompute_core obs sys allocs =
 (* Minimum feasible period for position [idx] of a core's allocation
    list (priority order): binary search in [resp, bound], feasible when
    every lower-priority core-mate still meets its bound. *)
-let min_core_period obs sys allocs idx =
+let min_core_period obs tally sys allocs idx =
   (* Mutate-and-restore on an array view instead of a List.mapi
      rebuild per probe (recompute_core still takes the list it needs
      anyway, but the candidate substitution itself is O(1)). *)
@@ -113,7 +121,7 @@ let min_core_period obs sys allocs idx =
   let a = arr.(idx) in
   let feasible candidate =
     arr.(idx) <- { a with period = candidate };
-    let ok = Option.is_some (recompute_core obs sys (Array.to_list arr)) in
+    let ok = Option.is_some (recompute_core tally sys (Array.to_list arr)) in
     arr.(idx) <- a;
     ok
   in
@@ -122,7 +130,7 @@ let min_core_period obs sys allocs idx =
     if lo > hi then best
     else begin
       incr steps;
-      let c = (lo + hi) / 2 in
+      let c = lo + ((hi - lo) / 2) in
       if feasible c then search lo (c - 1) (min best c)
       else search (c + 1) hi best
     end
@@ -133,22 +141,22 @@ let min_core_period obs sys allocs idx =
   Hydra_obs.add obs "baseline_hydra.search.steps" !steps;
   t_star
 
-let minimize_core obs sys allocs =
+let minimize_core obs tally sys allocs =
   let n = List.length allocs in
   let rec loop allocs idx =
     if idx >= n then
       (* final response refresh so callers see consistent WCRTs *)
-      match recompute_core obs sys allocs with
+      match recompute_core tally sys allocs with
       | Some refreshed -> refreshed
       | None -> assert false
     else
       (* refresh responses first: minimizing higher-priority periods
          grows the lower-priority responses, and the search's lower
          bound must be the task's *current* WCRT *)
-      match recompute_core obs sys allocs with
+      match recompute_core tally sys allocs with
       | None -> assert false (* invariant: the previous step was feasible *)
       | Some refreshed ->
-          let t_star = min_core_period obs sys refreshed idx in
+          let t_star = min_core_period obs tally sys refreshed idx in
           let updated =
             List.mapi
               (fun i x -> if i = idx then { x with period = t_star } else x)
@@ -158,8 +166,8 @@ let minimize_core obs sys allocs =
   in
   loop allocs 0
 
-let allocate_coordinated ?obs sys secs =
-  match allocate ?obs ~minimize:false sys secs with
+let coordinated ~tally obs sys secs =
+  match greedy ~tally obs ~minimize:false sys secs with
   | Unschedulable -> Unschedulable
   | Schedulable allocs ->
       let per_core core =
@@ -167,7 +175,7 @@ let allocate_coordinated ?obs sys secs =
       in
       let minimized =
         List.init sys.Analysis.n_cores per_core
-        |> List.concat_map (minimize_core obs sys)
+        |> List.concat_map (minimize_core obs tally sys)
       in
       (* restore global priority order *)
       let ordered =
@@ -176,6 +184,12 @@ let allocate_coordinated ?obs sys secs =
           minimized
       in
       Schedulable ordered
+
+let allocate_coordinated ?obs sys secs =
+  let tally = Guan.make_tally () in
+  let r = coordinated ~tally obs sys secs in
+  Analysis.record_rta obs "rta.uniproc" tally;
+  r
 
 let vector_of field default allocs ~n_sec =
   let v = Array.make n_sec default in

@@ -122,7 +122,7 @@ let select ?policy ?hints ?obs sys secs =
       let rec search lo hi best =
         if lo > hi then best
         else
-          let c = (lo + hi) / 2 in
+          let c = lo + ((hi - lo) / 2) in
           if feasible c then search lo (c - 1) (min best c)
           else search (c + 1) hi best
       in
@@ -135,10 +135,12 @@ let select ?policy ?hints ?obs sys secs =
         else search (c + 1) (last_feasible - 1) last_feasible
       in
       let rec gallop_up hint last_infeasible k =
-        let c = hint + k in
-        if c >= tmax then search (last_infeasible + 1) tmax tmax
-        else if feasible c then search (last_infeasible + 1) (c - 1) c
-        else gallop_up hint c (2 * k)
+        (* hint + k >= tmax, without forming hint + k *)
+        if k >= tmax - hint then search (last_infeasible + 1) tmax tmax
+        else
+          let c = hint + k in
+          if feasible c then search (last_infeasible + 1) (c - 1) c
+          else gallop_up hint c (2 * k)
       in
       let lo = resps.(index) in
       let hint = hint_of index in

@@ -5,10 +5,10 @@
    touch unsanctioned module-level mutable state. Atomic / Mutex /
    Domain.DLS are the sanctioned primitives (never recorded as mutable
    state by Summary), lib/obs is the sanctioned instrumentation sink
-   (its atomic cells are not traversed), and an inline
-   [@lint.allow "D7"] (or "D4") on the state binding — or anywhere in
-   the state's file — sanctions every path that reaches it, which is
-   what makes suppression cross-module.
+   (its tables sit behind the registry mutex; not traversed), and an
+   inline [@lint.allow "D7"] (or "D4") on the state binding — or
+   anywhere in the state's file — sanctions every path that reaches
+   it, which is what makes suppression cross-module.
 
    D8 "transitive hot-path allocation" — D6 extended over the full
    callee cone of every [@lint.hot] binding. A callee marked
@@ -128,8 +128,8 @@ let classify_extern name =
     | _ -> Extern_unknown
 
 (* The sanctioned instrumentation sink: lib/obs (Hydra_obs) keeps its
-   metrics in atomic cells and its handle caches in Domain.DLS; D7
-   does not descend into it. *)
+   metrics in tables behind one mutex and its events and flight ring
+   in atomics; D7 does not descend into it. *)
 let is_obs (s : Summary.t) =
   s.s_module = "Hydra_obs"
   || Filename.basename s.s_dir = "obs"

@@ -4,7 +4,8 @@
       reachable from a closure passed to [Parallel.Pool.map] /
       [map_array] / [map_list] may touch unsanctioned module-level
       mutable state (Atomic / Mutex / Domain.DLS and the lib/obs
-      instrumentation sink, whose cells are atomics, are sanctioned;
+      instrumentation sink, whose tables sit behind one mutex, are
+      sanctioned;
       [[@lint.allow "D7"]] on the state binding sanctions every path
       reaching it, cross-module).
     - {b D8} transitive hot-path allocation: rule D6 extended over the

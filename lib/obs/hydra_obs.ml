@@ -26,42 +26,6 @@ module Trace_ctx = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Atomic cells.
-
-   A counter is one atomic and a distribution four (count, sum, min,
-   max); a histogram adds one atomic per bucket ([hist] below). Every
-   update is a fetch-and-add or a compare-and-set loop, so concurrent
-   writers never lose one, and reads are exact once the writing domains
-   have been joined (every Parallel.Pool worker checks back in under
-   the pool's mutex before the map returns), which is the only point
-   the experiment harnesses read them. *)
-
-type dist = {
-  d_count : int Atomic.t;
-  d_sum : int Atomic.t;
-  d_min : int Atomic.t;
-  d_max : int Atomic.t;
-}
-
-let make_dist () =
-  { d_count = Atomic.make 0; d_sum = Atomic.make 0;
-    d_min = Atomic.make max_int; d_max = Atomic.make min_int }
-
-let rec atomic_min cell v =
-  let cur = Atomic.get cell in
-  if v < cur && not (Atomic.compare_and_set cell cur v) then atomic_min cell v
-
-let rec atomic_max cell v =
-  let cur = Atomic.get cell in
-  if v > cur && not (Atomic.compare_and_set cell cur v) then atomic_max cell v
-
-let dist_record d v =
-  ignore (Atomic.fetch_and_add d.d_count 1);
-  ignore (Atomic.fetch_and_add d.d_sum v);
-  atomic_min d.d_min v;
-  atomic_max d.d_max v
-
-(* ------------------------------------------------------------------ *)
 (* Log-bucketed histograms.
 
    HDR-histogram-style log-linear bucketing over non-negative ints:
@@ -71,7 +35,7 @@ let dist_record d v =
    the value by at most 1/64 (~1.6%). The bucket index is a pure
    function of the value and bucket counts are added commutatively, so
    the histogram — and every quantile read from it — is bit-identical
-   regardless of how recording interleaved across domains. [quantile]
+   regardless of the order the samples came in. [quantile]
    rank-selects over the cumulative bucket counts and clamps the bucket
    upper bound to the exact tracked maximum, so p100 (and any quantile
    landing in the top occupied bucket) is exact. *)
@@ -137,6 +101,8 @@ module Histogram = struct
     List.iter (record t) vs;
     t
 
+  let copy t = { t with buckets = Array.copy t.buckets }
+
   let count t = t.h_count
   let sum t = t.h_sum
   let min_value t = if t.h_count = 0 then None else Some t.h_min
@@ -168,13 +134,6 @@ module Histogram = struct
     !acc
 end
 
-(* [hists] copies both parts into a fresh [Histogram.t]. *)
-type hist = { h_dist : dist; h_buckets : int Atomic.t array }
-
-let make_hist () =
-  { h_dist = make_dist ();
-    h_buckets = Array.init Histogram.n_buckets (fun _ -> Atomic.make 0) }
-
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
@@ -198,57 +157,47 @@ type event = {
   ev_kind : event_kind;
 }
 
+(* A distribution's four aggregates; min and max hold max_int and
+   min_int until the first sample. *)
+type dist = {
+  mutable d_count : int;
+  mutable d_sum : int;
+  mutable d_min : int;
+  mutable d_max : int;
+}
+
+(* The metric tables are plain values behind [mu], which every record
+   and every read takes. It is a leaf lock: nothing under it takes
+   another lock or calls out, so it cannot deadlock, and a reader sees
+   every update made before it took the lock. The event store stays
+   lock-free: a traced run pushes one event per span from every
+   domain. *)
 type t = {
-  id : int;
   epoch_ns : int;
   mu : Mutex.t;
-  counters : (string, int Atomic.t) Hashtbl.t;
+  counters : (string, int ref) Hashtbl.t;
   dists : (string, dist) Hashtbl.t;
-  hists : (string, hist) Hashtbl.t;
+  hists : (string, Histogram.t) Hashtbl.t;
   events : event list Atomic.t;
 }
 
-let next_id = Atomic.make 0
-
 let create () =
-  { id = Atomic.fetch_and_add next_id 1;
-    epoch_ns = now_ns ();
+  { epoch_ns = now_ns ();
     mu = Mutex.create ();
     counters = Hashtbl.create 32;
     dists = Hashtbl.create 16;
     hists = Hashtbl.create 16;
     events = Atomic.make [] }
 
-(* Per-domain handle caches: name resolution takes the registry mutex
-   only on a domain's first use of a metric; afterwards the lookup is a
-   domain-local hashtable hit, so resolving a name never blocks. Keys
-   include the registry id so multiple registries coexist. *)
-
-let counter_cache : (int * string, int Atomic.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let dist_cache : (int * string, dist) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let hist_cache : (int * string, hist) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let resolve cache table mu ~make id name =
-  let local = Domain.DLS.get cache in
-  match Hashtbl.find_opt local (id, name) with
-  | Some cell -> cell
-  | None ->
-      let cell =
-        Mutex.protect mu (fun () ->
-            match Hashtbl.find_opt table name with
-            | Some cell -> cell
-            | None ->
-                let cell = make () in
-                Hashtbl.add table name cell;
-                cell)
-      in
-      Hashtbl.add local (id, name) cell;
-      cell
+(* The metric [name] of [table], created by [make] at its first use.
+   Call with [t.mu] held. *)
+let cell table name make =
+  match Hashtbl.find table name with
+  | c -> c
+  | exception Not_found ->
+      let c = make () in
+      Hashtbl.add table name c;
+      c
 
 (* ------------------------------------------------------------------ *)
 (* Recording (all no-ops on [None]) *)
@@ -257,9 +206,10 @@ let add obs name n =
   match obs with
   | None -> ()
   | Some t ->
-      let make () = Atomic.make 0 in
-      let c = resolve counter_cache t.counters t.mu ~make t.id name in
-      ignore (Atomic.fetch_and_add c n)
+      Mutex.lock t.mu;
+      let c = cell t.counters name (fun () -> ref 0) in
+      c := !c + n;
+      Mutex.unlock t.mu
 
 let incr obs name = add obs name 1
 
@@ -267,16 +217,38 @@ let observe obs name v =
   match obs with
   | None -> ()
   | Some t ->
-      dist_record (resolve dist_cache t.dists t.mu ~make:make_dist t.id name) v
+      Mutex.lock t.mu;
+      let d =
+        cell t.dists name (fun () ->
+            { d_count = 0; d_sum = 0; d_min = max_int; d_max = min_int })
+      in
+      d.d_count <- d.d_count + 1;
+      d.d_sum <- d.d_sum + v;
+      if v < d.d_min then d.d_min <- v;
+      if v > d.d_max then d.d_max <- v;
+      Mutex.unlock t.mu
 
 let sample obs name v =
   match obs with
   | None -> ()
   | Some t ->
-      let h = resolve hist_cache t.hists t.mu ~make:make_hist t.id name in
-      let v = if v < 0 then 0 else v in
-      dist_record h.h_dist v;
-      ignore (Atomic.fetch_and_add h.h_buckets.(Histogram.bucket_of v) 1)
+      Mutex.lock t.mu;
+      Histogram.record (cell t.hists name Histogram.create) v;
+      Mutex.unlock t.mu
+
+(* [sample] of every value [h] holds, under one lock. *)
+let merge obs name (h : Histogram.t) =
+  match obs with
+  | Some t when h.h_count > 0 ->
+      Mutex.lock t.mu;
+      let r = cell t.hists name Histogram.create in
+      Array.iteri (fun i n -> r.buckets.(i) <- r.buckets.(i) + n) h.buckets;
+      r.h_count <- r.h_count + h.h_count;
+      r.h_sum <- r.h_sum + h.h_sum;
+      r.h_min <- Stdlib.min r.h_min h.h_min;
+      r.h_max <- Stdlib.max r.h_max h.h_max;
+      Mutex.unlock t.mu
+  | _ -> ()
 
 let push_event t ~name ~start_ns ~dur_ns kind =
   let ev =
@@ -355,45 +327,25 @@ type span_view = {
   sv_max_ns : int;
 }
 
-let by_name f a b = String.compare (f a) (f b)
+(* Every metric of [table] as [view name cell], sorted by name. *)
+let read t table view =
+  Mutex.protect t.mu (fun () ->
+      Hashtbl.fold (fun name c acc -> (name, view name c) :: acc) table [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map snd
 
 let counters t =
-  Mutex.protect t.mu (fun () ->
-      Hashtbl.fold
-        (fun name c acc -> { cv_name = name; cv_total = Atomic.get c } :: acc)
-        t.counters [])
-  |> List.sort (by_name (fun v -> v.cv_name))
+  read t t.counters (fun name c -> { cv_name = name; cv_total = !c })
 
 let dists t =
-  Mutex.protect t.mu (fun () ->
-      Hashtbl.fold
-        (fun name d acc ->
-          let count = Atomic.get d.d_count in
-          if count = 0 then acc
-          else
-            { dv_name = name; dv_count = count; dv_sum = Atomic.get d.d_sum;
-              dv_min = Atomic.get d.d_min; dv_max = Atomic.get d.d_max }
-            :: acc)
-        t.dists [])
-  |> List.sort (by_name (fun v -> v.dv_name))
+  read t t.dists (fun name d ->
+      { dv_name = name; dv_count = d.d_count; dv_sum = d.d_sum;
+        dv_min = d.d_min; dv_max = d.d_max })
 
 type hist_view = { hv_name : string; hv_hist : Histogram.t }
 
 let hists t =
-  Mutex.protect t.mu (fun () ->
-      Hashtbl.fold
-        (fun name { h_dist = d; h_buckets } acc ->
-          let h_count = Atomic.get d.d_count in
-          if h_count = 0 then acc
-          else
-            { hv_name = name;
-              hv_hist =
-                { Histogram.buckets = Array.map Atomic.get h_buckets; h_count;
-                  h_sum = Atomic.get d.d_sum; h_min = Atomic.get d.d_min;
-                  h_max = Atomic.get d.d_max } }
-            :: acc)
-        t.hists [])
-  |> List.sort (by_name (fun v -> v.hv_name))
+  read t t.hists (fun name h -> { hv_name = name; hv_hist = Histogram.copy h })
 
 let span_stats t =
   let by_span = Hashtbl.create 16 in
@@ -410,13 +362,11 @@ let span_stats t =
     (fun e -> match e.ev_kind with Plain -> fold e | Request _ | Flow _ -> ())
     (Atomic.get t.events);
   Hashtbl.fold (fun _ v acc -> v :: acc) by_span []
-  |> List.sort (by_name (fun v -> v.sv_name))
+  |> List.sort (fun a b -> String.compare a.sv_name b.sv_name)
 
 let counter_total t name =
   Mutex.protect t.mu (fun () ->
-      match Hashtbl.find_opt t.counters name with
-      | Some c -> Atomic.get c
-      | None -> 0)
+      Option.fold ~none:0 ~some:( ! ) (Hashtbl.find_opt t.counters name))
 
 (* Oldest first by start time; the sort is stable, so events with
    equal timestamps keep their recording order. *)

@@ -8,18 +8,18 @@
     recording function in this module is an allocation-free no-op on
     [None] — instrumentation can stay in hot paths (the period search,
     the simulator, the sweep workers) without costing uninstrumented
-    runs anything. The WCRT analysis tallies its own work in each
-    system's memo instead, reported once per selection.
+    runs anything. The three WCRT analyses tally their own work in
+    caller-owned buffers instead, reported once per selection or
+    baseline call, and the simulator {!merge}s each run's job
+    responses once.
 
     {b Domain safety.} All recording operations may be called
     concurrently from any number of domains (in particular from inside
-    {!Parallel.Pool} workers). A counter is one atomic cell, a
-    distribution four, and a histogram adds one atomic per bucket;
-    every update is a fetch-and-add or a compare-and-set, so none is
-    lost, and reads are exact once the writing domains have been
-    joined. A span is one event in a lock-free store. Metric-name
-    resolution caches handles in domain-local storage, so the registry
-    mutex is taken only on a domain's first use of each name.
+    {!Parallel.Pool} workers). Counters, distributions and histograms
+    are plain values behind one registry mutex, which every record and
+    every read takes and under which nothing else is locked or called,
+    so no update is lost and a read sees every update before it. A
+    span is one event in a lock-free store.
 
     {b Determinism contract.} Observability never feeds back into
     results: recording functions return [unit] (or, for {!span}, the
@@ -56,9 +56,8 @@ val create : unit -> t
 
 module Histogram : sig
   type t
-  (** A single-writer accumulator. The registry records concurrent
-      {!sample}s into atomic buckets and copies them into a fresh [t]
-      per {!hists} view. *)
+  (** A single-writer accumulator. The registry records {!sample}s and
+      {!merge}s into one under its mutex and hands out copies ({!hists}). *)
 
   val create : unit -> t
   val record : t -> int -> unit
@@ -121,9 +120,13 @@ val observe : t option -> string -> int -> unit
 val sample : t option -> string -> int -> unit
 (** Record one sample into a log-bucketed {!Histogram} — use for
     quantities whose {e distribution} matters (latencies, response
-    times). Each bucket is an atomic count, so concurrent recorders
-    never lose a sample and the histogram is independent of
-    interleaving. Negative samples are clamped to 0. *)
+    times). Bucket counts add commutatively, so the histogram does not
+    depend on the order samples arrive in. Negative samples are
+    clamped to 0. *)
+
+val merge : t option -> string -> Histogram.t -> unit
+(** [merge obs name h] is {!sample} of every value [h] holds, under one
+    lock: a hot loop records into its own {!Histogram} and merges once. *)
 
 val span : t option -> string -> (unit -> 'a) -> 'a
 (** [span obs name f] runs [f ()], timing it with the monotonic clock,
@@ -194,10 +197,9 @@ val trace_count : t -> int
 
 (** {1 Reading}
 
-    Aggregated views, sorted by metric name. Exact once all recording
-    domains have been joined (e.g. after {!Parallel.Pool.map}
-    returns). Distributions and spans that were never recorded are
-    omitted. *)
+    Aggregated views, sorted by metric name, of every update made
+    before the read. Distributions and spans that were never recorded
+    are omitted. *)
 
 type counter_view = { cv_name : string; cv_total : int }
 

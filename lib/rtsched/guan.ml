@@ -9,6 +9,21 @@ type hp = {
 let make n =
   { wcet = Array.make n 0; period = Array.make n 0; resp = Array.make n 0 }
 
+(* The work of the fixed points counted into it: [iterations] Omega
+   (or, for Eq. 1, demand) evaluations and one verdict per fixed
+   point. *)
+type tally = {
+  mutable iterations : int;
+  mutable converged : int;
+  mutable diverged : int;
+}
+
+let make_tally () = { iterations = 0; converged = 0; diverged = 0 }
+
+let count_verdict t = function
+  | Some _ -> t.converged <- t.converged + 1
+  | None -> t.diverged <- t.diverged + 1
+
 (* A term's run is how far past the window x its clamped value is sure
    to keep growing one for one (doc/PERFORMANCE.md §2, "Jumping the
    Eq. 7 fixed point"). [largest.(0 .. k-1)] holds the k = M-1 largest
@@ -18,23 +33,23 @@ let make n =
    so that they return one int and allocate nothing. [held_nc.(j)] and
    [held_ci.(j)] are the two candidate runs of the hp task whose
    increment sits in slot j of {!bound}'s [top]: which one counts is
-   known only once the top set is. [evals] counts the Omega
-   evaluations of every {!fixpoint} run on the buffer. *)
+   known only once the top set is. [tally] counts the work of every
+   {!fixpoint} run on the buffer. *)
 type runs = {
   largest : time array;
   mutable total : time;
   mutable last : time;
   held_nc : time array;
   held_ci : time array;
-  mutable evals : int;
+  tally : tally;
 }
 
 let runs ~n_cores =
   let k = n_cores - 1 in
   { largest = Array.make k 0; total = 0; last = 0; held_nc = Array.make k 0;
-    held_ci = Array.make k 0; evals = 0 }
+    held_ci = Array.make k 0; tally = make_tally () }
 
-let iterations r = r.evals
+let tally r = r.tally
 
 let clear r =
   for j = 0 to Array.length r.largest - 1 do
@@ -198,7 +213,7 @@ let fixpoint ?(start = 0) ~runs ~n_cores ~wcet ~limit omega =
   let rec iter x =
     if x > limit then None
     else begin
-      runs.evals <- runs.evals + 1;
+      runs.tally.iterations <- runs.tally.iterations + 1;
       clear runs;
       let o = omega x in
       let x' = (o / n_cores) + wcet in
@@ -209,4 +224,6 @@ let fixpoint ?(start = 0) ~runs ~n_cores ~wcet ~limit omega =
         iter (max x' (x + jump runs ~n_cores ~excess))
     end
   in
-  if wcet > limit then None else iter (max wcet start)
+  let r = if wcet > limit then None else iter (max wcet start) in
+  count_verdict runs.tally r;
+  r

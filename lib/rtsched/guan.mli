@@ -33,18 +33,36 @@ type hp = {
 val make : int -> hp
 (** [make n] has room for [n] hp tasks (zero-filled). *)
 
+type tally = {
+  mutable iterations : int;  (** fixed-point iterations *)
+  mutable converged : int;  (** fixed points found within the limit *)
+  mutable diverged : int;  (** fixed points that passed the limit *)
+}
+(** A caller-owned account of the fixed points run into it, one
+    verdict each. {!fixpoint} counts into its buffer's, and
+    {!Rta_uniproc} into the one its caller passes. The analyses record
+    nothing else: a caller reports the counts, or the difference of two
+    readings, once. *)
+
+val make_tally : unit -> tally
+(** An all-zero tally. *)
+
+val count_verdict : tally -> 'a option -> unit
+(** Counts one fixed point's verdict: [Some] converged, [None]
+    diverged. *)
+
 type runs
 (** Caller-owned scratch for one [M]: the runs of the terms of
-    [Omega] at the window last evaluated. Only the [M - 1] largest
-    runs and the sum of all of them are kept, which is all
-    {!fixpoint}'s jump reads. Recording a run allocates nothing. *)
+    [Omega] at the window last evaluated, and the {!tally} of every
+    {!fixpoint} run on it. Only the [M - 1] largest runs and the sum
+    of all of them are kept, which is all {!fixpoint}'s jump reads.
+    Recording a run allocates nothing. *)
 
 val runs : n_cores:int -> runs
 (** [runs ~n_cores] is an empty buffer for [M = n_cores]. *)
 
-val iterations : runs -> int
-(** The [omega] evaluations of every {!fixpoint} run on this buffer so
-    far: a caller's iteration count is the difference of two readings. *)
+val tally : runs -> tally
+(** The buffer's own tally (not a copy). *)
 
 val clamped : runs -> job_wcet:time -> time -> time -> time
 (** [clamped runs ~job_wcet x w] is
@@ -113,5 +131,6 @@ val fixpoint :
     the verdict are those of the plain iteration
     [x <- floor(omega x / n_cores) + wcet] from [wcet]
     (doc/PERFORMANCE.md §§2-3); the number of iterations is not, and
-    is never larger. Each evaluation of [omega] counts one
-    {!iterations} of [runs]. *)
+    is never larger. Each evaluation of [omega] counts one iteration
+    in [runs]'s {!tally}, and each call its verdict, the [None] of
+    [wcet > limit] included. *)

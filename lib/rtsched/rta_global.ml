@@ -7,38 +7,27 @@ type gtask = {
   g_deadline : time;
 }
 
-let response_times ?obs ~n_cores tasks =
+let response_times ~runs ~n_cores tasks =
   (* Analyze in priority order: task [i] runs the Eq. 7 fixed point
      against the Guan bound over entries [0 .. i-1] of [hp], which hold
      the already-analyzed higher-priority tasks. *)
   let hp = Guan.make (List.length tasks) in
   let top = Array.make (n_cores - 1) 0 in
-  let runs = Guan.runs ~n_cores in
   let rec go i = function
     | [] -> []
     | t :: rest -> (
-        let before = Guan.iterations runs in
-        let r =
+        match
           Guan.fixpoint ~runs ~n_cores ~wcet:t.g_wcet ~limit:t.g_deadline
             (Guan.bound hp ~n:i ~top ~runs ~job_wcet:t.g_wcet)
-        in
-        Hydra_obs.add obs "rta.global.iterations"
-          (Guan.iterations runs - before);
-        match r with
-        | Some resp ->
-            Hydra_obs.incr obs "rta.global.converged";
+        with
+        | Some resp as r ->
             hp.wcet.(i) <- t.g_wcet;
             hp.period.(i) <- t.g_period;
             hp.resp.(i) <- resp;
             r :: go (i + 1) rest
-        | None ->
-            Hydra_obs.incr obs "rta.global.diverged";
-            None :: List.map (fun _ -> None) rest)
+        | None -> None :: List.map (fun _ -> None) rest)
   in
   go 0 tasks
-
-let all_schedulable ?obs ~n_cores tasks =
-  List.for_all Option.is_some (response_times ?obs ~n_cores tasks)
 
 let of_taskset (ts : Task.taskset) ~sec_period =
   let rt =

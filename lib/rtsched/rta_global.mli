@@ -23,17 +23,14 @@ type gtask = {
     (head = highest). *)
 
 val response_times :
-  ?obs:Hydra_obs.t -> n_cores:int -> gtask list -> time option list
+  runs:Guan.runs -> n_cores:int -> gtask list -> time option list
 (** Response time of each task in the priority-ordered list (highest
     first), bounded by its deadline. A task whose fixed point exceeds
     its deadline gets [None]; tasks below an unschedulable task also
-    get [None] because their carry-in bound needs every
-    higher-priority response time. [obs] counts
-    [rta.global.iterations] and the converged/diverged tallies. *)
-
-val all_schedulable : ?obs:Hydra_obs.t -> n_cores:int -> gtask list -> bool
-(** Whether every task of the priority-ordered list meets its
-    deadline under global scheduling. *)
+    get [None], unanalyzed, because their carry-in bound needs every
+    higher-priority response time. [runs] is the caller's kernel
+    scratch for [n_cores]: its {!Guan.tally} gains one verdict per
+    analyzed task (so at most one [diverged]) and their iterations. *)
 
 val of_taskset :
   Task.taskset -> sec_period:(Task.sec_task -> time) -> gtask list

@@ -8,30 +8,26 @@ let demand_at ~hp ~wcet t =
       acc + Workload.request_bound ~wcet:h.hp_wcet ~period:h.hp_period t)
     wcet hp
 
-let response_time ?obs ~hp ~wcet ~limit () =
+let response_time ~tally ~hp ~wcet ~limit () =
   (* Least fixed point of the time-demand function, found by the usual
      iteration from x = C; each step jumps directly to the current
      demand, so the sequence is monotone and terminates at the fixed
      point or past [limit]. *)
-  let iters = ref 0 in
   let rec iter x =
     if x > limit then None
     else begin
-      incr iters;
+      tally.Guan.iterations <- tally.Guan.iterations + 1;
       let d = demand_at ~hp ~wcet x in
       if d = x then Some x else iter d
     end
   in
   let r = if wcet > limit then None else iter wcet in
-  Hydra_obs.add obs "rta.uniproc.iterations" !iters;
-  (match r with
-  | Some _ -> Hydra_obs.incr obs "rta.uniproc.converged"
-  | None -> Hydra_obs.incr obs "rta.uniproc.diverged");
+  Guan.count_verdict tally r;
   r
 
 let hp_of_rt (t : Task.rt_task) = { hp_wcet = t.rt_wcet; hp_period = t.rt_period }
 
-let rt_response_time ?obs ~core (t : Task.rt_task) =
+let rt_response_time ~tally ~core (t : Task.rt_task) =
   let hp =
     List.filter_map
       (fun (o : Task.rt_task) ->
@@ -39,16 +35,17 @@ let rt_response_time ?obs ~core (t : Task.rt_task) =
         else None)
       core
   in
-  response_time ?obs ~hp ~wcet:t.rt_wcet ~limit:t.rt_deadline ()
+  response_time ~tally ~hp ~wcet:t.rt_wcet ~limit:t.rt_deadline ()
 
-let core_rt_schedulable ?obs core =
-  List.for_all (fun t -> Option.is_some (rt_response_time ?obs ~core t)) core
+let core_rt_schedulable core =
+  let tally = Guan.make_tally () in
+  List.for_all (fun t -> Option.is_some (rt_response_time ~tally ~core t)) core
 
-let partitioned_rt_schedulable ?obs (ts : Task.taskset) ~assignment =
+let partitioned_rt_schedulable (ts : Task.taskset) ~assignment =
   let cores = Array.make ts.n_cores [] in
   Array.iteri
     (fun i t ->
       let m = assignment.(i) in
       cores.(m) <- t :: cores.(m))
     ts.rt;
-  Array.for_all (core_rt_schedulable ?obs) cores
+  Array.for_all core_rt_schedulable cores

@@ -27,6 +27,12 @@ exception Invalid_task of string
 
 let invalid fmt = Format.kasprintf (fun s -> raise (Invalid_task s)) fmt
 
+(* Every sum of Eqs. 1 and 6-8 over a taskset within these bounds fits
+   in an OCaml int (doc/ANALYSIS.md, "Numeric range"). *)
+let max_time = 1 lsl 40
+let max_tasks = 1024
+let max_cores = 1024
+
 let make_rt ?name ?deadline ~id ~prio ~wcet ~period () =
   let deadline = Option.value deadline ~default:period in
   let name = Option.value name ~default:(Printf.sprintf "rt%d" id) in
@@ -36,6 +42,8 @@ let make_rt ?name ?deadline ~id ~prio ~wcet ~period () =
   if period < deadline then
     invalid "rt task %s: period %d < deadline %d (constrained deadlines)"
       name period deadline;
+  if period > max_time then
+    invalid "rt task %s: period %d above the limit %d" name period max_time;
   { rt_id = id; rt_name = name; rt_wcet = wcet; rt_period = period;
     rt_deadline = deadline; rt_prio = prio }
 
@@ -44,6 +52,9 @@ let make_sec ?name ~id ~prio ~wcet ~period_max () =
   if wcet < 1 then invalid "security task %s: wcet %d < 1" name wcet;
   if period_max < wcet then
     invalid "security task %s: period_max %d < wcet %d" name period_max wcet;
+  if period_max > max_time then
+    invalid "security task %s: period_max %d above the limit %d" name
+      period_max max_time;
   { sec_id = id; sec_name = name; sec_wcet = wcet;
     sec_period_max = period_max; sec_prio = prio }
 
@@ -56,8 +67,15 @@ let check_unique what proj xs =
       Hashtbl.add tbl k ())
     xs
 
+let check_task_count n =
+  if n > max_tasks then
+    invalid "taskset: %d tasks above the limit %d" n max_tasks
+
 let make_taskset ~n_cores ~rt ~sec =
   if n_cores < 1 then invalid "taskset: n_cores %d < 1" n_cores;
+  if n_cores > max_cores then
+    invalid "cores %d above the limit %d" n_cores max_cores;
+  check_task_count (List.length rt + List.length sec);
   check_unique "rt id" (fun t -> t.rt_id) rt;
   check_unique "rt priority" (fun t -> t.rt_prio) rt;
   check_unique "security id" (fun t -> t.sec_id) sec;

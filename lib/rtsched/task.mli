@@ -43,25 +43,44 @@ type taskset = {
 exception Invalid_task of string
 (** Raised by the [make_*] smart constructors on parameter violations. *)
 
+val max_time : time
+(** [2^40], the largest period, deadline or [T_s^max] (hence WCET) the
+    constructors accept. With {!max_tasks} and {!max_cores} it keeps
+    every sum of Eqs. 1 and 6-8 below [2^61], [Hydra.Sensitivity]'s
+    10x WCETs included (doc/ANALYSIS.md, "Numeric range"). *)
+
+val max_tasks : int
+(** 1024, the most tasks (RT and security together) of a taskset. *)
+
+val max_cores : int
+(** 1024, the largest core count of a taskset; the workload memo holds
+    256 windows of [M] workloads (2 MiB here). *)
+
 val make_rt :
   ?name:string -> ?deadline:time -> id:int -> prio:int -> wcet:time ->
   period:time -> unit -> rt_task
 (** [make_rt ~id ~prio ~wcet ~period ()] builds an RT task, checking
-    [wcet >= 1], [period >= wcet] and [wcet <= deadline <= period].
-    [deadline] defaults to [period] (implicit deadline).
-    @raise Invalid_task on violation. *)
+    [wcet >= 1], [wcet <= deadline <= period] and
+    [period <= max_time]. [deadline] defaults to [period] (implicit
+    deadline). @raise Invalid_task on violation, naming the task. *)
 
 val make_sec :
   ?name:string -> id:int -> prio:int -> wcet:time -> period_max:time ->
   unit -> sec_task
 (** [make_sec ~id ~prio ~wcet ~period_max ()] builds a security task,
-    checking [wcet >= 1] and [period_max >= wcet].
-    @raise Invalid_task on violation. *)
+    checking [wcet >= 1] and [wcet <= period_max <= max_time].
+    @raise Invalid_task on violation, naming the task. *)
+
+val check_task_count : int -> unit
+(** [check_task_count n] is {!make_taskset}'s task-count check: it
+    raises [Invalid_task] if [n] is above {!max_tasks}. *)
 
 val make_taskset :
   n_cores:int -> rt:rt_task list -> sec:sec_task list -> taskset
-(** Builds a taskset, checking [n_cores >= 1], uniqueness of ids and of
-    priorities within each class. @raise Invalid_task on violation. *)
+(** Builds a taskset, checking [1 <= n_cores <= max_cores], at most
+    {!max_tasks} tasks ({!check_task_count}), and uniqueness of ids and
+    of priorities within each class. @raise Invalid_task on
+    violation. *)
 
 val rt_utilization : rt_task -> float
 (** [C_r / T_r]. *)

@@ -95,16 +95,16 @@ let find_dup names =
           end)
     None names
 
-let max_cores = 1024
+(* An arrival may not take the tenant past the task count
+   [Task.make_taskset] admits. *)
+let check_arrival t =
+  Task.check_task_count (List.length t.rt + List.length t.sec + 1)
 
 (* Full build from scratch: partition everything, fresh system. Also
-   [set_cores]'s rebuild. *)
+   [set_cores]'s rebuild. [Task.make_taskset] bounds the core and task
+   counts. *)
 let create ~name ~cores ~rt:rt_specs ~sec:sec_specs =
   guard (fun () ->
-      if cores > max_cores then
-        raise
-          (Task.Invalid_task
-             (Printf.sprintf "cores %d above the limit %d" cores max_cores));
       (match
          find_dup (List.map (fun (s : Protocol.rt_spec) -> s.r_name) rt_specs)
        with
@@ -155,6 +155,7 @@ let rt_arrive t spec =
     Invalid (Printf.sprintf "duplicate RT task %S" spec.Protocol.r_name)
   else
     guard (fun () ->
+        check_arrival t;
         let n = List.length t.rt in
         let residents = t.rt @ [ { spec; core = -1 } ] in
         let tasks = rt_tasks residents in
@@ -196,6 +197,7 @@ let sec_arrive t spec =
     Invalid (Printf.sprintf "duplicate security task %S" spec.Protocol.s_name)
   else
     guard (fun () ->
+        check_arrival t;
         (* validate eagerly so a bad spec never enters the state *)
         ignore
           (Task.make_sec ~name:spec.Protocol.s_name ~id:0 ~prio:0

@@ -23,10 +23,6 @@ type 'a admission =
       (** admission control refused; tenant state unchanged *)
   | Invalid of string  (** malformed edit (bad spec, unknown name...) *)
 
-val max_cores : int
-(** 1024, the largest core count {!create} and {!set_cores} accept:
-    the workload memo holds 256 slots of [M] workloads (2 MiB here). *)
-
 val create :
   name:string -> cores:int -> rt:Protocol.rt_spec list ->
   sec:Protocol.sec_spec list -> t admission
@@ -34,7 +30,10 @@ val create :
     priorities, best-fit partitioning ([Rejected] if some RT task
     cannot be placed), fresh analysis system (its workload cache is
     the fixed 256-slot memo of {!Hydra.Analysis.cache}). [Invalid] if
-    [cores] is below 1 or above {!max_cores}. *)
+    {!Rtsched.Task.make_taskset} refuses the system: [cores] below 1 or
+    above {!Rtsched.Task.max_cores}, more than
+    {!Rtsched.Task.max_tasks} tasks, or a time above
+    {!Rtsched.Task.max_time}. *)
 
 val name : t -> string
 
@@ -42,14 +41,16 @@ val rt_arrive : t -> Protocol.rt_spec -> unit admission
 (** Admit one RT task: global RM priorities are rebuilt, the incoming
     task is placed best-fit on a core that stays TDA-feasible with it
     (existing placements frozen), and only that core's cached workload
-    columns are refreshed. [Rejected] if no core admits it. *)
+    columns are refreshed. [Rejected] if no core admits it, [Invalid]
+    if the tenant already holds {!Rtsched.Task.max_tasks} tasks. *)
 
 val rt_leave : t -> string -> unit admission
 (** Remove an RT task by name: its core's columns are refreshed. *)
 
 val sec_arrive : t -> Protocol.sec_spec -> unit admission
 (** Append a security task at the lowest security priority — existing
-    tasks' hp sets are unchanged. *)
+    tasks' hp sets are unchanged. [Invalid] if the tenant already holds
+    {!Rtsched.Task.max_tasks} tasks. *)
 
 val sec_leave : t -> string -> unit admission
 (** Remove a security task by name; ids/priorities renumber. *)
@@ -58,7 +59,8 @@ val set_cores : t -> int -> unit admission
 (** Change the core count: full repartition and a fresh system
     (structural delta — the cache is discarded). [Rejected]
     if the RT set no longer partitions, [Invalid] if the count is
-    below 1 or above {!max_cores}; state unchanged then. *)
+    below 1 or above {!Rtsched.Task.max_cores}; state unchanged
+    then. *)
 
 val touch : t -> unit
 (** Mark the tenant dirty so the next {!materialize} recomputes

@@ -451,15 +451,17 @@ let run_unobserved ?(hooks = no_hooks) ?(overheads = no_overheads) ~n_cores
     ~idle_ticks:!idle_ticks ~decision_events:!decision_events
 
 let run ?obs ?hooks ?overheads ~n_cores ~horizon tasks =
+  (* Every job response goes into a run-local histogram, on top of
+     whatever on_finish the caller installed, and the run merges it
+     into sim.response once: one registry lock per run, not per job. *)
+  let responses = Option.map (fun _ -> Hydra_obs.Histogram.create ()) obs in
   let hooks =
-    match obs with
+    match responses with
     | None -> hooks
-    | Some _ ->
-        (* Sample every job response into the sim.response histogram,
-           on top of whatever on_finish the caller installed. *)
+    | Some h ->
         let base = Option.value hooks ~default:no_hooks in
         let on_finish job ~finish =
-          Hydra_obs.sample obs "sim.response" (finish - job.j_release);
+          Hydra_obs.Histogram.record h (finish - job.j_release);
           match base.on_finish with Some f -> f job ~finish | None -> ()
         in
         Some { base with on_finish = Some on_finish }
@@ -468,6 +470,7 @@ let run ?obs ?hooks ?overheads ~n_cores ~horizon tasks =
     Hydra_obs.span obs "sim.run" (fun () ->
         run_unobserved ?hooks ?overheads ~n_cores ~horizon tasks)
   in
+  Option.iter (Hydra_obs.merge obs "sim.response") responses;
   Hydra_obs.incr obs "sim.runs";
   Hydra_obs.add obs "sim.context_switches" stats.context_switches;
   Hydra_obs.add obs "sim.preemptions" stats.preemptions;

@@ -130,8 +130,9 @@ val run :
     [obs] wraps the run in a [sim.run] span and accumulates the
     schedule-event counters ([sim.context_switches],
     [sim.preemptions], [sim.migrations], [sim.busy_ticks],
-    [sim.idle_ticks], [sim.decision_events], [sim.runs]) — see
-    doc/OBSERVABILITY.md.
+    [sim.idle_ticks], [sim.decision_events], [sim.runs]) and every
+    job's response time in the [sim.response] histogram, built in the
+    run and merged into [obs] once — see doc/OBSERVABILITY.md.
     @raise Invalid_argument on empty task list, non-positive horizon
     or WCET, pinned core out of range, duplicate ids/priorities, or
     negative overheads. *)

@@ -377,7 +377,8 @@ let prop_hydra_allocation_feasible =
             | [] -> true
             | (a : Baseline_hydra.alloc) :: rest -> (
                 match
-                  Baseline_hydra.core_response_time sys
+                  Baseline_hydra.core_response_time
+                    ~tally:(Rtsched.Guan.make_tally ()) sys
                     ~core:a.Baseline_hydra.core ~placed a.Baseline_hydra.sec
                 with
                 | None -> false
@@ -437,7 +438,8 @@ let prop_coordinated_periods_feasible =
             | [] -> true
             | (a : Baseline_hydra.alloc) :: rest -> (
                 match
-                  Baseline_hydra.core_response_time sys
+                  Baseline_hydra.core_response_time
+                    ~tally:(Rtsched.Guan.make_tally ()) sys
                     ~core:a.Baseline_hydra.core ~placed a.Baseline_hydra.sec
                 with
                 | None -> false
@@ -445,6 +447,41 @@ let prop_coordinated_periods_feasible =
                     r <= a.Baseline_hydra.period && check (placed @ [ a ]) rest)
           in
           check [] allocs)
+
+(* Each baseline call reports its RTA's tally once, as it returns: a
+   second identical call on the same registry exactly doubles every
+   [rta.uniproc.*] (HYDRA) or [rta.global.*] (GLOBAL-TMax) counter, so
+   no tally carries over between calls. *)
+let prop_rta_reported_once =
+  let arb = Test_util.arb_taskset ~n_cores:2 ~n_rt:3 ~n_sec:4 in
+  Test_util.qtest ~count:40 "second call doubles the rta counters" arb
+    (fun ts ->
+      let rt_assignment = Test_util.round_robin_assignment ts in
+      let sys = Analysis.make_system ts ~assignment:rt_assignment in
+      let doubles prefix run =
+        let obs = Hydra_obs.create () in
+        let read () =
+          List.filter_map
+            (fun (c : Hydra_obs.counter_view) ->
+              if String.starts_with ~prefix c.cv_name then
+                Some (c.cv_name, c.cv_total)
+              else None)
+            (Hydra_obs.counters obs)
+        in
+        run obs;
+        let once = read () in
+        run obs;
+        once <> [] && read () = List.map (fun (n, v) -> (n, 2 * v)) once
+      in
+      let hydra minimize obs =
+        ignore (Baseline_hydra.allocate ~obs ~minimize sys ts.Task.sec)
+      in
+      doubles "rta.uniproc." (hydra true)
+      && doubles "rta.uniproc." (hydra false)
+      && doubles "rta.uniproc." (fun obs ->
+             ignore (Baseline_hydra.allocate_coordinated ~obs sys ts.Task.sec))
+      && doubles "rta.global." (fun obs ->
+             ignore (Scheme.evaluate ~obs Scheme.Global_tmax ts ~rt_assignment)))
 
 (* ------------------------------------------------------------------ *)
 (* GLOBAL-TMax *)
@@ -853,7 +890,8 @@ let () =
           Alcotest.test_case "coordinated on rover" `Quick
             test_hydra_coordinated_rover;
           prop_coordinated_acceptance_matches_tmax;
-          prop_coordinated_periods_feasible ] );
+          prop_coordinated_periods_feasible;
+          prop_rta_reported_once ] );
       ( "baseline_tmax",
         [ Alcotest.test_case "trivial schedulable" `Quick
             test_global_tmax_trivial;

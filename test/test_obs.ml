@@ -1,4 +1,4 @@
-(* Tests for Hydra_obs: exactness of the atomic counters and
+(* Tests for Hydra_obs: exactness of the registry's counters and
    histograms under Parallel.Pool domains, span counts folded from the
    event store, span nesting through the Chrome-trace exporter (with
    the minimal JSON parser from Test_util, shared with test_lint), the
@@ -176,6 +176,11 @@ let test_engine_run_with_obs () =
   check_int "busy ticks surfaced" stats.Sim.Engine.busy_ticks
     (Hydra_obs.counter_total obs_t "sim.busy_ticks");
   check_int "one run" 1 (Hydra_obs.counter_total obs_t "sim.runs");
+  (match Hydra_obs.hists obs_t with
+  | [ { Hydra_obs.hv_name = "sim.response"; hv_hist = h } ] ->
+      check_int "every job's response" 10 (Hydra_obs.Histogram.count h);
+      check_int "each one 2 ticks" 20 (Hydra_obs.Histogram.sum h)
+  | l -> Alcotest.failf "expected sim.response only, got %d" (List.length l));
   match Hydra_obs.span_stats obs_t with
   | [ s ] -> Alcotest.(check string) "sim.run span" "sim.run" s.Hydra_obs.sv_name
   | l -> Alcotest.failf "expected 1 span stat, got %d" (List.length l)
@@ -258,6 +263,21 @@ let test_histogram_merge_order_independent () =
     (H.nonzero_buckets backward = H.nonzero_buckets forward);
   check_int "reversed: same count" (H.count forward) (H.count backward);
   check_int "reversed: same sum" (H.sum forward) (H.sum backward)
+
+let prop_merge_equals_sampling =
+  (* [merge] of a local histogram leaves the registry exactly as
+     sampling each of its values would, onto an existing histogram or
+     a new one, and an empty merge creates nothing. *)
+  qtest ~count:200 "merge = sampling each value"
+    (QCheck.pair sample_list_arb sample_list_arb) (fun (a, b) ->
+      let sampled = Hydra_obs.create () and merged = Hydra_obs.create () in
+      List.iter (Hydra_obs.sample (Some sampled) "x") (a @ b);
+      List.iter (Hydra_obs.sample (Some sampled) "y") b;
+      List.iter (Hydra_obs.sample (Some merged) "x") a;
+      Hydra_obs.merge (Some merged) "x" (H.of_list b);
+      Hydra_obs.merge (Some merged) "y" (H.of_list b);
+      Hydra_obs.merge (Some merged) "z" (H.create ());
+      Hydra_obs.Snapshot.to_json sampled = Hydra_obs.Snapshot.to_json merged)
 
 let test_concurrent_recording_matches_sequential () =
   (* The same multiset recorded concurrently from 4 domains must
@@ -841,6 +861,7 @@ let () =
             test_histogram_basic_stats;
           Alcotest.test_case "merge order-independent" `Quick
             test_histogram_merge_order_independent;
+          prop_merge_equals_sampling;
           Alcotest.test_case "concurrent = sequential" `Quick
             test_concurrent_recording_matches_sequential;
           Alcotest.test_case "views unmoved by later samples" `Quick

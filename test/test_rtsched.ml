@@ -26,6 +26,29 @@ let test_make_rt_rejects_bad_wcet () =
   in
   check_bool "wcet < 1 rejected" true raised
 
+(* Times, task counts and core counts are bounded at the constructors
+   (doc/ANALYSIS.md, "Numeric range"): each bound is admitted, one past
+   it refused. *)
+let test_bounds () =
+  let refused f =
+    match f () with _ -> false | exception Task.Invalid_task _ -> true
+  in
+  let max = Task.max_time in
+  let rt period () = Task.make_rt ~id:0 ~prio:0 ~wcet:1 ~period () in
+  let sec period_max () = Task.make_sec ~id:0 ~prio:0 ~wcet:1 ~period_max () in
+  let secs n =
+    List.init n (fun i -> Task.make_sec ~id:i ~prio:i ~wcet:1 ~period_max:9 ())
+  in
+  let taskset n_cores n () = Task.make_taskset ~n_cores ~rt:[] ~sec:(secs n) in
+  check_bool "rt period at max_time" false (refused (rt max));
+  check_bool "rt period above" true (refused (rt (max + 1)));
+  check_bool "T^max at max_time" false (refused (sec max));
+  check_bool "T^max above" true (refused (sec (max + 1)));
+  check_bool "max_cores" false (refused (taskset Task.max_cores 1));
+  check_bool "cores above" true (refused (taskset (Task.max_cores + 1) 1));
+  check_bool "max_tasks" false (refused (taskset 1 Task.max_tasks));
+  check_bool "tasks above" true (refused (taskset 1 (Task.max_tasks + 1)))
+
 let test_make_rt_rejects_deadline_gt_period () =
   let raised =
     try
@@ -167,27 +190,45 @@ let prop_carry_in_bounds =
 
 let hp wcet period = { Rta.hp_wcet = wcet; hp_period = period }
 
+(* Runs [f] on a fresh tally, which must then hold exactly the one
+   call's verdict. *)
+let tallied f =
+  let tally = Rtsched.Guan.make_tally () in
+  let r = f ~tally in
+  let converged = if Option.is_some r then 1 else 0 in
+  if tally.converged <> converged || tally.diverged <> 1 - converged then
+    Alcotest.failf "tally: %d converged, %d diverged for one call"
+      tally.converged tally.diverged;
+  r
+
+(* Eq. 1 through a fresh tally. *)
+let uniproc ~hp ~wcet ~limit =
+  tallied (fun ~tally -> Rta.response_time ~tally ~hp ~wcet ~limit ())
+
+let rt_response_time ~core t =
+  tallied (fun ~tally -> Rta.rt_response_time ~tally ~core t)
+
 let test_rta_no_interference () =
   Alcotest.(check (option int)) "alone" (Some 7)
-    (Rta.response_time ~hp:[] ~wcet:7 ~limit:100 ())
+    (uniproc ~hp:[] ~wcet:7 ~limit:100)
 
 let test_rta_liu_layland_example () =
   (* Classic: tasks (1,4), (2,6), (3,13) on one core. *)
   Alcotest.(check (option int)) "tau1" (Some 1)
-    (Rta.response_time ~hp:[] ~wcet:1 ~limit:4 ());
+    (uniproc ~hp:[] ~wcet:1 ~limit:4);
   Alcotest.(check (option int)) "tau2" (Some 3)
-    (Rta.response_time ~hp:[ hp 1 4 ] ~wcet:2 ~limit:6 ());
+    (uniproc ~hp:[ hp 1 4 ] ~wcet:2 ~limit:6);
   Alcotest.(check (option int)) "tau3" (Some 10)
-    (Rta.response_time ~hp:[ hp 1 4; hp 2 6 ] ~wcet:3 ~limit:13 ())
+    (uniproc ~hp:[ hp 1 4; hp 2 6 ] ~wcet:3 ~limit:13)
 
 let test_rta_unschedulable () =
   Alcotest.(check (option int)) "over limit" None
-    (Rta.response_time ~hp:[ hp 5 10 ] ~wcet:6 ~limit:10 ())
+    (uniproc ~hp:[ hp 5 10 ] ~wcet:6 ~limit:10)
 
 let test_rta_exact_at_full_utilization () =
   (* (2,4) + (2,4): second task has R = 4 exactly. *)
   Alcotest.(check (option int)) "fits exactly" (Some 4)
-    (Rta.response_time ~hp:[ hp 2 4 ] ~wcet:2 ~limit:4 ())
+    (uniproc ~hp:[ hp 2 4 ] ~wcet:2 ~limit:4)
 
 let test_core_rt_schedulable () =
   let core =
@@ -217,7 +258,7 @@ let prop_rta_bounds_simulation =
       in
       Array.for_all
         (fun (t : Task.rt_task) ->
-          match Rta.rt_response_time ~core t with
+          match rt_response_time ~core t with
           | None -> false
           | Some bound ->
               Sim.Metrics.max_response stats
@@ -429,7 +470,7 @@ let prop_tda_agrees_with_exact =
           tda
           && List.for_all2
                (fun (t : Task.rt_task) observed ->
-                 match Rta.rt_response_time ~core:tasks t with
+                 match rt_response_time ~core:tasks t with
                  | Some bound -> bound = observed
                  | None -> false)
                tasks worsts)
@@ -441,22 +482,36 @@ let gt name wcet period =
   { Global.g_name = name; g_wcet = wcet; g_period = period;
     g_deadline = period }
 
+(* The global RTA on a fresh kernel buffer, whose tally must hold one
+   converged verdict per [Some] and one diverged verdict exactly when
+   some result is [None]. *)
+let global_rta ~n_cores tasks =
+  let runs = Rtsched.Guan.runs ~n_cores in
+  let resps = Global.response_times ~runs ~n_cores tasks in
+  let t = Rtsched.Guan.tally runs in
+  let somes = List.length (List.filter Option.is_some resps) in
+  let diverged = if List.mem None resps then 1 else 0 in
+  if t.converged <> somes || t.diverged <> diverged then
+    Alcotest.failf "tally: %d converged, %d diverged for %d Some, %d None"
+      t.converged t.diverged somes (List.length resps - somes);
+  (resps, t.iterations)
+
 let test_global_single_task () =
   Alcotest.(check (list (option int))) "alone" [ Some 3 ]
-    (Global.response_times ~n_cores:2 [ gt "a" 3 10 ])
+    (fst (global_rta ~n_cores:2 [ gt "a" 3 10 ]))
 
 let test_global_fewer_tasks_than_cores () =
   (* With as many cores as tasks nothing ever waits. *)
   let tasks = [ gt "a" 4 10; gt "b" 5 10; gt "c" 6 10 ] in
   Alcotest.(check (list (option int))) "all run immediately"
     [ Some 4; Some 5; Some 6 ]
-    (Global.response_times ~n_cores:3 tasks)
+    (fst (global_rta ~n_cores:3 tasks))
 
 let test_global_uniprocessor_upper_bounds () =
   (* On one core the global analysis must upper-bound the exact
      uniprocessor response times (1, 3, 10). *)
   let tasks = [ gt "a" 1 4; gt "b" 2 6; gt "c" 3 13 ] in
-  match Global.response_times ~n_cores:1 tasks with
+  match fst (global_rta ~n_cores:1 tasks) with
   | [ Some r1; Some r2; Some r3 ] ->
       check_bool "r1" true (r1 >= 1);
       check_bool "r2" true (r2 >= 3);
@@ -466,7 +521,7 @@ let test_global_uniprocessor_upper_bounds () =
 let test_global_unschedulable_cascades () =
   let tasks = [ gt "a" 10 10; gt "b" 10 10; gt "c" 1 10 ] in
   (* Two tasks saturate both cores; the third cannot fit. *)
-  match Global.response_times ~n_cores:2 tasks with
+  match fst (global_rta ~n_cores:2 tasks) with
   | [ Some _; Some _; r3 ] ->
       Alcotest.(check (option int)) "third starves" None r3
   | _ -> Alcotest.fail "unexpected shape"
@@ -477,13 +532,11 @@ let test_global_unschedulable_cascades () =
    from at most 200. *)
 let test_global_saturated_creep () =
   let tasks = [ gt "a" 95 100; gt "b" 95 100; gt "s" 1000 30000 ] in
-  let obs = Hydra_obs.create () in
   let expected = [ Some 95; Some 95; Some 20000 ] in
   Alcotest.(check (list (option int))) "= naive reference" expected
     (Hydra_oracle.Naive_global.response_times ~n_cores:2 tasks);
-  Alcotest.(check (list (option int))) "responses" expected
-    (Global.response_times ~obs ~n_cores:2 tasks);
-  let iters = Hydra_obs.counter_total obs "rta.global.iterations" in
+  let resps, iters = global_rta ~n_cores:2 tasks in
+  Alcotest.(check (list (option int))) "responses" expected resps;
   check_bool (Printf.sprintf "%d iterations <= 200" iters) true (iters <= 200)
 
 let print_gtasks tasks =
@@ -631,12 +684,12 @@ let prop_jumping_fixpoint_equals_plain =
               let plain, plain_iters =
                 plain_fixpoint ~n_cores ~wcet:job_wcet ~limit ~start omega
               in
-              let before = Rtsched.Guan.iterations runs in
+              let before = (Rtsched.Guan.tally runs).iterations in
               let jumped =
                 Rtsched.Guan.fixpoint ~start ~runs ~n_cores ~wcet:job_wcet
                   ~limit omega
               in
-              let iters = Rtsched.Guan.iterations runs - before in
+              let iters = (Rtsched.Guan.tally runs).iterations - before in
               if jumped <> plain || iters > plain_iters then
                 QCheck.Test.fail_reportf
                   "limit=%d start=%d: plain %s in %d, jumped %s in %d" limit
@@ -758,7 +811,7 @@ let prop_global_equals_naive =
   in
   Test_util.qtest ~count:300 "global RTA = naive reference"
     (QCheck.make ~print gen) (fun (n_cores, tasks) ->
-      Global.response_times ~n_cores tasks
+      fst (global_rta ~n_cores tasks)
       = Hydra_oracle.Naive_global.response_times ~n_cores tasks)
 
 (* GLOBAL-TMax soundness against the simulator: on tasksets of 2M RT
@@ -778,7 +831,7 @@ let prop_global_bounds_simulation =
       let gtasks =
         Global.of_taskset ts ~sec_period:(fun s -> s.Task.sec_period_max)
       in
-      let resps = Global.response_times ~n_cores gtasks in
+      let resps = fst (global_rta ~n_cores gtasks) in
       QCheck.assume (List.for_all Option.is_some resps);
       let sec_periods = Array.make (Array.length ts.Task.sec) 0 in
       Array.iter
@@ -819,6 +872,7 @@ let () =
             test_make_rt_rejects_bad_wcet;
           Alcotest.test_case "rejects deadline > period" `Quick
             test_make_rt_rejects_deadline_gt_period;
+          Alcotest.test_case "numeric bounds" `Quick test_bounds;
           Alcotest.test_case "rejects period_max < wcet" `Quick
             test_make_sec_rejects_tight_bound;
           Alcotest.test_case "rejects duplicate priorities" `Quick

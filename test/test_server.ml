@@ -320,7 +320,7 @@ let test_set_cores () =
             (List.length (assignments r4) = 2)
       | _ -> Alcotest.fail "expected five responses")
 
-(* A core count above Tenant.max_cores is an error, from init and from
+(* A core count above Task.max_cores is an error, from init and from
    set_cores alike, and leaves the tenant as it was: the workload memo
    grows with the core count (256 slots of M workloads), so at
    cores = 100_000 one small frame would have the daemon zero-fill a
@@ -348,17 +348,80 @@ let test_cores_bound () =
             check_bool (at "stats unchanged") true (stats () = before)
         | _ -> Alcotest.fail "expected two responses"
       in
-      List.iter too_many [ Tenant.max_cores + 1; 100_000 ];
+      List.iter too_many [ Rtsched.Task.max_cores + 1; 100_000 ];
       match
         Engine.exec_batch e
-          [ req 4 (Protocol.Set_cores Tenant.max_cores); req 5 Protocol.Query ]
+          [ req 4 (Protocol.Set_cores Rtsched.Task.max_cores);
+            req 5 Protocol.Query ]
       with
       | [ r4; r5 ] ->
           check_bool "the bound itself is admitted" true
             (status r4 = Protocol.Ok);
           check_int "still 2 rows" 2 (List.length (assignments r5));
-          check_int "cores" Tenant.max_cores (stats ()).Protocol.st_cores
+          check_int "cores" Rtsched.Task.max_cores (stats ()).Protocol.st_cores
       | _ -> Alcotest.fail "expected two responses")
+
+(* A time above Task.max_time is an error from init and from each
+   arrival, and leaves the tenant as it was: an unbounded T^max once
+   overflowed the period search's midpoint into a negative period
+   (doc/ANALYSIS.md, "Numeric range"). So is an init of more than
+   Task.max_tasks tasks, and an arrival at a tenant that holds as many.
+   Each bound itself is admitted. *)
+let test_time_bound () =
+  let max_time = Rtsched.Task.max_time in
+  with_engine (fun e ->
+      let stats () =
+        match Engine.exec_batch e [ req 9 Protocol.Stats ] with
+        | [ r ] -> the_stats r
+        | _ -> Alcotest.fail "expected one response"
+      in
+      ignore (Engine.exec_batch e [ req 0 small_init; req 1 Protocol.Query ]);
+      let before = stats () in
+      let crowd =
+        List.init (Rtsched.Task.max_tasks + 1) (fun i ->
+            sec (Printf.sprintf "s%d" i) 1 1000)
+      in
+      (match
+         Engine.exec_batch e
+           [ req 2
+               (Protocol.Init
+                  { cores = 2; rt = [ rt "r" 1 10 ];
+                    sec = [ sec "s" 10 (max_time + 1) ] });
+             req 3 (Protocol.Init { cores = 2; rt = []; sec = crowd });
+             req 4 (Protocol.Sec_arrive (sec "late" 10 (max_time + 1)));
+             req 5 (Protocol.Rt_arrive (rt "late" 1 (max_time + 1))) ]
+       with
+      | [ r2; r3; r4; r5 ] ->
+          List.iteri
+            (fun i r ->
+              check_bool (Printf.sprintf "request %d refused" (i + 2)) true
+                (status r = Protocol.Failed))
+            [ r2; r3; r4; r5 ];
+          check_bool "stats unchanged" true (stats () = before)
+      | _ -> Alcotest.fail "expected four responses");
+      (match
+         Engine.exec_batch e
+           [ req 6 (Protocol.Sec_arrive (sec "edge" 10 max_time));
+             req 7 Protocol.Query ]
+       with
+      | [ r6; r7 ] ->
+          check_bool "the bound itself is admitted" true
+            (status r6 = Protocol.Ok);
+          check_int "3 rows" 3 (List.length (assignments r7))
+      | _ -> Alcotest.fail "expected two responses");
+      (* a full tenant takes no arrival *)
+      let full = List.tl crowd in
+      match
+        Engine.exec_batch e
+          [ req 8 (Protocol.Init { cores = 1; rt = []; sec = full });
+            req 10 (Protocol.Sec_arrive (sec "one more" 1 1000));
+            req 11 (Protocol.Rt_arrive (rt "one more" 1 1000)) ]
+      with
+      | [ r8; r10; r11 ] ->
+          check_bool "max_tasks admitted" true (status r8 <> Protocol.Failed);
+          check_bool "sec arrival refused" true (status r10 = Protocol.Failed);
+          check_bool "rt arrival refused" true (status r11 = Protocol.Failed)
+      | _ -> Alcotest.fail "expected three responses")
 
 let test_remove () =
   with_engine (fun e ->
@@ -1128,6 +1191,7 @@ let () =
             test_unknown_names_error;
           Alcotest.test_case "set_cores" `Quick test_set_cores;
           Alcotest.test_case "cores bound" `Quick test_cores_bound;
+          Alcotest.test_case "time bound" `Quick test_time_bound;
           Alcotest.test_case "remove" `Quick test_remove;
           Alcotest.test_case "tenant cap" `Quick test_tenant_cap ] );
       ( "coalescing",
