@@ -1,6 +1,6 @@
 (* hydra_lint: the determinism & domain-safety static-analysis gate
    (doc/STATIC_ANALYSIS.md). Parses every .ml under the given paths
-   with compiler-libs, checks the intraprocedural rules D1-D6, then
+   with compiler-libs, checks the intraprocedural rules D1-D6 and D9, then
    links per-module summaries into a whole-program call graph for the
    interprocedural rules D7 (pool-closure races) and D8 (transitive
    hot-path allocation). Exit 0 = clean, 1 = findings, 2 =
@@ -11,7 +11,7 @@
 let usage =
   "hydra_lint [--format text|json|sarif] [--allowlist FILE] [--list-rules]\n\
   \           [PATH...]\n\
-   Lint .ml sources for determinism and domain-safety (rules D1-D8).\n\
+   Lint .ml sources for determinism and domain-safety (rules D1-D9).\n\
    PATH defaults to: lib bin test/oracle test/drive"
 
 let () =

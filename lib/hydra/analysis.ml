@@ -214,7 +214,7 @@ let response_time_eq8 ~warm sys (hp : Guan.hp) ~n ~wcet ~limit =
     end
   done;
   let n_cand = !n_cand in
-  let k = min (sys.n_cores - 1) n_cand in
+  let k = Int.min (sys.n_cores - 1) n_cand in
   if wcet > limit then None
   else if k = 0 then begin
     (* Only the empty set: with every increment dropped (or no carry-in
@@ -248,7 +248,7 @@ let response_time_eq8 ~warm sys (hp : Guan.hp) ~n ~wcet ~limit =
       done;
       !acc
     in
-    let best = ref (if certified then max wcet warm else wcet) in
+    let best = ref (if certified then Int.max wcet warm else wcet) in
     (* false: the set's iterate passed [limit] *)
     let visit size =
       cache.c_subsets <- cache.c_subsets + 1;

@@ -131,7 +131,7 @@ let min_core_period obs tally sys allocs idx =
     else begin
       incr steps;
       let c = lo + ((hi - lo) / 2) in
-      if feasible c then search lo (c - 1) (min best c)
+      if feasible c then search lo (c - 1) (Int.min best c)
       else search (c + 1) hi best
     end
   in

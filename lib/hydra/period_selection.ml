@@ -123,7 +123,7 @@ let select ?policy ?hints ?obs sys secs =
         if lo > hi then best
         else
           let c = lo + ((hi - lo) / 2) in
-          if feasible c then search lo (c - 1) (min best c)
+          if feasible c then search lo (c - 1) (Int.min best c)
           else search (c + 1) hi best
       in
       (* [last_feasible]/[last_infeasible] were probed; the threshold

@@ -5,7 +5,7 @@ type report = {
   per_task_headroom_pct : (Task.sec_task * int option) list;
 }
 
-let scale_wcet wcet ~scale_pct = max 1 (wcet * scale_pct / 100)
+let scale_wcet wcet ~scale_pct = Int.max 1 (wcet * scale_pct / 100)
 
 let scaled_tasks secs ~scale_pct ~only =
   Array.map

@@ -3,16 +3,26 @@ open Parsetree
 (* ------------------------------------------------------------------ *)
 (* Scoping *)
 
-type scope = { in_lib : bool; in_obs : bool; in_server : bool }
+(* [in_kernel]: the analysis libraries (lib/rtsched, lib/hydra), where
+   every time is an int. *)
+type scope = {
+  in_lib : bool;
+  in_obs : bool;
+  in_server : bool;
+  in_kernel : bool;
+}
 
 let scope_of_file file =
   let rec go = function
     | "lib" :: rest ->
         { in_lib = true;
           in_obs = (match rest with "obs" :: _ -> true | _ -> false);
-          in_server = (match rest with "server" :: _ -> true | _ -> false) }
+          in_server = (match rest with "server" :: _ -> true | _ -> false);
+          in_kernel =
+            (match rest with ("rtsched" | "hydra") :: _ -> true | _ -> false) }
     | _ :: rest -> go rest
-    | [] -> { in_lib = false; in_obs = false; in_server = false }
+    | [] ->
+        { in_lib = false; in_obs = false; in_server = false; in_kernel = false }
   in
   go (String.split_on_char '/' file)
 
@@ -79,6 +89,12 @@ let d2_stderr_hit = function
   | [ "Format"; "eprintf" ] -> Some "Format.eprintf"
   | [ "Format"; "err_formatter" ] -> Some "Format.err_formatter"
   | [ "stderr" ] | [ "Stdlib"; "stderr" ] -> Some "stderr"
+  | _ -> None
+
+(* D9: Stdlib's polymorphic min/max, applied or passed as a value. *)
+let d9_hit = function
+  | [ ("min" | "max") as f ] -> Some (f, f)
+  | [ "Stdlib"; (("min" | "max") as f) ] -> Some ("Stdlib." ^ f, f)
   | _ -> None
 
 (* D3: does this expression build an order-sensitive value — a list
@@ -159,15 +175,26 @@ let run_pass ctx ast =
                      stdout stays byte-identical across --jobs"
                     name)
            | None -> ());
-        if ctx.scope.in_server then
-          match d2_stderr_hit parts with
-          | Some name ->
-              add "D2" e.pexp_loc
+        (if ctx.scope.in_server then
+           match d2_stderr_hit parts with
+           | Some name ->
+               add "D2" e.pexp_loc
+                 (Printf.sprintf
+                    "%s writes raw stderr from daemon code; a long-running \
+                     server must log through the rate-limited Hydra_obs.Log \
+                     so operator output stays throttled and structured"
+                    name)
+           | None -> ());
+        if ctx.scope.in_kernel then
+          match d9_hit parts with
+          | Some (name, f) ->
+              add "D9" e.pexp_loc
                 (Printf.sprintf
-                   "%s writes raw stderr from daemon code; a long-running \
-                    server must log through the rate-limited Hydra_obs.Log \
-                    so operator output stays throttled and structured"
-                   name)
+                   "%s is Stdlib's polymorphic %s: each use calls into Stdlib, \
+                    whose generic compare runs through caml_c_call; times \
+                    here are ints, so use Int.%s, which compiles to one \
+                    compare"
+                   name f f)
           | None -> ()
   in
   (* D6 reports every allocation site in the body of a [@lint.hot]

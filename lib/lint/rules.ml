@@ -72,7 +72,18 @@ let all =
          in the body. Callees marked [@lint.cold] are sanctioned \
          allocation points; callees the parse-only resolver cannot see \
          (externals, calls through parameters) are reported as \
-         \"cannot prove\" notes rather than silently passing." } ]
+         \"cannot prove\" notes rather than silently passing." };
+    { id = "D9";
+      title = "polymorphic min/max in the integer analysis";
+      rationale =
+        "Stdlib's min and max are polymorphic: every use is a call into \
+         Stdlib, whose generic compare (caml_lessequal) runs through OCaml \
+         5's caml_c_call, where Int.min and Int.max compile to one compare. \
+         In lib/rtsched and lib/hydra every time is an int and the Eq. 6-8 \
+         kernel runs them millions of times per sweep, so min, max, \
+         Stdlib.min and Stdlib.max are flagged there, applied or passed as \
+         a value; no work counter sees the cost, only the wall clock \
+         (doc/PERFORMANCE.md)." } ]
 
 let find id = List.find_opt (fun m -> m.id = id) all
 

@@ -7,7 +7,7 @@ open Parsetree
    referenced identifiers and effect flags, module-level mutable
    bindings, Parallel.Pool call sites, opens and includes for
    longident resolution, and the file's inline [@lint.allow] ranges.
-   Engine's D1–D6 pass reads the same allow ranges and the same D4
+   Engine's D1–D6 and D9 pass reads the same allow ranges and the same D4
    creator and D6 allocation scans. *)
 
 type alloc = {

@@ -1,7 +1,7 @@
 (** Phase 1 of the analyzer: one per-module summary, extracted from a
     file's parsetree alone, carrying everything phase 2 ({!Callgraph}
     linking + {!Reach} reachability rules D7/D8) needs. It is the one
-    home of phase-1 evidence: {!Engine}'s D1–D6 pass reads its allow
+    home of phase-1 evidence: {!Engine}'s D1–D6 and D9 pass reads its allow
     ranges ({!allows_at}) and its D4 and D6 scans ({!creators},
     {!allocs}). *)
 

@@ -57,7 +57,7 @@ let clear r =
   done;
   r.total <- 0
 
-let add_run r rho =
+let[@inline] add_run r rho =
   if rho > 0 then begin
     r.total <- r.total + rho;
     let l = r.largest in
@@ -77,7 +77,7 @@ let add_run r rho =
    clamped term's run, left in [r.last], adds the slack [w - cap]
    that the clamp cap = x - C_s + 1 hides: the cap itself grows one
    for one. *)
-let clamp r ~job_wcet x w run =
+let[@inline] clamp r ~job_wcet x w run =
   let cap = x - job_wcet + 1 in
   if w < cap then begin
     r.last <- run;
@@ -100,7 +100,7 @@ let clamped r ~job_wcet x w =
 (* nc_i(x) for x >= 1: Eq. 2 (Workload.non_carry_in) clamped by
    Eq. 5. The job released at floor(x/T)*T still runs for
    C - (x mod T) ticks. *)
-let nc_term r hp ~job_wcet i x =
+let[@inline] nc_term r hp ~job_wcet i x =
   let c = hp.wcet.(i) and t = hp.period.(i) in
   let q = x / t in
   let m = x - (q * t) in
@@ -110,9 +110,9 @@ let nc_term r hp ~job_wcet i x =
 (* ci_i(x) for x >= 1: Eq. 4 (Workload.carry_in) clamped by Eq. 5.
    The body nc(x - xbar) runs as nc does once x >= xbar, and the head
    min(x, C - 1) runs until x = C - 1. *)
-let ci_term r hp ~job_wcet i x =
+let[@inline] ci_term r hp ~job_wcet i x =
   let c = hp.wcet.(i) and t = hp.period.(i) in
-  let head = min x (c - 1) and head_run = max 0 (c - 1 - x) in
+  let head = Int.min x (c - 1) and head_run = Int.max 0 (c - 1 - x) in
   let y = x - (c - 1 + t - hp.resp.(i)) in
   if y < 0 then clamp r ~job_wcet x head head_run
   else
@@ -221,9 +221,9 @@ let fixpoint ?(start = 0) ~runs ~n_cores ~wcet ~limit omega =
       else if x' < x then iter x'
       else
         let excess = o - (n_cores * (x - wcet + 1)) in
-        iter (max x' (x + jump runs ~n_cores ~excess))
+        iter (Int.max x' (x + jump runs ~n_cores ~excess))
     end
   in
-  let r = if wcet > limit then None else iter (max wcet start) in
+  let r = if wcet > limit then None else iter (Int.max wcet start) in
   count_verdict runs.tally r;
   r

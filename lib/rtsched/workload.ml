@@ -6,16 +6,17 @@ let non_carry_in ~wcet ~period x =
     (* single division: q = x / T, r = x mod T *)
     let q = x / period in
     let r = x - (q * period) in
-    (q * wcet) + min r wcet
+    (q * wcet) + Int.min r wcet
 
 let carry_in ~wcet ~period ~resp x =
   if x <= 0 then 0
   else
     let xbar = wcet - 1 + period - resp in
-    let body = non_carry_in ~wcet ~period (max (x - xbar) 0) in
-    body + min x (wcet - 1)
+    let body = non_carry_in ~wcet ~period (Int.max (x - xbar) 0) in
+    body + Int.min x (wcet - 1)
 
-let interference ~job_wcet ~window w = max 0 (min w (window - job_wcet + 1))
+let interference ~job_wcet ~window w =
+  Int.max 0 (Int.min w (window - job_wcet + 1))
 
 let rt_core_workload tasks x =
   List.fold_left

@@ -27,6 +27,13 @@ let default_config ~socket_path =
    accept), never inside the signal handler. *)
 let dump_requested = Atomic.make false
 
+(* SIGTERM and SIGINT set this one, honoured at the same safe points
+   and by an interrupted frame read: the daemon then stops as on a
+   [shutdown] request. *)
+let stop_requested = Atomic.make false
+
+let stopping () = Atomic.get stop_requested
+
 (* Everything a connection handler needs, wired once per [serve]. *)
 type server = {
   engine : Engine.t;
@@ -62,7 +69,7 @@ let max_batch = 64
    batches while a pipelining client gets its concurrent updates
    coalesced. Returns the raw payloads and whether EOF was seen. *)
 let read_batch fd =
-  match Protocol.read_frame fd with
+  match Protocol.read_frame ~stop:stopping fd with
   | None -> ([], true)
   | Some first ->
       let rec drain acc k =
@@ -70,7 +77,7 @@ let read_batch fd =
         else
           match Unix.select [ fd ] [] [] 0.0 with
           | [ _ ], _, _ -> (
-              match Protocol.read_frame fd with
+              match Protocol.read_frame ~stop:stopping fd with
               | None -> (List.rev acc, true)
               | Some s -> drain (s :: acc) (k + 1))
           | _ -> (List.rev acc, false)
@@ -210,7 +217,7 @@ let handle_client srv fd =
   let counted = ref false in
   let stop = ref false in
   let eof = ref false in
-  while not (!eof || !stop) do
+  while not (!eof || !stop || stopping ()) do
     let payloads, saw_eof = read_batch fd in
     eof := saw_eof;
     if payloads <> [] then begin
@@ -238,19 +245,30 @@ let serve ?obs ?(config = default_config ~socket_path:"hydra_c.sock")
   in
   (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
   let sock = Unix.socket PF_UNIX SOCK_STREAM 0 in
-  (* Either signal may be unavailable on the platform; the daemon still
+  Atomic.set stop_requested false;
+  (* Any signal may be unavailable on the platform; the daemon still
      runs, just without that handler. SIGUSR1 triggers a flight dump.
-     SIGPIPE is ignored so that a client hanging up before reading its
-     reply makes the write raise EPIPE — logged by the accept loop as
-     an io_error — instead of killing the daemon. *)
+     SIGTERM and SIGINT stop the daemon as a [shutdown] request does,
+     after the batch in hand; each re-arms its default action, so a
+     second one kills at once, as it would with no handler. SIGPIPE
+     is ignored so that a client hanging up before reading its reply
+     makes the write raise EPIPE — logged by the accept loop as an
+     io_error — instead of killing the daemon. *)
   let install signal behavior =
     match Sys.signal signal behavior with
     | old -> Some (signal, old)
     | exception (Invalid_argument _ | Sys_error _) -> None
   in
+  let request_stop signal =
+    Atomic.set stop_requested true;
+    try Sys.set_signal signal Sys.Signal_default
+    with Invalid_argument _ | Sys_error _ -> ()
+  in
   let saved =
     [ install Sys.sigusr1
         (Sys.Signal_handle (fun _ -> Atomic.set dump_requested true));
+      install Sys.sigterm (Sys.Signal_handle request_stop);
+      install Sys.sigint (Sys.Signal_handle request_stop);
       install Sys.sigpipe Sys.Signal_ignore ]
   in
   let cleanup () =
@@ -274,7 +292,7 @@ let serve ?obs ?(config = default_config ~socket_path:"hydra_c.sock")
         Unix.listen sock 8;
         (match on_ready with Some f -> f () | None -> ());
         let stop = ref false in
-        while not !stop do
+        while not (!stop || stopping ()) do
           match Unix.accept sock with
           | exception Unix.Unix_error (Unix.EINTR, _, _) ->
               check_dump_signal srv

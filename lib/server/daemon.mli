@@ -68,8 +68,14 @@ val serve :
   ?obs:Hydra_obs.t -> ?config:config -> ?on_ready:(unit -> unit) ->
   unit -> unit
 (** Bind the socket (unlinking any stale file), call [on_ready], and
-    accept until a [Shutdown] request arrives. SIGPIPE is ignored while
-    serving, so a client that hangs up before reading its reply costs
-    an [io_error] log line, not the process. Always unlinks the
-    socket, restores the SIGUSR1 and SIGPIPE handlers and stops the
+    accept until a [Shutdown] request arrives or the process gets
+    SIGTERM or SIGINT. A signal stops the daemon after the batch in
+    hand, at the next safe point: between batches, on an interrupted
+    accept, or on an interrupted frame read (so a connected but idle
+    client cannot hold it open); [serve] then returns as after a
+    [Shutdown]. The handler re-arms the signal's default action, so a
+    second SIGTERM or SIGINT kills the process at once. SIGPIPE is
+    ignored while serving, so a client that hangs up before reading
+    its reply costs an [io_error] log line, not the process. Always
+    unlinks the socket, restores the four handlers and stops the
     engine on the way out. *)

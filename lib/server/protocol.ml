@@ -379,8 +379,9 @@ let write_frame fd payload =
   write_all fd b 0 (4 + n)
 
 (* Reads exactly [len] bytes; [None] on EOF at offset 0 when
-   [eof_ok]. *)
-let read_exact fd len ~eof_ok =
+   [eof_ok], or on a read interrupted by a signal once [stop ()]
+   holds. *)
+let read_exact ~stop fd len ~eof_ok =
   let b = Bytes.create len in
   let rec go off =
     if off >= len then Some b
@@ -390,19 +391,18 @@ let read_exact fd len ~eof_ok =
           if off = 0 && eof_ok then None
           else fail "unexpected EOF inside a frame (%d/%d bytes)" off len
       | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+          if stop () then None else go off
   in
   go 0
 
-let read_frame fd =
-  match read_exact fd 4 ~eof_ok:true with
+let read_frame ?(stop = fun () -> false) fd =
+  match read_exact ~stop fd 4 ~eof_ok:true with
   | None -> None
   | Some hdr ->
       let n = Int32.to_int (Bytes.get_int32_be hdr 0) in
       if n < 0 || n > max_frame then fail "bad frame length %d" n;
       if n = 0 then Some ""
-      else begin
-        match read_exact fd n ~eof_ok:false with
-        | Some b -> Some (Bytes.unsafe_to_string b)
-        | None -> assert false
-      end
+      else
+        Option.map Bytes.unsafe_to_string
+          (read_exact ~stop fd n ~eof_ok:false)

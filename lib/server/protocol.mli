@@ -110,7 +110,11 @@ val decode_response : string -> response
 val write_frame : Unix.file_descr -> string -> unit
 (** Length-prefix and write one payload (handles short writes). *)
 
-val read_frame : Unix.file_descr -> string option
-(** Read one frame; [None] on clean EOF at a frame boundary.
+val read_frame : ?stop:(unit -> bool) -> Unix.file_descr -> string option
+(** Read one frame; [None] on clean EOF at a frame boundary. A read
+    interrupted by a signal (EINTR) is retried unless [stop ()] holds
+    (default: never), in which case the frame is abandoned and the
+    result is [None] too: the daemon's SIGTERM path, so that a
+    connected but idle client cannot hold it open.
     @raise Protocol_error on EOF mid-frame or an implausible length
     (negative or > 16 MiB). *)

@@ -1,5 +1,5 @@
 (* Tests for the Lint static-analysis pass (doc/STATIC_ANALYSIS.md):
-   one seeded fixture per rule D1-D5 under lint_fixtures/, asserted
+   one seeded fixture per rule D1-D6 and D9 under lint_fixtures/, asserted
    through the JSON report; scoping (lib-only rules, the lib/obs clock
    exemption); suppression via [@lint.allow] attributes and the
    allowlist; and the clean-tree gate over the repo's own lib/. *)
@@ -95,6 +95,21 @@ let test_d6_suppression () =
   check_int "constant constructor" 0
     (List.length
        (lint_str ~file:"lib/x.ml" "let[@lint.hot] f () = None"))
+
+(* D9 is scoped to the integer analysis: the same fixture is dirty in
+   lib/rtsched and lib/hydra and clean everywhere else. *)
+let test_d9 () =
+  let lines file =
+    List.map
+      (fun (f : Lint.Finding.t) -> (f.rule, f.line))
+      (lint_str ~file (fixture_source "d9_poly_minmax.ml"))
+  in
+  let dirty = [ ("D9", 6); ("D9", 8); ("D9", 10); ("D9", 12) ] in
+  check_findings "in lib/rtsched" dirty
+    (lines "lib/rtsched/d9_poly_minmax.ml");
+  check_findings "in lib/hydra" dirty (lines "lib/hydra/d9_poly_minmax.ml");
+  check_findings "in lib/sim" [] (lines "lib/sim/d9_poly_minmax.ml");
+  check_findings "in bin" [] (lines "bin/d9_poly_minmax.ml")
 
 let test_clean_fixture () =
   check_findings "clean fixture" [] (fixture_findings "clean.ml")
@@ -397,6 +412,7 @@ let () =
           Alcotest.test_case "D5 float compare" `Quick test_d5;
           Alcotest.test_case "D6 hot alloc" `Quick test_d6;
           Alcotest.test_case "D6 suppression" `Quick test_d6_suppression;
+          Alcotest.test_case "D9 polymorphic min/max" `Quick test_d9;
           Alcotest.test_case "clean fixture" `Quick test_clean_fixture ] );
       ( "report",
         [ Alcotest.test_case "positions" `Quick test_positions;

@@ -147,6 +147,35 @@ let test_carry_in_formula () =
     (Workload.carry_in ~wcet:3 ~period:10 ~resp:5 10);
   check_int "x=0" 0 (Workload.carry_in ~wcet:3 ~period:10 ~resp:5 0)
 
+(* Brute-force carry-in workload, Eq. 4's pattern: the carry-in job
+   runs its last C - 1 ticks from the window's start and finishes at
+   C - 1, R after its release; the next jobs are released every T from
+   xbar = C - 1 + T - R on, each running at once as in
+   [brute_force_nc]. *)
+let brute_force_ci ~wcet ~period ~resp x =
+  let xbar = wcet - 1 + period - resp in
+  let acc = ref 0 in
+  for t = 0 to x - 1 do
+    if t < wcet - 1 || (t >= xbar && (t - xbar) mod period < wcet) then
+      incr acc
+  done;
+  !acc
+
+let test_carry_in_matches_brute_force () =
+  for wcet = 1 to 6 do
+    for period = wcet to 12 do
+      for resp = wcet to period do
+        for x = 0 to (3 * period) + wcet do
+          let brute = brute_force_ci ~wcet ~period ~resp x in
+          let w = Workload.carry_in ~wcet ~period ~resp x in
+          if w <> brute then
+            Alcotest.failf "W_ci C=%d T=%d R=%d x=%d: %d, brute force %d" wcet
+              period resp x w brute
+        done
+      done
+    done
+  done
+
 let test_interference_clamp () =
   check_int "clamped" 6 (Workload.interference ~job_wcet:5 ~window:10 100);
   check_int "not clamped" 3 (Workload.interference ~job_wcet:5 ~window:10 3);
@@ -184,6 +213,31 @@ let prop_carry_in_bounds =
       let resp = min period (wcet + slack) in
       let w = Workload.carry_in ~wcet ~period ~resp x in
       w >= 0 && w <= max 0 x)
+
+(* The kernel's clamp = Eq. 5's, at the top of the numeric range:
+   windows within 2^12 of Task.max_time, job WCETs small or within
+   2^13 of it (so the cap x - C + 1 also falls to 0 and below), and
+   workloads at the cap and one either side, or anywhere up to
+   2 Task.max_time. *)
+let prop_clamped_equals_interference_near_max_time =
+  let max_time = Task.max_time in
+  let gen =
+    let open QCheck.Gen in
+    int_bound 4096 >>= fun a ->
+    oneof [ int_range 1 4096; int_bound 8192 >|= fun c -> max_time - c ]
+    >>= fun job_wcet ->
+    let x = max_time - a in
+    let cap = x - job_wcet + 1 in
+    oneof
+      [ int_range (-1) 1 >|= (fun d -> max 0 (cap + d));
+        int_range 0 (2 * max_time) ]
+    >|= fun w -> (job_wcet, x, w)
+  in
+  let print (job_wcet, x, w) = Printf.sprintf "C=%d x=%d w=%d" job_wcet x w in
+  Test_util.qtest ~count:500 "Guan.clamped = interference near max_time"
+    (QCheck.make ~print gen) (fun (job_wcet, x, w) ->
+      Rtsched.Guan.clamped (Rtsched.Guan.runs ~n_cores:2) ~job_wcet x w
+      = Workload.interference ~job_wcet ~window:x w)
 
 (* ------------------------------------------------------------------ *)
 (* Uniprocessor TDA *)
@@ -890,11 +944,14 @@ let () =
             test_request_bound_dominates_nc;
           Alcotest.test_case "W_ci formula (Eq. 4)" `Quick
             test_carry_in_formula;
+          Alcotest.test_case "W_ci matches brute force" `Quick
+            test_carry_in_matches_brute_force;
           Alcotest.test_case "interference clamp (Eq. 3/5)" `Quick
             test_interference_clamp;
           prop_workload_monotone;
           prop_workload_antitone_in_period;
-          prop_carry_in_bounds ] );
+          prop_carry_in_bounds;
+          prop_clamped_equals_interference_near_max_time ] );
       ( "rta_uniproc",
         [ Alcotest.test_case "no interference" `Quick test_rta_no_interference;
           Alcotest.test_case "liu-layland example" `Quick

@@ -1098,6 +1098,106 @@ let test_daemon_survives_hangup () =
           check_bool "shutdown acked" true
             (status (rpc c (req 2 Protocol.Shutdown)) = Protocol.Ok)))
 
+(* SIGTERM and SIGINT stop a real [serve] process as a [shutdown]
+   request does: exit 0 within a second, the --metrics-out snapshot
+   and the --flight-out dump written, the socket unlinked. The daemon
+   runs as its own process, so that the signal reaches the thread
+   blocked in its accept or read. With [idle], a client that sent its
+   requests stays connected and silent, so the daemon is blocked
+   reading it rather than in accept. *)
+let test_daemon_stops_on_signal () =
+  let run (name, signal, idle) =
+    let tmp ext =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "hydra_c_%s_%d.%s" name (Unix.getpid ()) ext)
+    in
+    let sock = tmp "sock" and metrics = tmp "json" and flight = tmp "jsonl" in
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid =
+      Unix.create_process "../bin/hydra_experiments.exe"
+        [| "hydra_experiments.exe"; "serve"; "--socket"; sock; "--jobs"; "2";
+           "--metrics-out"; metrics; "--flight-out"; flight |]
+        null null null
+    in
+    Unix.close null;
+    (* a failed check must not leave the daemon running *)
+    let reaped = ref false in
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let st =
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          if not !reaped then begin
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+          end)
+        (fun () ->
+          let rec connect attempts =
+            match Unix.connect fd (Unix.ADDR_UNIX sock) with
+            | () -> ()
+            | exception
+                Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+              when attempts > 0 ->
+                Unix.sleepf 0.05;
+                connect (attempts - 1)
+          in
+          connect 200;
+          List.iter
+            (fun q ->
+              Protocol.write_frame fd (Protocol.encode_request q);
+              match Protocol.read_frame fd with
+              | Some s ->
+                  check_bool "steady request ok" true
+                    (status (Protocol.decode_response s) = Protocol.Ok)
+              | None -> Alcotest.fail "daemon closed the connection")
+            (Hydra_drive.Steady_script.prefix ~shutdown:false 5);
+          if not idle then Unix.shutdown fd Unix.SHUTDOWN_ALL;
+          Unix.kill pid signal;
+          let deadline = Unix.gettimeofday () +. 1.0 in
+          let rec await () =
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ when Unix.gettimeofday () < deadline ->
+                Unix.sleepf 0.01;
+                await ()
+            | 0, _ ->
+                Alcotest.failf "%s: the daemon was still running after 1 s"
+                  name
+            | _, st ->
+                reaped := true;
+                st
+          in
+          await ())
+    in
+    check_bool (name ^ ": exit 0") true (st = Unix.WEXITED 0);
+    check_bool (name ^ ": socket unlinked") false (Sys.file_exists sock);
+    let snap =
+      Hydra_obs.Report.of_string
+        (In_channel.with_open_bin metrics In_channel.input_all)
+    in
+    check_int (name ^ ": snapshot counts the requests") 5
+      (List.assoc "server.requests" snap.Hydra_obs.Report.counters);
+    (match
+       In_channel.with_open_text flight In_channel.input_lines
+       |> List.filter (fun l -> l <> "")
+     with
+    | header :: events ->
+        Alcotest.(check string) (name ^ ": flight schema")
+          Hydra_obs.Flight.schema
+          Test_util.(as_str (member "schema" (parse_json header)));
+        let kind l = Test_util.(as_str (member "kind" (parse_json l))) in
+        check_bool (name ^ ": reply breadcrumbs") true
+          (List.exists (fun l -> kind l = "reply") events)
+    | [] -> Alcotest.failf "%s: empty flight dump" name);
+    List.iter
+      (fun p -> try Sys.remove p with Sys_error _ -> ())
+      [ metrics; flight ]
+  in
+  if Sys.unix then
+    List.iter run
+      [ ("sigterm", Sys.sigterm, false);
+        ("sigterm_idle", Sys.sigterm, true);
+        ("sigint_idle", Sys.sigint, true) ]
+
 (* The serve-smoke fixture, in process: the steady script's first 100
    requests plus a Shutdown, in lockstep over a real socket. The reply
    transcript must match the committed file byte for byte. *)
@@ -1218,6 +1318,8 @@ let () =
             test_daemon_slow_request_dump;
           Alcotest.test_case "client hangup survives" `Quick
             test_daemon_survives_hangup;
+          Alcotest.test_case "SIGTERM/SIGINT stop cleanly" `Quick
+            test_daemon_stops_on_signal;
           Alcotest.test_case "serve-smoke fixture" `Quick
             test_daemon_serve_smoke;
           Alcotest.test_case "request tracing on and off" `Quick
