@@ -15,23 +15,43 @@ type result =
   | Schedulable of alloc list
   | Unschedulable
 
-let core_response_time ~tally (sys : Analysis.system) ~core ~placed s =
-  let rt_hp =
-    List.map
-      (fun (t : Task.rt_task) ->
-        { Rta.hp_wcet = t.rt_wcet; hp_period = t.rt_period })
-      sys.rt_cores.(core)
+(* The hp set of one Eq. 1 probe, filled in place: the core's RT
+   tasks, then the placed security tasks above the probed one. One per
+   allocation, with room for the largest core and every security
+   task. *)
+let hp_buffer (sys : Analysis.system) secs =
+  let rt =
+    Array.fold_left (fun acc l -> Int.max acc (List.length l)) 0 sys.rt_cores
   in
-  let sec_hp =
-    List.filter_map
-      (fun a ->
-        if a.core = core && a.sec.Task.sec_prio < s.Task.sec_prio then
-          Some { Rta.hp_wcet = a.sec.Task.sec_wcet; hp_period = a.period }
-        else None)
+  Rta.make (rt + Array.length secs)
+
+let rec put_rt (hp : Rta.hp) i = function
+  | [] -> i
+  | (t : Task.rt_task) :: rest ->
+      hp.wcet.(i) <- t.rt_wcet;
+      hp.period.(i) <- t.rt_period;
+      put_rt hp (i + 1) rest
+
+let rec put_sec (hp : Rta.hp) ~core ~prio i = function
+  | [] -> i
+  | a :: rest ->
+      if a.core = core && a.sec.Task.sec_prio < prio then begin
+        hp.wcet.(i) <- a.sec.Task.sec_wcet;
+        hp.period.(i) <- a.period;
+        put_sec hp ~core ~prio (i + 1) rest
+      end
+      else put_sec hp ~core ~prio i rest
+
+(* The WCRT of [s] on [core], below the core's RT tasks and the
+   higher-priority [placed] security tasks pinned there, from a cold
+   start; above [T_s^max] = misses. *)
+let probe hp ~tally (sys : Analysis.system) ~core ~placed s =
+  let n =
+    put_sec hp ~core ~prio:s.Task.sec_prio (put_rt hp 0 sys.rt_cores.(core))
       placed
   in
-  Rta.response_time ~tally ~hp:(rt_hp @ sec_hp) ~wcet:s.Task.sec_wcet
-    ~limit:s.Task.sec_period_max ()
+  Rta.response_time ~tally hp ~n ~job_wcet:s.Task.sec_wcet
+    ~start:s.Task.sec_wcet ~limit:s.Task.sec_period_max
 
 (* Security-task utilization already committed to a core. *)
 let core_sec_utilization placed core =
@@ -46,36 +66,34 @@ let core_sec_utilization placed core =
    response time (HYDRA's "maximum monitoring frequency"); without,
    classic best-fit by committed security utilization, since with
    every period at its bound every feasible core yields the same
-   period. Ties go to the lowest core index. *)
-let best_core ~minimize tally sys ~placed s =
-  let better (m, r) (m', r') =
-    let takes =
-      if minimize then r' < r
-      else core_sec_utilization placed m' > core_sec_utilization placed m
-    in
-    if takes then (m', r') else (m, r)
-  in
-  let rec go m best =
-    if m >= sys.Analysis.n_cores then best
+   period. Ties go to the lowest core index. [None], or the core and
+   the task's WCRT there. *)
+let best_core ~minimize hp tally sys ~placed s =
+  let limit = s.Task.sec_period_max in
+  let rec go m best r_best =
+    if m >= sys.Analysis.n_cores then
+      if best < 0 then None else Some (best, r_best)
     else
-      let best =
-        match core_response_time ~tally sys ~core:m ~placed s with
-        | None -> best
-        | Some r -> (
-            match best with
-            | Some b -> Some (better b (m, r))
-            | None -> Some (m, r))
-      in
-      go (m + 1) best
+      let r = probe hp ~tally sys ~core:m ~placed s in
+      if r > limit then go (m + 1) best r_best
+      else
+        let takes =
+          best < 0
+          || (if minimize then r < r_best
+              else
+                core_sec_utilization placed m
+                > core_sec_utilization placed best)
+        in
+        if takes then go (m + 1) m r else go (m + 1) best r_best
   in
-  go 0 None
+  go 0 (-1) 0
 
-let greedy ~tally obs ~minimize sys secs =
+let greedy hp ~tally obs ~minimize sys secs =
   let sorted = Task.sort_sec_by_priority secs in
   let rec place placed = function
     | [] -> Schedulable (List.rev placed)
     | s :: rest -> (
-        match best_core ~minimize tally sys ~placed s with
+        match best_core ~minimize hp tally sys ~placed s with
         | None -> Unschedulable
         | Some (core, resp) ->
             Hydra_obs.incr obs "baseline_hydra.placements";
@@ -87,33 +105,28 @@ let greedy ~tally obs ~minimize sys secs =
 (* One Eq. 1 tally per allocation, reported once when it returns. *)
 let allocate ?obs ~minimize sys secs =
   let tally = Guan.make_tally () in
-  let r = greedy ~tally obs ~minimize sys secs in
+  let r = greedy (hp_buffer sys secs) ~tally obs ~minimize sys secs in
   Analysis.record_rta obs "rta.uniproc" tally;
   r
 
 (* --- HYDRA-coordinated: per-core Algorithm 1 ---------------------- *)
 
-(* Response time of alloc [a] given the current periods of the other
-   allocations on its core (encoded in [placed]). *)
-let realloc_resp tally sys placed (a : alloc) =
-  core_response_time ~tally sys ~core:a.core ~placed a.sec
-
 (* Recompute responses of [allocs] (priority order) against each
    other's current periods; [None] if someone misses its bound. *)
-let recompute_core tally sys allocs =
+let recompute_core hp tally sys allocs =
   let rec go done_ = function
     | [] -> Some (List.rev done_)
-    | a :: rest -> (
-        match realloc_resp tally sys done_ a with
-        | None -> None
-        | Some resp -> go ({ a with resp } :: done_) rest)
+    | a :: rest ->
+        let resp = probe hp ~tally sys ~core:a.core ~placed:done_ a.sec in
+        if resp > a.sec.Task.sec_period_max then None
+        else go ({ a with resp } :: done_) rest
   in
   go [] allocs
 
 (* Minimum feasible period for position [idx] of a core's allocation
    list (priority order): binary search in [resp, bound], feasible when
    every lower-priority core-mate still meets its bound. *)
-let min_core_period obs tally sys allocs idx =
+let min_core_period obs hp tally sys allocs idx =
   (* Mutate-and-restore on an array view instead of a List.mapi
      rebuild per probe (recompute_core still takes the list it needs
      anyway, but the candidate substitution itself is O(1)). *)
@@ -121,7 +134,7 @@ let min_core_period obs tally sys allocs idx =
   let a = arr.(idx) in
   let feasible candidate =
     arr.(idx) <- { a with period = candidate };
-    let ok = Option.is_some (recompute_core tally sys (Array.to_list arr)) in
+    let ok = Option.is_some (recompute_core hp tally sys (Array.to_list arr)) in
     arr.(idx) <- a;
     ok
   in
@@ -141,22 +154,22 @@ let min_core_period obs tally sys allocs idx =
   Hydra_obs.add obs "baseline_hydra.search.steps" !steps;
   t_star
 
-let minimize_core obs tally sys allocs =
+let minimize_core obs hp tally sys allocs =
   let n = List.length allocs in
   let rec loop allocs idx =
     if idx >= n then
       (* final response refresh so callers see consistent WCRTs *)
-      match recompute_core tally sys allocs with
+      match recompute_core hp tally sys allocs with
       | Some refreshed -> refreshed
       | None -> assert false
     else
       (* refresh responses first: minimizing higher-priority periods
          grows the lower-priority responses, and the search's lower
          bound must be the task's *current* WCRT *)
-      match recompute_core tally sys allocs with
+      match recompute_core hp tally sys allocs with
       | None -> assert false (* invariant: the previous step was feasible *)
       | Some refreshed ->
-          let t_star = min_core_period obs tally sys refreshed idx in
+          let t_star = min_core_period obs hp tally sys refreshed idx in
           let updated =
             List.mapi
               (fun i x -> if i = idx then { x with period = t_star } else x)
@@ -167,7 +180,8 @@ let minimize_core obs tally sys allocs =
   loop allocs 0
 
 let coordinated ~tally obs sys secs =
-  match greedy ~tally obs ~minimize:false sys secs with
+  let hp = hp_buffer sys secs in
+  match greedy hp ~tally obs ~minimize:false sys secs with
   | Unschedulable -> Unschedulable
   | Schedulable allocs ->
       let per_core core =
@@ -175,7 +189,7 @@ let coordinated ~tally obs sys secs =
       in
       let minimized =
         List.init sys.Analysis.n_cores per_core
-        |> List.concat_map (minimize_core obs tally sys)
+        |> List.concat_map (minimize_core obs hp tally sys)
       in
       (* restore global priority order *)
       let ordered =

@@ -54,14 +54,6 @@ val allocate_coordinated :
     acceptance equals HYDRA-TMax's by construction while the periods
     are still adapted. *)
 
-val core_response_time :
-  tally:Rtsched.Guan.tally -> Analysis.system -> core:int ->
-  placed:alloc list -> Rtsched.Task.sec_task -> time option
-(** Response time the given security task would have on [core], below
-    that core's RT tasks and the already-[placed] security tasks
-    pinned there; its Eq. 1 fixed point counts into [tally]. Exposed
-    for tests. *)
-
 val period_vector : alloc list -> n_sec:int -> time array
 (** Periods re-indexed by [sec_id]. *)
 

@@ -14,6 +14,8 @@
      (phase 2 reports "cannot prove" rather than guessing).
    - library-qualified [L.M.f]: [L] is the capitalized directory
      basename (e.g. [Sim.Engine.run] -> lib/sim/engine.ml).
+   - a nested module [M.Sub.f] (no library [M] with a module [Sub]):
+     file [M], whose summary holds [Sub]'s values among its own.
    - [include]s of the target module are searched when [f] is not
      defined in [M] itself. *)
 
@@ -46,9 +48,13 @@ let build sums =
     sums;
   { cg_sums = sums; by_module; by_libmod }
 
-(* Find the summary a module path denotes, seen from [from]. *)
-let find_module t ~(from : Summary.t) mpath =
+(* Find the summary a module path denotes, seen from [from]. A path
+   that names no file module goes on as its prefix: [M.Sub] is a
+   module nested in file [M] (or [L.M.Sub] in [L.M]), whose summary
+   holds the nested module's values among its own. *)
+let rec find_module t ~(from : Summary.t) mpath =
   match mpath with
+  | [] -> None
   | [ m ] -> (
       let cands =
         match Hashtbl.find_opt t.by_module m with Some l -> l | None -> []
@@ -59,8 +65,11 @@ let find_module t ~(from : Summary.t) mpath =
       | [ s ] -> Some s
       | _ :: _ -> None (* same-dir ambiguity: give up *)
       | [] -> ( match cands with [ s ] -> Some s | _ -> None))
-  | [ l; m ] -> Hashtbl.find_opt t.by_libmod (l ^ "." ^ m)
-  | _ -> None
+  | [ l; m ] -> (
+      match Hashtbl.find_opt t.by_libmod (l ^ "." ^ m) with
+      | Some s -> Some s
+      | None -> find_module t ~from [ l ])
+  | l :: m :: _ :: _ -> find_module t ~from [ l; m ]
 
 let top_values (s : Summary.t) name =
   List.filter

@@ -4,7 +4,13 @@
     a core only if the exact per-core time-demand analysis (Eq. 1)
     still admits every task already on that core. The paper uses
     best-fit; first-fit and worst-fit are provided for the partitioning
-    ablation (experiment X2 in DESIGN.md). *)
+    ablation (experiment X2 in DESIGN.md).
+
+    Each core keeps its tasks in priority order with their WCRTs, so a
+    candidate core re-runs Eq. 1 only where the newcomer can change a
+    result: for the newcomer, and warm for the tasks below it
+    (doc/PERFORMANCE.md, "Eq. 1 on arrays, incremental best-fit"). The
+    state lives in each call. *)
 
 type heuristic =
   | Best_fit  (** feasible core with the highest current utilization *)
@@ -25,7 +31,8 @@ val choose_core :
   heuristic -> Task.rt_task list array -> Task.rt_task -> int option
 (** [choose_core h cores task] is the core, among those that stay
     TDA-feasible with [task] added to [cores.(m)], that [h] picks
-    (lowest index on ties), or [None] if there is none. *)
+    (lowest index on ties), or [None] if there is none. A core whose
+    own tasks already miss a deadline is never picked. *)
 
 val cores_of_assignment :
   Task.taskset -> int array -> Task.rt_task list array

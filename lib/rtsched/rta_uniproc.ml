@@ -1,51 +1,30 @@
 type time = Task.time
 
-type hp_task = { hp_wcet : time; hp_period : time }
+type hp = { wcet : time array; period : time array }
 
-let demand_at ~hp ~wcet t =
-  List.fold_left
-    (fun acc h ->
-      acc + Workload.request_bound ~wcet:h.hp_wcet ~period:h.hp_period t)
-    wcet hp
+let make n = { wcet = Array.make n 0; period = Array.make n 0 }
 
-let response_time ~tally ~hp ~wcet ~limit () =
-  (* Least fixed point of the time-demand function, found by the usual
-     iteration from x = C; each step jumps directly to the current
-     demand, so the sequence is monotone and terminates at the fixed
-     point or past [limit]. *)
-  let rec iter x =
-    if x > limit then None
-    else begin
-      tally.Guan.iterations <- tally.Guan.iterations + 1;
-      let d = demand_at ~hp ~wcet x in
-      if d = x then Some x else iter d
-    end
-  in
-  let r = if wcet > limit then None else iter wcet in
-  Guan.count_verdict tally r;
+(* acc + sum_{i <= j < n} ceil(x/T_j)*C_j, Workload.request_bound for
+   x >= 1. *)
+let[@lint.hot] rec demand wcet period n i acc x =
+  if i = n then acc
+  else
+    let t = period.(i) in
+    demand wcet period n (i + 1) (acc + ((x + t - 1) / t * wcet.(i))) x
+
+(* Each step jumps to the demand at the current iterate, so from a
+   start in [C, lfp] the iterates never decrease and stop at the least
+   fixed point or at the first one past [limit]. *)
+let[@lint.hot] rec iterate tally wcet period n job_wcet limit x =
+  if x > limit then x
+  else begin
+    tally.Guan.iterations <- tally.Guan.iterations + 1;
+    let d = demand wcet period n 0 job_wcet x in
+    if d = x then x else iterate tally wcet period n job_wcet limit d
+  end
+
+let[@lint.hot] response_time ~tally hp ~n ~job_wcet ~start ~limit =
+  let r = iterate tally hp.wcet hp.period n job_wcet limit start in
+  if r > limit then tally.Guan.diverged <- tally.Guan.diverged + 1
+  else tally.Guan.converged <- tally.Guan.converged + 1;
   r
-
-let hp_of_rt (t : Task.rt_task) = { hp_wcet = t.rt_wcet; hp_period = t.rt_period }
-
-let rt_response_time ~tally ~core (t : Task.rt_task) =
-  let hp =
-    List.filter_map
-      (fun (o : Task.rt_task) ->
-        if o.rt_id <> t.rt_id && o.rt_prio < t.rt_prio then Some (hp_of_rt o)
-        else None)
-      core
-  in
-  response_time ~tally ~hp ~wcet:t.rt_wcet ~limit:t.rt_deadline ()
-
-let core_rt_schedulable core =
-  let tally = Guan.make_tally () in
-  List.for_all (fun t -> Option.is_some (rt_response_time ~tally ~core t)) core
-
-let partitioned_rt_schedulable (ts : Task.taskset) ~assignment =
-  let cores = Array.make ts.n_cores [] in
-  Array.iteri
-    (fun i t ->
-      let m = assignment.(i) in
-      cores.(m) <- t :: cores.(m))
-    ts.rt;
-  Array.for_all core_rt_schedulable cores

@@ -1,36 +1,41 @@
 (** Uniprocessor fixed-priority response-time analysis (paper Eq. 1).
 
     Exact time-demand analysis for tasks statically bound to one core:
-    the smallest [x] with [x = C + sum_i ceil(x/T_i)*C_i] over
-    higher-priority tasks [i] on the same core. Used (a) to validate
-    that the partitioned RT tasks are schedulable, and (b) as the
-    per-core analysis inside the HYDRA (DATE'18) baseline, where
-    security tasks are pinned to cores. *)
+    the smallest [x] with [x = C + sum_i ceil(x/T_i)*C_i] over the
+    higher-priority tasks [i] on the same core. {!Partition} runs it to
+    place RT tasks, and the HYDRA (DATE'18) baseline
+    ([Hydra.Baseline_hydra]) to place security tasks on cores.
+
+    The interferers are held in flat arrays that the caller fills in
+    place, as {!Guan.hp} holds the global analyses', so that a fixed
+    point allocates nothing. The tests check it against a list-based
+    reference ([test/oracle/naive_uniproc.ml]). *)
 
 type time = Task.time
 
-type hp_task = { hp_wcet : time; hp_period : time }
-(** A higher-priority interferer: only its WCET and period matter. *)
+type hp = {
+  wcet : time array;  (** [C_i] *)
+  period : time array;  (** [T_i] *)
+}
+(** Higher-priority interferers by index. {!response_time} reads only
+    the first [n] entries and does not depend on their order. *)
+
+val make : int -> hp
+(** [make n] has room for [n] interferers (zero-filled). *)
 
 val response_time :
-  tally:Guan.tally -> hp:hp_task list -> wcet:time -> limit:time -> unit ->
-  time option
-(** [response_time ~tally ~hp ~wcet ~limit ()] runs the fixed-point
-    iteration starting at [x = wcet]; returns [Some r] for the least
-    fixed point [r <= limit], or [None] if the iteration exceeds
-    [limit] (the task is unschedulable with respect to that bound).
-    It adds its iterations and its verdict to the caller's [tally]. *)
-
-val rt_response_time :
-  tally:Guan.tally -> core:Task.rt_task list -> Task.rt_task -> time option
-(** Response time of an RT task among the RT tasks of its core
-    ([core] may or may not include the task itself; it is excluded by
-    id). Bounded by the task's deadline. Counts into [tally]. *)
-
-val core_rt_schedulable : Task.rt_task list -> bool
-(** Whether every RT task pinned to this core meets its deadline. *)
-
-val partitioned_rt_schedulable : Task.taskset -> assignment:int array -> bool
-(** Whether all RT tasks of the taskset meet their deadlines under the
-    given core [assignment] ([assignment.(i)] is the core of
-    [ts.rt.(i)]). *)
+  tally:Guan.tally -> hp -> n:int -> job_wcet:time -> start:time ->
+  limit:time -> time
+(** [response_time ~tally hp ~n ~job_wcet ~start ~limit] is the least
+    fixed point [r] of [x = job_wcet + sum_{i < n} ceil(x/T_i)*C_i] if
+    [r <= limit], and otherwise the first iterate past [limit] (so a
+    result above [limit] means "misses"). It iterates
+    [x <- job_wcet + sum_i ceil(x/T_i)*C_i] from [x = start], which
+    must lie in [[job_wcet, r]]: from [start = job_wcet] (a cold start)
+    this is the classic iteration, and from any start in that range
+    the iterates rise to the same fixed point, or past [limit], as the
+    cold ones (doc/PERFORMANCE.md, "Eq. 1 on arrays, incremental
+    best-fit"). Each demand evaluation counts one iteration in
+    [tally], and the call one verdict: converged if the result is at
+    most [limit], diverged otherwise (a start past [limit] included,
+    with no iteration). Allocates nothing. *)

@@ -11,6 +11,7 @@ module Baseline_tmax = Hydra.Baseline_tmax
 module Metrics = Hydra.Metrics
 module Scheme = Hydra.Scheme
 module Naive_analysis = Hydra_oracle.Naive_analysis
+module Naive_uniproc = Hydra_oracle.Naive_uniproc
 
 let check_int = Test_util.check_int
 let check_bool = Test_util.check_bool
@@ -141,7 +142,7 @@ let prop_analysis_bounds_simulation =
   Test_util.qtest ~count:60 "analysis bounds simulation" arb (fun ts ->
       let assignment = Test_util.round_robin_assignment ts in
       QCheck.assume
-        (Rtsched.Rta_uniproc.partitioned_rt_schedulable ts ~assignment);
+        (Hydra_oracle.Naive_uniproc.partitioned_rt_schedulable ts ~assignment);
       let sys = Analysis.make_system ts ~assignment in
       match Period_selection.select sys ts.Task.sec with
       | Period_selection.Unschedulable -> QCheck.assume_fail ()
@@ -363,6 +364,28 @@ let test_hydra_unschedulable () =
     (Baseline_hydra.allocate ~minimize:true sys ts.Task.sec
     = Baseline_hydra.Unschedulable)
 
+(* The Eq. 1 WCRT of [s] on [core] below the core's RT tasks and the
+   [placed] security tasks pinned there with a higher priority, through
+   the list-based oracle rather than the baseline's own probe. *)
+let naive_core_response (sys : Analysis.system) ~core ~placed
+    (s : Task.sec_task) =
+  let hp =
+    List.map
+      (fun (t : Task.rt_task) ->
+        { Naive_uniproc.hp_wcet = t.rt_wcet; hp_period = t.rt_period })
+      sys.rt_cores.(core)
+    @ List.filter_map
+        (fun (a : Baseline_hydra.alloc) ->
+          if a.core = core && a.sec.Task.sec_prio < s.sec_prio then
+            Some
+              { Naive_uniproc.hp_wcet = a.sec.Task.sec_wcet;
+                hp_period = a.period }
+          else None)
+        placed
+  in
+  Naive_uniproc.response_time ~tally:(Rtsched.Guan.make_tally ()) ~hp
+    ~wcet:s.sec_wcet ~limit:s.sec_period_max ()
+
 let prop_hydra_allocation_feasible =
   let arb = Test_util.arb_taskset ~n_cores:2 ~n_rt:4 ~n_sec:4 in
   Test_util.qtest ~count:80 "HYDRA allocations satisfy per-core RTA" arb
@@ -377,9 +400,8 @@ let prop_hydra_allocation_feasible =
             | [] -> true
             | (a : Baseline_hydra.alloc) :: rest -> (
                 match
-                  Baseline_hydra.core_response_time
-                    ~tally:(Rtsched.Guan.make_tally ()) sys
-                    ~core:a.Baseline_hydra.core ~placed a.Baseline_hydra.sec
+                  naive_core_response sys ~core:a.Baseline_hydra.core ~placed
+                    a.Baseline_hydra.sec
                 with
                 | None -> false
                 | Some r ->
@@ -438,9 +460,8 @@ let prop_coordinated_periods_feasible =
             | [] -> true
             | (a : Baseline_hydra.alloc) :: rest -> (
                 match
-                  Baseline_hydra.core_response_time
-                    ~tally:(Rtsched.Guan.make_tally ()) sys
-                    ~core:a.Baseline_hydra.core ~placed a.Baseline_hydra.sec
+                  naive_core_response sys ~core:a.Baseline_hydra.core ~placed
+                    a.Baseline_hydra.sec
                 with
                 | None -> false
                 | Some r ->

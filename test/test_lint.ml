@@ -298,6 +298,26 @@ let test_parameter_shadows_value () =
         "'run' calls 'omega', bound by a parameter")
     r.notes
 
+(* Values of a module nested in a file (lint_fixtures/nested/):
+   [Nm_outer.Inner.twice] and [Nm_outer.Counter.bump] name no file
+   module, and resolve through file [Nm_outer]. So D8 proves one hot
+   caller and finds the other's allocation, D7 finds the race, and
+   nothing is left as an unknown callee. *)
+let test_nested_module_values () =
+  let r = Lint.Driver.run [ "lint_fixtures/nested" ] in
+  check_int "no errors" 0 (List.length r.Lint.Driver.errors);
+  check_sites "findings"
+    [ ("D8", "nm_callers.ml", 5); ("D7", "nm_callers.ml", 6) ]
+    (rule_sites r.findings);
+  check_sites "no notes" [] (rule_sites r.notes);
+  let msg rule =
+    match List.find_opt (fun f -> f.Lint.Finding.rule = rule) r.findings with
+    | Some f -> f.Lint.Finding.msg
+    | None -> Alcotest.failf "no %s reported" rule
+  in
+  check_contains "D8 allocation kind" (msg "D8") "a tuple";
+  check_contains "D7 state" (msg "D7") "Nm_outer.hits"
+
 (* ------------------------------------------------------------------ *)
 (* Path arguments *)
 
@@ -429,7 +449,9 @@ let () =
           Alcotest.test_case "finding messages" `Quick
             test_interproc_messages;
           Alcotest.test_case "parameter shadows a value" `Quick
-            test_parameter_shadows_value ] );
+            test_parameter_shadows_value;
+          Alcotest.test_case "nested module values" `Quick
+            test_nested_module_values ] );
       ( "determinism",
         [ Alcotest.test_case "path warnings" `Quick test_warnings ] );
       ( "sarif", [ Alcotest.test_case "sarif export" `Quick test_sarif ] );

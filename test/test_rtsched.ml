@@ -7,6 +7,8 @@ module Workload = Rtsched.Workload
 module Rta = Rtsched.Rta_uniproc
 module Partition = Rtsched.Partition
 module Global = Rtsched.Rta_global
+module Naive_uniproc = Hydra_oracle.Naive_uniproc
+module Naive_partition = Hydra_oracle.Naive_partition
 
 let check_int = Test_util.check_int
 let check_bool = Test_util.check_bool
@@ -242,7 +244,7 @@ let prop_clamped_equals_interference_near_max_time =
 (* ------------------------------------------------------------------ *)
 (* Uniprocessor TDA *)
 
-let hp wcet period = { Rta.hp_wcet = wcet; hp_period = period }
+let hp wcet period = { Naive_uniproc.hp_wcet = wcet; hp_period = period }
 
 (* Runs [f] on a fresh tally, which must then hold exactly the one
    call's verdict. *)
@@ -255,12 +257,38 @@ let tallied f =
       tally.converged tally.diverged;
   r
 
-(* Eq. 1 through a fresh tally. *)
-let uniproc ~hp ~wcet ~limit =
-  tallied (fun ~tally -> Rta.response_time ~tally ~hp ~wcet ~limit ())
+(* The array kernel over the interferers [hp], from [start] (default
+   [wcet]): [Some] the fixed point, [None] past [limit]. *)
+let kernel ?start ~tally ~hp ~wcet ~limit () =
+  let n = List.length hp in
+  let buf = Rta.make n in
+  List.iteri
+    (fun i (h : Naive_uniproc.hp_task) ->
+      buf.wcet.(i) <- h.hp_wcet;
+      buf.period.(i) <- h.hp_period)
+    hp;
+  let start = Option.value start ~default:wcet in
+  let r = Rta.response_time ~tally buf ~n ~job_wcet:wcet ~start ~limit in
+  if r > limit then None else Some r
 
-let rt_response_time ~core t =
-  tallied (fun ~tally -> Rta.rt_response_time ~tally ~core t)
+(* Eq. 1 through a fresh tally. *)
+let uniproc ~hp:interferers ~wcet ~limit =
+  tallied (fun ~tally -> kernel ~tally ~hp:interferers ~wcet ~limit ())
+
+(* An RT task's WCRT among the tasks of its core, itself excluded. *)
+let rt_response_time ~core (t : Task.rt_task) =
+  let interferers =
+    List.filter_map
+      (fun (o : Task.rt_task) ->
+        if o.rt_id <> t.rt_id && o.rt_prio < t.rt_prio then
+          Some (hp o.rt_wcet o.rt_period)
+        else None)
+      core
+  in
+  uniproc ~hp:interferers ~wcet:t.rt_wcet ~limit:t.rt_deadline
+
+let core_rt_schedulable core =
+  List.for_all (fun t -> Option.is_some (rt_response_time ~core t)) core
 
 let test_rta_no_interference () =
   Alcotest.(check (option int)) "alone" (Some 7)
@@ -290,9 +318,9 @@ let test_core_rt_schedulable () =
       Task.make_rt ~id:1 ~prio:1 ~wcet:2 ~period:6 ();
       Task.make_rt ~id:2 ~prio:2 ~wcet:3 ~period:13 () ]
   in
-  check_bool "liu-layland set schedulable" true (Rta.core_rt_schedulable core);
+  check_bool "liu-layland set schedulable" true (core_rt_schedulable core);
   let overloaded = Task.make_rt ~id:3 ~prio:3 ~wcet:4 ~period:14 () :: core in
-  check_bool "overloaded set" false (Rta.core_rt_schedulable overloaded)
+  check_bool "overloaded set" false (core_rt_schedulable overloaded)
 
 (* Response time bounds observed behaviour: simulate one core and
    compare the maximum observed response against the analysis. *)
@@ -301,7 +329,7 @@ let prop_rta_bounds_simulation =
   Test_util.qtest ~count:60 "uniproc RTA bounds simulated responses" arb
     (fun ts ->
       let core = Array.to_list ts.Task.rt in
-      QCheck.assume (Rta.core_rt_schedulable core);
+      QCheck.assume (core_rt_schedulable core);
       let built =
         Sim.Scenario.of_taskset ts
           ~rt_assignment:(Array.make (Array.length ts.Task.rt) 0)
@@ -320,6 +348,132 @@ let prop_rta_bounds_simulation =
               <= bound)
         ts.Task.rt)
 
+(* Random Eq. 1 instances: 0-7 interferers (C 1-60, T 2-201), a job
+   of WCET 1-60, and three draws that place the start in [C, lfp] and
+   the limit below, at or above the lfp. *)
+let arb_eq1 =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 7 >>= fun n ->
+    list_repeat n (pair (int_range 1 60) (int_range 2 201)) >>= fun hp ->
+    int_range 1 60 >>= fun wcet ->
+    int_range 0 1000 >>= fun s ->
+    int_range 0 3 >>= fun l ->
+    int_range 0 500 >>= fun extra -> return (hp, wcet, s, l, extra)
+  in
+  let print (hp, wcet, s, l, extra) =
+    Printf.sprintf "hp=[%s] C=%d s=%d l=%d extra=%d"
+      (String.concat "; "
+         (List.map (fun (c, t) -> Printf.sprintf "(%d,%d)" c t) hp))
+      wcet s l extra
+  in
+  QCheck.make ~print gen
+
+(* The array kernel against the list-based oracle: from the same
+   start, the same value, verdict and iteration count, and from any
+   start in [C, lfp] the value and verdict of the cold iteration. A
+   task set that finds no fixed point below 10^6 runs cold, with a
+   limit at or below C + 2,000. *)
+let prop_uniproc_kernel_equals_naive =
+  Test_util.qtest ~count:2000 "array kernel = Naive_uniproc" arb_eq1
+    (fun (pairs, wcet, s, l, extra) ->
+      let interferers = List.map (fun (c, t) -> hp c t) pairs in
+      let naive ?start limit =
+        let tally = Rtsched.Guan.make_tally () in
+        let r =
+          Naive_uniproc.response_time ?start ~tally ~hp:interferers ~wcet
+            ~limit ()
+        in
+        (r, tally)
+      in
+      let start, limit =
+        match fst (naive 1_000_000) with
+        | None -> (wcet, wcet - 1 + (4 * extra))
+        | Some lfp ->
+            ( wcet + ((lfp - wcet) * s / 1000),
+              match l with
+              | 0 -> lfp - 1
+              | 1 -> lfp
+              | 2 -> lfp + extra
+              | _ -> wcet + extra )
+      in
+      let tally = Rtsched.Guan.make_tally () in
+      let got = kernel ~start ~tally ~hp:interferers ~wcet ~limit () in
+      let want, want_tally = naive ~start limit in
+      got = want && tally = want_tally && got = fst (naive limit))
+
+(* Random RT tasks for the partitioner differentials: periods 5-200,
+   WCETs up to three quarters of the period, constrained deadlines in
+   [C, T], and the priorities [prios] (one per task). *)
+let gen_rt_tasks prios =
+  let open QCheck.Gen in
+  let gen_task i prio =
+    int_range 5 200 >>= fun period ->
+    int_range 1 (3 * period / 4) >>= fun wcet ->
+    int_range wcet period >>= fun deadline ->
+    return (Task.make_rt ~id:i ~prio ~wcet ~period ~deadline ())
+  in
+  flatten_l (List.mapi gen_task prios)
+
+(* 1-4 cores and 1 to 3M + 2 tasks with random unique priorities. At
+   an average utilization of 0.375 per task about three in five do not
+   partition, so the placements before a failure are compared too. *)
+let arb_partition =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 4 >>= fun n_cores ->
+    int_range 1 ((3 * n_cores) + 2) >>= fun n ->
+    shuffle_l (List.init n Fun.id) >>= fun prios ->
+    gen_rt_tasks prios >>= fun rt ->
+    return (Task.make_taskset ~n_cores ~rt ~sec:[])
+  in
+  QCheck.make ~print:Test_util.print_taskset gen
+
+let heuristics = [ Partition.Best_fit; Partition.First_fit; Partition.Worst_fit ]
+
+let prop_partition_equals_naive =
+  Test_util.qtest ~count:1500 "partition_rt = Naive_partition" arb_partition
+    (fun ts ->
+      List.for_all
+        (fun heuristic ->
+          Partition.partition_rt ~heuristic ts
+          = Naive_partition.partition_rt ~heuristic ts)
+        heuristics)
+
+(* Per-core lists as the daemon passes them, some already past a
+   deadline, and a newcomer; priorities are drawn from [0, 2n), so
+   ties occur too. *)
+let arb_choose_core =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 4 >>= fun n_cores ->
+    int_range 1 ((3 * n_cores) + 3) >>= fun n ->
+    list_repeat n (int_range 0 ((2 * n) - 1)) >>= fun prios ->
+    gen_rt_tasks prios >>= fun tasks ->
+    list_repeat (n - 1) (int_range 0 (n_cores - 1)) >>= fun cores ->
+    let lists = Array.make n_cores [] in
+    List.iter2 (fun t m -> lists.(m) <- t :: lists.(m)) (List.tl tasks) cores;
+    return (Array.map List.rev lists, List.hd tasks)
+  in
+  let print (lists, t) =
+    String.concat " | "
+      (Array.to_list
+         (Array.map
+            (fun l -> String.concat "; " (List.map Task.show_rt l))
+            lists))
+    ^ " <- " ^ Task.show_rt t
+  in
+  QCheck.make ~print gen
+
+let prop_choose_core_equals_naive =
+  Test_util.qtest ~count:1500 "choose_core = Naive_partition" arb_choose_core
+    (fun (lists, t) ->
+      List.for_all
+        (fun heuristic ->
+          Partition.choose_core heuristic lists t
+          = Naive_partition.choose_core heuristic lists t)
+        heuristics)
+
 (* ------------------------------------------------------------------ *)
 (* Partitioning *)
 
@@ -333,7 +487,7 @@ let test_partition_respects_tda () =
   | None -> Alcotest.fail "expected partitionable"
   | Some assignment ->
       check_bool "assignment passes TDA" true
-        (Rta.partitioned_rt_schedulable ts ~assignment)
+        (Naive_uniproc.partitioned_rt_schedulable ts ~assignment)
 
 let test_partition_fails_when_overloaded () =
   let rt =
@@ -371,8 +525,9 @@ let prop_partition_heuristics_all_valid =
         (fun heuristic ->
           match Partition.partition_rt ~heuristic ts with
           | None -> true
-          | Some assignment -> Rta.partitioned_rt_schedulable ts ~assignment)
-        [ Partition.Best_fit; Partition.First_fit; Partition.Worst_fit ])
+          | Some assignment ->
+              Naive_uniproc.partitioned_rt_schedulable ts ~assignment)
+        heuristics)
 
 (* ------------------------------------------------------------------ *)
 (* Taskset file I/O *)
@@ -516,7 +671,7 @@ let prop_tda_agrees_with_exact =
      verdicts must agree, and for schedulable sets the TDA bound must
      equal the worst observed response. *)
   Test_util.qtest ~count:150 "TDA = exact oracle" arb_small_core (fun tasks ->
-      let tda = Rta.core_rt_schedulable tasks in
+      let tda = core_rt_schedulable tasks in
       match Exact.simulate tasks with
       | Exact.Hyperperiod_too_large -> true
       | Exact.Unschedulable _ -> not tda
@@ -961,7 +1116,8 @@ let () =
             test_rta_exact_at_full_utilization;
           Alcotest.test_case "core schedulability" `Quick
             test_core_rt_schedulable;
-          prop_rta_bounds_simulation ] );
+          prop_rta_bounds_simulation;
+          prop_uniproc_kernel_equals_naive ] );
       ( "partition",
         [ Alcotest.test_case "respects TDA" `Quick test_partition_respects_tda;
           Alcotest.test_case "fails when overloaded" `Quick
@@ -970,7 +1126,9 @@ let () =
             test_partition_single_core_exact_fit;
           Alcotest.test_case "cores sorted by priority" `Quick
             test_cores_of_assignment_sorted;
-          prop_partition_heuristics_all_valid ] );
+          prop_partition_heuristics_all_valid;
+          prop_partition_equals_naive;
+          prop_choose_core_equals_naive ] );
       ( "taskset_io",
         [ Alcotest.test_case "parse rover" `Quick test_io_parse_rover;
           Alcotest.test_case "RM priorities" `Quick

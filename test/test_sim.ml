@@ -381,7 +381,7 @@ let prop_hyperperiod_periodicity =
     (fun ts ->
       let assignment = Test_util.round_robin_assignment ts in
       QCheck.assume
-        (Rtsched.Rta_uniproc.partitioned_rt_schedulable ts ~assignment);
+        (Hydra_oracle.Naive_uniproc.partitioned_rt_schedulable ts ~assignment);
       let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
       let lcm a b = a / gcd a b * b in
       let hyper =
@@ -588,7 +588,7 @@ let prop_rt_isolated_from_security =
   Test_util.qtest ~count:50 "security tasks never disturb RT" arb (fun ts ->
       let assignment = Test_util.round_robin_assignment ts in
       QCheck.assume
-        (Rtsched.Rta_uniproc.partitioned_rt_schedulable ts ~assignment);
+        (Hydra_oracle.Naive_uniproc.partitioned_rt_schedulable ts ~assignment);
       let bounds = Array.make (Array.length ts.Task.sec) 0 in
       Array.iter
         (fun s -> bounds.(s.Task.sec_id) <- s.Task.sec_period_max)

@@ -267,7 +267,7 @@ let test_generate_rt_schedulable () =
         check_bool
           (Printf.sprintf "group %d RT schedulable" group)
           true
-          (Rtsched.Rta_uniproc.partitioned_rt_schedulable g.Generator.taskset
+          (Hydra_oracle.Naive_uniproc.partitioned_rt_schedulable g.Generator.taskset
              ~assignment:g.Generator.rt_assignment)
   done
 
@@ -340,9 +340,52 @@ let test_generator_gives_up_gracefully () =
   check_bool "group 9 on one core eventually gives up or succeeds" true
     (match Generator.generate config rng ~group:9 with
     | Some g ->
-        Rtsched.Rta_uniproc.partitioned_rt_schedulable g.Generator.taskset
+        Hydra_oracle.Naive_uniproc.partitioned_rt_schedulable g.Generator.taskset
           ~assignment:g.Generator.rt_assignment
     | None -> true)
+
+(* A canonical dump of what the sweep generates at [seed] on [n_cores]
+   cores ([Experiments.Sweep.run]'s streams: one per taskset, split in
+   group-major order): every taskset's parameters, target utilization
+   and RT assignment, or "none" where generation gave up. *)
+let dump_sweep buf ~n_cores ~per_group ~seed =
+  let config = Generator.default_config ~n_cores in
+  let n = config.Generator.util_groups * per_group in
+  let streams = Rng.split_n (Rng.create seed) n in
+  for i = 0 to n - 1 do
+    let group = i / per_group in
+    match Generator.generate config streams.(i) ~group with
+    | None -> Printf.bprintf buf "M%d #%d none\n" n_cores i
+    | Some g ->
+        let ts = g.Generator.taskset in
+        Printf.bprintf buf "M%d #%d group %d U %h\n" n_cores i group
+          g.Generator.target_utilization;
+        Array.iteri
+          (fun k (t : Task.rt_task) ->
+            Printf.bprintf buf "rt %d C %d T %d D %d prio %d core %d\n"
+              t.rt_id t.rt_wcet t.rt_period t.rt_deadline t.rt_prio
+              g.Generator.rt_assignment.(k))
+          ts.Task.rt;
+        Array.iter
+          (fun (s : Task.sec_task) ->
+            Printf.bprintf buf "sec %d C %d Tmax %d prio %d\n" s.sec_id
+              s.sec_wcet s.sec_period_max s.sec_prio)
+          ts.Task.sec
+  done
+
+(* The 400 seed-42 tasksets of perfbench's dse workload (M = 2 and 4,
+   ten groups, 20 per group), digested. A change to the generator or
+   the partitioner that moves one parameter or one RT assignment
+   changes the digest, on any host. Update it only for an intended
+   change of the generated tasksets. *)
+let test_sweep_golden_digest () =
+  let buf = Buffer.create (1 lsl 19) in
+  List.iter
+    (fun n_cores -> dump_sweep buf ~n_cores ~per_group:20 ~seed:42)
+    [ 2; 4 ];
+  Alcotest.(check string) "seed-42 dse tasksets"
+    "3a45a059daf39cf6544129d504d72eff"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let () =
   Alcotest.run "taskgen"
@@ -400,4 +443,6 @@ let () =
           Alcotest.test_case "loguniform degenerate range" `Quick
             test_loguniform_degenerate_range;
           Alcotest.test_case "generator gives up gracefully" `Quick
-            test_generator_gives_up_gracefully ] ) ]
+            test_generator_gives_up_gracefully;
+          Alcotest.test_case "seed-42 sweep golden digest" `Quick
+            test_sweep_golden_digest ] ) ]
