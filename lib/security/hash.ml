@@ -21,34 +21,57 @@ let fnv1a64 s =
 let golden = 0x9E3779B97F4A7C15L
 let word_mul = 0xBF58476D1CE4E5B9L (* odd, so multiplying is a bijection *)
 
-(* The content hash: one full 64-bit word per step, so a 4 KiB image
-   is 512 dependent multiplies rather than 4,096. Each step xors the
-   word into the state, multiplies by an odd constant and xorshifts;
-   all three are bijections of the state, so for a fixed length a
-   change to any one word (any one bit) changes the result. The word
-   stays an [int64]: [Int64.to_int] would drop bit 63. The state is
-   an unboxed local [ref] as in [fnv1a64]. *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* The little-endian word at [i], read without a bounds check: the
+   caller guarantees [i + 8 <= String.length s]. *)
+let[@inline] unsafe_word s i =
+  if Sys.big_endian then bswap64 (get64u s i) else get64u s i
+
+(* One step of a lane: a bijection of the state [h] for a fixed word
+   (xor, multiply by an odd constant, xorshift), and of the word for a
+   fixed state. *)
+let[@inline] step h w =
+  let x = Int64.mul (Int64.logxor h w) word_mul in
+  Int64.logxor x (Int64.shift_right_logical x 31)
+
+(* The content hash, defined in hash.mli. Four lanes make a 4 KiB
+   image four independent chains of 128 dependent multiplies, which
+   the CPU overlaps, rather than one chain of 512. The words stay
+   [int64]s: [Int64.to_int] would drop bit 63. The four states are
+   unboxed local [ref]s as in [fnv1a64]. *)
 let words64 s =
   let n = String.length s in
-  let full = n land lnot 7 in
-  let h = ref (Int64.logxor golden (Int64.of_int n)) in
-  let i = ref 0 in
-  while !i < full do
-    let x = Int64.mul (Int64.logxor !h (String.get_int64_le s !i)) word_mul in
-    h := Int64.logxor x (Int64.shift_right_logical x 31);
-    i := !i + 8
+  let blocks = n land lnot 31 and full = n land lnot 7 in
+  let seed = Int64.logxor golden (Int64.of_int n) in
+  let h0 = ref seed
+  and h1 = ref (Int64.add seed golden)
+  and h2 = ref (Int64.add seed (Int64.mul 2L golden))
+  and h3 = ref (Int64.add seed (Int64.mul 3L golden)) in
+  let j = ref 0 in
+  while !j < blocks do
+    (* unchecked reads: !j + 32 <= blocks <= n *)
+    h0 := step !h0 (unsafe_word s !j);
+    h1 := step !h1 (unsafe_word s (!j + 8));
+    h2 := step !h2 (unsafe_word s (!j + 16));
+    h3 := step !h3 (unsafe_word s (!j + 24));
+    j := !j + 32
+  done;
+  while !j < full do
+    h0 := step !h0 (String.get_int64_le s !j);
+    j := !j + 8
   done;
   if full < n then begin
     (* the 1-7 tail bytes, little-endian, zero-padded: 56 bits fit an
        [int] *)
     let w = ref 0 in
-    for j = n - 1 downto full do
-      w := (!w lsl 8) lor Char.code (String.unsafe_get s j)
+    for k = n - 1 downto full do
+      w := (!w lsl 8) lor Char.code (String.unsafe_get s k)
     done;
-    let x = Int64.mul (Int64.logxor !h (Int64.of_int !w)) word_mul in
-    h := Int64.logxor x (Int64.shift_right_logical x 31)
+    h0 := step !h0 (Int64.of_int !w)
   end;
-  !h
+  step (step (step !h0 !h1) !h2) !h3
 
 let combine a b =
   let h = Int64.logxor a (Int64.mul b golden) in

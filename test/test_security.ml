@@ -59,23 +59,43 @@ let test_hash_allocates_only_result () =
     [ ("fnv1a64", Hash.fnv1a64); ("words64", Hash.words64) ]
 
 (* The content kernel, [Hash.words64]. Its vectors come from an
-   independent transcription of the definition in hash.mli (xor each
-   little-endian word into the state, multiply by 0xBF58476D1CE4E5B9,
-   xorshift right by 31; seed 0x9E3779B97F4A7C15 xor the length; the
-   tail zero-padded into one word). *)
+   independent transcription of the definition in hash.mli (four lanes
+   over 32-byte blocks, lane l seeded with seed + l * 0x9E3779B97F4A7C15
+   where the seed is 0x9E3779B97F4A7C15 xor the length, each step xor
+   the little-endian word, multiply by 0xBF58476D1CE4E5B9 and xorshift
+   right by 31; the words after the last block and the zero-padded
+   tail in lane 0; lanes 1-3 folded into lane 0). The lengths cover
+   strings shorter than a block, one block alone, with a tail and with
+   trailing words, two blocks with and without a tail, and an image. *)
 let test_words64_known_answers () =
+  let ramp n = String.init n (fun i -> Char.chr (i land 255)) in
   List.iter
     (fun (label, input, expected) ->
       Alcotest.(check int64) ("words64 " ^ label) expected (Hash.words64 input))
-    [ ("empty", "", 0x9e3779b97f4a7c15L);
-      ("a", "a", 0x978edaae6d412cd3L);
-      ("foobar", "foobar", 0x6f70a0368487f8e1L);
-      ("one word", "abcdefgh", 0x15fdf91c349001a4L);
-      ("word and tail", "abcdefghi", 0xa4ef31bf21eabc42L);
+    [ ("empty", "", 0x426342d8dd3810e6L);
+      ("a", "a", 0x6f78226491f2bd7aL);
+      ("foobar", "foobar", 0x185d89e514fe33b8L);
+      ("one word", "abcdefgh", 0x26fb57302d849d55L);
+      ("word and tail", "abcdefghi", 0x01a084101137cbd7L);
       (* every bit set, bit 63 included *)
-      ("0xff x 8", String.make 8 '\xff', 0x6f716b65518fae99L);
-      ("4 KiB image", String.init 4096 (fun i -> Char.chr (i land 255)),
-       0xf51673de9e58a7f5L) ]
+      ("0xff x 8", String.make 8 '\xff', 0x0373b1ac50ee7bdeL);
+      ("31 bytes", ramp 31, 0x7bed0a93ee30fe2bL);
+      ("32 bytes", ramp 32, 0x315757339e271536L);
+      ("33 bytes", ramp 33, 0xb00c46ad842430bbL);
+      ("40 bytes", ramp 40, 0x7fe9877b0551768bL);
+      ("63 bytes", ramp 63, 0xaa3daa8438c9c9f6L);
+      ("64 bytes", ramp 64, 0x41100b3c416d78a5L);
+      ("65 bytes", ramp 65, 0xcbb69d7d660f92f1L);
+      ("4 KiB image", ramp 4096, 0x657948a554af2e66L) ]
+
+(* The four-lane kernel against its reference, which keeps the lanes in
+   an array and reads every word with a bounds check. Up to 300 bytes
+   covers every block count to nine, with every trailing word and tail
+   length. *)
+let prop_words64_matches_oracle =
+  Test_util.qtest ~count:500 "words64 = Naive_hash"
+    QCheck.(string_of_size Gen.(int_range 0 300))
+    (fun s -> Int64.equal (Hash.words64 s) (Hydra_oracle.Naive_hash.words64 s))
 
 let test_words64_trailing_zeros () =
   (* the tail is zero-padded, so only the length in the seed tells
@@ -90,7 +110,8 @@ let test_words64_trailing_zeros () =
 
 (* Between two strings of one length, changing one 8-byte word (the
    zero-padded tail counts as one) or flipping one bit must change the
-   result: every step is a bijection of the state. Each case tries
+   result: every step is a bijection of its lane's state, and the final
+   fold is a bijection in each lane's state. Each case tries
    every bit of its string, and replaces each of its words with the
    case's random word (the low bit of the word's first byte flipped
    if that would change nothing). *)
@@ -112,13 +133,29 @@ let flip_bit s k =
 
 let prop_words64_sensitive =
   Test_util.qtest ~count:200 "words64: any one word or bit changes it"
-    QCheck.(pair (string_of_size Gen.(int_range 0 100)) int64)
+    QCheck.(pair (string_of_size Gen.(int_range 0 200)) int64)
     (fun (s, r) ->
       let n = String.length s and h = Hash.words64 s in
       List.for_all
         (fun s' -> Hash.words64 s' <> h)
         (List.init (n * 8) (flip_bit s)
         @ List.init ((n + 7) / 8) (fun w -> replace_word s w r)))
+
+(* Fig. 5's tamper appends bytes, so the length alone catches it. A
+   same-length change at production size is what exercises every lane:
+   flip one bit (bit w mod 64) in each of the 512 words of a rover
+   image in turn. *)
+let test_words64_rover_image_flips () =
+  let fs = Rover.image_store () in
+  let image = Filesystem.read fs (List.hd (Filesystem.list_paths fs)) in
+  check_int "image bytes" 4096 (String.length image);
+  let h = Hash.words64 image in
+  for w = 0 to 511 do
+    let b = (w * 64) + (w mod 64) in
+    if Hash.words64 (flip_bit image b) = h then
+      Alcotest.failf "flipping bit %d of word %d left the digest unchanged"
+        (w mod 64) w
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Filesystem *)
@@ -794,7 +831,10 @@ let () =
             test_words64_known_answers;
           Alcotest.test_case "words64 trailing zero bytes" `Quick
             test_words64_trailing_zeros;
-          prop_words64_sensitive ] );
+          prop_words64_matches_oracle;
+          prop_words64_sensitive;
+          Alcotest.test_case "words64 one bit per rover image word" `Quick
+            test_words64_rover_image_flips ] );
       ( "filesystem",
         [ Alcotest.test_case "crud" `Quick test_fs_crud;
           Alcotest.test_case "errors on missing" `Quick
